@@ -19,14 +19,15 @@ import numpy as np
 from .config import RunConfig
 from .errors import DegenerateInputError, GeovidError, NumericError, ParameterError
 from .evalmetrics import MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics
-from .geometry import GROUND_TRUTH, METRIC, RELATIVE, CameraModel, DepthMap
+from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .model import init_model, load_checkpoint, save_checkpoint
 from .numkit import vlt
-from .patch3d import PointCloud, backproject_grid, read_ply, write_ply
-from .scale_align import scene_scale
-from .synthscene import TokenizerConfig, gen_scene, load_scene, save_scene
+from .patch3d import read_ply, write_ply
+from .scale_align import apply_scale, scene_scale
+from .synthscene import load_scene, save_scene
 from .train import (
-    compare_strategies, run_pipeline, train_stage1, train_stage2, write_jsonl,
+    compare_strategies, generate_scenes, run_pipeline, strided_cloud, train_stage1,
+    train_stage2, write_jsonl,
 )
 
 
@@ -64,12 +65,10 @@ def main():
 @_exit_codes
 def gen_scenes_cmd(seed, count, frames, out, resolution, objects, dim, noise):
     """Generate synthetic scenes into OUT/scene_XXXX directories."""
+    cfg = RunConfig(seed=seed, dim=dim, resolution=(resolution, resolution),
+                    frames_per_scene=frames, n_objects=objects, token_noise=noise)
     out = Path(out)
-    tok = TokenizerConfig(dim=dim, noise=noise, seed=seed)
-    for i in range(count):
-        scene = gen_scene(seed * 100_000 + i, n_frames=frames,
-                          resolution=(resolution, resolution),
-                          n_objects=objects, tokenizer=tok)
+    for i, scene in enumerate(generate_scenes(cfg, count=count)):
         save_scene(out / f"scene_{i:04d}", scene)
     click.echo(f"wrote {count} scene(s) to {out}")
 
@@ -112,9 +111,7 @@ def train_cmd(stage, config_path, scenes_path, out, init_ckpt):
 
 def _load_depth_dir(path: Path, kind: str) -> list[tuple[str, DepthMap]]:
     path = Path(path)
-    if path.is_file():
-        return [(path.stem, DepthMap(vlt.load_tensor(path), scale_kind=kind))]
-    files = sorted(path.glob("*.vlt"))
+    files = [path] if path.is_file() else sorted(path.glob("*.vlt"))
     if not files:
         raise ParameterError(f"no .vlt depth files under {path}")
     return [(f.stem, DepthMap(vlt.load_tensor(f), scale_kind=kind)) for f in files]
@@ -143,7 +140,6 @@ def align_scale_cmd(depth_rel, depth_metric, cameras, out, scaled_out,
                       weights="uniform" if uniform_weights else "inverse_metric")
     est.save(out)
     if scaled_out is not None:
-        from .scale_align import apply_scale
         sdir = Path(scaled_out)
         sdir.mkdir(parents=True, exist_ok=True)
         cams = []
@@ -195,18 +191,13 @@ def _dir_artifacts(path: Path):
     path = Path(path)
     if (path / "scene.json").exists():
         scene = load_scene(path)
-        stride = np.zeros(scene.resolution, dtype=bool)
-        stride[::2, ::2] = True
-        pts = np.concatenate([backproject_grid(f.depth, f.camera, mask=stride)
-                              for f in scene.frames], axis=0)
-        return (PointCloud(pts), [f.camera for f in scene.frames],
-                [f.depth for f in scene.frames])
+        cams = [f.camera for f in scene.frames]
+        depths = [f.depth for f in scene.frames]
+        return strided_cloud(depths, cams), cams, depths
     cloud = read_ply(path / "cloud.ply") if (path / "cloud.ply").exists() else None
-    cams = [CameraModel.load(f) for f in sorted((path / "cameras").glob("*.json"))] \
-        if (path / "cameras").is_dir() else []
+    cams = [CameraModel.load(f) for f in sorted((path / "cameras").glob("*.json"))]
     depths = [DepthMap(vlt.load_tensor(f), scale_kind=METRIC)
-              for f in sorted((path / "depth").glob("*.vlt"))] \
-        if (path / "depth").is_dir() else []
+              for f in sorted((path / "depth").glob("*.vlt"))]
     return cloud, cams, depths
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ParameterError
@@ -89,7 +90,17 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
-        return RunConfig(**{**obj, "resolution": tuple(obj.get("resolution", (56, 56)))})
+        """Build a config from parsed JSON; an unknown key or a value of the
+        wrong type is a ParameterError naming the key."""
+        if not isinstance(obj, dict):
+            raise ParameterError("a config must be a JSON object")
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        for key, value in obj.items():
+            if key not in defaults:
+                raise ParameterError(f"unknown config key '{key}'")
+            if not _same_kind(value, defaults[key]):
+                raise ParameterError(f"config key '{key}' has a bad value: {value!r}")
+        return RunConfig(**obj)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -99,7 +110,23 @@ class RunConfig:
     @staticmethod
     def load(path: str | Path) -> "RunConfig":
         with open(path) as fh:
-            return RunConfig.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:   # bad JSON or bad UTF-8
+                raise ParameterError(f"config {path} is not valid JSON: {exc}") from None
+        return RunConfig.from_json(obj)
+
+
+_KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a JSON value fits a field whose default is `default`."""
+    if isinstance(default, tuple):   # resolution: two integers
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_same_kind(v, 0) for v in value))
+    return (isinstance(value, _KINDS[type(default)])
+            and isinstance(value, bool) == isinstance(default, bool))
 
 
 def worker_count(default: int = 1) -> int:

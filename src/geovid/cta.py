@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ShapeError, StateError
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
-    mha, mlp_forward, require_role,
+    mha, mlp, require_role,
 )
 
 
@@ -73,8 +73,8 @@ class CtaOutput:
 def project_streams(base: TokenSet, p: CtaParams) -> tuple[TokenSet, TokenSet]:
     """Base tokens -> (geometry stream, language stream) via the two MLP heads."""
     require_role(base, Role.BASE)
-    geom = TokenSet(mlp_forward(base, p.phi_geom).tokens, Role.GEOM, base.frame_index)
-    lang = TokenSet(mlp_forward(base, p.phi_lang).tokens, Role.LANG, base.frame_index)
+    geom = TokenSet(mlp(base.tokens, p.phi_geom), Role.GEOM, base.frame_index)
+    lang = TokenSet(mlp(base.tokens, p.phi_lang), Role.LANG, base.frame_index)
     return geom, lang
 
 

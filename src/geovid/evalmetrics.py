@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, ParameterError, StateError
-from .geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap
+from .geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap, rotation_angle_deg
 from .patch3d import PointCloud
 
 _BRUTE_FORCE_LIMIT = 512   # below this many points the exact scan is used
@@ -56,11 +56,6 @@ def _relative_pose(cam_i: CameraModel, cam_j: CameraModel
     return r_ij, t_ij
 
 
-def _angle_deg(r: np.ndarray) -> float:
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-
-
 def _direction_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
     c = float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
     return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
@@ -84,7 +79,7 @@ def pose_metrics(pred: list[CameraModel], gt: list[CameraModel]) -> dict:
                 continue
             rp, tp = _relative_pose(pred[i], pred[j])
             rg, tg = _relative_pose(gt[i], gt[j])
-            r_err = _angle_deg(rp @ rg.T)
+            r_err = rotation_angle_deg(rp @ rg.T)
             rot_errs.append(r_err)
             if np.linalg.norm(tp) < 1e-12 or np.linalg.norm(tg) < 1e-12:
                 excluded += 1

@@ -10,7 +10,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +55,6 @@ class CameraModel:
     def center(self) -> np.ndarray:
         """Camera center in world coordinates."""
         return -self.rotation.T @ self.translation
-
-    def intrinsic_matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
 
     def to_json(self) -> dict:
         return {

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ParameterError, ShapeError, StateError
+from .errors import DegenerateInputError, DomainError, ParameterError, ShapeError
 from .geometry import CameraModel, DepthMap
 from .numkit import (
     MlpParams, Tensor, TokenSet, arccos, as_tensor, concat, exp, log, matmul,
     mlp, tabs, tmean, tsum,
 )
-from .patch3d import Patch3DTokens
+from .patch3d import Patch3DTokens, backproject_grid
 from .recon import CameraPrediction
 
 _NORM_GUARD = 1e-12
@@ -47,6 +47,17 @@ def _unit_rows(t: Tensor, what: str) -> Tensor:
     return t * (sq ** -0.5)
 
 
+def _valid_pixels(pred: Tensor, gt: np.ndarray, mask: np.ndarray,
+                  loss: str) -> tuple[Tensor, Tensor]:
+    """(pred, gt) at the valid pixels, flattened in row-major order."""
+    if pred.shape != gt.shape:
+        raise ShapeError("pred/gt depth shapes differ")
+    if not mask.any():
+        raise DegenerateInputError(f"no valid pixels for the {loss}")
+    idx = np.nonzero(mask.reshape(-1))[0]
+    return pred.reshape(pred.size)[idx], Tensor(gt.reshape(-1)[idx])
+
+
 def geo_feat_loss(student, teacher) -> Tensor:
     """Mean squared L2 distance between unit-normalized token rows; range [0, 4]."""
     s, t = _tokens(student), _tokens(teacher)
@@ -65,17 +76,22 @@ def lang_feat_loss(student, teacher) -> Tensor:
     return tmean(1.0 - cos)
 
 
-def structural_consistency(stu_geom, stu_lang, tea_geom, tea_lang) -> Tensor:
-    """||Z_stu Z_stu^T - Z_tea Z_tea^T||_F^2 / M^2 over concatenated normalized tokens."""
-    zs = concat([_unit_rows(_tokens(stu_geom), "student geom"),
-                 _unit_rows(_tokens(stu_lang), "student lang")], axis=0)
-    zt = concat([_unit_rows(_tokens(tea_geom), "teacher geom"),
-                 _unit_rows(_tokens(tea_lang), "teacher lang")], axis=0)
+def _gram_gap(zs: Tensor, zt: Tensor) -> Tensor:
+    """||Z_stu Z_stu^T - Z_tea Z_tea^T||_F^2 / M^2 for unit-row token matrices."""
     if zs.shape[0] != zt.shape[0]:
         raise ShapeError("student/teacher token totals differ")
     m = zs.shape[0]
     diff = matmul(zs, zs.T) - matmul(zt, zt.T)
     return tsum(diff * diff) * (1.0 / (m * m))
+
+
+def structural_consistency(stu_geom, stu_lang, tea_geom, tea_lang) -> Tensor:
+    """Gram-matrix gap over the concatenated normalized geometry + language tokens."""
+    zs = concat([_unit_rows(_tokens(stu_geom), "student geom"),
+                 _unit_rows(_tokens(stu_lang), "student lang")], axis=0)
+    zt = concat([_unit_rows(_tokens(tea_geom), "teacher geom"),
+                 _unit_rows(_tokens(tea_lang), "teacher lang")], axis=0)
+    return _gram_gap(zs, zt)
 
 
 @dataclass
@@ -102,11 +118,8 @@ def distill_loss(stu_geom, stu_lang, tea_geom, tea_lang, lam: float = 0.5,
     else:
         stu = stu_geom if use_geo else stu_lang
         tea = tea_geom if use_geo else tea_lang
-        zs = _unit_rows(_tokens(stu), "student")
-        zt = _unit_rows(_tokens(tea), "teacher")
-        m = zs.shape[0]
-        diff = matmul(zs, zs.T) - matmul(zt, zt.T)
-        sc = tsum(diff * diff) * (1.0 / (m * m))
+        sc = _gram_gap(_unit_rows(_tokens(stu), "student"),
+                       _unit_rows(_tokens(tea), "teacher"))
     total = (geo + lang) + lam * sc
     return DistillResult(geo=geo, lang=lang, sc=sc, total=total)
 
@@ -120,26 +133,12 @@ def metric_depth_loss(pred, gt, alpha: float = 1.0, eps: float = 1e-6) -> Tensor
     e = log(pred + eps) - log(gt + eps), b = mean(e)."""
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
-    mask = None
-    if isinstance(pred, DepthMap):
-        mask = pred.valid_mask
-        pred = Tensor(pred.values)
     if isinstance(gt, DepthMap):
-        mask = gt.valid_mask if mask is None else (mask & gt.valid_mask)
-        gt_vals = gt.values
+        gt_vals, mask = gt.values, gt.valid_mask
     else:
         gt_vals = np.asarray(gt, dtype=np.float64)
-    pred = as_tensor(pred)
-    if pred.data.shape != gt_vals.shape:
-        raise ShapeError("pred/gt depth shapes differ")
-    if mask is None:
         mask = np.ones(gt_vals.shape, dtype=bool)
-    if not mask.any():
-        raise DegenerateInputError("no valid pixels for the metric depth loss")
-
-    idx = np.nonzero(mask.reshape(-1))[0]
-    p = pred.reshape(pred.size)[idx]
-    g = Tensor(gt_vals.reshape(-1)[idx])
+    p, g = _valid_pixels(as_tensor(pred), gt_vals, mask, "metric depth loss")
     e = log(p + eps) - log(g + eps)
     b = tmean(e)
     r = e - b
@@ -150,10 +149,6 @@ def metric_depth_loss(pred, gt, alpha: float = 1.0, eps: float = 1e-6) -> Tensor
 # ----------------------------------------------------------------------
 # reconstruction task loss
 # ----------------------------------------------------------------------
-
-def _as_prediction(cam) -> CameraPrediction:
-    return cam if isinstance(cam, CameraPrediction) else CameraPrediction.from_camera(cam)
-
 
 def rotation_geodesic_sq(pred_rot: Tensor, gt_rot: np.ndarray) -> Tensor:
     """Squared geodesic angle between an in-graph rotation and a fixed one."""
@@ -184,45 +179,24 @@ class ReconLossResult:
     total: Tensor
 
 
-def recon_task_loss(pred_cam, gt_cam: CameraModel, pred_depth,
+def recon_task_loss(pred_cam: CameraPrediction, gt_cam: CameraModel, pred_depth: Tensor,
                     gt_depth: DepthMap) -> ReconLossResult:
     """pose angle^2 + ||t - t_gt||^2, masked L1 depth, L1 point map; unit weights."""
-    pred = _as_prediction(pred_cam)
-    if isinstance(pred_depth, DepthMap):
-        if pred_depth.scale_kind != gt_depth.scale_kind and not (
-                {pred_depth.scale_kind, gt_depth.scale_kind} <= {"metric", "ground_truth"}):
-            raise StateError("pred/gt depth scale kinds differ")
-        pred_vals = Tensor(pred_depth.values)
-        mask = pred_depth.valid_mask & gt_depth.valid_mask
-    else:
-        pred_vals = as_tensor(pred_depth)
-        mask = gt_depth.valid_mask
-    if pred_vals.shape != gt_depth.shape:
-        raise ShapeError("pred/gt depth shapes differ")
-    if not mask.any():
-        raise DegenerateInputError("no valid pixels for the reconstruction loss")
+    pred_vals = as_tensor(pred_depth)
+    mask = gt_depth.valid_mask
+    p, g = _valid_pixels(pred_vals, gt_depth.values, mask, "reconstruction loss")
 
-    t_diff = pred.translation - Tensor(gt_cam.translation)
-    pose = rotation_geodesic_sq(pred.rotation_tensor(), gt_cam.rotation) + tsum(t_diff * t_diff)
+    t_diff = pred_cam.translation - Tensor(gt_cam.translation)
+    pose = (rotation_geodesic_sq(pred_cam.rotation_tensor(), gt_cam.rotation)
+            + tsum(t_diff * t_diff))
+    depth_l1 = tmean(tabs(p - g))
 
-    idx = np.nonzero(mask.reshape(-1))[0]
-    gt_flat = gt_depth.values.reshape(-1)[idx]
-    depth_l1 = tmean(tabs(pred_vals.reshape(pred_vals.size)[idx] - Tensor(gt_flat)))
-
-    pred_pts = backproject_grid_tensor(pred_vals, pred, mask)
-    gt_pts = _gt_points(gt_depth, gt_cam, mask)
+    pred_pts = backproject_grid_tensor(pred_vals, pred_cam, mask)
+    gt_pts = backproject_grid(gt_depth, gt_cam)
     pointmap = tmean(tabs(pred_pts - Tensor(gt_pts)))
 
     total = (pose + depth_l1) + pointmap
     return ReconLossResult(pose=pose, depth=depth_l1, pointmap=pointmap, total=total)
-
-
-def _gt_points(gt_depth: DepthMap, gt_cam: CameraModel, mask: np.ndarray) -> np.ndarray:
-    jj, ii = np.nonzero(mask)
-    d = gt_depth.values[jj, ii]
-    rays = np.stack([(ii - gt_cam.cx) / gt_cam.fx, (jj - gt_cam.cy) / gt_cam.fy,
-                     np.ones_like(d)], axis=1)
-    return (rays * d[:, None] - gt_cam.translation) @ gt_cam.rotation
 
 
 # ----------------------------------------------------------------------
@@ -275,15 +249,3 @@ class LossReport:
             "vl_task": self.vl_task, "md": self.md, "joint_total": self.joint_total,
             "lambda": self.lam, "alpha": self.alpha,
         }
-
-    @staticmethod
-    def from_stage1(res: DistillResult, lam: float, alpha: float) -> "LossReport":
-        return LossReport(geo_feat=res.geo.item(), lang_feat=res.lang.item(),
-                          sc=res.sc.item(), distill_total=res.total.item(),
-                          lam=lam, alpha=alpha)
-
-    @staticmethod
-    def from_stage2(recon: float, vl: float, md: float, joint: float,
-                    lam: float, alpha: float) -> "LossReport":
-        return LossReport(recon_task=recon, vl_task=vl, md=md, joint_total=joint,
-                          lam=lam, alpha=alpha)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .geometry import METRIC, DepthMap
 from .numkit import (
     MlpParams, Tensor, TokenSet, as_tensor, concat, matmul, maximum, mlp,
     rms_norm, sigmoid, softmax, tanh, tsum,
@@ -56,10 +55,6 @@ class BinConfig:
         if self.centers.size > 2:
             w[1:-1] = np.minimum(gaps[:-1], gaps[1:])
         return w
-
-    def to_json(self) -> dict:
-        return {"n_bins": self.n_bins, "d_min": self.d_min, "d_max": self.d_max,
-                "max_shift": self.max_shift}
 
 
 def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> BinConfig:
@@ -125,29 +120,9 @@ def bounded_centers(cfg: BinConfig, raw: Tensor) -> Tensor:
     return Tensor(cfg.centers) + delta
 
 
-def refine_centers(cfg: BinConfig, features: Tensor, r: MlpParams) -> Tensor:
-    """Per-pixel centers c_k + max_shift * width_k * tanh(r_k(F_i)).
-
-    The tanh bound with max_shift < 0.5 keeps every row strictly increasing.
-    """
-    features = as_tensor(features)
-    if features.ndim != 2 or features.shape[1] != r.in_dim:
-        raise ShapeError("feature dim does not match the refinement MLP")
-    if r.out_dim != cfg.n_bins:
-        raise ShapeError("refinement MLP must emit one shift per bin")
-    return bounded_centers(cfg, mlp(features, r))
-
-
 def expected_depth_tensor(pb: PixelBins) -> Tensor:
     """Per-pixel expectation over the refined centers, in-graph. [HW]."""
     return tsum(pb.probs * pb.refined_centers, axis=1)
-
-
-def expected_depth(pb: PixelBins) -> DepthMap:
-    """Metric depth map from the per-pixel expectation (detached)."""
-    h, w = pb.image_size
-    values = expected_depth_tensor(pb).data.reshape(h, w).copy()
-    return DepthMap(values, scale_kind=METRIC)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from ..errors import NumericError, ShapeError
 from .tensor import Tensor, no_grad
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5) -> float:
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max over coordinates of |analytic - central difference| / max(1, |analytic|).
 
     `f` must be pure and scalar-valued; it is re-evaluated 2 * x.size times.
@@ -26,6 +26,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5) -> 
     y.backward()
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
+    step = 1e-5   # central-difference step
     flat = x.data.reshape(-1)
     fd = np.zeros_like(flat)
     with no_grad():

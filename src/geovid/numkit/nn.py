@@ -5,12 +5,12 @@ a two-layer GELU MLP and bias-free multi-head attention.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ShapeError, StateError
-from .tensor import Tensor, as_tensor, concat, gelu, matmul, softmax, tmean, tsum
+from .tensor import Tensor, as_tensor, gelu, matmul, softmax, tmean, tsum
 
 
 class Role(str, enum.Enum):
@@ -19,7 +19,6 @@ class Role(str, enum.Enum):
     LANG = "lang"
     BRIDGE = "bridge"
     CAMERA = "camera"
-    REGISTER = "register"
 
 
 @dataclass(frozen=True)
@@ -78,21 +77,18 @@ class MlpParams:
         return self.w1.shape[0]
 
     @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[1]
-
-    @property
     def out_dim(self) -> int:
         return self.w2.shape[1]
 
     @staticmethod
     def init(rng: np.random.Generator, c_in: int, c_out: int | None = None,
-             expansion: int = 4, hidden: int | None = None,
+             hidden: int | None = None,
              zero_out: bool = False, out_scale: float = 1.0) -> "MlpParams":
-        """Gaussian fan-in init; `zero_out` zeroes the second layer and
-        `out_scale` shrinks it (keeps residual streams near-identity)."""
+        """Gaussian fan-in init; `hidden` defaults to 4 * c_in. `zero_out`
+        zeroes the second layer and `out_scale` shrinks it (keeps residual
+        streams near-identity)."""
         c_out = c_in if c_out is None else c_out
-        h = hidden if hidden is not None else expansion * c_in
+        h = hidden if hidden is not None else 4 * c_in
         w1 = rng.standard_normal((c_in, h)) / np.sqrt(c_in)
         w2 = np.zeros((h, c_out)) if zero_out \
             else rng.standard_normal((h, c_out)) * (out_scale / np.sqrt(h))
@@ -185,11 +181,6 @@ def mlp(x: Tensor, p: MlpParams) -> Tensor:
     return matmul(h, p.w2) + p.b2
 
 
-def mlp_forward(x: TokenSet, p: MlpParams) -> TokenSet:
-    """MLP applied per token; role and frame index carry over."""
-    return x.with_tokens(mlp(x.tokens, p))
-
-
 def mha(q: Tensor, k: Tensor, v: Tensor, p: MhaParams) -> Tensor:
     """Scaled dot-product attention. q [Nq, C], k/v [Nk, C] -> [Nq, C].
 
@@ -215,11 +206,6 @@ def mha(q: Tensor, k: Tensor, v: Tensor, p: MhaParams) -> Tensor:
     out_h = matmul(attn, vh)  # [h, Nq, dh]
     merged = out_h.transpose(1, 0, 2).reshape(q.shape[0], c)
     return matmul(merged, p.wo)
-
-
-def mha_forward(q: TokenSet, k: TokenSet, v: TokenSet, p: MhaParams) -> TokenSet:
-    """Attention read with q's role/frame preserved on the output."""
-    return q.with_tokens(mha(q.tokens, k.tokens, v.tokens, p))
 
 
 def require_role(ts: TokenSet, *roles: Role) -> None:

@@ -39,9 +39,9 @@ def no_grad():
 
 
 def _check_finite(data: np.ndarray, opname: str) -> None:
-    # single-pass reduction; any NaN/Inf propagates into the sum (values here
-    # are O(1..1e6), so a finite array cannot overflow the check itself)
-    if not np.isfinite(np.sum(data)):
+    # single-pass reduction; any NaN/Inf propagates into the sum. A finite
+    # array whose sum overflows is re-checked elementwise, off the hot path.
+    if not np.isfinite(np.sum(data)) and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by '{opname}'")
 
 
@@ -101,9 +101,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -418,12 +415,6 @@ def log(a) -> Tensor:
     a = as_tensor(a)
     out = np.log(a.data)
     return Tensor._from_op(out, "log", (a,), (lambda g: g / a.data,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return Tensor._from_op(out, "sqrt", (a,), (lambda g: g * 0.5 / out,))
 
 
 def tanh(a) -> Tensor:

@@ -9,6 +9,7 @@ file plus a JSON manifest listing the record order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import BinaryIO
@@ -18,6 +19,7 @@ import numpy as np
 from ..errors import ParameterError
 
 MAGIC = b"VLT1"
+MAX_NDIM = 32   # a header claiming more dims is corrupt
 _TAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
@@ -35,18 +37,29 @@ def write_record(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_record(fh: BinaryIO) -> np.ndarray:
+    """One record from a seekable stream; dims are checked against the bytes left."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise ParameterError(f"bad VLT1 magic {magic!r}")
-    tag, ndim = struct.unpack("<BB", fh.read(2))
+    head = fh.read(2)
+    if len(head) != 2:
+        raise ParameterError("truncated VLT1 header")
+    tag, ndim = struct.unpack("<BB", head)
     if tag not in _TAG_TO_DTYPE:
         raise ParameterError(f"unknown VLT1 dtype tag {tag}")
-    dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
+    if ndim > MAX_NDIM:
+        raise ParameterError(f"VLT1 ndim {ndim} exceeds {MAX_NDIM}")
+    pos = fh.tell()
+    left = fh.seek(0, 2) - pos - 8 * ndim
+    fh.seek(pos)
+    if left < 0:
+        raise ParameterError("truncated VLT1 header")
+    dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
     dtype = _TAG_TO_DTYPE[tag]
-    count = int(np.prod(dims)) if dims else 1
-    payload = fh.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
-        raise ParameterError("truncated VLT1 payload")
+    nbytes = math.prod(dims) * dtype.itemsize   # Python ints: no wraparound
+    if nbytes > left:
+        raise ParameterError(f"VLT1 dims {dims} need {nbytes} bytes, {left} left")
+    payload = fh.read(nbytes)
     return np.frombuffer(payload, dtype=dtype).reshape(dims).astype(dtype.base, copy=True)
 
 
@@ -57,7 +70,10 @@ def save_tensor(path: str | Path, arr: np.ndarray) -> None:
 
 def load_tensor(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return read_record(fh)
+        arr = read_record(fh)
+        if fh.read(1):
+            raise ParameterError(f"trailing bytes after the VLT1 record in {path}")
+    return arr
 
 
 def save_container(directory: str | Path, tensors: dict[str, np.ndarray],
@@ -85,4 +101,6 @@ def load_container(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     with open(directory / "weights.vlt", "rb") as fh:
         for name in manifest["tensors"]:
             out[name] = read_record(fh)
+        if fh.read(1):
+            raise ParameterError(f"trailing bytes after the last record in {directory}")
     return out, manifest.get("meta", {})

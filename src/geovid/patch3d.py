@@ -23,7 +23,6 @@ from .recon import _patch_grid
 class PointCloud:
     points: np.ndarray              # [M, 3] world-frame meters
     colors: np.ndarray | None = None  # [M, 3] in [0, 1]
-    source_frame: int | None = None
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -51,26 +50,29 @@ class Patch3DTokens:
             raise ShapeError("token count differs from anchor count")
 
 
+def _pixels_to_world(ii: np.ndarray, jj: np.ndarray, d: np.ndarray,
+                     cam: CameraModel) -> np.ndarray:
+    """Pixel columns ii, rows jj and depths d -> [M, 3] world points."""
+    rays = np.stack([(ii - cam.cx) / cam.fx, (jj - cam.cy) / cam.fy,
+                     np.ones_like(d)], axis=1)
+    return (rays * d[:, None] - cam.translation) @ cam.rotation
+
+
 def backproject(pixel: tuple[float, float], depth: float,
                 cam: CameraModel) -> np.ndarray:
     """Pixel (i=column, j=row) plus depth -> world point."""
     if depth <= 0:
         raise DomainError(f"depth must be positive, got {depth}")
     i, j = pixel
-    ray = np.array([(i - cam.cx) / cam.fx, (j - cam.cy) / cam.fy, 1.0])
-    return cam.rotation.T @ (ray * depth - cam.translation)
+    return _pixels_to_world(np.array([i]), np.array([j]), np.array([depth]), cam)[0]
 
 
 def backproject_grid(depth: DepthMap, cam: CameraModel,
                      mask: np.ndarray | None = None) -> np.ndarray:
     """All valid pixels of a depth map -> [M, 3] world points."""
-    h, w = depth.shape
     m = depth.valid_mask if mask is None else (depth.valid_mask & mask)
     jj, ii = np.nonzero(m)
-    d = depth.values[jj, ii]
-    rays = np.stack([(ii - cam.cx) / cam.fx, (jj - cam.cy) / cam.fy,
-                     np.ones_like(d)], axis=1)
-    return (rays * d[:, None] - cam.translation) @ cam.rotation
+    return _pixels_to_world(ii, jj, depth.values[jj, ii], cam)
 
 
 def project(point: np.ndarray, cam: CameraModel) -> tuple[tuple[float, float], float]:
@@ -83,16 +85,12 @@ def project(point: np.ndarray, cam: CameraModel) -> tuple[tuple[float, float], f
     return (float(i), float(j)), float(c[2])
 
 
-def positional_embed(point, p: MlpParams) -> Tensor:
-    """3-vector (or [N, 3] batch) -> embedding through the positional MLP."""
-    t = as_tensor(point)
-    squeeze = t.ndim == 1
-    if squeeze:
-        t = t.reshape(1, 3)
-    if t.shape[1] != 3 or p.in_dim != 3:
-        raise ShapeError("positional embedding expects 3-d points")
-    out = mlp(t, p)
-    return out.reshape(p.out_dim) if squeeze else out
+def positional_embed(points, p: MlpParams) -> Tensor:
+    """[N, 3] points -> [N, C] embeddings through the positional MLP."""
+    t = as_tensor(points)
+    if t.ndim != 2 or t.shape[1] != 3 or p.in_dim != 3:
+        raise ShapeError("positional embedding expects [N, 3] points")
+    return mlp(t, p)
 
 
 def patch_anchor_points(depth: DepthMap, cam: CameraModel,
@@ -104,10 +102,7 @@ def patch_anchor_points(depth: DepthMap, cam: CameraModel,
     gh, gw = h // patch_size, w // patch_size
     cy = np.repeat(np.arange(gh) * patch_size + (patch_size - 1) / 2.0, gw)
     cx = np.tile(np.arange(gw) * patch_size + (patch_size - 1) / 2.0, gh)
-    d = bilinear_sample(depth.values, cx, cy)
-    rays = np.stack([(cx - cam.cx) / cam.fx, (cy - cam.cy) / cam.fy,
-                     np.ones_like(d)], axis=1)
-    return (rays * d[:, None] - cam.translation) @ cam.rotation
+    return _pixels_to_world(cx, cy, bilinear_sample(depth.values, cx, cy), cam)
 
 
 def fuse_tokens(lang: TokenSet, depth: DepthMap, cam: CameraModel,
@@ -148,6 +143,7 @@ def write_ply(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_ply(path: str | Path) -> PointCloud:
+    """ASCII PLY as written by write_ply; malformed input is a ParameterError."""
     with open(path) as fh:
         if fh.readline().strip() != "ply":
             raise ParameterError("not a PLY file")
@@ -156,16 +152,24 @@ def read_ply(path: str | Path) -> PointCloud:
         for line in fh:
             token = line.strip()
             if token.startswith("element vertex"):
-                n = int(token.split()[-1])
+                try:
+                    n = int(token.split()[-1])
+                except ValueError:
+                    raise ParameterError(f"bad PLY vertex count: {token!r}") from None
             elif token.startswith("property uchar red"):
                 has_color = True
             elif token == "end_header":
                 break
-        pts = np.zeros((n, 3))
-        cols = np.zeros((n, 3)) if has_color else None
+        width = 6 if has_color else 3
+        rows = []
         for i in range(n):
             parts = fh.readline().split()
-            pts[i] = [float(v) for v in parts[:3]]
-            if has_color:
-                cols[i] = [int(v) / 255.0 for v in parts[3:6]]
-    return PointCloud(points=pts, colors=cols)
+            if len(parts) < width:
+                raise ParameterError(f"PLY body ends at vertex {i} of {n}")
+            try:
+                rows.append([float(v) for v in parts[:3]]
+                            + [int(v) / 255.0 for v in parts[3:width]])
+            except ValueError:
+                raise ParameterError(f"PLY vertex {i} is not numeric") from None
+    data = np.array(rows, dtype=np.float64).reshape(-1, width)
+    return PointCloud(points=data[:, :3], colors=data[:, 3:] if has_color else None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .geometry import RELATIVE, CameraModel, DepthMap, quaternion_to_rotation
+from .geometry import RELATIVE, CameraModel, quaternion_to_rotation, rotation_to_quaternion
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
     concat, matmul, maximum, mha, mlp, require_role, rms_norm, sigmoid,
@@ -36,8 +36,8 @@ class BackboneParams:
     """Even-indexed blocks attend frame-locally, odd-indexed globally."""
 
     blocks: list[BackboneBlock]
-    camera_init: Tensor     # [n_cam, C], shared across frames
-    register_init: Tensor   # [n_reg, C], shared across frames
+    camera_init: Tensor     # [1, C] camera token, shared across frames
+    register_init: Tensor   # [4, C] register tokens, shared across frames
 
     def __post_init__(self):
         if len(self.blocks) < 2 or len(self.blocks) % 2 != 0:
@@ -47,7 +47,6 @@ class BackboneParams:
 
     @staticmethod
     def init(rng: np.random.Generator, c: int, heads: int, blocks: int = 4,
-             n_camera: int = 1, n_register: int = 4,
              qk_norm: bool = True) -> "BackboneParams":
         blks = [BackboneBlock(attn=MhaParams.init(rng, c, heads, qk_norm=qk_norm,
                                                   out_scale=0.5),
@@ -55,9 +54,9 @@ class BackboneParams:
                 for _ in range(blocks)]
         return BackboneParams(
             blocks=blks,
-            camera_init=Tensor(rng.standard_normal((n_camera, c)) / np.sqrt(c),
+            camera_init=Tensor(rng.standard_normal((1, c)) / np.sqrt(c),
                                requires_grad=True),
-            register_init=Tensor(rng.standard_normal((n_register, c)) / np.sqrt(c),
+            register_init=Tensor(rng.standard_normal((4, c)) / np.sqrt(c),
                                  requires_grad=True),
         )
 
@@ -175,7 +174,6 @@ class CameraPrediction:
 
     @staticmethod
     def from_camera(cam: CameraModel) -> "CameraPrediction":
-        from .geometry import rotation_to_quaternion
         return CameraPrediction(
             quat=Tensor(rotation_to_quaternion(cam.rotation)),
             translation=Tensor(cam.translation),
@@ -272,10 +270,3 @@ def depth_head_tensor(patch_tokens: TokenSet, image_size: tuple[int, int],
     logits = mlp(rms_norm(patch_tokens.tokens), p.mlp)  # [P, 1]
     up = Tensor(upsample_matrix(gh, gw, h, w))
     return maximum(softplus(matmul(up, logits)), 1e-6).reshape(h, w)
-
-
-def depth_head(patch_tokens: TokenSet, image_size: tuple[int, int],
-               p: DepthHeadParams) -> DepthMap:
-    """Strictly positive relative depth map (detached)."""
-    values = depth_head_tensor(patch_tokens, image_size, p)
-    return DepthMap(values.data.copy(), scale_kind=RELATIVE)

@@ -194,8 +194,10 @@ def _relative_targets(frame: FrameData, norm: float) -> tuple[DepthMap, CameraMo
 
 
 def _aligned_depth_for_vl(preds: list[FramePrediction], cfg: RunConfig,
-                          clamp: bool = False) -> list[tuple[DepthMap, CameraModel]]:
-    """Detached (metric depth, metric camera) pairs anchoring the 3D tokens.
+                          clamp: bool = False
+                          ) -> tuple[list[tuple[DepthMap, CameraModel]], ScaleEstimate | None]:
+    """Detached (metric depth, metric camera) pairs anchoring the 3D tokens,
+    plus the scene scale estimate (None unless md_mode is full).
 
     full: WLS + median alignment of the window predictions.
     no_alignment: the metric-bin depth directly, cameras left as predicted.
@@ -208,6 +210,7 @@ def _aligned_depth_for_vl(preds: list[FramePrediction], cfg: RunConfig,
     """
     h, w = cfg.resolution
     out = []
+    est = None
     if cfg.md_mode == "full":
         pairs = [(DepthMap(p.depth_rel.data.copy(), scale_kind=RELATIVE),
                   DepthMap(p.depth_metric.data.reshape(h, w).copy(), scale_kind=METRIC))
@@ -217,18 +220,14 @@ def _aligned_depth_for_vl(preds: list[FramePrediction], cfg: RunConfig,
         if clamp:
             factor = float(np.clip(factor, 1e-2, 1e2))
         for p, (rel, _) in zip(preds, pairs):
-            d, c = apply_scale(factor, rel, p.camera.to_camera(RELATIVE))
-            out.append((d, c))
-    elif cfg.md_mode == "no_alignment":
+            out.append(apply_scale(factor, rel, p.camera.to_camera(RELATIVE)))
+    else:
         for p in preds:
-            out.append((DepthMap(p.depth_metric.data.reshape(h, w).copy(),
-                                 scale_kind=METRIC),
+            values = (p.depth_metric.data.reshape(h, w) if cfg.md_mode == "no_alignment"
+                      else p.depth_rel.data)
+            out.append((DepthMap(values.copy(), scale_kind=METRIC),
                         p.camera.to_camera(RELATIVE)))
-    else:  # off
-        for p in preds:
-            out.append((DepthMap(p.depth_rel.data.copy(), scale_kind=METRIC),
-                        p.camera.to_camera(RELATIVE)))
-    return out
+    return out, est
 
 
 def _window_joint_loss(preds: list[FramePrediction], params: VidModelParams,
@@ -239,7 +238,7 @@ def _window_joint_loss(preds: list[FramePrediction], params: VidModelParams,
     `norm` is the scene-level depth normalizer: relative-branch targets are
     deterministic per frame, and the inference-time WLS factor absorbs it.
     """
-    anchors = _aligned_depth_for_vl(preds, cfg, clamp=True)
+    anchors, _ = _aligned_depth_for_vl(preds, cfg, clamp=True)
     recon_acc = vl_acc = md_acc = None
     for p, (vl_depth, vl_cam) in zip(preds, anchors):
         gt_rel, cam_rel = _relative_targets(p.frame, norm)
@@ -357,14 +356,21 @@ class PipelineResult:
     depths: list[DepthMap]            # final per-frame depth (scaled when aligned)
     cameras: list[CameraModel]
     cloud: PointCloud
-    gt_cloud: PointCloud
     t3d: list[Patch3DTokens]
     metrics: MetricsReport
     scale: ScaleEstimate | None
 
 
+def strided_cloud(depths: list[DepthMap], cameras: list[CameraModel]) -> PointCloud:
+    """Every 2nd pixel row and column of each frame, back-projected into one cloud."""
+    mask = np.zeros(depths[0].shape, dtype=bool)
+    mask[::2, ::2] = True
+    return PointCloud(np.concatenate([backproject_grid(d, c, mask=mask)
+                                      for d, c in zip(depths, cameras)], axis=0))
+
+
 def run_pipeline(cfg: RunConfig, scene: SceneSample,
-                 params: VidModelParams, cloud_stride: int = 2) -> PipelineResult:
+                 params: VidModelParams) -> PipelineResult:
     """tokens -> adapter -> backbone -> heads -> bins -> alignment -> fusion -> metrics.
 
     Frames run through the backbone in windows of the training size; the
@@ -375,30 +381,17 @@ def run_pipeline(cfg: RunConfig, scene: SceneSample,
         k = max(cfg.stage2_frames, 1)
         for lo in range(0, len(scene.frames), k):
             preds.extend(predict_window(scene.frames[lo:lo + k], params, cfg))
-        anchors = _aligned_depth_for_vl(preds, cfg)
-        scale = None
-        if cfg.md_mode == "full":
-            h, w = cfg.resolution
-            pairs = [(DepthMap(p.depth_rel.data.copy(), scale_kind=RELATIVE),
-                      DepthMap(p.depth_metric.data.reshape(h, w).copy(),
-                               scale_kind=METRIC)) for p in preds]
-            scale = scene_scale(pairs, sample_count=cfg.scale_samples, seed=cfg.seed)
+        anchors, scale = _aligned_depth_for_vl(preds, cfg)
         depths = [d for d, _ in anchors]
         cameras = [c for _, c in anchors]
         t3d = [fuse_tokens(p.lang, d, c, params.pos_embed, patch_size=cfg.patch_size)
                for p, (d, c) in zip(preds, anchors)]
 
-    stride_mask = np.zeros(cfg.resolution, dtype=bool)
-    stride_mask[::cloud_stride, ::cloud_stride] = True
-    pred_pts = [backproject_grid(d, c, mask=stride_mask)
-                for d, c in zip(depths, cameras)]
-    gt_pts = [backproject_grid(f.depth, f.camera, mask=stride_mask)
-              for f in scene.frames]
-    cloud = PointCloud(np.concatenate(pred_pts, axis=0))
-    gt_cloud = PointCloud(np.concatenate(gt_pts, axis=0))
+    gt_cams = [f.camera for f in scene.frames]
+    cloud = strided_cloud(depths, cameras)
+    gt_cloud = strided_cloud([f.depth for f in scene.frames], gt_cams)
 
     metrics = MetricsReport()
-    gt_cams = [f.camera for f in scene.frames]
     if len(gt_cams) >= 2:
         metrics.pose = pose_metrics(cameras, gt_cams)
     if cfg.md_mode != "off":
@@ -408,8 +401,7 @@ def run_pipeline(cfg: RunConfig, scene: SceneSample,
                          for k in per_frame[0]}
         metrics.recon = pointcloud_metrics(cloud, gt_cloud, tau=cfg.tau_f)
     return PipelineResult(depths=depths, cameras=cameras, cloud=cloud,
-                          gt_cloud=gt_cloud, t3d=t3d, metrics=metrics,
-                          scale=scale)
+                          t3d=t3d, metrics=metrics, scale=scale)
 
 
 # ----------------------------------------------------------------------

@@ -29,17 +29,16 @@ from geovid.losses import (
     recon_task_loss, structural_consistency, vl_proxy_loss,
 )
 from geovid.metric_depth import (
-    MetricDepthParams, PixelBins, bin_logits_to_probs, expected_depth_tensor,
-    init_bins, predict_metric_depth, refine_centers,
+    MetricDepthParams, PixelBins, bin_logits_to_probs, bounded_centers,
+    expected_depth_tensor, init_bins, predict_metric_depth,
 )
 from geovid.model import init_model, predict_window
 from geovid.numkit import (
-    MhaParams, MlpParams, Role, Tensor, TokenSet, grad_check, mha_forward,
-    mlp_forward, tsum,
+    MhaParams, MlpParams, Role, Tensor, TokenSet, grad_check, mha, mlp, tsum,
 )
 from geovid.patch3d import (
-    Patch3DTokens, PointCloud, backproject, fuse_tokens, positional_embed,
-    project,
+    Patch3DTokens, PointCloud, backproject, backproject_grid, fuse_tokens,
+    positional_embed, project,
 )
 from geovid.recon import BackboneParams, CameraPrediction, gfa_backbone
 from geovid.scale_align import apply_scale, per_image_scale, scene_scale
@@ -85,7 +84,7 @@ def test_criterion_1_gradient_suite():
     p_mlp = MlpParams.init(rng, 5, 3)
     w_mlp = Tensor(rng.standard_normal((2, 3)))
     check("mlp",
-          lambda: lambda t: tsum(mlp_forward(TokenSet(t, Role.BASE), p_mlp).tokens * w_mlp),
+          lambda: lambda t: tsum(mlp(t, p_mlp) * w_mlp),
           lambda: Tensor(rng.standard_normal((2, 5)), requires_grad=True))
 
     # mha
@@ -93,8 +92,7 @@ def test_criterion_1_gradient_suite():
     w_mha = Tensor(rng.standard_normal((3, 6)))
 
     def mha_f(t):
-        ts = TokenSet(t, Role.BASE)
-        return tsum(mha_forward(ts, ts, ts, p_mha).tokens * w_mha)
+        return tsum(mha(t, t, t, p_mha) * w_mha)
 
     check("mha", lambda: mha_f,
           lambda: Tensor(rng.standard_normal((3, 6)), requires_grad=True))
@@ -176,13 +174,13 @@ def test_criterion_1_gradient_suite():
     def recon_x():
         # reject draws whose L1 point-map residuals sit on a kink (the
         # finite-difference probe would straddle the non-smooth point)
-        from geovid.losses import backproject_grid_tensor, _gt_points
+        from geovid.losses import backproject_grid_tensor
         while True:
             x = Tensor(rng.standard_normal(7) * 0.25, requires_grad=True)
             pred_pts = backproject_grid_tensor(Tensor(depth_gt.values),
                                                recon_pred(x),
                                                depth_gt.valid_mask)
-            res = pred_pts.data - _gt_points(depth_gt, cam_gt, depth_gt.valid_mask)
+            res = pred_pts.data - backproject_grid(depth_gt, cam_gt)
             if np.abs(res).min() > 1e-3:
                 return x
 
@@ -386,7 +384,7 @@ def test_criterion_5_metric_bins():
     cfg = init_bins(16, 0.1, 10.0)
     zero_mlp = MlpParams(w1=Tensor(np.zeros((4, 4))), b1=Tensor(np.zeros(4)),
                          w2=Tensor(np.zeros((4, 16))), b2=Tensor(np.zeros(16)))
-    refined = refine_centers(cfg, Tensor(rng.standard_normal((20, 4))), zero_mlp)
+    refined = bounded_centers(cfg, mlp(Tensor(rng.standard_normal((20, 4))), zero_mlp))
     bit_exact = all(np.array_equal(row, cfg.centers) for row in refined.data)
 
     _report("criterion-5 metric bins",

@@ -142,3 +142,40 @@ def test_compare_cli(workspace, tmp_path):
     lines = (tmp_path / "cmp.csv").read_text().splitlines()
     assert len(lines) == 3  # header + 2 rows
     assert lines[0] == "strategy,data_size,seed,test_loss,recon,vl,md"
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"bogus": 1}', "bogus"),
+    ('{"resolution": 56}', "resolution"),
+    ('{"dim": "64"}', "dim"),
+    ('{"seed": 1,', "not valid JSON"),
+])
+def test_bad_config_exit_code(tmp_path, text, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    proc = run_cli("train", "--stage", "1", "--config", str(cfg), "--scenes",
+                   str(tmp_path), "--out", str(tmp_path / "out"), check=False)
+    assert proc.returncode == 1
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_checked_in_fixture_configs_load():
+    from geovid.config import RunConfig
+    fixtures = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    paths = sorted(fixtures.glob("*.npz"))
+    assert paths
+    for path in paths:
+        with np.load(path) as z:
+            RunConfig.from_json(json.loads(str(z["__config__"])))
+
+
+def test_eval_rejects_truncated_ply(tmp_path):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "cloud.ply").write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+        "property float y\nproperty float z\nend_header\n0 0 0\n")
+    proc = run_cli("eval", "--pred", str(pred), "--gt", str(pred),
+                   "--out", str(tmp_path / "report.json"), check=False)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

@@ -1,13 +1,14 @@
 """Module-level invariants that do not fit a single op's test class."""
 
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 
 from geovid.config import RunConfig, worker_count
 from geovid.numkit import (
-    MhaParams, MlpParams, Role, Tensor, TokenSet, grad_check, mha_forward,
-    mlp_forward, tsum,
+    MhaParams, MlpParams, Tensor, grad_check, mha, mlp, tsum,
 )
 
 
@@ -21,15 +22,9 @@ def test_autodiff_soundness_100_points_mlp_mha():
     worst = 0.0
     for _ in range(100):
         x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        worst = max(worst, grad_check(
-            lambda t: tsum(mlp_forward(TokenSet(t, Role.BASE), p_mlp).tokens * w1), x))
+        worst = max(worst, grad_check(lambda t: tsum(mlp(t, p_mlp) * w1), x))
         x2 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-
-        def f(t):
-            ts = TokenSet(t, Role.BASE)
-            return tsum(mha_forward(ts, ts, ts, p_mha).tokens * w2)
-
-        worst = max(worst, grad_check(f, x2))
+        worst = max(worst, grad_check(lambda t: tsum(mha(t, t, t, p_mha) * w2), x2))
     assert worst < 1e-4
 
 
@@ -64,3 +59,25 @@ def test_stage2_never_mutates_teachers():
         assert np.array_equal(g0, g1)
         assert np.array_equal(l0, l1)
         assert np.array_equal(b0, b1)
+
+
+def test_no_unused_imports():
+    # __init__.py files re-export names, so only the other modules are checked
+    src = Path(__file__).resolve().parent.parent / "src" / "geovid"
+    unused = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.relative_to(src)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused

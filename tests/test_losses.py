@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geovid.errors import DegenerateInputError, DomainError, ParameterError, StateError
+from geovid.errors import DegenerateInputError, DomainError, ParameterError
 from geovid.geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap, look_at_rotation
 from geovid.losses import (
     LossReport, distill_loss, geo_feat_loss, lang_feat_loss, metric_depth_loss,
@@ -129,8 +129,7 @@ def md_scalar_oracle(pred, gt, alpha, eps=0.0):
 class TestMetricDepthLoss:
     def test_perfect_prediction_zero(self):
         d = np.random.default_rng(8).uniform(0.5, 5.0, (4, 4))
-        loss = metric_depth_loss(DepthMap(d, scale_kind=METRIC),
-                                 DepthMap(d.copy(), scale_kind=GROUND_TRUTH))
+        loss = metric_depth_loss(Tensor(d), DepthMap(d.copy(), scale_kind=GROUND_TRUTH))
         assert loss.item() == 0.0
 
     def test_uniform_ratio_e_gives_one(self):
@@ -246,13 +245,6 @@ class TestReconTaskLoss:
                 pm.extend(np.abs(pp - gp))
         expected = pose + depth_l1 + np.mean(pm)
         assert res.total.item() == pytest.approx(expected, abs=1e-9)
-
-    def test_scale_kind_mismatch(self):
-        cam = _gt_cam()
-        gt = DepthMap(np.ones((4, 4)), scale_kind=METRIC)
-        pred = DepthMap(np.ones((4, 4)), scale_kind="relative")
-        with pytest.raises(StateError):
-            recon_task_loss(CameraPrediction.from_camera(cam), cam, pred, gt)
 
     def test_gradient_wrt_depth(self):
         rng = np.random.default_rng(6)

@@ -4,11 +4,10 @@ from scipy.special import expit
 
 from geovid.errors import ParameterError, ShapeError
 from geovid.metric_depth import (
-    BinConfig, MetricDepthParams, PixelBins, bin_logits_to_probs,
-    expected_depth, expected_depth_tensor, init_bins, predict_metric_depth,
-    refine_centers,
+    BinConfig, MetricDepthParams, PixelBins, bin_logits_to_probs, bounded_centers,
+    expected_depth_tensor, init_bins, predict_metric_depth,
 )
-from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, tsum
+from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, mlp, tsum
 
 
 class TestInitBins:
@@ -87,7 +86,7 @@ class TestRefineCenters:
         r = MlpParams(w1=Tensor(np.zeros((4, 4))), b1=Tensor(np.zeros(4)),
                       w2=Tensor(np.zeros((4, 8))), b2=Tensor(np.zeros(8)))
         feats = Tensor(np.random.default_rng(0).standard_normal((6, 4)))
-        refined = refine_centers(cfg, feats, r)
+        refined = bounded_centers(cfg, mlp(feats, r))
         for row in refined.data:
             assert np.array_equal(row, cfg.centers)
 
@@ -97,7 +96,7 @@ class TestRefineCenters:
         r = MlpParams.init(rng, 4, 16)
         for t in r.tensors("r").values():
             t.data = rng.standard_normal(t.data.shape) * 10  # saturate tanh
-        refined = refine_centers(cfg, Tensor(rng.standard_normal((50, 4)) * 5), r)
+        refined = bounded_centers(cfg, mlp(Tensor(rng.standard_normal((50, 4)) * 5), r))
         assert np.all(np.diff(refined.data, axis=1) > 0)
 
     def test_gradient_wrt_features(self):
@@ -106,7 +105,7 @@ class TestRefineCenters:
         r = MlpParams.init(rng, 4, 6)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 6)))
-        assert grad_check(lambda t: tsum(refine_centers(cfg, t, r) * w), x) < 1e-4
+        assert grad_check(lambda t: tsum(bounded_centers(cfg, mlp(t, r)) * w), x) < 1e-4
 
 
 class TestExpectedDepth:
@@ -142,11 +141,10 @@ class TestExpectedDepth:
         hi = centers.max(axis=1) * (1 + 1e-12)
         assert np.all(d >= lo) and np.all(d <= hi)
 
-    def test_depth_map_wrapper(self):
+    def test_reshapes_to_image_grid(self):
         pb = self._bins([[0.5, 0.5]], [[1.0, 3.0]])
-        dm = expected_depth(pb)
-        assert dm.scale_kind == "metric"
-        np.testing.assert_allclose(dm.values, [[2.0]])
+        d = expected_depth_tensor(pb).reshape(*pb.image_size)
+        np.testing.assert_allclose(d.data, [[2.0]])
 
 
 def test_monotone_mass_shift_under_logit_offset():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geovid.errors import DomainError, ShapeError, StateError
+from geovid.errors import DomainError, ParameterError, ShapeError, StateError
 from geovid.geometry import METRIC, RELATIVE, CameraModel, DepthMap, look_at_rotation
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, tsum
 from geovid.patch3d import (
@@ -69,21 +69,21 @@ class TestPositionalEmbed:
     def test_zero_params_zero_embedding(self):
         p = MlpParams(w1=Tensor(np.zeros((3, 4))), b1=Tensor(np.zeros(4)),
                       w2=Tensor(np.zeros((4, 6))), b2=Tensor(np.zeros(6)))
-        emb = positional_embed(np.array([1.0, 2.0, 3.0]), p)
-        np.testing.assert_array_equal(emb.data, np.zeros(6))
+        emb = positional_embed(np.array([[1.0, 2.0, 3.0]]), p)
+        np.testing.assert_array_equal(emb.data, np.zeros((1, 6)))
 
     def test_distinct_points_distinct_embeddings(self):
         rng = np.random.default_rng(1)
         p = MlpParams.init(rng, 3, 8)
-        a = positional_embed(np.array([0.0, 0.0, 1.0]), p)
-        b = positional_embed(np.array([0.5, -0.2, 2.0]), p)
+        a = positional_embed(np.array([[0.0, 0.0, 1.0]]), p)
+        b = positional_embed(np.array([[0.5, -0.2, 2.0]]), p)
         assert np.linalg.norm(a.data - b.data) > 1e-8
 
     def test_gradient_wrt_point(self):
         rng = np.random.default_rng(2)
         p = MlpParams.init(rng, 3, 8)
-        x = Tensor(rng.standard_normal(3), requires_grad=True)
-        w = Tensor(rng.standard_normal(8))
+        x = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((1, 8)))
         assert grad_check(lambda t: tsum(positional_embed(t, p) * w), x) < 1e-4
 
 
@@ -153,6 +153,10 @@ class TestFuseTokens:
             fuse_tokens(bad, depth, cam, p, patch_size=14)
 
 
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+              "property float y\nproperty float z\nend_header\n")
+
+
 class TestPly:
     def test_roundtrip_plain(self, tmp_path):
         pts = np.random.default_rng(0).standard_normal((10, 3))
@@ -181,3 +185,14 @@ class TestPly:
         write_ply(tmp_path / "a.ply", PointCloud(points=pts))
         write_ply(tmp_path / "b.ply", PointCloud(points=pts))
         assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
+
+    @pytest.mark.parametrize("body", [
+        "0 0 0\n",              # two vertices declared, one present
+        "0 0 0\n1 2\n",         # short row
+        "0 0 0\n1 nan? 2\n",    # non-numeric row
+    ], ids=["missing-row", "short-row", "non-numeric"])
+    def test_malformed_body_rejected(self, tmp_path, body):
+        (tmp_path / "c.ply").write_text(PLY_HEADER + body)
+        with pytest.raises(ParameterError):
+            read_ply(tmp_path / "c.ply")
+

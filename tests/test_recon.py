@@ -5,7 +5,7 @@ from geovid.errors import ParameterError, ShapeError
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, tsum
 from geovid.recon import (
     BackboneParams, CameraHeadParams, CameraPrediction, DepthHeadParams,
-    camera_head, depth_head, depth_head_tensor, gfa_backbone, upsample_matrix,
+    camera_head, depth_head_tensor, gfa_backbone, upsample_matrix,
 )
 
 
@@ -134,23 +134,22 @@ class TestDepthHead:
                             patch_size=14)
         rng = np.random.default_rng(0)
         toks = TokenSet(Tensor(rng.standard_normal((4, 8))), Role.GEOM)
-        dm = depth_head(toks, (28, 28), p)
-        np.testing.assert_allclose(dm.values, np.log1p(np.exp(c)), atol=1e-12)
-        assert dm.scale_kind == "relative"
+        d = depth_head_tensor(toks, (28, 28), p)
+        np.testing.assert_allclose(d.data, np.log1p(np.exp(c)), atol=1e-12)
 
     def test_strictly_positive(self):
         rng = np.random.default_rng(1)
         p = DepthHeadParams.init(rng, 8)
         toks = TokenSet(Tensor(rng.standard_normal((4, 8)) * 10), Role.GEOM)
-        dm = depth_head(toks, (28, 28), p)
-        assert dm.values.min() > 0
+        d = depth_head_tensor(toks, (28, 28), p)
+        assert d.data.min() > 0
 
     def test_token_grid_mismatch(self):
         rng = np.random.default_rng(2)
         p = DepthHeadParams.init(rng, 8)
         toks = TokenSet(Tensor(rng.standard_normal((5, 8))), Role.GEOM)
         with pytest.raises(ShapeError):
-            depth_head(toks, (28, 28), p)
+            depth_head_tensor(toks, (28, 28), p)
 
     def test_gradient(self):
         rng = np.random.default_rng(3)

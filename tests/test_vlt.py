@@ -68,3 +68,34 @@ def test_container_bytes_deterministic(tmp_path):
            (tmp_path / "c2" / "weights.vlt").read_bytes()
     assert (tmp_path / "c1" / "manifest.json").read_bytes() == \
            (tmp_path / "c2" / "manifest.json").read_bytes()
+
+
+def _header(tag, dims, ndim=None):
+    ndim = len(dims) if ndim is None else ndim
+    return vlt.MAGIC + bytes([tag, ndim]) + b"".join(d.to_bytes(8, "little") for d in dims)
+
+
+@pytest.mark.parametrize("raw", [
+    _header(1, [2**32, 2**32]),          # element count wraps to 0 in int64
+    _header(1, [2**63, 4]),              # byte count beyond any file
+    _header(1, [3, 4]) + bytes(8 * 11),  # one f64 short
+    _header(0, [], ndim=200),            # ndim past the cap
+    _header(1, [5, 5], ndim=3),          # dims cut short
+    vlt.MAGIC + b"\x01",                 # header cut short
+], ids=["wrapping-dims", "huge-dims", "short-payload", "ndim-cap", "short-dims",
+        "short-header"])
+def test_corrupt_header_rejected_before_reading(raw):
+    with pytest.raises(ParameterError):
+        vlt.read_record(io.BytesIO(raw))
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    vlt.save_tensor(tmp_path / "t.vlt", np.ones(3))
+    vlt.save_container(tmp_path / "ckpt", {"a": np.ones(2)})
+    for path in (tmp_path / "t.vlt", tmp_path / "ckpt" / "weights.vlt"):
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+    with pytest.raises(ParameterError):
+        vlt.load_tensor(tmp_path / "t.vlt")
+    with pytest.raises(ParameterError):
+        vlt.load_container(tmp_path / "ckpt")
