@@ -14,11 +14,9 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .config import RunConfig
 from .errors import DegenerateInputError, GeovidError, NumericError, ParameterError
-from .evalmetrics import MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .model import init_model, load_checkpoint, save_checkpoint
 from .numkit import vlt
@@ -26,8 +24,8 @@ from .patch3d import read_ply, write_ply
 from .scale_align import apply_scale, scene_scale
 from .synthscene import load_scene, save_scene
 from .train import (
-    compare_strategies, generate_scenes, run_pipeline, strided_cloud, train_stage1,
-    train_stage2, write_jsonl,
+    _iter_scenes, compare_strategies, run_pipeline, score_frames, strided_cloud,
+    train_stage1, train_stage2, write_jsonl,
 )
 
 
@@ -68,7 +66,7 @@ def gen_scenes_cmd(seed, count, frames, out, resolution, objects, dim, noise):
     cfg = RunConfig(seed=seed, dim=dim, resolution=(resolution, resolution),
                     frames_per_scene=frames, n_objects=objects, token_noise=noise)
     out = Path(out)
-    for i, scene in enumerate(generate_scenes(cfg, count=count)):
+    for i, scene in enumerate(_iter_scenes(cfg, count=count)):
         save_scene(out / f"scene_{i:04d}", scene)
     click.echo(f"wrote {count} scene(s) to {out}")
 
@@ -211,14 +209,9 @@ def eval_cmd(pred, gt, out, tau):
     """Compare prediction artifacts against ground truth; write a report."""
     p_cloud, p_cams, p_depths = _dir_artifacts(Path(pred))
     g_cloud, g_cams, g_depths = _dir_artifacts(Path(gt))
-    report = MetricsReport()
-    if len(p_cams) >= 2 and len(p_cams) == len(g_cams):
-        report.pose = pose_metrics(p_cams, g_cams)
-    if p_depths and len(p_depths) == len(g_depths):
-        per = [depth_metrics(pd, gd) for pd, gd in zip(p_depths, g_depths)]
-        report.depth = {k: float(np.mean([m[k] for m in per])) for k in per[0]}
-    if p_cloud is not None and g_cloud is not None:
-        report.recon = pointcloud_metrics(p_cloud, g_cloud, tau=tau)
+    report = score_frames(p_cams if len(p_cams) == len(g_cams) else [], g_cams,
+                          p_depths if len(p_depths) == len(g_depths) else [], g_depths,
+                          p_cloud, g_cloud, tau=tau)
     report.save(out)
     click.echo(f"report written to {out}")
 

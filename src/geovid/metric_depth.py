@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import ParameterError, ShapeError
 from .numkit import (
-    MlpParams, Tensor, TokenSet, as_tensor, concat, matmul, maximum, mlp,
-    rms_norm, sigmoid, softmax, tanh, tsum,
+    MlpParams, Tensor, TokenSet, as_tensor, matmul, mlp, rms_norm, softmax, tsum,
 )
-from .recon import _patch_grid, upsample_matrix
+from .recon import _patch_grid, upsample_tensor
 
 
 @dataclass
@@ -91,33 +91,48 @@ def bin_logits_to_probs(logits: Tensor, ordinal: bool = True) -> Tensor:
     for the N-1 interior boundaries; with P(>0) = 1 and P(>N) = 0 the bin mass
     is the difference of adjacent exceedance probabilities, clamped at zero and
     renormalized to guard monotonicity violations. The last logit column only
-    participates in the softmax fallback.
+    participates in the softmax fallback. The ordinal map is one graph node;
+    its gradient is zero where the clamp is active.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError("bin logits must be [HW, N]")
     if not ordinal:
         return softmax(logits, axis=-1)
-    n = logits.shape[1]
+    hw, n = logits.shape
     if n < 2:
         raise ShapeError("ordinal normalization needs at least 2 bins")
-    q = sigmoid(logits[:, 0:n - 1])                   # P(depth > boundary_k)
-    hw = logits.shape[0]
-    ones = Tensor(np.ones((hw, 1)))
-    zeros = Tensor(np.zeros((hw, 1)))
-    q_full = concat([ones, q, zeros], axis=1)          # [HW, N+1]
-    raw = q_full[:, 0:n] - q_full[:, 1:n + 1]          # telescoping mass, sums to 1
-    clamped = maximum(raw, 0.0)
-    total = tsum(clamped, axis=1, keepdims=True)       # >= 1 by telescoping
-    return clamped / total
+    q_full = np.empty((hw, n + 1))                        # [1, q, 0]
+    q_full[:, 0] = 1.0
+    q_full[:, n] = 0.0
+    q = special.expit(logits.data[:, 0:n - 1], out=q_full[:, 1:n])  # P(depth > boundary_k)
+    raw = q_full[:, 0:n] - q_full[:, 1:n + 1]             # telescoping mass, sums to 1
+    clamped = np.maximum(raw, 0.0, out=raw)
+    total = clamped.sum(axis=1, keepdims=True)            # >= 1 by telescoping
+    out = clamped / total
+
+    def vjp(g):
+        g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1, keepdims=True)
+        g_raw = g_mass * (clamped > 0.0)                  # zero where the clamp is active
+        g_logits = np.zeros((hw, n))
+        g_logits[:, 0:n - 1] = (g_raw[:, 1:n] - g_raw[:, 0:n - 1]) * q * (1.0 - q)
+        return g_logits
+
+    return Tensor._from_op(out, "ordinal_probs", (logits,), (vjp,))
 
 
 def bounded_centers(cfg: BinConfig, raw: Tensor) -> Tensor:
-    """c_k + max_shift * width_k * tanh(raw_k): rows stay strictly increasing."""
+    """c_k + max_shift * width_k * tanh(raw_k): rows stay strictly increasing.
+    One graph node."""
     if raw.ndim != 2 or raw.shape[1] != cfg.n_bins:
         raise ShapeError("raw shifts must be [rows, n_bins]")
-    delta = cfg.max_shift * Tensor(cfg.local_widths()) * tanh(raw)
-    return Tensor(cfg.centers) + delta
+    budget = cfg.max_shift * cfg.local_widths()
+    t = np.tanh(raw.data)
+    out = budget * t
+    out += cfg.centers
+    return Tensor._from_op(out, "bounded_centers", (raw,), (
+        lambda g: g * budget * (1.0 - t * t),
+    ))
 
 
 def expected_depth_tensor(pb: PixelBins) -> Tensor:
@@ -161,7 +176,7 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
     """
     h, w = image_size
     gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
-    up = Tensor(upsample_matrix(gh, gw, h, w))
+    up = upsample_tensor(gh, gw, h, w)
     feats = rms_norm(patch_tokens.tokens)
     patch_logits = mlp(feats, p.logits_mlp)   # [P, N]
     patch_raw = mlp(feats, p.refine_mlp)      # [P, N]

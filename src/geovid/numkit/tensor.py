@@ -16,6 +16,7 @@ Design constraints baked in here:
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,7 +42,8 @@ def no_grad():
 def _check_finite(data: np.ndarray, opname: str) -> None:
     # single-pass reduction; any NaN/Inf propagates into the sum. A finite
     # array whose sum overflows is re-checked elementwise, off the hot path.
-    if not np.isfinite(np.sum(data)) and not np.isfinite(data).all():
+    # The method call and math.isfinite skip numpy's ufunc dispatch.
+    if not math.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by '{opname}'")
 
 
@@ -67,6 +69,8 @@ class Tensor:
     def _from_op(data: np.ndarray, opname: str,
                  parents: Sequence["Tensor"],
                  vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> "Tensor":
+        """Node for `data`, checked finite, that sends the gradient to each
+        parent through its VJP; fused ops outside numkit build theirs here."""
         _check_finite(data, opname)
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -366,14 +370,32 @@ def transpose(a, axes=None) -> Tensor:
     ))
 
 
+def _selects_unique(key) -> bool:
+    """True when `key` reaches each source element at most once: a basic key
+    (ints, slices, None, Ellipsis) or a 1-D strictly increasing integer array
+    whose entries share a sign (so no negative index aliases a positive one)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+           for k in parts):
+        return True
+    if isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
+        return key.size < 2 or (bool((key[1:] > key[:-1]).all())
+                                and (key[0] >= 0 or key[-1] < 0))
+    return False
+
+
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
     out = a.data[key]
     src_shape = a.data.shape
+    unique = _selects_unique(key)
 
     def vjp(g):
         full = np.zeros(src_shape, dtype=np.float64)
-        np.add.at(full, key, g)
+        if unique:
+            full[key] = g
+        else:
+            np.add.at(full, key, g)   # repeated indices accumulate
         return full
 
     return Tensor._from_op(np.asarray(out), "getitem", (a,), (vjp,))

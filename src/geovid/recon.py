@@ -153,14 +153,7 @@ class CameraPrediction:
     cy: float
 
     def rotation_tensor(self) -> Tensor:
-        w, x, y, z = (self.quat[i] for i in range(4))
-        one = Tensor(1.0)
-        entries = [
-            one - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
-            2.0 * (x * y + w * z), one - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
-            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), one - 2.0 * (x * x + y * y),
-        ]
-        return concat([e.reshape(1) for e in entries], axis=0).reshape(3, 3)
+        return quat_to_rotation(self.quat)
 
     def to_camera(self, scale_kind: str = RELATIVE) -> CameraModel:
         q = self.quat.data / np.linalg.norm(self.quat.data)
@@ -180,6 +173,40 @@ class CameraPrediction:
             fx=Tensor(cam.fx), fy=Tensor(cam.fy),
             cx=cam.cx, cy=cam.cy,
         )
+
+
+# Rotation entries in row-major order as 2 * sum(sign * q_a * q_b) over
+# (sign, a, b) products of the quaternion (w, x, y, z), plus 1 on the diagonal.
+_ROTATION_PRODUCTS = (
+    ((-1.0, 2, 2), (-1.0, 3, 3)), ((1.0, 1, 2), (-1.0, 0, 3)), ((1.0, 1, 3), (1.0, 0, 2)),
+    ((1.0, 1, 2), (1.0, 0, 3)), ((-1.0, 1, 1), (-1.0, 3, 3)), ((1.0, 2, 3), (-1.0, 0, 1)),
+    ((1.0, 1, 3), (-1.0, 0, 2)), ((1.0, 2, 3), (1.0, 0, 1)), ((-1.0, 1, 1), (-1.0, 2, 2)),
+)
+
+
+def quat_to_rotation(quat: Tensor) -> Tensor:
+    """Unit quaternion [w, x, y, z] -> [3, 3] rotation, as one graph node.
+
+    The VJP sums each component's terms entry by entry, product by product,
+    which is the order an op-per-scalar graph of the same formula uses, so
+    the gradient is bit-identical to that graph's.
+    """
+    if quat.shape != (4,):
+        raise ShapeError(f"quaternion must be [4], got {quat.shape}")
+    q = quat.data.tolist()
+
+    def vjp(g):
+        g2 = (g.reshape(9) * 2.0).tolist()
+        grad = [None] * 4
+        for k, products in enumerate(_ROTATION_PRODUCTS):
+            for sign, a, b in products:
+                for i, j in ((a, b), (b, a)):
+                    term = sign * g2[k] * q[j]
+                    grad[i] = term if grad[i] is None else grad[i] + term
+        return np.array(grad)
+
+    return Tensor._from_op(quaternion_to_rotation(quat.data), "quat_to_rotation",
+                           (quat,), (vjp,))
 
 
 def camera_head(camera_tokens: TokenSet, p: CameraHeadParams,
@@ -248,6 +275,14 @@ def upsample_matrix(gh: int, gw: int, h: int, w: int) -> np.ndarray:
     return mat
 
 
+@functools.lru_cache(maxsize=32)
+def upsample_tensor(gh: int, gw: int, h: int, w: int) -> Tensor:
+    """`upsample_matrix` as one shared read-only constant, checked finite once."""
+    mat = upsample_matrix(gh, gw, h, w).view()
+    mat.flags.writeable = False
+    return Tensor(mat)
+
+
 def _patch_grid(n_tokens: int, image_size: tuple[int, int], ps: int) -> tuple[int, int]:
     h, w = image_size
     if h % ps != 0 or w % ps != 0:
@@ -268,5 +303,5 @@ def depth_head_tensor(patch_tokens: TokenSet, image_size: tuple[int, int],
     h, w = image_size
     gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
     logits = mlp(rms_norm(patch_tokens.tokens), p.mlp)  # [P, 1]
-    up = Tensor(upsample_matrix(gh, gw, h, w))
+    up = upsample_tensor(gh, gw, h, w)
     return maximum(softplus(matmul(up, logits)), 1e-6).reshape(h, w)

@@ -23,9 +23,11 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -80,6 +82,16 @@ def scene_seeds(cfg: RunConfig, count: int | None = None, held_out: bool = False
 def generate_scenes(cfg: RunConfig, count: int | None = None,
                     held_out: bool = False) -> list[SceneSample]:
     """Scene generation is pure per seed, so a thread pool keeps determinism."""
+    return list(_iter_scenes(cfg, count, held_out))
+
+
+def _iter_scenes(cfg: RunConfig, count: int | None = None,
+                 held_out: bool = False) -> Iterator[SceneSample]:
+    """The scenes of `generate_scenes`, in seed order, as the pool makes them.
+
+    At most two scenes per worker are in flight, so a caller that consumes
+    each scene as it arrives holds a bounded number of them.
+    """
     seeds = scene_seeds(cfg, count, held_out)
     tok = TokenizerConfig(dim=cfg.dim, noise=cfg.token_noise,
                           seed=cfg.seed, patch_size=cfg.patch_size)
@@ -91,9 +103,16 @@ def generate_scenes(cfg: RunConfig, count: int | None = None,
 
     workers = worker_count()
     if workers <= 1 or len(seeds) <= 1:
-        return [build(s) for s in seeds]
+        yield from map(build, seeds)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(build, seeds))
+        pending: deque[Future] = deque()
+        for s in seeds:
+            pending.append(pool.submit(build, s))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +388,25 @@ def strided_cloud(depths: list[DepthMap], cameras: list[CameraModel]) -> PointCl
                                       for d, c in zip(depths, cameras)], axis=0))
 
 
+def score_frames(cameras: list[CameraModel], gt_cameras: list[CameraModel],
+                 depths: list[DepthMap], gt_depths: list[DepthMap],
+                 cloud: PointCloud | None, gt_cloud: PointCloud | None,
+                 tau: float) -> MetricsReport:
+    """Pose metrics over two or more cameras, per-frame depth metrics averaged
+    into one dict, and point-cloud metrics. A part with too few cameras, no
+    depths or no cloud stays unset."""
+    report = MetricsReport()
+    if len(cameras) >= 2:
+        report.pose = pose_metrics(cameras, gt_cameras)
+    if depths:
+        per_frame = [depth_metrics(d, g) for d, g in zip(depths, gt_depths)]
+        report.depth = {k: float(np.mean([m[k] for m in per_frame]))
+                        for k in per_frame[0]}
+    if cloud is not None and gt_cloud is not None:
+        report.recon = pointcloud_metrics(cloud, gt_cloud, tau=tau)
+    return report
+
+
 def run_pipeline(cfg: RunConfig, scene: SceneSample,
                  params: VidModelParams) -> PipelineResult:
     """tokens -> adapter -> backbone -> heads -> bins -> alignment -> fusion -> metrics.
@@ -391,15 +429,10 @@ def run_pipeline(cfg: RunConfig, scene: SceneSample,
     cloud = strided_cloud(depths, cameras)
     gt_cloud = strided_cloud([f.depth for f in scene.frames], gt_cams)
 
-    metrics = MetricsReport()
-    if len(gt_cams) >= 2:
-        metrics.pose = pose_metrics(cameras, gt_cams)
-    if cfg.md_mode != "off":
-        per_frame = [depth_metrics(d, f.depth)
-                     for d, f in zip(depths, scene.frames)]
-        metrics.depth = {k: float(np.mean([m[k] for m in per_frame]))
-                         for k in per_frame[0]}
-        metrics.recon = pointcloud_metrics(cloud, gt_cloud, tau=cfg.tau_f)
+    scored = cfg.md_mode != "off"
+    metrics = score_frames(cameras, gt_cams,
+                           depths if scored else [], [f.depth for f in scene.frames],
+                           cloud if scored else None, gt_cloud, tau=cfg.tau_f)
     return PipelineResult(depths=depths, cameras=cameras, cloud=cloud,
                           t3d=t3d, metrics=metrics, scale=scale)
 

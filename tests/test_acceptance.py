@@ -40,7 +40,9 @@ from geovid.patch3d import (
     Patch3DTokens, PointCloud, backproject, backproject_grid, fuse_tokens,
     positional_embed, project,
 )
-from geovid.recon import BackboneParams, CameraPrediction, gfa_backbone
+from geovid.recon import (
+    BackboneParams, CameraPrediction, gfa_backbone, quat_to_rotation,
+)
 from geovid.scale_align import apply_scale, per_image_scale, scene_scale
 from geovid.synthscene import TokenizerConfig, gen_scene
 from geovid.train import (
@@ -195,6 +197,22 @@ def test_criterion_1_gradient_suite():
 
     check("vl_proxy_loss", lambda: vl_f,
           lambda: Tensor(rng.standard_normal((3, 6)), requires_grad=True))
+
+    # the single-node ops inside the metric bins and the camera rotation;
+    # unsorted logits leave the ordinal clamp active on some rows
+    w_probs = Tensor(rng.standard_normal((3, 5)))
+    check("ordinal_probs",
+          lambda: lambda t: tsum(bin_logits_to_probs(t) * w_probs),
+          lambda: Tensor(rng.standard_normal((3, 5)) * 2.0, requires_grad=True))
+
+    check("bounded_centers",
+          lambda: lambda t: tsum(bounded_centers(bins, t) * w_probs),
+          lambda: Tensor(rng.standard_normal((3, 5)), requires_grad=True))
+
+    w_rot = Tensor(rng.standard_normal((3, 3)))
+    check("quat_to_rotation",
+          lambda: lambda t: tsum(quat_to_rotation(t) * w_rot),
+          lambda: Tensor(rng.standard_normal(4), requires_grad=True))
 
     elapsed = time.monotonic() - t0
     bad = {k: v for k, v in worst.items() if v >= 1e-4}

@@ -10,9 +10,11 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, threads=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if threads is not None:
+        env["GEOVID_THREADS"] = str(threads)
     proc = subprocess.run([sys.executable, "-m", "geovid.cli", *args],
                           capture_output=True, text=True, env=env)
     if check and proc.returncode != 0:
@@ -46,6 +48,30 @@ def test_gen_scenes_layout(workspace):
     assert (scenes[0] / "scene.json").exists()
     assert (scenes[0] / "frame_000" / "depth.vlt").exists()
     assert (scenes[0] / "frame_000" / "camera.json").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gen_scenes_streamed_files_match_list_path(tmp_path, threads):
+    # gen-scenes saves each scene as the pool yields it; five scenes are more
+    # than the pool keeps in flight at two workers
+    from geovid.config import RunConfig
+    from geovid.synthscene import save_scene
+    from geovid.train import generate_scenes
+
+    run_cli("gen-scenes", "--seed", "13", "--count", "5", "--frames", "2",
+            "--out", str(tmp_path / "cli"), "--resolution", "28",
+            "--objects", "3", "--dim", "16", threads=threads)
+    cfg = RunConfig(seed=13, dim=16, resolution=(28, 28), frames_per_scene=2,
+                    n_objects=3, token_noise=0.01)
+    for i, scene in enumerate(generate_scenes(cfg, count=5)):
+        save_scene(tmp_path / "list" / f"scene_{i:04d}", scene)
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    cli, listed = files(tmp_path / "cli"), files(tmp_path / "list")
+    assert len(cli) > 5 and cli == listed
 
 
 def test_train_infer_eval_chain(workspace):

@@ -1,0 +1,105 @@
+"""The single-node ordinal-probs, bounded-centers and quat_to_rotation ops
+against the composed graphs they replace, kept here as references. Each node
+repeats its graph's float operations in the same order, so forward values
+and VJPs must be equal, not only close."""
+
+import numpy as np
+import pytest
+
+from geovid.errors import ShapeError
+from geovid.metric_depth import bin_logits_to_probs, bounded_centers, init_bins
+from geovid.numkit import Tensor, concat, maximum, sigmoid, tanh, tsum
+from geovid.recon import quat_to_rotation
+
+def composed_ordinal_probs(logits: Tensor) -> Tensor:
+    hw, n = logits.shape
+    q = sigmoid(logits[:, 0:n - 1])
+    q_full = concat([Tensor(np.ones((hw, 1))), q, Tensor(np.zeros((hw, 1)))], axis=1)
+    raw = q_full[:, 0:n] - q_full[:, 1:n + 1]
+    clamped = maximum(raw, 0.0)
+    return clamped / tsum(clamped, axis=1, keepdims=True)
+
+
+def composed_bounded_centers(cfg, raw: Tensor) -> Tensor:
+    delta = cfg.max_shift * Tensor(cfg.local_widths()) * tanh(raw)
+    return Tensor(cfg.centers) + delta
+
+
+def composed_rotation(quat: Tensor) -> Tensor:
+    w, x, y, z = (quat[i] for i in range(4))
+    one = Tensor(1.0)
+    entries = [
+        one - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+        2.0 * (x * y + w * z), one - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+        2.0 * (x * z - w * y), 2.0 * (y * z + w * x), one - 2.0 * (x * x + y * y),
+    ]
+    return concat([e.reshape(1) for e in entries], axis=0).reshape(3, 3)
+
+
+def forward_and_vjp(op, x: np.ndarray, seed: np.ndarray):
+    t = Tensor(x.copy(), requires_grad=True)
+    out = op(t)
+    tsum(out * Tensor(seed)).backward()
+    return out.data, t.grad
+
+
+def assert_matches_composed(op, reference, x: np.ndarray, rng) -> None:
+    seed = rng.standard_normal(reference(Tensor(x)).shape)
+    out, grad = forward_and_vjp(op, x, seed)
+    ref_out, ref_grad = forward_and_vjp(reference, x, seed)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(grad, ref_grad)
+
+
+def test_ordinal_probs_match_composed_graph_with_active_clamp():
+    rng = np.random.default_rng(0)
+    # unsorted wide logits: many rows have non-monotone exceedance probabilities
+    logits = rng.standard_normal((40, 8)) * 3.0
+    q = 1.0 / (1.0 + np.exp(-logits[:, :-1]))
+    assert (np.diff(q, axis=1) > 0).any(), "the clamp must be active somewhere"
+    assert_matches_composed(bin_logits_to_probs, composed_ordinal_probs, logits, rng)
+
+
+def test_ordinal_probs_match_composed_graph_monotone_rows():
+    rng = np.random.default_rng(1)
+    logits = -np.sort(rng.standard_normal((12, 6)), axis=1) * 2.0
+    assert_matches_composed(bin_logits_to_probs, composed_ordinal_probs, logits, rng)
+
+
+def test_ordinal_probs_zero_gradient_where_clamped():
+    # boundary 2 is likelier to be exceeded than boundary 1: bin 2 clamps to 0
+    logits = np.array([[2.0, -1.0, 1.0, 0.0]])
+    out, grad = forward_and_vjp(bin_logits_to_probs, logits,
+                                np.array([[0.0, 0.0, 1.0, 0.0]]))
+    assert out[0, 2] == 0.0
+    np.testing.assert_array_equal(grad, np.zeros((1, 4)))
+
+
+def test_bounded_centers_match_composed_graph():
+    rng = np.random.default_rng(2)
+    cfg = init_bins(8, 0.1, 10.0)
+    raw = rng.standard_normal((30, 8)) * 2.0
+    assert_matches_composed(lambda r: bounded_centers(cfg, r),
+                            lambda r: composed_bounded_centers(cfg, r), raw, rng)
+
+
+def test_quat_to_rotation_matches_composed_graph():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        assert_matches_composed(quat_to_rotation, composed_rotation, q, rng)
+
+
+def test_quat_to_rotation_rejects_wrong_shape():
+    with pytest.raises(ShapeError):
+        quat_to_rotation(Tensor(np.ones((2, 2))))
+
+
+def test_fused_ops_are_one_node():
+    cfg = init_bins(5, 0.1, 10.0)
+    x = Tensor(np.zeros((3, 5)), requires_grad=True)
+    q = Tensor(np.array([1.0, 0.0, 0.0, 0.0]), requires_grad=True)
+    for out, leaf in ((bin_logits_to_probs(x), x), (bounded_centers(cfg, x), x),
+                      (quat_to_rotation(q), q)):
+        assert out._parents == (leaf,)

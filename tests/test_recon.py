@@ -5,7 +5,7 @@ from geovid.errors import ParameterError, ShapeError
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, tsum
 from geovid.recon import (
     BackboneParams, CameraHeadParams, CameraPrediction, DepthHeadParams,
-    camera_head, depth_head_tensor, gfa_backbone, upsample_matrix,
+    camera_head, depth_head_tensor, gfa_backbone, upsample_matrix, upsample_tensor,
 )
 
 
@@ -196,3 +196,10 @@ def test_upsample_matches_oracle_random_grids():
     up = upsample_matrix(4, 4, 56, 56)
     got = (up @ grid.reshape(-1)).reshape(56, 56)
     np.testing.assert_allclose(got, bilinear_oracle(grid, 56, 56), atol=1e-12)
+
+
+def test_upsample_tensor_is_one_shared_read_only_constant():
+    up = upsample_tensor(2, 2, 28, 28)
+    assert up is upsample_tensor(2, 2, 28, 28)
+    assert not up.requires_grad and not up.data.flags.writeable
+    np.testing.assert_array_equal(up.data, upsample_matrix(2, 2, 28, 28))

@@ -121,6 +121,40 @@ def test_concat_and_slicing_gradients():
     assert grad_check(f, x) < 1e-8
 
 
+@pytest.mark.parametrize("key", [
+    (slice(1, 4), slice(None)),                 # basic slice
+    (slice(None, None, -2), slice(3, 0, -1)),   # negative steps
+    2,                                          # int
+    (1, -1),                                    # int pair, negative index
+    (Ellipsis, None, 2),                        # Ellipsis and a new axis
+    np.array([0, 2, 3]),                        # sorted unique index array
+    np.array([-4, -2, -1]),                     # sorted negative indices
+])
+def test_getitem_vjp_matches_scatter_add(key):
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    y = x[key]
+    seed = rng.standard_normal(y.shape)
+    tsum(y * Tensor(seed)).backward()
+    expected = np.zeros((5, 4))
+    np.add.at(expected, key, seed)
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("key", [
+    np.array([3, 1, 3, 3]),       # repeated and unsorted
+    np.array([-1, 4]),            # sorted, but both name row 4
+    (np.array([0, 0]), np.array([1, 1])),
+])
+def test_getitem_vjp_accumulates_repeated_indices(key):
+    x = Tensor(np.zeros((5, 4)), requires_grad=True)
+    tsum(x[key]).backward()
+    expected = np.zeros((5, 4))
+    np.add.at(expected, key, 1.0)
+    np.testing.assert_array_equal(x.grad, expected)
+    assert expected.max() >= 2.0
+
+
 def test_arccos_clamps_out_of_range():
     y = arccos(Tensor([1.0 + 1e-12, -1.0 - 1e-12]))
     np.testing.assert_allclose(y.data, [0.0, np.pi])

@@ -6,8 +6,8 @@ from geovid.geometry import METRIC, RELATIVE, DepthMap
 from geovid.losses import distill_loss
 from geovid.model import init_model, load_checkpoint, predict_window, save_checkpoint
 from geovid.train import (
-    compare_strategies, evaluate_test_loss, generate_scenes, run_pipeline,
-    scene_norm, train, train_stage1, train_stage2, write_jsonl,
+    _window_joint_loss, compare_strategies, evaluate_test_loss, generate_scenes,
+    run_pipeline, scene_norm, train, train_stage1, train_stage2, write_jsonl,
 )
 
 TINY = dict(dim=16, heads=2, blocks=2, bridge_tokens=4, resolution=(28, 28),
@@ -214,3 +214,26 @@ def test_write_jsonl_deterministic(tmp_path, tiny_setup):
 def test_scene_norm_positive(tiny_setup):
     _, scenes = tiny_setup
     assert scene_norm(scenes[0]) > 0
+
+
+def _graph_nodes(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_stage2_window_graph_node_count(tiny_setup):
+    # The joint loss of one 2-frame window builds 628 recorded nodes (860
+    # before the bins, centers and rotation became single nodes). A change
+    # here means ops were added to or removed from the hot path: update the
+    # count only for an intended change of the graph.
+    cfg, scenes = tiny_setup
+    scene = scenes[0]
+    params = init_model(cfg)
+    preds = predict_window(scene.frames[:cfg.stage2_frames], params, cfg)
+    joint = _window_joint_loss(preds, params, cfg, scene_norm(scene))[0]
+    assert _graph_nodes(joint) == 628
