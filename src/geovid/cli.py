@@ -185,7 +185,7 @@ def infer_cmd(ckpt, scene_path, out):
 
 
 def _dir_artifacts(path: Path):
-    """(cloud, cameras, depths, depth_kind) from an infer output or scene dir."""
+    """(cloud, cameras, depths) from an infer output or scene dir."""
     path = Path(path)
     if (path / "scene.json").exists():
         scene = load_scene(path)

@@ -73,8 +73,8 @@ class CtaOutput:
 def project_streams(base: TokenSet, p: CtaParams) -> tuple[TokenSet, TokenSet]:
     """Base tokens -> (geometry stream, language stream) via the two MLP heads."""
     require_role(base, Role.BASE)
-    geom = TokenSet(mlp(base.tokens, p.phi_geom), Role.GEOM, base.frame_index)
-    lang = TokenSet(mlp(base.tokens, p.phi_lang), Role.LANG, base.frame_index)
+    geom = TokenSet(mlp(base.tokens, p.phi_geom), Role.GEOM)
+    lang = TokenSet(mlp(base.tokens, p.phi_lang), Role.LANG)
     return geom, lang
 
 
@@ -107,7 +107,7 @@ def cta_forward(base: TokenSet, p: CtaParams) -> CtaOutput:
     geom, lang = project_streams(base, p)
     if p.bridge_count == 0:
         return CtaOutput(geom=geom, lang=lang, bridge=None)
-    bridge = TokenSet(p.bridge_init, Role.BRIDGE, base.frame_index)
+    bridge = TokenSet(p.bridge_init, Role.BRIDGE)
     bridge_up = bridge_update(bridge, geom, lang, p)
     return CtaOutput(
         geom=fuse_back(geom, bridge_up, p),

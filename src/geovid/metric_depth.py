@@ -68,22 +68,6 @@ def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> Bin
     return BinConfig(centers=np.exp(ln), d_min=d_min, d_max=d_max, max_shift=max_shift)
 
 
-@dataclass
-class PixelBins:
-    """Per-pixel simplex over bins plus per-pixel refined centers."""
-
-    probs: Tensor             # [HW, N], rows on the simplex
-    refined_centers: Tensor   # [HW, N], strictly increasing per row
-    image_size: tuple[int, int]
-
-    def __post_init__(self):
-        if self.probs.shape != self.refined_centers.shape:
-            raise ShapeError("probs and centers must have equal shapes")
-        h, w = self.image_size
-        if self.probs.shape[0] != h * w:
-            raise ShapeError("pixel count does not match image size")
-
-
 def bin_logits_to_probs(logits: Tensor, ordinal: bool = True) -> Tensor:
     """Logits [HW, N] -> per-pixel simplex [HW, N].
 
@@ -135,9 +119,11 @@ def bounded_centers(cfg: BinConfig, raw: Tensor) -> Tensor:
     ))
 
 
-def expected_depth_tensor(pb: PixelBins) -> Tensor:
-    """Per-pixel expectation over the refined centers, in-graph. [HW]."""
-    return tsum(pb.probs * pb.refined_centers, axis=1)
+def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
+    """Per-pixel expectation over the refined centers, in-graph: [HW, N] -> [HW]."""
+    if probs.shape != centers.shape:
+        raise ShapeError("probs and centers must have equal shapes")
+    return tsum(probs * centers, axis=1)
 
 
 @dataclass
@@ -166,8 +152,8 @@ class MetricDepthParams:
 
 
 def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
-                         p: MetricDepthParams) -> tuple[PixelBins, Tensor]:
-    """Patch tokens -> (per-pixel bins, in-graph metric depth [HW]).
+                         p: MetricDepthParams) -> Tensor:
+    """Patch tokens -> in-graph metric depth [HW].
 
     The two MLPs run per patch; their raw outputs (boundary logits and
     unbounded shifts) are bilinearly upsampled to pixels before the
@@ -182,5 +168,4 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
     patch_raw = mlp(feats, p.refine_mlp)      # [P, N]
     probs = bin_logits_to_probs(matmul(up, patch_logits), ordinal=p.ordinal)
     centers = bounded_centers(p.bins, matmul(up, patch_raw))
-    pb = PixelBins(probs=probs, refined_centers=centers, image_size=image_size)
-    return pb, expected_depth_tensor(pb)
+    return expected_depth_tensor(probs, centers)

@@ -17,7 +17,7 @@ import numpy as np
 from .config import RunConfig
 from .cta import CtaOutput, CtaParams, cta_forward
 from .errors import ShapeError
-from .metric_depth import MetricDepthParams, PixelBins, init_bins, predict_metric_depth
+from .metric_depth import MetricDepthParams, init_bins, predict_metric_depth
 from .numkit import MlpParams, Role, Tensor, TokenSet, concat, mlp, vlt
 from .recon import (
     BackboneParams, CameraHeadParams, CameraPrediction, DepthHeadParams,
@@ -75,8 +75,7 @@ def init_model(cfg: RunConfig) -> VidModelParams:
 
 def encode(base: TokenSet, params: VidModelParams) -> TokenSet:
     """Residual student encoder; keeps the base role."""
-    return TokenSet(base.tokens + mlp(base.tokens, params.encoder),
-                    Role.BASE, base.frame_index)
+    return TokenSet(base.tokens + mlp(base.tokens, params.encoder), Role.BASE)
 
 
 def adapt(base: TokenSet, params: VidModelParams) -> CtaOutput:
@@ -89,12 +88,10 @@ class FramePrediction:
     """Everything the heads produce for one frame, gradients attached."""
 
     frame: FrameData
-    geom: TokenSet               # adapter geometry stream (pre-backbone)
     lang: TokenSet               # adapter language stream
     camera: CameraPrediction     # relative scale
     depth_rel: Tensor            # [H, W] relative depth, in-graph
-    pixel_bins: PixelBins | None
-    depth_metric: Tensor | None  # [HW] metric depth, in-graph
+    depth_metric: Tensor | None  # [HW] metric depth, in-graph; None when md_mode is off
 
 
 def predict_window(frames: list[FrameData], params: VidModelParams,
@@ -103,22 +100,17 @@ def predict_window(frames: list[FrameData], params: VidModelParams,
     if not frames:
         raise ShapeError("empty frame window")
     adapted = [adapt(f.base, params) for f in frames]
-    geom_in = [TokenSet(a.geom.tokens, Role.GEOM, f.index)
-               for a, f in zip(adapted, frames)]
-    patch_tokens, cam_tokens = gfa_backbone(geom_in, params.backbone)
+    patch_tokens, cam_tokens = gfa_backbone([a.geom for a in adapted], params.backbone)
 
     preds = []
     for frame, a, pt, ct in zip(frames, adapted, patch_tokens, cam_tokens):
         cam = camera_head(ct, params.camera_head, cfg.resolution)
         depth_in = pt.with_tokens(concat([pt.tokens, a.geom.tokens], axis=1))
         d_rel = depth_head_tensor(depth_in, cfg.resolution, params.depth_head)
-        if cfg.md_mode == "off":
-            pb, d_met = None, None
-        else:
-            pb, d_met = predict_metric_depth(a.geom, cfg.resolution, params.metric)
-        preds.append(FramePrediction(frame=frame, geom=a.geom, lang=a.lang,
-                                     camera=cam, depth_rel=d_rel,
-                                     pixel_bins=pb, depth_metric=d_met))
+        d_met = (None if cfg.md_mode == "off"
+                 else predict_metric_depth(a.geom, cfg.resolution, params.metric))
+        preds.append(FramePrediction(frame=frame, lang=a.lang, camera=cam,
+                                     depth_rel=d_rel, depth_metric=d_met))
     return preds
 
 

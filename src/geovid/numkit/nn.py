@@ -27,7 +27,6 @@ class TokenSet:
 
     tokens: Tensor
     role: Role
-    frame_index: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", as_tensor(self.tokens))
@@ -47,7 +46,7 @@ class TokenSet:
         return self.tokens.shape[1]
 
     def with_tokens(self, tokens: Tensor) -> "TokenSet":
-        return TokenSet(tokens, self.role, self.frame_index)
+        return TokenSet(tokens, self.role)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .geometry import RELATIVE, CameraModel, quaternion_to_rotation, rotation_to_quaternion
+from .geometry import RELATIVE, CameraModel, quaternion_to_rotation
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
     concat, matmul, maximum, mha, mlp, require_role, rms_norm, sigmoid,
@@ -103,15 +103,15 @@ def gfa_backbone(frames: list[TokenSet], p: BackboneParams
         else:
             joint = _block(concat(states, axis=0), blk)
             states, offset = [], 0
-            for f, n in zip(frames, counts):
+            for n in counts:
                 rows = n + n_cam + p.register_init.shape[0]
                 states.append(joint[offset:offset + rows, :])
                 offset += rows
 
     patch_out, camera_out = [], []
-    for f, n, x in zip(frames, counts, states):
-        patch_out.append(TokenSet(x[0:n, :], Role.GEOM, f.frame_index))
-        camera_out.append(TokenSet(x[n:n + n_cam, :], Role.CAMERA, f.frame_index))
+    for n, x in zip(counts, states):
+        patch_out.append(TokenSet(x[0:n, :], Role.GEOM))
+        camera_out.append(TokenSet(x[n:n + n_cam, :], Role.CAMERA))
     return patch_out, camera_out
 
 
@@ -163,15 +163,6 @@ class CameraPrediction:
             rotation=quaternion_to_rotation(q),
             translation=self.translation.data.copy(),
             scale_kind=scale_kind,
-        )
-
-    @staticmethod
-    def from_camera(cam: CameraModel) -> "CameraPrediction":
-        return CameraPrediction(
-            quat=Tensor(rotation_to_quaternion(cam.rotation)),
-            translation=Tensor(cam.translation),
-            fx=Tensor(cam.fx), fy=Tensor(cam.fy),
-            cx=cam.cx, cy=cam.cy,
         )
 
 

@@ -68,9 +68,6 @@ class SceneGeometry:
     room: Box            # cameras live strictly inside; faces are labeled
     objects: list[Box]
 
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.room.hi - self.room.lo))
-
 
 @dataclass
 class TokenizerConfig:
@@ -226,7 +223,7 @@ def render_tokens(frame: FrameData, cfg: TokenizerConfig) -> TokenSet:
     if cfg.noise > 0:
         rng = np.random.default_rng([frame.noise_seed, 5])
         tokens = tokens + cfg.noise * rng.standard_normal(tokens.shape)
-    return TokenSet(Tensor(tokens), Role.BASE, frame.index)
+    return TokenSet(Tensor(tokens), Role.BASE)
 
 
 TEACHER_DEPTH_GAIN = 2.5   # balances the depth coordinate against the unit
@@ -245,8 +242,7 @@ def teacher_features(frame: FrameData, cfg: TokenizerConfig
     tl = lang_in @ a_lang
     tg = tg / np.linalg.norm(tg, axis=1, keepdims=True)
     tl = tl / np.linalg.norm(tl, axis=1, keepdims=True)
-    return (TokenSet(Tensor(tg), Role.GEOM, frame.index),
-            TokenSet(Tensor(tl), Role.LANG, frame.index))
+    return TokenSet(Tensor(tg), Role.GEOM), TokenSet(Tensor(tl), Role.LANG)
 
 
 # ----------------------------------------------------------------------
@@ -372,11 +368,11 @@ def load_scene(directory: str | Path) -> SceneSample:
             patch_labels=vlt.load_tensor(fd / "patch_labels.vlt").astype(np.int64),
             noise_seed=int(meta["seed"]) * 1000 + k,
         )
-        frame.base = TokenSet(Tensor(vlt.load_tensor(fd / "base.vlt")), Role.BASE, k)
+        frame.base = TokenSet(Tensor(vlt.load_tensor(fd / "base.vlt")), Role.BASE)
         frame.teacher_geom = TokenSet(Tensor(vlt.load_tensor(fd / "teacher_geom.vlt")),
-                                      Role.GEOM, k)
+                                      Role.GEOM)
         frame.teacher_lang = TokenSet(Tensor(vlt.load_tensor(fd / "teacher_lang.vlt")),
-                                      Role.LANG, k)
+                                      Role.LANG)
         frames.append(frame)
     return SceneSample(geometry=geom, frames=frames, seed=int(meta["seed"]),
                        resolution=tuple(meta["resolution"]), tokenizer=tokenizer)

@@ -472,15 +472,13 @@ def compare_strategies(cfg_base: RunConfig, strategies: list[str],
         raise DegenerateInputError("need at least one strategy and one size")
     rows = []
     for seed in seeds:
-        cfg_seed = RunConfig.from_json({**cfg_base.to_json(), "seed": seed})
+        cfg_seed = replace(cfg_base, seed=seed)
         all_scenes = generate_scenes(cfg_seed, count=max(data_sizes))
         held_out = generate_scenes(cfg_seed, count=4, held_out=True)
         for size in data_sizes:
             scenes = all_scenes[:size]
             for strategy in strategies:
-                cfg = RunConfig.from_json({**cfg_seed.to_json(),
-                                           "strategy": strategy,
-                                           "n_scenes": size})
+                cfg = replace(cfg_seed, strategy=strategy, n_scenes=size)
                 params, _ = train(cfg, scenes)
                 result = evaluate_test_loss(cfg, params, held_out)
                 rows.append({"strategy": strategy, "data_size": size,

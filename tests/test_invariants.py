@@ -1,12 +1,15 @@
 """Module-level invariants that do not fit a single op's test class."""
 
 import ast
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from geovid.config import RunConfig, worker_count
+from geovid.model import init_model, predict_window
 from geovid.numkit import (
     MhaParams, MlpParams, Tensor, grad_check, mha, mlp, tsum,
 )
@@ -41,7 +44,6 @@ def test_worker_count_env(monkeypatch):
 
 def test_stage2_never_mutates_teachers():
     from geovid.train import generate_scenes, train_stage2
-    from geovid.model import init_model
 
     cfg = RunConfig(seed=21, dim=16, heads=2, blocks=2, bridge_tokens=4,
                     resolution=(28, 28), n_bins=8, n_scenes=2,
@@ -81,3 +83,41 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(src)}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def _perfbench_module(name: str):
+    """Import perfbench/<name>.py; the benchmark directory is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark wraps and breaks geovid functions by module attribute, so
+    # a rename must fail here rather than only when the benchmark runs
+    from geovid.synthscene import TokenizerConfig, gen_scene
+
+    tracer_mod = _perfbench_module("tracer")
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in tracer_mod.SPANS]
+    cfg = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4,
+                    resolution=(28, 28), n_bins=8, n_objects=3)
+    scene = gen_scene(42, n_frames=2, resolution=(28, 28), n_objects=3,
+                      tokenizer=TokenizerConfig(dim=16, seed=5))
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        predict_window(scene.frames, init_model(cfg), cfg)
+    finally:
+        tracer.remove()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+    for layer in ("metric_depth", "metric_depth.probs", "metric_depth.centers",
+                  "metric_depth.expectation", "recon.backbone.local",
+                  "recon.backbone.global"):
+        assert tracer.calls[layer] > 0, layer
+
+    for name, workload in _perfbench_module("workloads").WORKLOADS.items():
+        owner, attr = workload.inject
+        assert callable(getattr(owner, attr, None)), (name, attr)

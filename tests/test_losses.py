@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from geovid.errors import DegenerateInputError, DomainError, ParameterError
-from geovid.geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap, look_at_rotation
+from geovid.geometry import (
+    GROUND_TRUTH, METRIC, CameraModel, DepthMap, look_at_rotation, rotation_to_quaternion,
+)
 from geovid.losses import (
     LossReport, distill_loss, geo_feat_loss, lang_feat_loss, metric_depth_loss,
     recon_task_loss, structural_consistency, vl_proxy_loss,
@@ -10,6 +12,13 @@ from geovid.losses import (
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check
 from geovid.patch3d import Patch3DTokens
 from geovid.recon import CameraPrediction
+
+
+def _as_prediction(cam: CameraModel) -> CameraPrediction:
+    """A constant CameraPrediction with the camera's pose and intrinsics."""
+    return CameraPrediction(quat=Tensor(rotation_to_quaternion(cam.rotation)),
+                            translation=Tensor(cam.translation),
+                            fx=Tensor(cam.fx), fy=Tensor(cam.fy), cx=cam.cx, cy=cam.cy)
 
 
 def _ts(arr, role=Role.GEOM):
@@ -204,7 +213,7 @@ class TestReconTaskLoss:
         cam = _gt_cam()
         depth = DepthMap(np.random.default_rng(1).uniform(1, 4, (28, 28)),
                          scale_kind=METRIC)
-        res = recon_task_loss(CameraPrediction.from_camera(cam), cam,
+        res = recon_task_loss(_as_prediction(cam), cam,
                               Tensor(depth.values), depth)
         assert res.total.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -215,7 +224,7 @@ class TestReconTaskLoss:
         flip = np.diag([1.0, -1.0, -1.0])  # 180 degrees about x
         pred_cam = CameraModel(fx=10.0, fy=10.0, cx=1.5, cy=1.5, rotation=flip,
                                translation=np.zeros(3), scale_kind=METRIC)
-        res = recon_task_loss(CameraPrediction.from_camera(pred_cam), gt,
+        res = recon_task_loss(_as_prediction(pred_cam), gt,
                               Tensor(depth.values), depth)
         assert res.pose.item() == pytest.approx(np.pi ** 2, abs=1e-10)
 
@@ -225,7 +234,7 @@ class TestReconTaskLoss:
         gt_depth = DepthMap(rng.uniform(1, 4, (4, 4)), scale_kind=METRIC)
         pred_depth = gt_depth.values * rng.uniform(0.8, 1.2, (4, 4))
         pred_cam_model = _gt_cam(5)
-        pred = CameraPrediction.from_camera(pred_cam_model)
+        pred = _as_prediction(pred_cam_model)
         res = recon_task_loss(pred, gt_cam, Tensor(pred_depth), gt_depth)
 
         # independent scalar recomputation
@@ -251,7 +260,7 @@ class TestReconTaskLoss:
         cam = _gt_cam(7)
         gt = DepthMap(rng.uniform(1, 4, (4, 4)), scale_kind=METRIC)
         x = Tensor(rng.uniform(1, 4, (4, 4)), requires_grad=True)
-        pred = CameraPrediction.from_camera(_gt_cam(8))
+        pred = _as_prediction(_gt_cam(8))
 
         def f(t):
             return recon_task_loss(pred, cam, t, gt).total

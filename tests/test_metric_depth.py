@@ -4,7 +4,7 @@ from scipy.special import expit
 
 from geovid.errors import ParameterError, ShapeError
 from geovid.metric_depth import (
-    BinConfig, MetricDepthParams, PixelBins, bin_logits_to_probs, bounded_centers,
+    BinConfig, MetricDepthParams, bin_logits_to_probs, bounded_centers,
     expected_depth_tensor, init_bins, predict_metric_depth,
 )
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, mlp, tsum
@@ -109,23 +109,21 @@ class TestRefineCenters:
 
 
 class TestExpectedDepth:
-    def _bins(self, probs, centers):
-        probs = np.asarray(probs, dtype=float)
-        centers = np.asarray(centers, dtype=float)
-        return PixelBins(probs=Tensor(probs), refined_centers=Tensor(centers),
-                         image_size=(1, probs.shape[0]))
+    def _expect(self, probs, centers):
+        return expected_depth_tensor(Tensor(np.asarray(probs, dtype=float)),
+                                     Tensor(np.asarray(centers, dtype=float)))
 
     def test_uniform_probabilities_mean_center(self):
-        pb = self._bins([[0.25] * 4], [[1.0, 2.0, 3.0, 4.0]])
-        assert expected_depth_tensor(pb).item() == pytest.approx(2.5)
+        d = self._expect([[0.25] * 4], [[1.0, 2.0, 3.0, 4.0]])
+        assert d.item() == pytest.approx(2.5)
 
     def test_one_hot_selects_center(self):
-        pb = self._bins([[0.0, 0.0, 1.0, 0.0]], [[1.0, 2.0, 3.0, 4.0]])
-        assert expected_depth_tensor(pb).item() == pytest.approx(3.0)
+        d = self._expect([[0.0, 0.0, 1.0, 0.0]], [[1.0, 2.0, 3.0, 4.0]])
+        assert d.item() == pytest.approx(3.0)
 
     def test_shifted_centers_shift_expectation(self):
-        pb = self._bins([[0.25] * 4], [[1.1, 2.1, 3.1, 4.1]])
-        assert expected_depth_tensor(pb).item() == pytest.approx(2.6)
+        d = self._expect([[0.25] * 4], [[1.1, 2.1, 3.1, 4.1]])
+        assert d.item() == pytest.approx(2.6)
 
     def test_expectation_within_center_range(self):
         rng = np.random.default_rng(3)
@@ -134,16 +132,13 @@ class TestExpectedDepth:
         probs = bin_logits_to_probs(Tensor(logits))
         centers = np.sort(rng.uniform(0.1, 10.0, size=(500, n)), axis=1)
         centers += np.arange(n) * 1e-6  # enforce strict increase after sort ties
-        pb = PixelBins(probs=probs, refined_centers=Tensor(centers),
-                       image_size=(20, 25))
-        d = expected_depth_tensor(pb).data
+        d = expected_depth_tensor(probs, Tensor(centers)).data
         lo = centers.min(axis=1) * (1 - 1e-12)
         hi = centers.max(axis=1) * (1 + 1e-12)
         assert np.all(d >= lo) and np.all(d <= hi)
 
     def test_reshapes_to_image_grid(self):
-        pb = self._bins([[0.5, 0.5]], [[1.0, 3.0]])
-        d = expected_depth_tensor(pb).reshape(*pb.image_size)
+        d = self._expect([[0.5, 0.5]], [[1.0, 3.0]]).reshape(1, 1)
         np.testing.assert_allclose(d.data, [[2.0]])
 
 
@@ -158,8 +153,7 @@ def test_monotone_mass_shift_under_logit_offset():
     values = []
     for delta in np.linspace(-6, 6, 41):
         probs = bin_logits_to_probs(Tensor((base + delta)[None, :]))
-        pb = PixelBins(probs=probs, refined_centers=centers, image_size=(1, 1))
-        values.append(expected_depth_tensor(pb).item())
+        values.append(expected_depth_tensor(probs, centers).item())
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12)
     assert values[-1] > values[0]  # the sweep genuinely moves mass deeper
@@ -173,16 +167,12 @@ def test_full_head_gradient():
     w = Tensor(rng.standard_normal(28 * 28))
 
     def f(t):
-        _, d = predict_metric_depth(TokenSet(t, Role.GEOM), (28, 28), p)
+        d = predict_metric_depth(TokenSet(t, Role.GEOM), (28, 28), p)
         return tsum(d * w)
 
     assert grad_check(f, x) < 1e-4
 
 
-def test_pixelbins_shape_validation():
+def test_expected_depth_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
-        PixelBins(probs=Tensor(np.ones((4, 3))), refined_centers=Tensor(np.ones((4, 2))),
-                  image_size=(2, 2))
-    with pytest.raises(ShapeError):
-        PixelBins(probs=Tensor(np.ones((4, 3)) / 3), refined_centers=Tensor(np.ones((4, 3))),
-                  image_size=(3, 2))
+        expected_depth_tensor(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 2))))

@@ -1,10 +1,14 @@
+import gc
+import types
+
 import numpy as np
 import pytest
 
+from geovid import metric_depth
 from geovid.config import RunConfig
 from geovid.errors import ParameterError, ShapeError
 from geovid.model import adapt, encode, init_model, predict_window
-from geovid.numkit import Role
+from geovid.numkit import Role, no_grad
 from geovid.synthscene import NUM_CLASSES, TokenizerConfig, gen_scene
 
 CFG = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4,
@@ -55,8 +59,21 @@ def test_adapt_produces_streams(scene):
     assert out.bridge.tokens.shape == (4, 16)
 
 
-def test_predict_window_shapes(scene):
+def _spy_expectation(monkeypatch) -> list:
+    """Record the (probs, centers) shapes of every expected_depth_tensor call."""
+    shapes, original = [], metric_depth.expected_depth_tensor
+
+    def spy(probs, centers):
+        shapes.append((probs.shape, centers.shape))
+        return original(probs, centers)
+
+    monkeypatch.setattr(metric_depth, "expected_depth_tensor", spy)
+    return shapes
+
+
+def test_predict_window_shapes(scene, monkeypatch):
     params = init_model(CFG)
+    bin_shapes = _spy_expectation(monkeypatch)
     preds = predict_window(scene.frames, params, CFG)
     assert len(preds) == 2
     p = preds[0]
@@ -64,7 +81,7 @@ def test_predict_window_shapes(scene):
     assert p.depth_rel.data.min() > 0
     assert p.depth_metric.shape == (4 * 28 * 28 // (14 * 14),) or \
         p.depth_metric.shape == (28 * 28,)
-    assert p.pixel_bins.probs.shape[1] == CFG.n_bins
+    assert bin_shapes == [((28 * 28, CFG.n_bins), (28 * 28, CFG.n_bins))] * 2
     cam = p.camera.to_camera()
     assert abs(np.linalg.det(cam.rotation) - 1.0) < 1e-9
 
@@ -75,13 +92,40 @@ def test_predict_window_empty_rejected():
         predict_window([], params, CFG)
 
 
-def test_md_off_skips_metric(scene):
+def test_md_off_skips_metric(scene, monkeypatch):
     cfg = RunConfig(**{**CFG.to_json(), "md_mode": "off",
                        "resolution": (28, 28)})
     params = init_model(cfg)
+    bin_shapes = _spy_expectation(monkeypatch)
     preds = predict_window(scene.frames, params, cfg)
-    assert preds[0].pixel_bins is None
+    assert bin_shapes == []
     assert preds[0].depth_metric is None
+
+
+def _reachable_arrays(root) -> list[np.ndarray]:
+    """Every ndarray reachable from `root` through object references, not
+    following classes, modules or functions (which reach global state)."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def test_predictions_hold_no_per_pixel_bins(scene):
+    # the [HW, n_bins] probabilities and centers are intermediates of the
+    # metric head; without a graph nothing may keep them alive
+    params = init_model(CFG)
+    with no_grad():
+        preds = predict_window(scene.frames, params, CFG)
+    shapes = {a.shape for a in _reachable_arrays(preds)}
+    assert (28 * 28,) in shapes   # the metric depth itself is reached
+    assert (28 * 28, CFG.n_bins) not in shapes
 
 
 def test_config_validation():

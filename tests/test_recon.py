@@ -11,8 +11,8 @@ from geovid.recon import (
 
 def _frames(seed, n_frames=2, n=4, c=8):
     rng = np.random.default_rng(seed)
-    return [TokenSet(Tensor(rng.standard_normal((n, c))), Role.GEOM, i)
-            for i in range(n_frames)]
+    return [TokenSet(Tensor(rng.standard_normal((n, c))), Role.GEOM)
+            for _ in range(n_frames)]
 
 
 def _bb(seed=0, c=8, heads=2, blocks=2):
@@ -32,7 +32,7 @@ class TestBackbone:
         p = _bb()
         rng = np.random.default_rng(2)
         tokens = rng.standard_normal((4, 8))
-        frames = [TokenSet(Tensor(tokens.copy()), Role.GEOM, i) for i in range(2)]
+        frames = [TokenSet(Tensor(tokens.copy()), Role.GEOM) for _ in range(2)]
         patch, cam = gfa_backbone(frames, p)
         np.testing.assert_allclose(patch[0].tokens.data, patch[1].tokens.data,
                                    atol=1e-12)
@@ -57,8 +57,8 @@ class TestBackbone:
     def test_mixed_dims_rejected(self):
         p = _bb()
         rng = np.random.default_rng(5)
-        frames = [TokenSet(Tensor(rng.standard_normal((4, 8))), Role.GEOM, 0),
-                  TokenSet(Tensor(rng.standard_normal((4, 16))), Role.GEOM, 1)]
+        frames = [TokenSet(Tensor(rng.standard_normal((4, 8))), Role.GEOM),
+                  TokenSet(Tensor(rng.standard_normal((4, 16))), Role.GEOM)]
         with pytest.raises(ShapeError):
             gfa_backbone(frames, p)
 
@@ -66,11 +66,11 @@ class TestBackbone:
         p = _bb(seed=6, blocks=2)
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
-        other = TokenSet(Tensor(rng.standard_normal((2, 8))), Role.GEOM, 1)
+        other = TokenSet(Tensor(rng.standard_normal((2, 8))), Role.GEOM)
         w = Tensor(rng.standard_normal((2, 8)))
 
         def f(t):
-            patch, cam = gfa_backbone([TokenSet(t, Role.GEOM, 0), other], p)
+            patch, cam = gfa_backbone([TokenSet(t, Role.GEOM), other], p)
             return tsum(patch[0].tokens * w) + tsum(cam[1].tokens)
 
         assert grad_check(f, x) < 1e-4

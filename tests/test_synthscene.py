@@ -32,7 +32,8 @@ class TestGenScene:
 
     def test_depth_within_room_diagonal(self):
         scene = _scene(seed=11, n_frames=6)
-        diag = scene.geometry.diagonal()
+        room = scene.geometry.room
+        diag = np.linalg.norm(room.hi - room.lo)
         for f in scene.frames:
             assert f.depth.values.min() > 0
             assert f.depth.values.max() <= diag + 1e-9

@@ -8,6 +8,7 @@ from geovid.numkit import (
     Tensor, arccos, concat, grad_check, matmul, maximum, no_grad, softmax,
     softplus, tabs, tmean, tsum,
 )
+from geovid.numkit.tensor import ARCCOS_SLOPE_FLOOR
 
 
 def test_leaf_construction_and_grad_accumulation():
@@ -153,6 +154,18 @@ def test_getitem_vjp_accumulates_repeated_indices(key):
     np.add.at(expected, key, 1.0)
     np.testing.assert_array_equal(x.grad, expected)
     assert expected.max() >= 2.0
+
+
+def test_arccos_vjp_capped_outside_exact_region():
+    # past |x| = sqrt(1 - ARCCOS_SLOPE_FLOOR) (about 0.949) the slope is capped
+    x = Tensor([0.95, -0.97, 0.999, -0.9999999], requires_grad=True)
+    g = np.array([0.3, -1.2, 2.0, 0.7])
+    tsum(arccos(x) * Tensor(g)).backward()
+    np.testing.assert_array_equal(x.grad, -g / np.sqrt(ARCCOS_SLOPE_FLOOR))
+    # just inside, the exact slope -g / sqrt(1 - x^2) applies
+    y = Tensor([0.948, -0.948], requires_grad=True)
+    tsum(arccos(y)).backward()
+    np.testing.assert_array_equal(y.grad, -1.0 / np.sqrt(1.0 - y.data * y.data))
 
 
 def test_arccos_clamps_out_of_range():
