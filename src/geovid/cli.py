@@ -18,7 +18,7 @@ import click
 from .config import RunConfig
 from .errors import DegenerateInputError, GeovidError, NumericError, ParameterError
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
-from .model import init_model, load_checkpoint, save_checkpoint
+from .model import MODEL_FIELDS, init_model, load_checkpoint, save_checkpoint
 from .numkit import vlt
 from .patch3d import read_ply, write_ply
 from .scale_align import apply_scale, scene_scale
@@ -93,7 +93,11 @@ def train_cmd(stage, config_path, scenes_path, out, init_ckpt):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     if init_ckpt is not None:
-        params, _ = load_checkpoint(init_ckpt)
+        params, ckpt_cfg = load_checkpoint(init_ckpt)
+        for name in MODEL_FIELDS:
+            if getattr(ckpt_cfg, name) != getattr(cfg, name):
+                raise ParameterError(f"--init checkpoint has {name}={getattr(ckpt_cfg, name)}"
+                                     f" but --config has {getattr(cfg, name)}")
     else:
         params = init_model(cfg)
     dump = out / "abort_dump.json"

@@ -16,8 +16,9 @@ from scipy import special
 
 from .errors import ParameterError, ShapeError
 from .numkit import (
-    MlpParams, Tensor, TokenSet, as_tensor, matmul, mlp, rms_norm, softmax, tsum,
+    MlpParams, Tensor, TokenSet, as_tensor, matmul, mlp, rms_norm, softmax,
 )
+from .numkit.tensor import _check_finite
 from .recon import _patch_grid, upsample_tensor
 
 
@@ -49,12 +50,7 @@ class BinConfig:
     def local_widths(self) -> np.ndarray:
         """Per-bin shift budget: the smaller adjacent gap (single gap at edges)."""
         gaps = np.diff(self.centers)
-        w = np.empty_like(self.centers)
-        w[0] = gaps[0]
-        w[-1] = gaps[-1]
-        if self.centers.size > 2:
-            w[1:-1] = np.minimum(gaps[:-1], gaps[1:])
-        return w
+        return np.minimum(np.concatenate([gaps[:1], gaps]), np.concatenate([gaps, gaps[-1:]]))
 
 
 def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> BinConfig:
@@ -66,6 +62,38 @@ def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> Bin
     k = np.arange(1, n + 1)
     ln = np.log(d_min) + (k - 0.5) / n * (np.log(d_max) - np.log(d_min))
     return BinConfig(centers=np.exp(ln), d_min=d_min, d_max=d_max, max_shift=max_shift)
+
+
+def _ordinal_mass(logits: np.ndarray, q_full: np.ndarray, clamped: np.ndarray,
+                  out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative-link mass of logits [rows, N] into `out` (may be `clamped`) via
+    q_full = [1, q, 0], q = P(depth > boundary_k); returns q and row totals."""
+    n = logits.shape[1]
+    q_full[:, 0] = 1.0
+    q_full[:, n] = 0.0
+    q = special.expit(logits[:, 0:n - 1], out=q_full[:, 1:n])
+    np.subtract(q_full[:, 0:n], q_full[:, 1:n + 1], out=clamped)  # sums to 1
+    np.maximum(clamped, 0.0, out=clamped)
+    total = clamped.sum(axis=1, keepdims=True)            # >= 1 by telescoping
+    np.divide(clamped, total, out=out)
+    return q, total
+
+
+def _bounded_shift(cfg: BinConfig, raw: np.ndarray, t: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """c_k + budget_k * tanh(raw_k) into `out`, tanh into `t`; returns budget."""
+    budget = cfg.max_shift * cfg.local_widths()
+    np.tanh(raw, out=t)
+    np.multiply(budget, t, out=out)
+    out += cfg.centers
+    return budget
+
+
+def _expectation(probs: np.ndarray, centers: np.ndarray, prod=None) -> np.ndarray:
+    """Row sums of probs * centers, the products (into `prod`) checked finite."""
+    prod = np.multiply(probs, centers, out=prod)
+    _check_finite(prod, "mul")
+    return prod.sum(axis=1)
 
 
 def bin_logits_to_probs(logits: Tensor, ordinal: bool = True) -> Tensor:
@@ -86,14 +114,8 @@ def bin_logits_to_probs(logits: Tensor, ordinal: bool = True) -> Tensor:
     hw, n = logits.shape
     if n < 2:
         raise ShapeError("ordinal normalization needs at least 2 bins")
-    q_full = np.empty((hw, n + 1))                        # [1, q, 0]
-    q_full[:, 0] = 1.0
-    q_full[:, n] = 0.0
-    q = special.expit(logits.data[:, 0:n - 1], out=q_full[:, 1:n])  # P(depth > boundary_k)
-    raw = q_full[:, 0:n] - q_full[:, 1:n + 1]             # telescoping mass, sums to 1
-    clamped = np.maximum(raw, 0.0, out=raw)
-    total = clamped.sum(axis=1, keepdims=True)            # >= 1 by telescoping
-    out = clamped / total
+    clamped, out = np.empty((hw, n)), np.empty((hw, n))
+    q, total = _ordinal_mass(logits.data, np.empty((hw, n + 1)), clamped, out)
 
     def vjp(g):
         g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1, keepdims=True)
@@ -110,20 +132,20 @@ def bounded_centers(cfg: BinConfig, raw: Tensor) -> Tensor:
     One graph node."""
     if raw.ndim != 2 or raw.shape[1] != cfg.n_bins:
         raise ShapeError("raw shifts must be [rows, n_bins]")
-    budget = cfg.max_shift * cfg.local_widths()
-    t = np.tanh(raw.data)
-    out = budget * t
-    out += cfg.centers
+    t, out = np.empty(raw.shape), np.empty(raw.shape)
+    budget = _bounded_shift(cfg, raw.data, t, out)
     return Tensor._from_op(out, "bounded_centers", (raw,), (
         lambda g: g * budget * (1.0 - t * t),
     ))
 
 
 def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
-    """Per-pixel expectation over the refined centers, in-graph: [HW, N] -> [HW]."""
+    """Per-pixel expectation over the refined centers, one graph node: [HW, N] -> [HW]."""
     if probs.shape != centers.shape:
         raise ShapeError("probs and centers must have equal shapes")
-    return tsum(probs * centers, axis=1)
+    p, c = probs.data, centers.data
+    return Tensor._from_op(_expectation(p, c), "expected_depth", (probs, centers),
+                           (lambda g: g[:, None] * c, lambda g: g[:, None] * p))
 
 
 @dataclass
@@ -151,6 +173,29 @@ class MetricDepthParams:
         return out
 
 
+ROW_BLOCK = 392   # pixels per block of the no-grad head: 8 blocks per 56x56 frame
+
+
+def _blocked_depth(up: np.ndarray, logits: np.ndarray, raw: np.ndarray,
+                   bins: BinConfig) -> np.ndarray:
+    """The ordinal head in row blocks through one workspace, with the graph's bits."""
+    hw, n = up.shape[0], logits.shape[1]
+    lg, probs, rw, q_full = (np.empty((ROW_BLOCK, n + k)) for k in (0, 0, 0, 1))
+    depth = np.empty(hw)
+    for lo in range(0, hw, ROW_BLOCK):
+        up_b, m = up[lo:lo + ROW_BLOCK], min(ROW_BLOCK, hw - lo)
+        lg_b = np.matmul(up_b, logits, out=lg[:m])
+        _check_finite(lg_b, "matmul")
+        _ordinal_mass(lg_b, q_full[:m], probs[:m], probs[:m])
+        _check_finite(probs[:m], "ordinal_probs")
+        rw_b = np.matmul(up_b, raw, out=rw[:m])
+        _check_finite(rw_b, "matmul")
+        _bounded_shift(bins, rw_b, rw_b, rw_b)
+        _check_finite(rw_b, "bounded_centers")
+        depth[lo:lo + m] = _expectation(probs[:m], rw_b, rw_b)
+    return depth
+
+
 def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
                          p: MetricDepthParams) -> Tensor:
     """Patch tokens -> in-graph metric depth [HW].
@@ -166,6 +211,8 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
     feats = rms_norm(patch_tokens.tokens)
     patch_logits = mlp(feats, p.logits_mlp)   # [P, N]
     patch_raw = mlp(feats, p.refine_mlp)      # [P, N]
+    if p.ordinal and not (patch_logits.requires_grad or patch_raw.requires_grad):
+        return Tensor(_blocked_depth(up.data, patch_logits.data, patch_raw.data, p.bins))
     probs = bin_logits_to_probs(matmul(up, patch_logits), ordinal=p.ordinal)
     centers = bounded_centers(p.bins, matmul(up, patch_raw))
     return expected_depth_tensor(probs, centers)

@@ -38,14 +38,9 @@ class VidModelParams:
     vl_head: MlpParams          # C -> NUM_CLASSES classifier
 
     def named_tensors(self) -> dict[str, Tensor]:
-        out = self.encoder.tensors("encoder")
-        out.update(self.cta.tensors("cta"))
-        out.update(self.backbone.tensors("backbone"))
-        out.update(self.camera_head.tensors("camera_head"))
-        out.update(self.depth_head.tensors("depth_head"))
-        out.update(self.metric.tensors("metric"))
-        out.update(self.pos_embed.tensors("pos_embed"))
-        out.update(self.vl_head.tensors("vl_head"))
+        out = self.stage1_tensors()
+        for name in ("backbone", "camera_head", "depth_head", "metric", "pos_embed", "vl_head"):
+            out.update(getattr(self, name).tensors(name))
         return out
 
     def stage1_tensors(self) -> dict[str, Tensor]:
@@ -53,6 +48,11 @@ class VidModelParams:
         out = self.encoder.tensors("encoder")
         out.update(self.cta.tensors("cta"))
         return out
+
+
+# the RunConfig fields init_model builds the model from, besides its seed
+MODEL_FIELDS = ("dim", "heads", "blocks", "bridge_tokens", "patch_size",
+                "n_bins", "d_min", "d_max", "max_shift", "ordinal_bins")
 
 
 def init_model(cfg: RunConfig) -> VidModelParams:

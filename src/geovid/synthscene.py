@@ -36,9 +36,9 @@ NUM_CLASSES = OBJECT_CLASS_BASE + N_OBJECT_CLASSES  # 11
 DEPTH_SCALE = 5.0   # token depths divided by this to stay O(1)
 DEFAULT_FOV = np.deg2rad(70.0)
 
-_ROOM_FACE_CLASS = {(2, -1): FLOOR, (2, +1): CEILING,
-                    (0, -1): WALL_X0, (0, +1): WALL_X1,
-                    (1, -1): WALL_Y0, (1, +1): WALL_Y1}
+# room-face class by [exit axis, exit direction is positive]
+_ROOM_FACE_CLASS = np.array([[WALL_X0, WALL_X1], [WALL_Y0, WALL_Y1], [FLOOR, CEILING]],
+                            dtype=np.int16)
 
 
 @dataclass
@@ -138,8 +138,7 @@ def cast_pixels(cam: CameraModel, geom: SceneGeometry,
     axis = np.argmin(t_face, axis=1)
     t = t_face[np.arange(t_face.shape[0]), axis]
     sign = np.where(dirs[np.arange(dirs.shape[0]), axis] > 0, 1, -1)
-    classes = np.array([_ROOM_FACE_CLASS[(a, s)] for a, s in zip(axis, sign)],
-                       dtype=np.int16)
+    classes = _ROOM_FACE_CLASS[axis, (sign > 0).astype(np.intp)]
     normals = np.zeros_like(dirs)
     normals[np.arange(dirs.shape[0]), axis] = -sign  # interior face normal
 

@@ -219,6 +219,12 @@ def test_criterion_1_gradient_suite():
           lambda: lambda t: tsum(quat_to_rotation(t) * w_rot),
           lambda: Tensor(rng.standard_normal(4), requires_grad=True))
 
+    # the one-node expectation, through both operands: x stacks probs, centers
+    w_depth = Tensor(rng.standard_normal(3))
+    check("expected_depth",
+          lambda: lambda t: tsum(expected_depth_tensor(t[0], t[1]) * w_depth),
+          lambda: Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True))
+
     elapsed = time.monotonic() - t0
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     _report("criterion-1 gradient suite", not bad and elapsed < 120.0,

@@ -105,6 +105,26 @@ def test_train_infer_eval_chain(workspace):
     assert report["recon"] is not None and "Fscore" in report["recon"]
 
 
+@pytest.mark.parametrize("changes, named", [
+    ({"dim": 32}, "dim=16 but --config has 32"),
+    ({"d_min": 0.5, "d_max": 20.0}, "d_min=0.1 but --config has 0.5"),
+])
+def test_train_init_rejects_checkpoint_from_other_model(workspace, tmp_path, changes, named):
+    from geovid.config import RunConfig
+    from geovid.model import init_model, save_checkpoint
+    root, cfg_path = workspace
+    ckpt_cfg = RunConfig.load(cfg_path)
+    save_checkpoint(tmp_path / "ckpt", init_model(ckpt_cfg), ckpt_cfg)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**TINY_CFG, **changes}))
+    proc = run_cli("train", "--stage", "2", "--config", str(other),
+                   "--scenes", str(root / "scenes"), "--out", str(tmp_path / "out"),
+                   "--init", str(tmp_path / "ckpt"), check=False)
+    assert proc.returncode == 1
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "ckpt").exists()
+
+
 def test_align_scale_cli(workspace, tmp_path):
     root, _ = workspace
     rng = np.random.default_rng(0)

@@ -1,15 +1,22 @@
-"""The single-node ordinal-probs, bounded-centers and quat_to_rotation ops
-against the composed graphs they replace, kept here as references. Each node
-repeats its graph's float operations in the same order, so forward values
-and VJPs must be equal, not only close."""
+"""The single-node ordinal-probs, bounded-centers, expected-depth and
+quat_to_rotation ops against the composed graphs they replace, kept here as
+references, and the metric head's blocked no-grad path against its graph
+path. Each repeats the float operations of its reference in the same order,
+so forward values and VJPs must be equal, not only close."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from geovid.errors import ShapeError
-from geovid.metric_depth import bin_logits_to_probs, bounded_centers, init_bins
-from geovid.numkit import Tensor, concat, maximum, sigmoid, tanh, tsum
-from geovid.recon import quat_to_rotation
+from geovid import metric_depth
+from geovid.errors import NumericError, ShapeError
+from geovid.metric_depth import (
+    MetricDepthParams, bin_logits_to_probs, bounded_centers, expected_depth_tensor,
+    init_bins, predict_metric_depth,
+)
+from geovid.numkit import Role, Tensor, TokenSet, concat, maximum, no_grad, sigmoid, tanh, tsum
+from geovid.recon import quat_to_rotation, upsample_matrix
 
 def composed_ordinal_probs(logits: Tensor) -> Tensor:
     hw, n = logits.shape
@@ -96,10 +103,80 @@ def test_quat_to_rotation_rejects_wrong_shape():
         quat_to_rotation(Tensor(np.ones((2, 2))))
 
 
+def test_expected_depth_matches_composed_graph():
+    rng = np.random.default_rng(4)
+    probs_in = rng.random((30, 8))
+    centers_in = rng.random((30, 8)) * 10.0
+    seed = rng.standard_normal(30)
+
+    def run(op):
+        probs = Tensor(probs_in.copy(), requires_grad=True)
+        centers = Tensor(centers_in.copy(), requires_grad=True)
+        out = op(probs, centers)
+        tsum(out * Tensor(seed)).backward()
+        return out.data, probs.grad, centers.grad
+
+    fused = run(expected_depth_tensor)
+    composed = run(lambda p, c: tsum(p * c, axis=1))
+    for a, b in zip(fused, composed):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_fused_ops_are_one_node():
     cfg = init_bins(5, 0.1, 10.0)
     x = Tensor(np.zeros((3, 5)), requires_grad=True)
+    y = Tensor(np.ones((3, 5)), requires_grad=True)
     q = Tensor(np.array([1.0, 0.0, 0.0, 0.0]), requires_grad=True)
-    for out, leaf in ((bin_logits_to_probs(x), x), (bounded_centers(cfg, x), x),
-                      (quat_to_rotation(q), q)):
-        assert out._parents == (leaf,)
+    for out, leaves in ((bin_logits_to_probs(x), (x,)), (bounded_centers(cfg, x), (x,)),
+                        (expected_depth_tensor(x, y), (x, y)), (quat_to_rotation(q), (q,))):
+        assert out._parents == leaves
+
+
+def _random_head(side: int, n_bins: int, ordinal: bool, seed: int = 5):
+    """Patch tokens for a side x side frame and a head with every weight
+    random, so the clamp and the center shifts are active."""
+    rng = np.random.default_rng(seed)
+    c = 16
+    p = MetricDepthParams.init(rng, c, init_bins(n_bins, 0.1, 10.0), ordinal=ordinal)
+    for t in p.tensors().values():
+        t.data = rng.standard_normal(t.shape) * 1.5
+    tokens = TokenSet(Tensor(rng.standard_normal(((side // 14) ** 2, c))), Role.GEOM)
+    return tokens, p
+
+
+@pytest.mark.parametrize("ordinal", [True, False])
+@pytest.mark.parametrize("side", [56, 42])
+def test_blocked_no_grad_depth_matches_graph(side, ordinal):
+    # 42x42 has 1764 pixels, not a multiple of ROW_BLOCK: the last block is
+    # partial. Softmax bins keep the graph's ops under no_grad too.
+    assert (side * side % metric_depth.ROW_BLOCK != 0) == (side == 42)
+    tokens, p = _random_head(side, 64, ordinal)
+    graph = predict_metric_depth(tokens, (side, side), p)
+    assert graph.requires_grad
+    with no_grad():
+        blocked = predict_metric_depth(tokens, (side, side), p)
+    assert not blocked.requires_grad
+    np.testing.assert_array_equal(blocked.data, graph.data)
+
+
+@pytest.mark.parametrize("bad", ["logits", "raw"])
+def test_blocked_no_grad_depth_raises_on_non_finite(bad):
+    rng = np.random.default_rng(6)
+    up = upsample_matrix(2, 2, 28, 28)
+    inputs = {"logits": rng.standard_normal((4, 8)), "raw": rng.standard_normal((4, 8))}
+    inputs[bad][2, 3] = np.nan
+    with pytest.raises(NumericError, match="matmul"):
+        metric_depth._blocked_depth(up, inputs["logits"], inputs["raw"], init_bins(8, 0.1, 10.0))
+
+
+def test_blocked_no_grad_depth_allocates_no_pixel_by_bin_array():
+    tokens, p = _random_head(56, 64, True)
+    with no_grad():
+        predict_metric_depth(tokens, (56, 56), p)   # builds the cached upsample
+        tracemalloc.start()
+        try:
+            predict_metric_depth(tokens, (56, 56), p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 56 * 56 * 64 * 8, peak

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from geovid.errors import ParameterError
-from geovid.geometry import GROUND_TRUTH, CameraModel, METRIC
+from geovid.geometry import GROUND_TRUTH, CameraModel, METRIC, look_at_rotation
 from geovid.patch3d import backproject, project
 from geovid.synthscene import (
-    NUM_CLASSES, Box, SceneGeometry, TokenizerConfig, cast_pixels, gen_scene,
+    CEILING, FLOOR, NUM_CLASSES, WALL_X0, WALL_X1, WALL_Y0, WALL_Y1, Box, SceneGeometry, TokenizerConfig, cast_pixels, gen_scene,
     load_scene, render_tokens, save_scene, teacher_features,
 )
 
@@ -71,6 +71,25 @@ def test_frontoparallel_wall_depth_exact():
     depth, classes, normals = cast_pixels(cam, geom, np.array([13.5]), np.array([13.5]))
     assert depth[0] == pytest.approx(3.0, abs=1e-12)
     np.testing.assert_allclose(normals[0], [0.0, 0.0, -1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("direction, face", [
+    ((1, 0, 0), WALL_X1), ((-1, 0, 0), WALL_X0), ((0, 1, 0), WALL_Y1),
+    ((0, -1, 0), WALL_Y0), ((0, 0, 1), CEILING), ((0, 0, -1), FLOOR),
+])
+def test_room_face_classes(direction, face):
+    # the centre pixel's ray from the room centre exits through one face
+    room = Box(lo=np.array([-2.0, -3.0, -1.0]), hi=np.array([4.0, 5.0, 2.0]), class_id=0)
+    centre = (room.lo + room.hi) / 2
+    d = np.array(direction, dtype=np.float64)
+    up = np.array([0.0, 1.0, 0.0]) if d[2] else np.array([0.0, 0.0, 1.0])
+    rot = look_at_rotation(centre, centre + d, up=up)
+    cam = CameraModel(fx=40.0, fy=40.0, cx=13.5, cy=13.5, rotation=rot,
+                      translation=-rot @ centre, scale_kind=METRIC)
+    depth, classes, _ = cast_pixels(cam, SceneGeometry(room=room, objects=[]),
+                                    np.array([13.5]), np.array([13.5]))
+    assert classes[0] == face
+    assert depth[0] == pytest.approx(np.abs(d @ (room.hi - room.lo)) / 2, abs=1e-12)
 
 
 def test_box_occludes_wall():
