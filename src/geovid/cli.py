@@ -144,14 +144,11 @@ def align_scale_cmd(depth_rel, depth_metric, cameras, out, scaled_out,
     if scaled_out is not None:
         sdir = Path(scaled_out)
         sdir.mkdir(parents=True, exist_ok=True)
-        cams = []
-        if cameras is not None:
-            cam_files = sorted(Path(cameras).glob("*.json"))
-            cams = [CameraModel.load(f) for f in cam_files]
+        cams = ([CameraModel.load(f) for f in sorted(Path(cameras).glob("*.json"))]
+                if cameras is not None else [])
         for i, ((name, r), _) in enumerate(zip(rel, met)):
-            cam = cams[i] if i < len(cams) else None
-            if cam is not None:
-                d, c = apply_scale(est.scene_factor, r, cam)
+            if i < len(cams):
+                d, c = apply_scale(est.scene_factor, r, cams[i])
                 c.save(sdir / f"{name}.camera.json")
             else:
                 d = DepthMap(r.values * est.scene_factor, scale_kind=METRIC,

@@ -1,4 +1,10 @@
-"""Run configuration: one JSON document drives every CLI command."""
+"""Run configuration: one JSON document drives every CLI command.
+
+Also the one reader and writer of the package's JSON files: written with
+sorted keys, two-space indents and a final newline, so equal objects give
+equal bytes; read so that every way a file can be unreadable is a
+ParameterError naming it.
+"""
 
 from __future__ import annotations
 
@@ -82,6 +88,8 @@ class RunConfig:
                 raise ParameterError(f"{name} must be positive")
         if self.bridge_tokens < 0:
             raise ParameterError("bridge_tokens must be nonnegative")
+        if self.dim % self.heads != 0:
+            raise ParameterError(f"dim {self.dim} is not a multiple of heads {self.heads}")
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -103,18 +111,11 @@ class RunConfig:
         return RunConfig(**obj)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: str | Path) -> "RunConfig":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:   # bad JSON or bad UTF-8
-                raise ParameterError(f"config {path} is not valid JSON: {exc}") from None
-        return RunConfig.from_json(obj)
+        return RunConfig.from_json(read_json(path))
 
 
 _KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
@@ -137,3 +138,26 @@ def worker_count(default: int = 1) -> int:
     except ValueError:
         return default
     return max(1, n)
+
+
+def read_json(path: str | Path, *keys: str) -> dict:
+    """The JSON object in `path`, which must hold each of `keys`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:   # bad JSON or bad UTF-8
+        raise ParameterError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{path} does not hold a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ParameterError(f"{path} has no key '{key}'")
+    return obj
+
+
+def write_json(path: str | Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

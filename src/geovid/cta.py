@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, StateError
+from .errors import ShapeError
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
-    mha, mlp, require_role,
+    broadcast_to, mha, mlp, require_role, stack,
 )
 
 
@@ -80,21 +80,27 @@ def project_streams(base: TokenSet, p: CtaParams) -> tuple[TokenSet, TokenSet]:
 
 def bridge_update(bridge: TokenSet, geom_fused: TokenSet, lang_fused: TokenSet,
                   p: CtaParams) -> TokenSet:
-    """Sum of two attention reads with the bridge as queries, one per stream."""
+    """Sum of two attention reads with the bridge as queries, one per stream.
+
+    The streams may be [N, C] or [B, N, C] batches; the result has their
+    batch shape. All reads run as one attention batch that interleaves the
+    streams (geometry, language, item by item), with the bridge broadcast to
+    one query set per read, so the shared weights sum their gradients read
+    by read in that order, as separate calls would.
+    """
     require_role(bridge, Role.BRIDGE)
-    read_geom = mha(bridge.tokens, geom_fused.tokens, geom_fused.tokens, p.bridge_attn)
-    read_lang = mha(bridge.tokens, lang_fused.tokens, lang_fused.tokens, p.bridge_attn)
-    return bridge.with_tokens(read_geom + read_lang)
+    g, lang = geom_fused.tokens, lang_fused.tokens
+    n, c = g.shape[-2:]
+    keys, values = (stack([g, lang], axis=-3).reshape(-1, n, c) for _ in range(2))
+    queries = broadcast_to(bridge.tokens, (keys.shape[0], *bridge.tokens.shape))
+    read = mha(queries, keys, values, p.bridge_attn).reshape(*g.shape[:-2], 2, -1, c)
+    return bridge.with_tokens(read[..., 0, :, :] + read[..., 1, :, :])
 
 
 def fuse_back(stream: TokenSet, bridge_updated: TokenSet, p: CtaParams) -> TokenSet:
     """stream + Attn(stream, bridge, bridge): residual read of the bridge."""
-    if stream.role == Role.GEOM:
-        attn = p.fuse_geom_attn
-    elif stream.role == Role.LANG:
-        attn = p.fuse_lang_attn
-    else:
-        raise StateError(f"fuse_back expects a geom or lang stream, got {stream.role.value}")
+    require_role(stream, Role.GEOM, Role.LANG)
+    attn = p.fuse_geom_attn if stream.role == Role.GEOM else p.fuse_lang_attn
     read = mha(stream.tokens, bridge_updated.tokens, bridge_updated.tokens, attn)
     return stream.with_tokens(stream.tokens + read)
 

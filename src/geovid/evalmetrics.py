@@ -14,14 +14,14 @@ answers.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .config import write_json
 from .errors import DegenerateInputError, ParameterError, StateError
 from .geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap, rotation_angle_deg
 from .patch3d import PointCloud
@@ -36,12 +36,10 @@ class MetricsReport:
     recon: dict | None = None
 
     def to_json(self) -> dict:
-        return {"pose": self.pose, "depth": self.depth, "recon": self.recon}
+        return asdict(self)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 # ----------------------------------------------------------------------
@@ -92,20 +90,13 @@ def pose_metrics(pred: list[CameraModel], gt: list[CameraModel]) -> dict:
 
     rot = np.asarray(rot_errs)
     rra = float(np.mean(rot < 15.0) * 100.0)
+    rta = maa = 0.0
     if trans_errs:
-        trans = np.asarray(trans_errs)
         mx = np.asarray(max_errs)
-        rta = float(np.mean(trans < 15.0) * 100.0)
+        rta = float(np.mean(np.asarray(trans_errs) < 15.0) * 100.0)
         maa = float(np.mean([np.mean(mx < tau) for tau in range(1, 31)]) * 100.0)
-    else:
-        rta = 0.0
-        maa = 0.0
     return {"RRA@15": rra, "RTA@15": rta, "mAA30": maa}
 
-
-# ----------------------------------------------------------------------
-# depth
-# ----------------------------------------------------------------------
 
 def depth_metrics(pred: DepthMap, gt: DepthMap) -> dict:
     """AbsRel, RMSE, log10, delta1 over the intersected valid masks."""

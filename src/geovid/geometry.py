@@ -9,12 +9,12 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_json, write_json
 from .errors import ParameterError, ShapeError
 
 RELATIVE = "relative"
@@ -43,13 +43,13 @@ class CameraModel:
         object.__setattr__(self, "translation", t)
         if r.shape != (3, 3):
             raise ShapeError(f"rotation must be 3x3, got {r.shape}")
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):   # NaN fails too
             raise ParameterError("focal lengths must be positive")
         if self.scale_kind not in (RELATIVE, METRIC, GROUND_TRUTH):
             raise ParameterError(f"unknown scale kind '{self.scale_kind}'")
-        if np.abs(r @ r.T - np.eye(3)).max() > _ORTHO_TOL:
+        if not np.abs(r @ r.T - np.eye(3)).max() <= _ORTHO_TOL:
             raise ParameterError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
+        if not abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL:
             raise ParameterError("rotation determinant is not +1 within 1e-9")
 
     def center(self) -> np.ndarray:
@@ -66,24 +66,26 @@ class CameraModel:
 
     @staticmethod
     def from_json(obj: dict) -> "CameraModel":
-        q = np.asarray(obj["quaternion"], dtype=np.float64)
-        return CameraModel(
-            fx=float(obj["fx"]), fy=float(obj["fy"]),
-            cx=float(obj["cx"]), cy=float(obj["cy"]),
-            rotation=quaternion_to_rotation(q / np.linalg.norm(q)),
-            translation=np.asarray(obj["translation"], dtype=np.float64),
-            scale_kind=obj.get("scale_kind", RELATIVE),
-        )
+        """A camera from `to_json`'s fields; a malformed one is a ParameterError."""
+        try:
+            q = np.asarray(obj["quaternion"], dtype=np.float64).reshape(4)
+            return CameraModel(
+                fx=float(obj["fx"]), fy=float(obj["fy"]),
+                cx=float(obj["cx"]), cy=float(obj["cy"]),
+                rotation=quaternion_to_rotation(q / np.linalg.norm(q)),
+                translation=np.asarray(obj["translation"], dtype=np.float64),
+                scale_kind=obj.get("scale_kind", RELATIVE),
+            )
+        except (KeyError, TypeError, ValueError, ShapeError) as exc:
+            raise ParameterError(f"malformed camera: {exc!r}") from None
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: str | Path) -> "CameraModel":
-        with open(path) as fh:
-            return CameraModel.from_json(json.load(fh))
+        return CameraModel.from_json(read_json(path, "quaternion", "translation",
+                                               "fx", "fy", "cx", "cy"))
 
 
 @dataclass
@@ -99,13 +101,10 @@ class DepthMap:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ShapeError(f"depth must be [H, W] with H, W >= 1, got {v.shape}")
         self.values = v
-        if self.valid_mask is None:
-            self.valid_mask = np.ones(v.shape, dtype=bool)
-        else:
-            m = np.asarray(self.valid_mask, dtype=bool)
-            if m.shape != v.shape:
-                raise ShapeError("valid mask shape differs from values")
-            self.valid_mask = m
+        self.valid_mask = (np.ones(v.shape, dtype=bool) if self.valid_mask is None
+                           else np.asarray(self.valid_mask, dtype=bool))
+        if self.valid_mask.shape != v.shape:
+            raise ShapeError("valid mask shape differs from values")
         if self.scale_kind not in (RELATIVE, METRIC, GROUND_TRUTH):
             raise ParameterError(f"unknown scale kind '{self.scale_kind}'")
         if self.valid_mask.any() and v[self.valid_mask].min() <= 0:
@@ -177,10 +176,6 @@ def look_at_rotation(position: np.ndarray, target: np.ndarray,
     y = np.cross(z, x)
     return np.stack([x, y, z], axis=0)
 
-
-# ----------------------------------------------------------------------
-# sampling
-# ----------------------------------------------------------------------
 
 def bilinear_sample(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bilinear lookup at continuous pixel coords (x=column, y=row).

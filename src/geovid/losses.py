@@ -16,7 +16,7 @@ bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,16 +34,23 @@ _NORM_GUARD = 1e-12
 
 def _tokens(x) -> Tensor:
     t = x.tokens if isinstance(x, TokenSet) else as_tensor(x)
-    if t.ndim != 2:
-        raise ShapeError("token losses need [N, C] inputs")
+    if t.ndim not in (2, 3):
+        raise ShapeError("token losses need [N, C] or [B, N, C] inputs")
     return t
 
 
+def _pair(student, teacher) -> tuple[Tensor, Tensor]:
+    s, t = _tokens(student), _tokens(teacher)
+    if s.shape != t.shape:
+        raise ShapeError(f"student/teacher shapes differ: {s.shape} vs {t.shape}")
+    return s, t
+
+
 def _unit_rows(t: Tensor, what: str) -> Tensor:
-    norms = np.sqrt((t.data * t.data).sum(axis=1))
+    norms = np.sqrt((t.data * t.data).sum(axis=-1))
     if norms.min() <= _NORM_GUARD:
         raise DegenerateInputError(f"zero-norm token in {what}")
-    sq = tsum(t * t, axis=1, keepdims=True)
+    sq = tsum(t * t, axis=-1, keepdims=True)
     return t * (sq ** -0.5)
 
 
@@ -59,38 +66,36 @@ def _valid_pixels(pred: Tensor, gt: np.ndarray, mask: np.ndarray,
 
 
 def geo_feat_loss(student, teacher) -> Tensor:
-    """Mean squared L2 distance between unit-normalized token rows; range [0, 4]."""
-    s, t = _tokens(student), _tokens(teacher)
-    if s.shape != t.shape:
-        raise ShapeError(f"student/teacher shapes differ: {s.shape} vs {t.shape}")
+    """Mean squared L2 distance between unit-normalized token rows; range [0, 4].
+    A [B, N, C] batch gives one mean per item, [B]."""
+    s, t = _pair(student, teacher)
     d = _unit_rows(s, "student") - _unit_rows(t, "teacher")
-    return tmean(tsum(d * d, axis=1))
+    return tmean(tsum(d * d, axis=-1), axis=-1)
 
 
 def lang_feat_loss(student, teacher) -> Tensor:
-    """Mean per-token (1 - cosine similarity); range [0, 2]."""
-    s, t = _tokens(student), _tokens(teacher)
-    if s.shape != t.shape:
-        raise ShapeError(f"student/teacher shapes differ: {s.shape} vs {t.shape}")
-    cos = tsum(_unit_rows(s, "student") * _unit_rows(t, "teacher"), axis=1)
-    return tmean(1.0 - cos)
+    """Mean per-token (1 - cosine similarity); range [0, 2], per item of a batch."""
+    s, t = _pair(student, teacher)
+    cos = tsum(_unit_rows(s, "student") * _unit_rows(t, "teacher"), axis=-1)
+    return tmean(1.0 - cos, axis=-1)
 
 
 def _gram_gap(zs: Tensor, zt: Tensor) -> Tensor:
-    """||Z_stu Z_stu^T - Z_tea Z_tea^T||_F^2 / M^2 for unit-row token matrices."""
-    if zs.shape[0] != zt.shape[0]:
+    """||Z_stu Z_stu^T - Z_tea Z_tea^T||_F^2 / M^2 for unit-row token matrices
+    (per item of a batch)."""
+    if zs.shape[-2] != zt.shape[-2]:
         raise ShapeError("student/teacher token totals differ")
-    m = zs.shape[0]
-    diff = matmul(zs, zs.T) - matmul(zt, zt.T)
-    return tsum(diff * diff) * (1.0 / (m * m))
+    m = zs.shape[-2]
+    diff = matmul(zs, zs.mT) - matmul(zt, zt.mT)
+    return tsum(diff * diff, axis=(-2, -1)) * (1.0 / (m * m))
 
 
 def structural_consistency(stu_geom, stu_lang, tea_geom, tea_lang) -> Tensor:
     """Gram-matrix gap over the concatenated normalized geometry + language tokens."""
     zs = concat([_unit_rows(_tokens(stu_geom), "student geom"),
-                 _unit_rows(_tokens(stu_lang), "student lang")], axis=0)
+                 _unit_rows(_tokens(stu_lang), "student lang")], axis=-2)
     zt = concat([_unit_rows(_tokens(tea_geom), "teacher geom"),
-                 _unit_rows(_tokens(tea_lang), "teacher lang")], axis=0)
+                 _unit_rows(_tokens(tea_lang), "teacher lang")], axis=-2)
     return _gram_gap(zs, zt)
 
 
@@ -105,12 +110,13 @@ class DistillResult:
 def distill_loss(stu_geom, stu_lang, tea_geom, tea_lang, lam: float = 0.5,
                  use_geo: bool = True, use_lang: bool = True) -> DistillResult:
     """geo + lang + lam * sc; the single-teacher variant drops one feature term
-    and builds the Gram matrices from the remaining stream only."""
+    and builds the Gram matrices from the remaining stream only. [B, N, C]
+    streams give every term per item, [B]; a dropped term is zeros."""
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
     if not (use_geo or use_lang):
         raise ParameterError("at least one teacher must be active")
-    zero = Tensor(0.0)
+    zero = Tensor(np.zeros(_tokens(stu_geom).shape[:-2]))
     geo = geo_feat_loss(stu_geom, tea_geom) if use_geo else zero
     lang = lang_feat_loss(stu_lang, tea_lang) if use_lang else zero
     if use_geo and use_lang:
@@ -123,10 +129,6 @@ def distill_loss(stu_geom, stu_lang, tea_geom, tea_lang, lam: float = 0.5,
     total = (geo + lang) + lam * sc
     return DistillResult(geo=geo, lang=lang, sc=sc, total=total)
 
-
-# ----------------------------------------------------------------------
-# metric depth
-# ----------------------------------------------------------------------
 
 def metric_depth_loss(pred, gt, alpha: float = 1.0, eps: float = 1e-6) -> Tensor:
     """b^2 + mean((e - b)^2 / (1 + alpha |e - b|)) over valid pixels,
@@ -199,10 +201,6 @@ def recon_task_loss(pred_cam: CameraPrediction, gt_cam: CameraModel, pred_depth:
     return ReconLossResult(pose=pose, depth=depth_l1, pointmap=pointmap, total=total)
 
 
-# ----------------------------------------------------------------------
-# vision-language proxy
-# ----------------------------------------------------------------------
-
 def vl_proxy_loss(t3d: Patch3DTokens, labels: np.ndarray, head: MlpParams) -> Tensor:
     """Mean cross-entropy of an MLP classifier over 3D patch tokens."""
     n_classes = head.out_dim
@@ -223,10 +221,6 @@ def vl_proxy_loss(t3d: Patch3DTokens, labels: np.ndarray, head: MlpParams) -> Te
     return -tmean(picked)
 
 
-# ----------------------------------------------------------------------
-# reporting
-# ----------------------------------------------------------------------
-
 @dataclass
 class LossReport:
     """Float snapshot of every component; totals re-add bit-exactly."""
@@ -243,9 +237,6 @@ class LossReport:
     alpha: float = 1.0
 
     def to_json(self) -> dict:
-        return {
-            "geo_feat": self.geo_feat, "lang_feat": self.lang_feat, "sc": self.sc,
-            "distill_total": self.distill_total, "recon_task": self.recon_task,
-            "vl_task": self.vl_task, "md": self.md, "joint_total": self.joint_total,
-            "lambda": self.lam, "alpha": self.alpha,
-        }
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        return out

@@ -16,7 +16,7 @@ from scipy import special
 
 from .errors import ParameterError, ShapeError
 from .numkit import (
-    MlpParams, Tensor, TokenSet, as_tensor, matmul, mlp, rms_norm, softmax,
+    MlpParams, Tensor, TokenSet, as_tensor, matmul, mlp, rms_norm, softmax, stack,
 )
 from .numkit.tensor import _check_finite
 from .recon import _patch_grid, upsample_tensor
@@ -198,21 +198,35 @@ def _blocked_depth(up: np.ndarray, logits: np.ndarray, raw: np.ndarray,
 
 def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
                          p: MetricDepthParams) -> Tensor:
-    """Patch tokens -> in-graph metric depth [HW].
+    """Patch tokens [P, C] -> in-graph metric depth [HW]; a window's tokens
+    [F, P, C] -> [F, HW].
 
-    The two MLPs run per patch; their raw outputs (boundary logits and
-    unbounded shifts) are bilinearly upsampled to pixels before the
-    per-pixel sigmoid/tanh constructions, which keeps the per-pixel
-    simplex and monotone-center guarantees while avoiding per-pixel MLPs.
+    The two MLPs run per patch, over the whole window at once; their raw
+    outputs (boundary logits and unbounded shifts) are bilinearly upsampled
+    to pixels frame by frame before the per-pixel sigmoid/tanh
+    constructions, which keeps the per-pixel simplex and monotone-center
+    guarantees while avoiding per-pixel MLPs.
     """
     h, w = image_size
     gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
     up = upsample_tensor(gh, gw, h, w)
     feats = rms_norm(patch_tokens.tokens)
-    patch_logits = mlp(feats, p.logits_mlp)   # [P, N]
-    patch_raw = mlp(feats, p.refine_mlp)      # [P, N]
+    patch_logits = mlp(feats, p.logits_mlp)   # [..., P, N]
+    patch_raw = mlp(feats, p.refine_mlp)      # [..., P, N]
     if p.ordinal and not (patch_logits.requires_grad or patch_raw.requires_grad):
-        return Tensor(_blocked_depth(up.data, patch_logits.data, patch_raw.data, p.bins))
+        cells = (-1, gh * gw, p.bins.n_bins)
+        depth = [_blocked_depth(up.data, lg, rw, p.bins) for lg, rw in
+                 zip(patch_logits.data.reshape(cells), patch_raw.data.reshape(cells))]
+        return Tensor(np.stack(depth).reshape(*feats.shape[:-2], h * w))
+    if feats.ndim == 2:
+        return _pixel_depth(up, patch_logits, patch_raw, p)
+    return stack([_pixel_depth(up, patch_logits[f], patch_raw[f], p)
+                  for f in range(feats.shape[0])])
+
+
+def _pixel_depth(up: Tensor, patch_logits: Tensor, patch_raw: Tensor,
+                 p: MetricDepthParams) -> Tensor:
+    """One frame's [P, N] patch outputs -> its metric depth [HW], in-graph."""
     probs = bin_logits_to_probs(matmul(up, patch_logits), ordinal=p.ordinal)
     centers = bounded_centers(p.bins, matmul(up, patch_raw))
     return expected_depth_tensor(probs, centers)

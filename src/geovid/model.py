@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .cta import CtaOutput, CtaParams, cta_forward
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 from .metric_depth import MetricDepthParams, init_bins, predict_metric_depth
 from .numkit import MlpParams, Role, Tensor, TokenSet, concat, mlp, vlt
 from .recon import (
@@ -99,24 +99,22 @@ def predict_window(frames: list[FrameData], params: VidModelParams,
     """Joint forward over a window of frames (they share the global blocks)."""
     if not frames:
         raise ShapeError("empty frame window")
-    adapted = [adapt(f.base, params) for f in frames]
-    patch_tokens, cam_tokens = gfa_backbone([a.geom for a in adapted], params.backbone)
+    adapted = adapt(TokenSet.stack([f.base for f in frames]), params)
+    patch_tokens, cam_tokens = gfa_backbone(adapted.geom, params.backbone)
+
+    d_met = (None if cfg.md_mode == "off"
+             else predict_metric_depth(adapted.geom, cfg.resolution, params.metric))
 
     preds = []
-    for frame, a, pt, ct in zip(frames, adapted, patch_tokens, cam_tokens):
+    for i, (frame, pt, ct) in enumerate(zip(frames, patch_tokens, cam_tokens)):
         cam = camera_head(ct, params.camera_head, cfg.resolution)
-        depth_in = pt.with_tokens(concat([pt.tokens, a.geom.tokens], axis=1))
+        depth_in = pt.with_tokens(concat([pt.tokens, adapted.geom.tokens[i]], axis=1))
         d_rel = depth_head_tensor(depth_in, cfg.resolution, params.depth_head)
-        d_met = (None if cfg.md_mode == "off"
-                 else predict_metric_depth(a.geom, cfg.resolution, params.metric))
-        preds.append(FramePrediction(frame=frame, lang=a.lang, camera=cam,
-                                     depth_rel=d_rel, depth_metric=d_met))
+        preds.append(FramePrediction(frame=frame, lang=adapted.lang[i], camera=cam,
+                                     depth_rel=d_rel,
+                                     depth_metric=None if d_met is None else d_met[i]))
     return preds
 
-
-# ----------------------------------------------------------------------
-# checkpoints
-# ----------------------------------------------------------------------
 
 def save_checkpoint(directory, params: VidModelParams, cfg: RunConfig) -> None:
     arrays = {name: t.data for name, t in params.named_tensors().items()}
@@ -124,14 +122,15 @@ def save_checkpoint(directory, params: VidModelParams, cfg: RunConfig) -> None:
 
 
 def load_checkpoint(directory) -> tuple[VidModelParams, RunConfig]:
+    """Weights and config of `save_checkpoint`; a mismatch is a ParameterError."""
     arrays, meta = vlt.load_container(directory)
-    cfg = RunConfig.from_json(meta["config"])
+    cfg = RunConfig.from_json(meta.get("config"))
     params = init_model(cfg)
     named = params.named_tensors()
     if set(named) != set(arrays):
-        raise ShapeError("checkpoint tensor names do not match the model")
+        raise ParameterError(f"checkpoint {directory} tensor names do not match the model")
     for name, tensor in named.items():
         if tensor.data.shape != arrays[name].shape:
-            raise ShapeError(f"checkpoint shape mismatch for '{name}'")
+            raise ParameterError(f"checkpoint shape mismatch for '{name}'")
         tensor.data = arrays[name]
     return params, cfg

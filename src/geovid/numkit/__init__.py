@@ -1,7 +1,7 @@
 from .tensor import (
     Tensor, as_tensor, no_grad,
     add, sub, mul, div, neg, power, matmul,
-    tsum, tmean, reshape, transpose, getitem, concat,
+    tsum, tmean, broadcast_to, reshape, transpose, getitem, concat, stack,
     exp, log, tanh, sigmoid, softplus, gelu,
     tabs, maximum, arccos, tan, softmax,
 )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError, StateError
-from .tensor import Tensor, as_tensor, gelu, matmul, softmax, tmean, tsum
+from .tensor import Tensor, as_tensor, gelu, matmul, softmax, stack, tmean, tsum
 
 
 class Role(str, enum.Enum):
@@ -23,7 +23,8 @@ class Role(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TokenSet:
-    """[N, C] feature tokens tagged with a role. Role is fixed at construction."""
+    """[N, C] feature tokens, or a batch of such sets as [B, N, C], tagged with
+    a role. Role is fixed at construction; `ts[i]` is item i of a batch."""
 
     tokens: Tensor
     role: Role
@@ -31,19 +32,26 @@ class TokenSet:
     def __post_init__(self):
         object.__setattr__(self, "tokens", as_tensor(self.tokens))
         object.__setattr__(self, "role", Role(self.role))
-        if self.tokens.ndim != 2:
-            raise ShapeError(f"tokens must be [N, C], got shape {self.tokens.shape}")
-        n, c = self.tokens.shape
-        if n < 1 or c < 1:
-            raise ShapeError(f"tokens need N >= 1 and C >= 1, got [{n}, {c}]")
+        if self.tokens.ndim not in (2, 3):
+            raise ShapeError(f"tokens must be [N, C] or [B, N, C], got shape {self.tokens.shape}")
+        if min(self.tokens.shape) < 1:
+            raise ShapeError(f"tokens need every dim >= 1, got {list(self.tokens.shape)}")
+
+    @staticmethod
+    def stack(sets: "list[TokenSet]") -> "TokenSet":
+        """Equal-shape [N, C] sets of one role as one [B, N, C] batch, in-graph."""
+        return TokenSet(stack([s.tokens for s in sets]), sets[0].role)
 
     @property
     def count(self) -> int:
-        return self.tokens.shape[0]
+        return self.tokens.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.tokens.shape[1]
+        return self.tokens.shape[-1]
+
+    def __getitem__(self, i: int) -> "TokenSet":
+        return TokenSet(self.tokens[i], self.role)
 
     def with_tokens(self, tokens: Tensor) -> "TokenSet":
         return TokenSet(tokens, self.role)
@@ -130,10 +138,6 @@ class MhaParams:
             raise ShapeError(f"wo must be [C, C], got {self.wo.shape}")
 
     @property
-    def heads(self) -> int:
-        return self.wq.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.wq.shape[1]
 
@@ -173,37 +177,41 @@ def rms_norm(x: Tensor, eps: float = 1e-8) -> Tensor:
 
 
 def mlp(x: Tensor, p: MlpParams) -> Tensor:
-    """[N, c_in] -> [N, c_out] through linear / GELU / linear."""
-    if x.ndim != 2 or x.shape[1] != p.in_dim:
+    """[..., N, c_in] -> [..., N, c_out] through linear / GELU / linear."""
+    if x.ndim not in (2, 3) or x.shape[-1] != p.in_dim:
         raise ShapeError(f"mlp input {x.shape} does not match in_dim {p.in_dim}")
     h = gelu(matmul(x, p.w1) + p.b1)
     return matmul(h, p.w2) + p.b2
 
 
 def mha(q: Tensor, k: Tensor, v: Tensor, p: MhaParams) -> Tensor:
-    """Scaled dot-product attention. q [Nq, C], k/v [Nk, C] -> [Nq, C].
+    """Scaled dot-product attention. q [Nq, C], k/v [Nk, C] -> [Nq, C], or all
+    three with a leading batch axis B, where each item attends within itself.
 
     Softmax runs over the key axis per head; optional QK-Norm L2-normalizes
-    each per-head query/key vector before the dot product.
+    each per-head query/key vector before the dot product. A batch runs as
+    [B, 1, N, C] @ [h, C, d_h], which gives each item the bits of its own call.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("attention operands must be [N, C]")
+    if not (q.ndim == k.ndim == v.ndim and q.ndim in (2, 3)):
+        raise ShapeError("attention operands must all be [N, C] or all [B, N, C]")
     c = p.dim
-    if q.shape[1] != c or k.shape[1] != c or v.shape[1] != c:
+    if q.shape[-1] != c or k.shape[-1] != c or v.shape[-1] != c:
         raise ShapeError("attention operand dim does not match params")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value counts differ: {k.shape[0]} vs {v.shape[0]}")
+    if q.shape[:-2] != k.shape[:-2] or k.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"attention batches or key/value counts differ: "
+                         f"{q.shape}, {k.shape}, {v.shape}")
 
-    qh = matmul(q, p.wq)  # [h, Nq, dh] via broadcast
-    kh = matmul(k, p.wk)
-    vh = matmul(v, p.wv)
+    def heads(x: Tensor, w: Tensor) -> Tensor:   # [..., h, N, dh] via broadcast
+        return matmul(x if x.ndim == 2 else x.reshape(x.shape[0], 1, *x.shape[1:]), w)
+
+    qh, kh, vh = heads(q, p.wq), heads(k, p.wk), heads(v, p.wv)
     if p.qk_norm:
         qh = l2_normalize(qh, axis=-1)
         kh = l2_normalize(kh, axis=-1)
-    scores = matmul(qh, kh.transpose(0, 2, 1)) * (1.0 / np.sqrt(p.head_dim))
-    attn = softmax(scores, axis=-1)  # [h, Nq, Nk]
-    out_h = matmul(attn, vh)  # [h, Nq, dh]
-    merged = out_h.transpose(1, 0, 2).reshape(q.shape[0], c)
+    scores = matmul(qh, kh.mT) * (1.0 / np.sqrt(p.head_dim))
+    attn = softmax(scores, axis=-1)  # [..., h, Nq, Nk]
+    out_h = matmul(attn, vh)  # [..., h, Nq, dh]
+    merged = out_h.transpose(*((1, 0, 2) if q.ndim == 2 else (0, 2, 1, 3))).reshape(q.shape)
     return matmul(merged, p.wo)
 
 

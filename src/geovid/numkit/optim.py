@@ -23,10 +23,7 @@ class AdamWState:
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 
 
 def adamw_step(params: dict[str, Tensor],
@@ -79,27 +76,23 @@ def adamw_step(params: dict[str, Tensor],
     return state
 
 
+@dataclass
 class AdamW:
     """Convenience wrapper owning the state for a fixed parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 weight_decay: float = 0.05, clip: float = 1.0,
-                 eps: float = 1e-8, lr_scale: dict[str, float] | None = None):
-        self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.weight_decay = weight_decay
-        self.clip = clip
-        self.eps = eps
-        self.lr_scale = lr_scale
-        self.state = AdamWState()
+    params: dict[str, Tensor]
+    lr: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    weight_decay: float = 0.05
+    clip: float = 1.0
+    eps: float = 1e-8
+    lr_scale: dict[str, float] | None = None
+    state: AdamWState = field(default_factory=AdamWState, init=False)
 
     def step(self) -> None:
-        grads = {}
-        for name, p in self.params.items():
-            grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
+        grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                 for name, p in self.params.items()}
         adamw_step(self.params, grads, self.state, self.lr, self.beta1,
                    self.beta2, self.weight_decay, self.clip, self.eps,
                    self.lr_scale)

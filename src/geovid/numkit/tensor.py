@@ -113,21 +113,13 @@ class Tensor:
     # backward pass
     # ------------------------------------------------------------------
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Accumulate gradients of `self` into every reachable leaf.
-
-        `self` must be scalar unless an explicit seed gradient is given.
-        """
+    def backward(self) -> None:
+        """Accumulate gradients of the scalar `self` into every reachable leaf."""
         if not self.requires_grad:
             raise ShapeError("backward() on a tensor that requires no grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise ShapeError("backward() without seed needs a scalar root")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != self.data.shape:
-                raise ShapeError("seed gradient shape mismatch")
+        if self.data.size != 1:
+            raise ShapeError("backward() needs a scalar root")
+        grad = np.ones_like(self.data)
 
         # iterative topological sort (graphs can be deep)
         topo: list[Tensor] = []
@@ -217,11 +209,12 @@ class Tensor:
         return reshape(self, *shape)
 
     def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
+        return transpose(self, axes)
 
     @property
-    def T(self):
-        return transpose(self, None)
+    def mT(self):
+        """The last two axes swapped (a batch of matrices transposed)."""
+        return transpose(self, (*range(self.ndim - 2), self.ndim - 1, self.ndim - 2))
 
 
 def as_tensor(x) -> Tensor:
@@ -231,17 +224,18 @@ def as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-# ----------------------------------------------------------------------
-# broadcasting helper
-# ----------------------------------------------------------------------
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
+    """Sum `grad` down to `shape` (reverse of numpy broadcasting).
+
+    Leading extra axes are summed one at a time, innermost first. So a
+    batched op's [B, N, K] bias gradient is summed over N per item, then over
+    B from item 0 up: the bits that B separate ops give when `backward` adds
+    their gradients one after another.
+    """
     if grad.shape == shape:
         return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+    for axis in reversed(range(grad.ndim - len(shape))):
+        grad = grad.sum(axis=axis)
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -339,12 +333,17 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return total * (1.0 / (a.data.size // total.data.size))
+
+
+def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
+    """`a` repeated along broadcast axes as a read-only view; its gradient is
+    summed back by `_unbroadcast`, one copy at a time."""
+    a = as_tensor(a)
+    return Tensor._from_op(np.broadcast_to(a.data, shape), "broadcast_to", (a,), (
+        lambda g: _unbroadcast(g, a.data.shape),
+    ))
 
 
 def reshape(a, *shape) -> Tensor:
@@ -358,13 +357,10 @@ def reshape(a, *shape) -> Tensor:
     ))
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     out = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+    inv = tuple(np.argsort(axes))
     return Tensor._from_op(out, "transpose", (a,), (
         lambda g: np.transpose(g, inv),
     ))
@@ -421,6 +417,16 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 
     return Tensor._from_op(out, "concat", tuple(ts),
                            tuple(make_vjp(i) for i in range(len(ts))))
+
+
+def stack(tensors: Iterable, axis: int = 0) -> Tensor:
+    """Equal-shape tensors along a new axis."""
+    ts = [as_tensor(t) for t in tensors]
+    if not ts or any(t.data.shape != ts[0].data.shape for t in ts):
+        raise ShapeError("stack needs one or more tensors of one shape")
+    return Tensor._from_op(np.stack([t.data for t in ts], axis=axis), "stack", tuple(ts),
+                           tuple((lambda g, i=i: np.moveaxis(g, axis, 0)[i])
+                                 for i in range(len(ts))))
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ file plus a JSON manifest listing the record order.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from ..config import read_json, write_json
 from ..errors import ParameterError
 
 MAGIC = b"VLT1"
@@ -59,8 +59,10 @@ def read_record(fh: BinaryIO) -> np.ndarray:
     nbytes = math.prod(dims) * dtype.itemsize   # Python ints: no wraparound
     if nbytes > left:
         raise ParameterError(f"VLT1 dims {dims} need {nbytes} bytes, {left} left")
-    payload = fh.read(nbytes)
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).astype(dtype.base, copy=True)
+    arr = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(dims).astype(dtype.base)
+    if not np.isfinite(arr).all():   # the package never writes NaN or Inf
+        raise ParameterError("non-finite values in a VLT1 record")
+    return arr
 
 
 def save_tensor(path: str | Path, arr: np.ndarray) -> None:
@@ -88,18 +90,18 @@ def save_container(directory: str | Path, tensors: dict[str, np.ndarray],
     manifest = {"tensors": names}
     if meta is not None:
         manifest["meta"] = meta
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 def load_container(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(directory / "manifest.json", "tensors")
+    names = manifest["tensors"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ParameterError(f"{directory / 'manifest.json'} 'tensors' is not a list of names")
     out = {}
     with open(directory / "weights.vlt", "rb") as fh:
-        for name in manifest["tensors"]:
+        for name in names:
             out[name] = read_record(fh)
         if fh.read(1):
             raise ParameterError(f"trailing bytes after the last record in {directory}")

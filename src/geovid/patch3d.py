@@ -118,10 +118,6 @@ def fuse_tokens(lang: TokenSet, depth: DepthMap, cam: CameraModel,
     return Patch3DTokens(tokens=lang.tokens + emb, anchor_points=anchors)
 
 
-# ----------------------------------------------------------------------
-# PLY export
-# ----------------------------------------------------------------------
-
 def write_ply(path: str | Path, cloud: PointCloud) -> None:
     """ASCII PLY, deterministic formatting; colors as uchar when present."""
     lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
@@ -129,14 +125,10 @@ def write_ply(path: str | Path, cloud: PointCloud) -> None:
     if cloud.colors is not None:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
-    rows = []
-    if cloud.colors is None:
-        for x, y, z in cloud.points:
-            rows.append(f"{x:.10g} {y:.10g} {z:.10g}")
-    else:
+    rows = [f"{x:.10g} {y:.10g} {z:.10g}" for x, y, z in cloud.points]
+    if cloud.colors is not None:
         rgb = np.clip(np.round(cloud.colors * 255), 0, 255).astype(int)
-        for (x, y, z), (r, g, b) in zip(cloud.points, rgb):
-            rows.append(f"{x:.10g} {y:.10g} {z:.10g} {r} {g} {b}")
+        rows = [f"{row} {r} {g} {b}" for row, (r, g, b) in zip(rows, rgb)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines + rows))
         fh.write("\n")

@@ -17,7 +17,7 @@ from .errors import ParameterError, ShapeError
 from .geometry import RELATIVE, CameraModel, quaternion_to_rotation
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
-    concat, matmul, maximum, mha, mlp, require_role, rms_norm, sigmoid,
+    broadcast_to, concat, matmul, maximum, mha, mlp, require_role, rms_norm, sigmoid,
     softplus, tan, tmean,
 )
 
@@ -77,42 +77,27 @@ def _block(x: Tensor, blk: BackboneBlock) -> Tensor:
     return x + mlp(rms_norm(x), blk.mlp)
 
 
-def gfa_backbone(frames: list[TokenSet], p: BackboneParams
+def gfa_backbone(frames: TokenSet, p: BackboneParams
                  ) -> tuple[list[TokenSet], list[TokenSet]]:
-    """Refine per-frame geometry tokens; returns (patch tokens, camera tokens).
+    """Refine a window's geometry tokens [F, N, C]; returns per-frame
+    (patch tokens, camera tokens).
 
     Camera and register tokens are appended to every frame from the shared
-    learned init; register outputs are dropped after the last block.
+    learned init; register outputs are dropped after the last block. A
+    frame-local block runs once over [F, N + 5, C]; a global block runs on
+    the same rows as one [F * (N + 5), C] set.
     """
-    if not frames:
-        raise ShapeError("backbone needs at least one frame")
-    c = frames[0].dim
-    for f in frames:
-        require_role(f, Role.GEOM)
-        if f.dim != c:
-            raise ShapeError("all frames must share the token dim")
-
+    require_role(frames, Role.GEOM)
+    if frames.tokens.ndim != 3:
+        raise ShapeError(f"backbone needs [F, N, C] tokens, got {frames.tokens.shape}")
+    f, n, c = frames.tokens.shape
     n_cam = p.camera_init.shape[0]
-    counts = [f.count for f in frames]
-    states = [concat([f.tokens, p.camera_init, p.register_init], axis=0)
-              for f in frames]
-
+    shared = [broadcast_to(t, (f, *t.shape)) for t in (p.camera_init, p.register_init)]
+    x = concat([frames.tokens, *shared], axis=1)
     for i, blk in enumerate(p.blocks):
-        if i % 2 == 0:
-            states = [_block(x, blk) for x in states]
-        else:
-            joint = _block(concat(states, axis=0), blk)
-            states, offset = [], 0
-            for n in counts:
-                rows = n + n_cam + p.register_init.shape[0]
-                states.append(joint[offset:offset + rows, :])
-                offset += rows
-
-    patch_out, camera_out = [], []
-    for n, x in zip(counts, states):
-        patch_out.append(TokenSet(x[0:n, :], Role.GEOM))
-        camera_out.append(TokenSet(x[n:n + n_cam, :], Role.CAMERA))
-    return patch_out, camera_out
+        x = _block(x, blk) if i % 2 == 0 else _block(x.reshape(-1, c), blk).reshape(x.shape)
+    return ([TokenSet(x[k, 0:n, :], Role.GEOM) for k in range(f)],
+            [TokenSet(x[k, n:n + n_cam, :], Role.CAMERA) for k in range(f)])
 
 
 # ----------------------------------------------------------------------

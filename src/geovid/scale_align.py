@@ -9,12 +9,12 @@ weights are available for the ablation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import write_json
 from .errors import DegenerateInputError, ParameterError, ShapeError, StateError
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 
@@ -33,9 +33,7 @@ class ScaleEstimate:
                 "frames": self.images_used}
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 def per_image_scale(d_rel: DepthMap, d_metric: DepthMap,
@@ -75,10 +73,8 @@ def scene_scale(frames: list[tuple[DepthMap, DepthMap]],
         raise ParameterError("need at least one frame")
     if weights not in ("inverse_metric", "uniform"):
         raise ParameterError(f"unknown weighting '{weights}'")
-    usable = []
-    for idx, (rel, met) in enumerate(frames):
-        if rel.shape == met.shape and (rel.valid_mask & met.valid_mask).sum() >= MIN_OVERLAP_PIXELS:
-            usable.append(idx)
+    usable = [idx for idx, (rel, met) in enumerate(frames) if rel.shape == met.shape
+              and (rel.valid_mask & met.valid_mask).sum() >= MIN_OVERLAP_PIXELS]
     if not usable:
         raise DegenerateInputError("no frame has enough valid overlap")
 

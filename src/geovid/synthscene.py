@@ -15,12 +15,13 @@ Regenerating with the same seed is bit-identical.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import functools
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_json, write_json
 from .errors import ParameterError
 from .geometry import (
     GROUND_TRUTH, METRIC, CameraModel, DepthMap, look_at_rotation,
@@ -79,8 +80,7 @@ class TokenizerConfig:
     patch_size: int = 14
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "noise": self.noise, "seed": self.seed,
-                "patch_size": self.patch_size}
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "TokenizerConfig":
@@ -201,24 +201,23 @@ def _patch_summaries(depth: np.ndarray, labels: np.ndarray,
 # tokens and teachers
 # ----------------------------------------------------------------------
 
-def _token_projection(cfg: TokenizerConfig) -> np.ndarray:
-    rng = np.random.default_rng([cfg.seed, 11])
+@functools.lru_cache(maxsize=8)
+def _projections(seed: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(token map, geometry teacher map, language teacher map) of a tokenizer:
+    built once per (seed, dim) and shared read-only by every frame."""
     in_dim = 4 + NUM_CLASSES + 2
-    return rng.standard_normal((in_dim, cfg.dim)) / np.sqrt(in_dim)
-
-
-def _teacher_projections(cfg: TokenizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    rng_g = np.random.default_rng([cfg.seed, 23])
-    rng_l = np.random.default_rng([cfg.seed, 37])
-    a_geom = rng_g.standard_normal((4, cfg.dim)) / 2.0
-    a_lang = rng_l.standard_normal((NUM_CLASSES, cfg.dim)) / np.sqrt(NUM_CLASSES)
-    return a_geom, a_lang
+    maps = (np.random.default_rng([seed, 11]).standard_normal((in_dim, dim)) / np.sqrt(in_dim),
+            np.random.default_rng([seed, 23]).standard_normal((4, dim)) / 2.0,
+            np.random.default_rng([seed, 37]).standard_normal((NUM_CLASSES, dim))
+            / np.sqrt(NUM_CLASSES))
+    for m in maps:
+        m.flags.writeable = False
+    return maps
 
 
 def render_tokens(frame: FrameData, cfg: TokenizerConfig) -> TokenSet:
     """Base tokens: fixed linear map of the patch summary plus seeded noise."""
-    proj = _token_projection(cfg)
-    tokens = frame.patch_summary @ proj
+    tokens = frame.patch_summary @ _projections(cfg.seed, cfg.dim)[0]
     if cfg.noise > 0:
         rng = np.random.default_rng([frame.noise_seed, 5])
         tokens = tokens + cfg.noise * rng.standard_normal(tokens.shape)
@@ -233,7 +232,7 @@ TEACHER_DEPTH_GAIN = 2.5   # balances the depth coordinate against the unit
 def teacher_features(frame: FrameData, cfg: TokenizerConfig
                      ) -> tuple[TokenSet, TokenSet]:
     """Unit-norm teacher embeddings of (depth, normals) and class histograms."""
-    a_geom, a_lang = _teacher_projections(cfg)
+    _, a_geom, a_lang = _projections(cfg.seed, cfg.dim)
     geo_in = frame.patch_summary[:, 0:4].copy()
     geo_in[:, 0] *= TEACHER_DEPTH_GAIN
     lang_in = frame.patch_summary[:, 4:4 + NUM_CLASSES]
@@ -332,9 +331,7 @@ def save_scene(directory: str | Path, scene: SceneSample) -> None:
         "objects": [b.to_json() for b in scene.geometry.objects],
         "n_frames": len(scene.frames),
     }
-    with open(directory / "scene.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "scene.json", meta)
     for f in scene.frames:
         fd = directory / f"frame_{f.index:03d}"
         fd.mkdir(exist_ok=True)
@@ -349,14 +346,22 @@ def save_scene(directory: str | Path, scene: SceneSample) -> None:
 
 
 def load_scene(directory: str | Path) -> SceneSample:
+    """A scene as `save_scene` wrote it; a malformed one is a ParameterError."""
     directory = Path(directory)
-    with open(directory / "scene.json") as fh:
-        meta = json.load(fh)
-    tokenizer = TokenizerConfig.from_json(meta["tokenizer"])
-    geom = SceneGeometry(room=Box.from_json(meta["room"]),
-                         objects=[Box.from_json(o) for o in meta["objects"]])
+    path = directory / "scene.json"
+    meta = read_json(path, "tokenizer", "room", "objects", "seed", "n_frames", "resolution")
+    try:
+        tokenizer = TokenizerConfig.from_json(meta["tokenizer"])
+        geom = SceneGeometry(room=Box.from_json(meta["room"]),
+                             objects=[Box.from_json(o) for o in meta["objects"]])
+        seed, n_frames = int(meta["seed"]), int(meta["n_frames"])
+        resolution = tuple(int(v) for v in meta["resolution"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{path} is malformed: {exc!r}") from None
+    if n_frames < 1:
+        raise ParameterError(f"{path} lists {n_frames} frames")
     frames = []
-    for k in range(meta["n_frames"]):
+    for k in range(n_frames):
         fd = directory / f"frame_{k:03d}"
         cam = CameraModel.load(fd / "camera.json")
         frame = FrameData(
@@ -365,7 +370,7 @@ def load_scene(directory: str | Path) -> SceneSample:
             labels=vlt.load_tensor(fd / "labels.vlt").astype(np.int16),
             patch_summary=vlt.load_tensor(fd / "summary.vlt"),
             patch_labels=vlt.load_tensor(fd / "patch_labels.vlt").astype(np.int64),
-            noise_seed=int(meta["seed"]) * 1000 + k,
+            noise_seed=seed * 1000 + k,
         )
         frame.base = TokenSet(Tensor(vlt.load_tensor(fd / "base.vlt")), Role.BASE)
         frame.teacher_geom = TokenSet(Tensor(vlt.load_tensor(fd / "teacher_geom.vlt")),
@@ -373,5 +378,5 @@ def load_scene(directory: str | Path) -> SceneSample:
         frame.teacher_lang = TokenSet(Tensor(vlt.load_tensor(fd / "teacher_lang.vlt")),
                                       Role.LANG)
         frames.append(frame)
-    return SceneSample(geometry=geom, frames=frames, seed=int(meta["seed"]),
-                       resolution=tuple(meta["resolution"]), tokenizer=tokenizer)
+    return SceneSample(geometry=geom, frames=frames, seed=seed,
+                       resolution=resolution, tokenizer=tokenizer)

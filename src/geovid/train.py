@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import RunConfig, worker_count
+from .config import RunConfig, worker_count, write_json
 from .errors import DegenerateInputError, NumericError
 from .evalmetrics import MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
@@ -41,7 +41,7 @@ from .losses import (
 from .model import (
     FramePrediction, VidModelParams, adapt, init_model, predict_window,
 )
-from .numkit import AdamW, Tensor, no_grad
+from .numkit import AdamW, Tensor, TokenSet, no_grad
 from .patch3d import Patch3DTokens, PointCloud, backproject_grid, fuse_tokens
 from .scale_align import ScaleEstimate, apply_scale, scene_scale
 from .synthscene import FrameData, SceneSample, TokenizerConfig, gen_scene
@@ -136,6 +136,14 @@ def _lr_at(cfg: RunConfig, step: int, total: int) -> float:
     return cfg.lr * warm * decay
 
 
+def _batch_sum(x: Tensor) -> Tensor:
+    """Sum over the leading batch axis from item 0 up, as one node. numpy's
+    `sum` adds eight or more items pairwise, in another order."""
+    return Tensor._from_op(np.cumsum(x.data, axis=0)[-1], "batch_sum", (x,), (
+        lambda g: np.broadcast_to(g, x.data.shape).copy(),
+    ))
+
+
 def _stage1_flags(strategy: str) -> tuple[bool, bool, bool]:
     """(use_geo, use_lang, use_sc) for the distillation variants."""
     if strategy == "two_stage_single_teacher":
@@ -149,47 +157,64 @@ def train_stage1(cfg: RunConfig, scenes: list[SceneSample],
                  params: VidModelParams | None = None,
                  dump_path: str | Path | None = None
                  ) -> tuple[VidModelParams, list[TrainLogEntry]]:
-    """Distill the encoder + adapter; other modules stay untouched."""
+    """Distill the encoder + adapter; other modules stay untouched.
+
+    Each step draws its batch (scene, frame, jitter per sample), then runs
+    the adapter and the loss once over the stacked [B, N, C] tokens.
+    """
     params = params or init_model(cfg)
-    trainable = params.stage1_tensors()
-    opt = AdamW(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                weight_decay=cfg.weight_decay, clip=cfg.clip)
     rng = np.random.default_rng([cfg.seed, 201])
     use_geo, use_lang, use_sc = _stage1_flags(cfg.strategy)
     lam = cfg.lambda_sc if use_sc else 0.0
 
+    def step_loss() -> tuple[Tensor, LossReport]:
+        batch = []
+        for _ in range(cfg.stage1_batch):
+            scene = scenes[int(rng.integers(len(scenes)))]
+            batch.append(_jitter(scene.frames[int(rng.integers(len(scene.frames)))],
+                                 cfg.augment_jitter, rng))
+        out = adapt(TokenSet.stack([f.base for f in batch]), params)
+        res = distill_loss(out.geom, out.lang,
+                           TokenSet.stack([f.teacher_geom for f in batch]),
+                           TokenSet.stack([f.teacher_lang for f in batch]),
+                           lam=lam, use_geo=use_geo, use_lang=use_lang)
+        inv = 1.0 / cfg.stage1_batch
+        geo, lang, sc = (_batch_sum(t) * inv for t in (res.geo, res.lang, res.sc))
+        total = (geo + lang) + lam * sc
+        return total, LossReport(geo_feat=geo.item(), lang_feat=lang.item(),
+                                 sc=sc.item(), distill_total=total.item(),
+                                 lam=lam, alpha=cfg.alpha_md)
+
+    return params, _optimize(cfg, params.stage1_tensors(), None, 1, cfg.stage1_steps,
+                             step_loss, dump_path)
+
+
+def _optimize(cfg: RunConfig, trainable: dict[str, Tensor],
+              lr_scale: dict[str, float] | None, stage: int, steps: int,
+              step_loss, dump_path: str | Path | None) -> list[TrainLogEntry]:
+    """AdamW steps on the loss `step_loss()` returns with its report, logged
+    per step. A numeric or degenerate-input failure writes the abort dump
+    (the last five log entries), then propagates."""
+    opt = AdamW(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                weight_decay=cfg.weight_decay, clip=cfg.clip, lr_scale=lr_scale)
     log: list[TrainLogEntry] = []
     t_start = time.monotonic()
-    for step in range(1, cfg.stage1_steps + 1):
-        opt.lr = _lr_at(cfg, step, cfg.stage1_steps)
-        geo_acc = lang_acc = sc_acc = None
+    for step in range(1, steps + 1):
+        opt.lr = _lr_at(cfg, step, steps)
         try:
-            for _ in range(cfg.stage1_batch):
-                scene = scenes[int(rng.integers(len(scenes)))]
-                frame = _jitter(scene.frames[int(rng.integers(len(scene.frames)))],
-                                cfg.augment_jitter, rng)
-                out = adapt(frame.base, params)
-                res = distill_loss(out.geom, out.lang, frame.teacher_geom,
-                                   frame.teacher_lang, lam=lam,
-                                   use_geo=use_geo, use_lang=use_lang)
-                geo_acc = res.geo if geo_acc is None else geo_acc + res.geo
-                lang_acc = res.lang if lang_acc is None else lang_acc + res.lang
-                sc_acc = res.sc if sc_acc is None else sc_acc + res.sc
-            inv = 1.0 / cfg.stage1_batch
-            geo, lang, sc = geo_acc * inv, lang_acc * inv, sc_acc * inv
-            total = (geo + lang) + lam * sc
+            total, report = step_loss()
             opt.zero_grad()
             total.backward()
             opt.step()
-        except NumericError as exc:
-            _dump_abort(dump_path, stage=1, step=step, log=log, error=str(exc))
+        except (NumericError, DegenerateInputError) as exc:
+            if dump_path is not None:
+                write_json(dump_path, {"stage": stage, "step": step, "error": str(exc),
+                                       "last_entries": [e.to_json() for e in log[-5:]]})
             raise
-        report = LossReport(geo_feat=geo.item(), lang_feat=lang.item(),
-                            sc=sc.item(), distill_total=total.item(),
-                            lam=lam, alpha=cfg.alpha_md)
-        log.append(TrainLogEntry(step=step, stage=1, report=report))
-    _stderr_timing("stage1", cfg.stage1_steps, t_start)
-    return params, log
+        log.append(TrainLogEntry(step=step, stage=stage, report=report))
+    dt = time.monotonic() - t_start
+    print(f"[geovid] stage{stage}: {steps} steps in {dt * 1000.0:.0f} ms", file=sys.stderr)
+    return log
 
 
 # ----------------------------------------------------------------------
@@ -300,53 +325,23 @@ def train_stage2(cfg: RunConfig, params: VidModelParams,
     if cfg.strategy == "single_stage":
         lr_scale = {k: v for k, v in lr_scale.items()
                     if not k.startswith("cta.")}
-    opt = AdamW(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                weight_decay=cfg.weight_decay, clip=cfg.clip, lr_scale=lr_scale)
     rng = np.random.default_rng([cfg.seed, 202])
-    n_steps = cfg.stage2_steps if steps is None else steps
 
-    log: list[TrainLogEntry] = []
-    t_start = time.monotonic()
-    for step in range(1, n_steps + 1):
-        opt.lr = _lr_at(cfg, step, n_steps)
-        try:
-            scene = scenes[int(rng.integers(len(scenes)))]
-            k = min(cfg.stage2_frames, len(scene.frames))
-            idx = rng.choice(len(scene.frames), size=k, replace=False)
-            window = [_jitter(scene.frames[int(i)], cfg.augment_jitter, rng)
-                      for i in sorted(idx)]
-            preds = predict_window(window, params, cfg)
-            joint, recon, vl, md = _window_joint_loss(preds, params, cfg,
-                                                      scene_norm(scene))
-            opt.zero_grad()
-            joint.backward()
-            opt.step()
-        except (NumericError, DegenerateInputError) as exc:
-            _dump_abort(dump_path, stage=2, step=step, log=log, error=str(exc))
-            raise
-        report = LossReport(recon_task=recon.item(), vl_task=vl.item(),
-                            md=md.item(), joint_total=joint.item(),
-                            lam=cfg.lambda_sc, alpha=cfg.alpha_md)
-        log.append(TrainLogEntry(step=step, stage=2, report=report))
-    _stderr_timing("stage2", n_steps, t_start)
-    return params, log
+    def step_loss() -> tuple[Tensor, LossReport]:
+        scene = scenes[int(rng.integers(len(scenes)))]
+        k = min(cfg.stage2_frames, len(scene.frames))
+        idx = rng.choice(len(scene.frames), size=k, replace=False)
+        window = [_jitter(scene.frames[int(i)], cfg.augment_jitter, rng)
+                  for i in sorted(idx)]
+        preds = predict_window(window, params, cfg)
+        joint, recon, vl, md = _window_joint_loss(preds, params, cfg, scene_norm(scene))
+        return joint, LossReport(recon_task=recon.item(), vl_task=vl.item(),
+                                 md=md.item(), joint_total=joint.item(),
+                                 lam=cfg.lambda_sc, alpha=cfg.alpha_md)
 
-
-def _dump_abort(dump_path, stage: int, step: int, log: list[TrainLogEntry],
-                error: str) -> None:
-    if dump_path is None:
-        return
-    dump = {"stage": stage, "step": step, "error": error,
-            "last_entries": [e.to_json() for e in log[-5:]]}
-    with open(dump_path, "w") as fh:
-        json.dump(dump, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _stderr_timing(label: str, steps: int, t_start: float) -> None:
-    dt = time.monotonic() - t_start
-    print(f"[geovid] {label}: {steps} steps in {dt * 1000.0:.0f} ms",
-          file=sys.stderr)
+    return params, _optimize(cfg, trainable, lr_scale, 2,
+                             cfg.stage2_steps if steps is None else steps,
+                             step_loss, dump_path)
 
 
 def train(cfg: RunConfig, scenes: list[SceneSample],
@@ -452,10 +447,8 @@ def evaluate_test_loss(cfg: RunConfig, params: VidModelParams,
             preds = predict_window(window, params, cfg)
             joint, recon, vl, md = _window_joint_loss(preds, params, cfg,
                                                       scene_norm(scene))
-            totals["joint"] += joint.item()
-            totals["recon"] += recon.item()
-            totals["vl"] += vl.item()
-            totals["md"] += md.item()
+            for key, value in zip(totals, (joint, recon, vl, md)):
+                totals[key] += value.item()
     n = max(len(scenes), 1)
     return {k: v / n for k, v in totals.items()}
 
@@ -493,6 +486,5 @@ def compare_strategies(cfg_base: RunConfig, strategies: list[str],
                                                     "seed", "test_loss",
                                                     "recon", "vl", "md"])
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
     return rows

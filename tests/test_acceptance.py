@@ -117,7 +117,7 @@ def test_criterion_1_gradient_suite():
     w_bb = Tensor(rng.standard_normal((2, 6)))
 
     def bb_f(t):
-        patch, cam = gfa_backbone([TokenSet(t, Role.GEOM), other], p_bb)
+        patch, cam = gfa_backbone(TokenSet.stack([TokenSet(t, Role.GEOM), other]), p_bb)
         return tsum(patch[0].tokens * w_bb) + tsum(cam[1].tokens)
 
     check("backbone", lambda: bb_f,

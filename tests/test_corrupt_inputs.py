@@ -1,0 +1,139 @@
+"""Corrupt scene directories and checkpoints: every load either succeeds or
+raises ParameterError, in bounded time and memory, and the CLI exits 1."""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from geovid.config import RunConfig
+from geovid.errors import ParameterError
+from geovid.geometry import CameraModel
+from geovid.model import init_model, load_checkpoint, save_checkpoint
+from geovid.numkit import vlt
+from geovid.synthscene import TokenizerConfig, gen_scene, load_scene, save_scene
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CFG = RunConfig(seed=3, dim=16, heads=2, blocks=2, bridge_tokens=4, resolution=(28, 28),
+                n_bins=8, n_objects=3, stage2_frames=2)
+PEAK_BYTES = 64 * 2**20   # a load of these few-kilobyte files stays far below this
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """(scene dir, checkpoint dir), each with every file it holds."""
+    root = tmp_path_factory.mktemp("corrupt")
+    save_scene(root / "scene", gen_scene(4, n_frames=2, resolution=(28, 28), n_objects=3,
+                                         tokenizer=TokenizerConfig(dim=16, seed=3)))
+    save_checkpoint(root / "ckpt", init_model(CFG), CFG)
+    return root / "scene", root / "ckpt"
+
+
+def _files(directory: Path) -> list[str]:
+    return sorted(str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file())
+
+
+def _corrupted_copy(directory: Path, dest: Path, name: str, cut: bool, pos: float,
+                    value: int) -> Path:
+    """A copy of `directory` whose file `name` is cut short at a fraction
+    `pos` of its length, or has the byte there replaced by a different one."""
+    shutil.copytree(directory, dest)
+    target = dest / name
+    data = bytearray(target.read_bytes())
+    i = min(int(pos * len(data)), len(data) - 1)
+    if cut:
+        data = data[:i]
+    else:
+        data[i] = (data[i] + value) % 256
+    target.write_bytes(bytes(data))
+    return dest
+
+
+def _load_bounded(load, path: Path) -> None:
+    tracemalloc.start()
+    try:
+        load(path)
+    except ParameterError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES
+
+
+MUTATIONS = dict(cut=st.booleans(), pos=st.floats(0.0, 1.0), value=st.integers(1, 255))
+FUZZ = settings(max_examples=150, deadline=2000,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(data=st.data(), **MUTATIONS)
+def test_corrupt_scene_loads_or_raises_parameter_error(saved, data, cut, pos, value):
+    scene_dir, _ = saved
+    name = data.draw(st.sampled_from(_files(scene_dir)))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = _corrupted_copy(scene_dir, Path(tmp) / "s", name, cut, pos, value)
+        _load_bounded(load_scene, bad)
+
+
+@FUZZ
+@given(data=st.data(), **MUTATIONS)
+def test_corrupt_checkpoint_loads_or_raises_parameter_error(saved, data, cut, pos, value):
+    _, ckpt_dir = saved
+    name = data.draw(st.sampled_from(_files(ckpt_dir)))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = _corrupted_copy(ckpt_dir, Path(tmp) / "c", name, cut, pos, value)
+        _load_bounded(load_checkpoint, bad)
+
+
+@pytest.mark.parametrize("content", [b'{"tensors": ["enc', b"[]", b"{}", b"\xff\xfe{}"],
+                         ids=["truncated", "list", "empty-object", "not-utf8"])
+@pytest.mark.parametrize("name", ["ckpt/manifest.json", "scene/scene.json",
+                                  "scene/frame_000/camera.json"])
+def test_bad_json_names_the_file(saved, tmp_path, name, content):
+    scene_dir, ckpt_dir = saved
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    shutil.copytree(ckpt_dir, tmp_path / "ckpt")
+    (tmp_path / name).write_bytes(content)
+    load = {"ckpt": load_checkpoint, "scene": load_scene}[name.split("/")[0]]
+    if name.endswith("camera.json"):
+        load = CameraModel.load
+        target = tmp_path / name
+    else:
+        target = tmp_path / name.split("/")[0]
+    with pytest.raises(ParameterError, match="json"):
+        load(target)
+
+
+def test_missing_key_is_named(saved, tmp_path):
+    _, ckpt_dir = saved
+    shutil.copytree(ckpt_dir, tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "manifest.json").write_text('{"meta": {}}')
+    with pytest.raises(ParameterError, match="no key 'tensors'"):
+        vlt.load_container(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("which, name, cut", [
+    ("scene", "scene.json", 0.5), ("scene", "frame_001/depth.vlt", 0.5),
+    ("ckpt", "manifest.json", 0.3), ("ckpt", "weights.vlt", 0.9),
+])
+def test_cli_exits_1_on_corrupt_input(saved, tmp_path, which, name, cut):
+    scene_dir, ckpt_dir = saved
+    bad = _corrupted_copy(scene_dir if which == "scene" else ckpt_dir, tmp_path / which,
+                          name, True, cut, 1)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geovid.cli", "infer",
+         "--ckpt", str(bad if which == "ckpt" else ckpt_dir),
+         "--scene", str(bad if which == "scene" else scene_dir),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -62,7 +62,7 @@ class TestBridgeUpdate:
         rng = np.random.default_rng(3)
         bridge = TokenSet(p.bridge_init, Role.BRIDGE)
         g = rng.standard_normal((6, 8))
-        lang = TokenSet(Tensor(rng.standard_normal((5, 8))), Role.LANG)
+        lang = TokenSet(Tensor(rng.standard_normal((6, 8))), Role.LANG)
         perm = rng.permutation(6)
         o1 = bridge_update(bridge, TokenSet(Tensor(g), Role.GEOM), lang, p)
         o2 = bridge_update(bridge, TokenSet(Tensor(g[perm]), Role.GEOM), lang, p)

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,9 +115,18 @@ def test_benchmark_hooks_resolve():
         tracer.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
     for layer in ("metric_depth", "metric_depth.probs", "metric_depth.centers",
-                  "metric_depth.expectation", "recon.backbone.local",
-                  "recon.backbone.global"):
+                  "metric_depth.expectation"):
         assert tracer.calls[layer] > 0, layer
+    # the window's frames share each block call: one attention and one MLP
+    # call per block, blocks/2 blocks of each kind
+    assert tracer.calls["recon.backbone.local"] == 2 * (cfg.blocks // 2)
+    assert tracer.calls["recon.backbone.global"] == 2 * (cfg.blocks // 2)
+
+    from geovid.train import train_stage1
+    tracer = tracer_mod.Tracer()
+    with tracer.active():
+        train_stage1(replace(cfg, stage1_steps=1, stage1_batch=3), [scene])
+    assert tracer.calls["cta"] == 1 and tracer.calls["losses.distill"] == 1
 
     for name, workload in _perfbench_module("workloads").WORKLOADS.items():
         owner, attr = workload.inject

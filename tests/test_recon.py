@@ -11,8 +11,7 @@ from geovid.recon import (
 
 def _frames(seed, n_frames=2, n=4, c=8):
     rng = np.random.default_rng(seed)
-    return [TokenSet(Tensor(rng.standard_normal((n, c))), Role.GEOM)
-            for _ in range(n_frames)]
+    return TokenSet(Tensor(rng.standard_normal((n_frames, n, c))), Role.GEOM)
 
 
 def _bb(seed=0, c=8, heads=2, blocks=2):
@@ -32,7 +31,7 @@ class TestBackbone:
         p = _bb()
         rng = np.random.default_rng(2)
         tokens = rng.standard_normal((4, 8))
-        frames = [TokenSet(Tensor(tokens.copy()), Role.GEOM) for _ in range(2)]
+        frames = TokenSet(Tensor(np.stack([tokens, tokens])), Role.GEOM)
         patch, cam = gfa_backbone(frames, p)
         np.testing.assert_allclose(patch[0].tokens.data, patch[1].tokens.data,
                                    atol=1e-12)
@@ -60,7 +59,31 @@ class TestBackbone:
         frames = [TokenSet(Tensor(rng.standard_normal((4, 8))), Role.GEOM),
                   TokenSet(Tensor(rng.standard_normal((4, 16))), Role.GEOM)]
         with pytest.raises(ShapeError):
-            gfa_backbone(frames, p)
+            gfa_backbone(TokenSet.stack(frames), p)
+        with pytest.raises(ShapeError):   # one frame's [N, C] tokens, not a window
+            gfa_backbone(frames[0], p)
+
+    def test_window_equals_frame_by_frame_layout(self):
+        # the batched window gives each frame the bits of the per-frame concat
+        # layout: local blocks see one frame, global blocks all rows in order
+        from geovid.numkit import concat
+        from geovid.recon import _block
+        p = _bb(seed=8, blocks=4)
+        frames = _frames(9, n_frames=3)
+        patch, cam = gfa_backbone(frames, p)
+        n = frames.count
+        states = [concat([frames.tokens[k], p.camera_init, p.register_init], axis=0)
+                  for k in range(3)]
+        for i, blk in enumerate(p.blocks):
+            if i % 2 == 0:
+                states = [_block(x, blk) for x in states]
+            else:
+                joint = _block(concat(states, axis=0), blk).data
+                states = np.split(joint, 3)
+                states = [Tensor(x) for x in states]
+        for k in range(3):
+            assert np.array_equal(patch[k].tokens.data, states[k].data[:n])
+            assert np.array_equal(cam[k].tokens.data, states[k].data[n:n + 1])
 
     def test_gradient_through_backbone(self):
         p = _bb(seed=6, blocks=2)
@@ -70,7 +93,7 @@ class TestBackbone:
         w = Tensor(rng.standard_normal((2, 8)))
 
         def f(t):
-            patch, cam = gfa_backbone([TokenSet(t, Role.GEOM), other], p)
+            patch, cam = gfa_backbone(TokenSet.stack([TokenSet(t, Role.GEOM), other]), p)
             return tsum(patch[0].tokens * w) + tsum(cam[1].tokens)
 
         assert grad_check(f, x) < 1e-4

@@ -227,14 +227,187 @@ def _graph_nodes(root) -> int:
 
 
 def test_stage2_window_graph_node_count(tiny_setup):
-    # The joint loss of one 2-frame window builds 626 recorded nodes (860
+    # The joint loss of one 2-frame window builds 527 recorded nodes (860
     # before the bins, centers and rotation became single nodes, 628 before
-    # the expectation did: one node per frame). A change
-    # here means ops were added to or removed from the hot path: update the
-    # count only for an intended change of the graph.
+    # the expectation did: one node per frame; 626 before the adapter, the
+    # frame-local blocks and the metric head's MLPs ran once per window). A
+    # change here means ops were added to or removed from the hot path:
+    # update the count only for an intended change of the graph.
     cfg, scenes = tiny_setup
     scene = scenes[0]
     params = init_model(cfg)
     preds = predict_window(scene.frames[:cfg.stage2_frames], params, cfg)
     joint = _window_joint_loss(preds, params, cfg, scene_norm(scene))[0]
-    assert _graph_nodes(joint) == 626
+    assert _graph_nodes(joint) == 527
+
+
+# ----------------------------------------------------------------------
+# stage 1 as one [B, N, C] graph: bits and size
+# ----------------------------------------------------------------------
+
+def _per_sample_adapt(base, params):
+    """Encoder and adapter on one [N, C] token set, with the bridge read as
+    two separate attention calls, one per stream: (geom, lang)."""
+    from geovid import cta
+    from geovid.model import encode
+    from geovid.numkit import Role, TokenSet, mha
+    p = params.cta
+    geom, lang = cta.project_streams(encode(base, params), p)
+    if not p.bridge_count:
+        return geom, lang
+    bridge = TokenSet(p.bridge_init, Role.BRIDGE)
+    bridge = bridge.with_tokens(
+        mha(bridge.tokens, geom.tokens, geom.tokens, p.bridge_attn)
+        + mha(bridge.tokens, lang.tokens, lang.tokens, p.bridge_attn))
+    return cta.fuse_back(geom, bridge, p), cta.fuse_back(lang, bridge, p)
+
+
+def _grads(named) -> dict:
+    """Each tensor's gradient by name; tensors no loss term reaches are left out."""
+    return {k: t.grad.copy() for k, t in named.items() if t.grad is not None}
+
+
+def _per_sample_stage1(cfg, scenes, params):
+    """Stage 1 with one graph per sample, summed sample by sample: the form
+    the batched step must reproduce bit for bit. Returns the log and each
+    step's gradients by tensor name."""
+    from geovid.losses import LossReport
+    from geovid.numkit import AdamW
+    from geovid.train import TrainLogEntry, _jitter, _lr_at, _stage1_flags
+
+    trainable = params.stage1_tensors()
+    opt = AdamW(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                weight_decay=cfg.weight_decay, clip=cfg.clip)
+    rng = np.random.default_rng([cfg.seed, 201])
+    use_geo, use_lang, use_sc = _stage1_flags(cfg.strategy)
+    lam = cfg.lambda_sc if use_sc else 0.0
+    log, grads = [], []
+    for step in range(1, cfg.stage1_steps + 1):
+        opt.lr = _lr_at(cfg, step, cfg.stage1_steps)
+        acc = [None, None, None]
+        for _ in range(cfg.stage1_batch):
+            scene = scenes[int(rng.integers(len(scenes)))]
+            frame = _jitter(scene.frames[int(rng.integers(len(scene.frames)))],
+                            cfg.augment_jitter, rng)
+            geom, lang = _per_sample_adapt(frame.base, params)
+            res = distill_loss(geom, lang, frame.teacher_geom, frame.teacher_lang,
+                               lam=lam, use_geo=use_geo, use_lang=use_lang)
+            for i, term in enumerate((res.geo, res.lang, res.sc)):
+                acc[i] = term if acc[i] is None else acc[i] + term
+        inv = 1.0 / cfg.stage1_batch
+        geo, lang, sc = (a * inv for a in acc)
+        total = (geo + lang) + lam * sc
+        opt.zero_grad()
+        total.backward()
+        grads.append(_grads(trainable))
+        opt.step()
+        log.append(TrainLogEntry(step=step, stage=1, report=LossReport(
+            geo_feat=geo.item(), lang_feat=lang.item(), sc=sc.item(),
+            distill_total=total.item(), lam=lam, alpha=cfg.alpha_md)))
+    return log, grads
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("strategy", ["two_stage_dual", "two_stage_single_teacher",
+                                      "no_sc_loss"])
+def test_stage1_batched_step_is_bit_identical_to_per_sample(tiny_setup, monkeypatch,
+                                                             strategy, batch):
+    import geovid.train
+
+    cfg, scenes = tiny_setup
+    cfg = RunConfig(seed=11, **{**TINY, "strategy": strategy, "stage1_batch": batch,
+                                "stage1_steps": 3})
+    grads = []
+
+    class Recording(geovid.train.AdamW):
+        def step(self):
+            grads.append(_grads(self.params))
+            super().step()
+
+    monkeypatch.setattr(geovid.train, "AdamW", Recording)
+    _, log = train_stage1(cfg, scenes, params=init_model(cfg))
+    ref_log, ref_grads = _per_sample_stage1(cfg, scenes, init_model(cfg))
+    assert [e.to_json() for e in log] == [e.to_json() for e in ref_log]
+    assert len(grads) == len(ref_grads) == cfg.stage1_steps
+    for got, want in zip(grads, ref_grads):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
+def test_stage1_step_graph_node_count(tiny_setup, monkeypatch):
+    # One stage-1 step builds 136 recorded nodes whatever the batch size:
+    # adapter and loss run once over the stacked [B, N, C] tokens. One graph
+    # per sample built 28 + 99 * B nodes (226 at batch 2, 820 at batch 8).
+    # Update the count only for an intended change of the graph.
+    from geovid.numkit import Tensor
+
+    cfg, scenes = tiny_setup
+    counts = []
+    original = Tensor.backward
+
+    def counting(root, *args, **kwargs):
+        counts.append(_graph_nodes(root))
+        return original(root, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    for batch in (2, 5):
+        train_stage1(RunConfig(seed=11, **{**TINY, "stage1_steps": 1,
+                                           "stage1_batch": batch}), scenes)
+    assert counts == [136, 136]
+
+
+def _per_frame_window(frames, params, cfg):
+    """predict_window with one adapter graph per frame and the backbone's
+    per-frame concat, block and slice loops: the form the batched window
+    must reproduce bit for bit."""
+    from geovid import recon
+    from geovid.metric_depth import predict_metric_depth
+    from geovid.model import FramePrediction
+    from geovid.numkit import Role, TokenSet, concat
+
+    adapted = [_per_sample_adapt(f.base, params) for f in frames]
+    bb = params.backbone
+    rows = adapted[0][0].count + bb.camera_init.shape[0] + bb.register_init.shape[0]
+    states = [concat([g.tokens, bb.camera_init, bb.register_init], axis=0)
+              for g, _ in adapted]
+    for i, blk in enumerate(bb.blocks):
+        if i % 2 == 0:
+            states = [recon._block(x, blk) for x in states]
+        else:
+            joint = recon._block(concat(states, axis=0), blk)
+            states = [joint[k * rows:(k + 1) * rows, :] for k in range(len(frames))]
+    preds = []
+    for frame, (geom, lang), x in zip(frames, adapted, states):
+        n = geom.count
+        pt, ct = x[0:n, :], TokenSet(x[n:n + 1, :], Role.CAMERA)
+        d_rel = recon.depth_head_tensor(TokenSet(concat([pt, geom.tokens], axis=1), Role.GEOM),
+                                        cfg.resolution, params.depth_head)
+        d_met = (None if cfg.md_mode == "off"
+                 else predict_metric_depth(geom, cfg.resolution, params.metric))
+        preds.append(FramePrediction(
+            frame=frame, lang=lang, depth_rel=d_rel, depth_metric=d_met,
+            camera=recon.camera_head(ct, params.camera_head, cfg.resolution)))
+    return preds
+
+
+@pytest.mark.parametrize("md_mode", ["full", "off"])
+def test_stage2_window_is_bit_identical_to_per_frame(tiny_setup, md_mode):
+    # three frames, so the order in which per-frame gradients are added shows
+    cfg, scenes = tiny_setup
+    cfg = RunConfig(seed=11, **{**TINY, "md_mode": md_mode})
+    params = init_model(cfg)
+    window, norm = scenes[0].frames[:3], scene_norm(scenes[0])
+    named = params.named_tensors()
+    grads, losses = [], []
+    for predict in (predict_window, _per_frame_window):
+        for t in named.values():
+            t.zero_grad()
+        terms = _window_joint_loss(predict(window, params, cfg), params, cfg, norm)
+        terms[0].backward()
+        losses.append([t.item() for t in terms])
+        grads.append(_grads(named))
+    assert losses[0] == losses[1]
+    assert grads[0].keys() == grads[1].keys()
+    for name in grads[1]:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
