@@ -135,8 +135,9 @@ def write_ply(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_ply(path: str | Path) -> PointCloud:
-    """ASCII PLY as written by write_ply; malformed input is a ParameterError."""
-    with open(path) as fh:
+    """ASCII PLY as written by write_ply; malformed input is a ParameterError.
+    A non-ASCII byte reads as U+FFFD, which no header keyword or number matches."""
+    with open(path, encoding="ascii", errors="replace") as fh:
         if fh.readline().strip() != "ply":
             raise ParameterError("not a PLY file")
         n = 0

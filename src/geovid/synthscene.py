@@ -115,54 +115,59 @@ class SceneSample:
 # ray casting
 # ----------------------------------------------------------------------
 
+def _first_index(rows: np.ndarray, beats) -> np.ndarray:
+    """Per column, np.argmin (beats=np.less) or np.argmax (np.greater) of 3 rows."""
+    past1 = beats(rows[1], rows[0])   # strict, so ties keep the first row
+    return np.where(beats(rows[2], np.where(past1, rows[1], rows[0])), 2, past1.astype(np.intp))
+
+
 def cast_pixels(cam: CameraModel, geom: SceneGeometry,
                 ii: np.ndarray, jj: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-hit along pixel rays: (depth = camera z, class id, camera-frame normal).
 
-    ii/jj are continuous pixel coordinates (column, row) of any shape.
+    ii/jj are continuous pixel coordinates (column, row) of any shape. The
+    camera center must lie strictly inside the room.
     """
+    origin = cam.center()
+    if not (np.all(geom.room.lo < origin) and np.all(origin < geom.room.hi)):
+        raise ParameterError(f"camera center {origin.tolist()} is not strictly inside the room")
     ii = np.asarray(ii, dtype=np.float64).reshape(-1)
     jj = np.asarray(jj, dtype=np.float64).reshape(-1)
     dirs_cam = np.stack([(ii - cam.cx) / cam.fx, (jj - cam.cy) / cam.fy,
                          np.ones_like(ii)], axis=1)
-    dirs = dirs_cam @ cam.rotation          # world directions, camera-z component 1
-    origin = cam.center()
+    dirs = (dirs_cam @ cam.rotation).T.copy()   # [3, n] world dirs, camera-z component 1
+    cols = np.arange(dirs.shape[1])
     # sign-preserving floor so zero components behave like +/-epsilon rays
     d_safe = np.copysign(np.maximum(np.abs(dirs), 1e-300), dirs)
 
-    # room exit face (origin is inside the room)
-    t_face = np.where(d_safe > 0,
-                      (geom.room.hi - origin) / d_safe,
-                      (geom.room.lo - origin) / d_safe)
-    axis = np.argmin(t_face, axis=1)
-    t = t_face[np.arange(t_face.shape[0]), axis]
-    sign = np.where(dirs[np.arange(dirs.shape[0]), axis] > 0, 1, -1)
-    classes = _ROOM_FACE_CLASS[axis, (sign > 0).astype(np.intp)]
-    normals = np.zeros_like(dirs)
-    normals[np.arange(dirs.shape[0]), axis] = -sign  # interior face normal
+    # room exit face; every exit distance is positive, so min equals argmin's pick
+    t_face = np.where(d_safe > 0, (geom.room.hi - origin)[:, None],
+                      (geom.room.lo - origin)[:, None]) / d_safe
+    t = t_face.min(axis=0)
+    axis = _first_index(t_face, np.less)
+    positive = dirs[axis, cols] > 0
+    classes = _ROOM_FACE_CLASS[axis, positive.astype(np.intp)]
+    normal = np.where(positive, -1.0, 1.0)   # interior face normal's `axis` component
 
-    # object entries, nearest hit wins
+    # object entries, nearest hit wins (a hit's t_near > 0, so max has argmax's bits)
     for box in geom.objects:
-        t1 = (box.lo - origin) / d_safe
-        t2 = (box.hi - origin) / d_safe
+        t1 = (box.lo - origin)[:, None] / d_safe
+        t2 = (box.hi - origin)[:, None] / d_safe
         t_near_ax = np.minimum(t1, t2)
-        t_far_ax = np.maximum(t1, t2)
-        entry_axis = np.argmax(t_near_ax, axis=1)
-        t_near = t_near_ax[np.arange(t_near_ax.shape[0]), entry_axis]
-        t_far = t_far_ax.min(axis=1)
+        t_near, t_far = t_near_ax.max(axis=0), np.maximum(t1, t2).min(axis=0)
         hit = (t_near <= t_far) & (t_near > 1e-9) & (t_near < t)
         if not hit.any():
             continue
-        t[hit] = t_near[hit]
-        classes[hit] = box.class_id
-        normals[hit] = 0.0
-        rows = np.nonzero(hit)[0]
-        ax = entry_axis[rows]
-        normals[rows, ax] = -np.sign(dirs[rows, ax])
+        hit_cols = np.nonzero(hit)[0]
+        t[hit_cols] = t_near[hit_cols]
+        classes[hit_cols] = box.class_id
+        axis[hit_cols] = _first_index(t_near_ax[:, hit_cols], np.greater)
+        normal[hit_cols] = -np.sign(dirs[axis[hit_cols], hit_cols])
 
-    normals_cam = normals @ cam.rotation.T
-    return t, classes, normals_cam
+    normals = np.zeros((cols.size, 3))
+    normals[cols, axis] = normal
+    return t, classes, normals @ cam.rotation.T
 
 
 def _render_frame(cam: CameraModel, geom: SceneGeometry,
@@ -181,20 +186,19 @@ def _patch_summaries(depth: np.ndarray, labels: np.ndarray,
     """Per-patch [depth_mean/scale, mean normal (3), class hist, coords (2)]."""
     h, w = depth.shape
     gh, gw = h // patch_size, w // patch_size
-    feats = np.zeros((gh * gw, 4 + NUM_CLASSES + 2))
-    majority = np.zeros(gh * gw, dtype=np.int64)
-    for p in range(gh * gw):
-        py, px = divmod(p, gw)
-        sl = (slice(py * patch_size, (py + 1) * patch_size),
-              slice(px * patch_size, (px + 1) * patch_size))
-        feats[p, 0] = depth[sl].mean() / DEPTH_SCALE
-        feats[p, 1:4] = normals[sl].reshape(-1, 3).mean(axis=0)
-        hist = np.bincount(labels[sl].reshape(-1), minlength=NUM_CLASSES)
-        feats[p, 4:4 + NUM_CLASSES] = hist / hist.sum()
-        feats[p, 4 + NUM_CLASSES] = py / max(gh - 1, 1)
-        feats[p, 5 + NUM_CLASSES] = px / max(gw - 1, 1)
-        majority[p] = int(np.argmax(hist))
-    return feats, majority
+    n = gh * gw
+    # [P, ps*ps, 1 or 3] patch copies; a mean over one sums as numpy's mean of a
+    # [ps, ps] slice does while a patch fits numpy's 8192-element iterator buffer
+    depth_p, labels_p, normals_p = (a.reshape(gh, patch_size, gw, patch_size, -1).swapaxes(1, 2)
+                                    .reshape(n, patch_size * patch_size, -1)
+                                    for a in (depth, labels, normals))
+    hist = np.zeros((n, NUM_CLASSES), dtype=np.int64)
+    np.add.at(hist, (np.arange(n)[:, None], labels_p[..., 0]), 1)
+    py, px = np.divmod(np.arange(n)[:, None], gw)
+    feats = np.concatenate([depth_p.mean(axis=1) / DEPTH_SCALE, normals_p.mean(axis=1),
+                            hist / hist.sum(axis=1, keepdims=True),
+                            py / max(gh - 1, 1), px / max(gw - 1, 1)], axis=1)
+    return feats, np.argmax(hist, axis=1)
 
 
 # ----------------------------------------------------------------------

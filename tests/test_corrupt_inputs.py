@@ -1,5 +1,6 @@
-"""Corrupt scene directories and checkpoints: every load either succeeds or
-raises ParameterError, in bounded time and memory, and the CLI exits 1."""
+"""Corrupt scene directories, checkpoints and PLY files: every load either
+succeeds or raises ParameterError, in bounded time and memory, and the CLI
+exits 1."""
 
 import os
 import shutil
@@ -9,6 +10,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from geovid.errors import ParameterError
 from geovid.geometry import CameraModel
 from geovid.model import init_model, load_checkpoint, save_checkpoint
 from geovid.numkit import vlt
+from geovid.patch3d import PointCloud, read_ply, write_ply
 from geovid.synthscene import TokenizerConfig, gen_scene, load_scene, save_scene
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -34,6 +37,18 @@ def saved(tmp_path_factory):
                                          tokenizer=TokenizerConfig(dim=16, seed=3)))
     save_checkpoint(root / "ckpt", init_model(CFG), CFG)
     return root / "scene", root / "ckpt"
+
+
+@pytest.fixture(scope="module")
+def ply_dir(tmp_path_factory):
+    """A directory with one PLY file with colors and one without; the points
+    span magnitudes from 1e-7 to 1e3, so some are written with exponents."""
+    root = tmp_path_factory.mktemp("ply")
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((12, 3)) * 10.0 ** rng.integers(-7, 4, size=(12, 1))
+    write_ply(root / "colored.ply", PointCloud(points, colors=rng.uniform(size=(12, 3))))
+    write_ply(root / "plain.ply", PointCloud(points))
+    return root
 
 
 def _files(directory: Path) -> list[str]:
@@ -91,6 +106,15 @@ def test_corrupt_checkpoint_loads_or_raises_parameter_error(saved, data, cut, po
     with tempfile.TemporaryDirectory() as tmp:
         bad = _corrupted_copy(ckpt_dir, Path(tmp) / "c", name, cut, pos, value)
         _load_bounded(load_checkpoint, bad)
+
+
+@FUZZ
+@given(data=st.data(), **MUTATIONS)
+def test_corrupt_ply_loads_or_raises_parameter_error(ply_dir, data, cut, pos, value):
+    name = data.draw(st.sampled_from(_files(ply_dir)))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = _corrupted_copy(ply_dir, Path(tmp) / "p", name, cut, pos, value)
+        _load_bounded(read_ply, bad / name)
 
 
 @pytest.mark.parametrize("content", [b'{"tensors": ["enc', b"[]", b"{}", b"\xff\xfe{}"],

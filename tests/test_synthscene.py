@@ -1,11 +1,17 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geovid.errors import ParameterError
 from geovid.geometry import GROUND_TRUTH, CameraModel, METRIC, look_at_rotation
 from geovid.patch3d import backproject, project
 from geovid.synthscene import (
-    CEILING, FLOOR, NUM_CLASSES, WALL_X0, WALL_X1, WALL_Y0, WALL_Y1, Box, SceneGeometry, TokenizerConfig, cast_pixels, gen_scene,
+    CEILING, DEPTH_SCALE, FLOOR, NUM_CLASSES, WALL_X0, WALL_X1, WALL_Y0, WALL_Y1, Box,
+    SceneGeometry, TokenizerConfig, _patch_summaries, _ROOM_FACE_CLASS, cast_pixels, gen_scene,
     load_scene, render_tokens, save_scene, teacher_features,
 )
 
@@ -209,3 +215,187 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(fa.patch_labels, fb.patch_labels)
         np.testing.assert_allclose(fa.camera.rotation, fb.camera.rotation,
                                    atol=1e-15)
+
+
+# ----------------------------------------------------------------------
+# the row-major cast and the looped patch summaries, kept as references
+# ----------------------------------------------------------------------
+
+def _cast_reference(cam, geom, ii, jj):
+    """cast_pixels with rays as [n, 3] rows and np.argmin/np.argmax per ray."""
+    ii = np.asarray(ii, dtype=np.float64).reshape(-1)
+    jj = np.asarray(jj, dtype=np.float64).reshape(-1)
+    dirs_cam = np.stack([(ii - cam.cx) / cam.fx, (jj - cam.cy) / cam.fy,
+                         np.ones_like(ii)], axis=1)
+    dirs = dirs_cam @ cam.rotation
+    origin = cam.center()
+    d_safe = np.copysign(np.maximum(np.abs(dirs), 1e-300), dirs)
+    t_face = np.where(d_safe > 0,
+                      (geom.room.hi - origin) / d_safe,
+                      (geom.room.lo - origin) / d_safe)
+    axis = np.argmin(t_face, axis=1)
+    t = t_face[np.arange(t_face.shape[0]), axis]
+    sign = np.where(dirs[np.arange(dirs.shape[0]), axis] > 0, 1, -1)
+    classes = _ROOM_FACE_CLASS[axis, (sign > 0).astype(np.intp)]
+    normals = np.zeros_like(dirs)
+    normals[np.arange(dirs.shape[0]), axis] = -sign
+    for box in geom.objects:
+        t1 = (box.lo - origin) / d_safe
+        t2 = (box.hi - origin) / d_safe
+        t_near_ax = np.minimum(t1, t2)
+        t_far_ax = np.maximum(t1, t2)
+        entry_axis = np.argmax(t_near_ax, axis=1)
+        t_near = t_near_ax[np.arange(t_near_ax.shape[0]), entry_axis]
+        t_far = t_far_ax.min(axis=1)
+        hit = (t_near <= t_far) & (t_near > 1e-9) & (t_near < t)
+        if not hit.any():
+            continue
+        t[hit] = t_near[hit]
+        classes[hit] = box.class_id
+        normals[hit] = 0.0
+        rows = np.nonzero(hit)[0]
+        ax = entry_axis[rows]
+        normals[rows, ax] = -np.sign(dirs[rows, ax])
+    return t, classes, normals @ cam.rotation.T
+
+
+def _summaries_reference(depth, labels, normals, patch_size):
+    """_patch_summaries as a loop over [ps, ps] slices."""
+    h, w = depth.shape
+    gh, gw = h // patch_size, w // patch_size
+    feats = np.zeros((gh * gw, 4 + NUM_CLASSES + 2))
+    majority = np.zeros(gh * gw, dtype=np.int64)
+    for p in range(gh * gw):
+        py, px = divmod(p, gw)
+        sl = (slice(py * patch_size, (py + 1) * patch_size),
+              slice(px * patch_size, (px + 1) * patch_size))
+        feats[p, 0] = depth[sl].mean() / DEPTH_SCALE
+        feats[p, 1:4] = normals[sl].reshape(-1, 3).mean(axis=0)
+        hist = np.bincount(labels[sl].reshape(-1), minlength=NUM_CLASSES)
+        feats[p, 4:4 + NUM_CLASSES] = hist / hist.sum()
+        feats[p, 4 + NUM_CLASSES] = py / max(gh - 1, 1)
+        feats[p, 5 + NUM_CLASSES] = px / max(gw - 1, 1)
+        majority[p] = int(np.argmax(hist))
+    return feats, majority
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()   # signed zeros too
+
+
+@pytest.mark.parametrize("seed, n_frames, resolution, n_objects", [
+    (3, 1, (28, 28), 1), (4, 6, (28, 28), 8), (5, 32, (56, 56), 8),
+    (6, 3, (56, 56), 1), (7, 1, (28, 42), 8), (8, 4, (28, 42), 3),
+])
+def test_cast_and_summaries_match_reference(seed, n_frames, resolution, n_objects):
+    scene = gen_scene(seed, n_frames=n_frames, resolution=resolution, n_objects=n_objects,
+                      tokenizer=TOK)
+    h, w = resolution
+    jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    for f in scene.frames:
+        want = _cast_reference(f.camera, scene.geometry, ii, jj)
+        for got, ref in zip(cast_pixels(f.camera, scene.geometry, ii, jj), want):
+            _assert_same_bits(got, ref)
+        depth, classes, normals = want[0].reshape(h, w), want[1].reshape(h, w), \
+            want[2].reshape(h, w, 3)
+        _assert_same_bits(f.depth.values, depth)
+        _assert_same_bits(f.labels, classes)
+        feats, majority = _summaries_reference(depth, classes, normals, TOK.patch_size)
+        _assert_same_bits(f.patch_summary, feats)
+        _assert_same_bits(f.patch_labels, majority)
+        for got, ref in zip(_patch_summaries(depth, classes, normals, TOK.patch_size),
+                            (feats, majority)):
+            _assert_same_bits(got, ref)
+
+
+# proper signed permutations: exact rotations that send the camera axes to world axes
+_AXIS_ROTATIONS = [r for r in (np.diag(s)[list(p)] for p in itertools.permutations(range(3))
+                               for s in itertools.product((-1.0, 1.0), repeat=3))
+                   if np.linalg.det(r) > 0]
+_half_steps = st.integers(-4, 4).map(lambda k: k / 2)
+_ints = st.integers(-3, 3)
+
+
+@st.composite
+def _integer_boxes(draw):
+    lo = np.array([draw(_ints) for _ in range(3)], dtype=np.float64)
+    size = np.array([draw(st.integers(1, 3)) for _ in range(3)], dtype=np.float64)
+    return Box(lo=lo, hi=lo + size, class_id=7 + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rot=st.sampled_from(_AXIS_ROTATIONS),
+       lo=st.tuples(*[st.integers(-3, -1)] * 3), hi=st.tuples(*[st.integers(1, 3)] * 3),
+       i=_half_steps, j=_half_steps, boxes=st.lists(_integer_boxes(), max_size=3))
+# a ray from the centre of a cube through its corner, where the corner of a box sits too
+@example(rot=np.eye(3), lo=(-2, -2, -2), hi=(2, 2, 2), i=1.0, j=1.0,
+         boxes=[Box(lo=np.ones(3), hi=np.full(3, 2.0), class_id=8)])
+def test_single_axis_aligned_rays_match_reference(rot, lo, hi, i, j, boxes):
+    """Integer rooms and boxes, and rays with components in {0, +-1/2, +-1, ...}
+    seen from the origin, tie exit and entry distances exactly (room corners
+    and box edges) and take the zero-component floor; the ties go to the
+    first axis, as np.argmin/np.argmax give them."""
+    geom = SceneGeometry(room=Box(lo=np.array(lo, dtype=np.float64),
+                                  hi=np.array(hi, dtype=np.float64), class_id=0),
+                         objects=boxes)
+    cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=rot, translation=np.zeros(3),
+                      scale_kind=METRIC)
+    got = cast_pixels(cam, geom, np.array([i]), np.array([j]))
+    for g, ref in zip(got, _cast_reference(cam, geom, np.array([i]), np.array([j]))):
+        _assert_same_bits(g, ref)
+
+
+def test_corner_ray_ties_go_to_first_axis():
+    # exits through x = y = z = 2 at once: the x wall; enters the box at x = y = z = 1
+    room = Box(lo=np.full(3, -2.0), hi=np.full(3, 2.0), class_id=0)
+    cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.eye(3),
+                      translation=np.zeros(3), scale_kind=METRIC)
+    ray = (np.array([1.0]), np.array([1.0]))
+    depth, classes, normals = cast_pixels(cam, SceneGeometry(room=room, objects=[]), *ray)
+    assert (depth[0], classes[0]) == (2.0, WALL_X1)
+    assert normals[0].tolist() == [-1.0, 0.0, 0.0]
+    box = Box(lo=np.ones(3), hi=np.full(3, 2.0), class_id=9)
+    depth, classes, normals = cast_pixels(cam, SceneGeometry(room=room, objects=[box]), *ray)
+    assert (depth[0], classes[0]) == (1.0, 9)
+    assert normals[0].tolist() == [-1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 5.0), (2.0, 0.0, 0.0), (0.0, -2.0, 0.0),
+                                    (np.nan, 0.0, 0.0)],
+                         ids=["outside", "on-x-wall", "on-y-wall", "nan"])
+def test_camera_outside_room_rejected(center):
+    room = Box(lo=np.full(3, -2.0), hi=np.full(3, 2.0), class_id=0)
+    cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.eye(3),
+                      translation=-np.array(center), scale_kind=METRIC)
+    with pytest.raises(ParameterError, match="inside the room"):
+        cast_pixels(cam, SceneGeometry(room=room, objects=[]), np.zeros(1), np.zeros(1))
+
+
+def _scene_digest(scene) -> str:
+    """SHA-256 over the dtype, shape and bytes of every array of a scene."""
+    arrays = [scene.geometry.room.lo, scene.geometry.room.hi]
+    arrays += [a for b in scene.geometry.objects for a in (b.lo, b.hi, np.array(b.class_id))]
+    for f in scene.frames:
+        arrays += [f.camera.rotation, f.camera.translation, f.depth.values, f.labels,
+                   f.patch_summary, f.patch_labels, f.base.tokens.data,
+                   f.teacher_geom.tokens.data, f.teacher_lang.tokens.data]
+    digest = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def test_scene_bytes_pinned():
+    """Any change to a generated scene's bits fails here, not only in the
+    benchmark's canary: the digest is that of the scene as generated with
+    the row-major reference cast and looped summaries above."""
+    scene = gen_scene(3, n_frames=4, resolution=(28, 28), n_objects=4)
+    assert _scene_digest(scene) == SCENE_3_DIGEST
+
+
+SCENE_3_DIGEST = "36d0cb3263e5c109a68d038d5303988d6a8f0aae3c964957bb2ba5574b0fc9e4"
