@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 degenerate input, 3 numeric failure, 1 any other
 package error. All artifacts (JSON, JSONL, PLY, checkpoints) are
-byte-deterministic for a fixed config + seed; `GEOVID_THREADS` caps the
-scene-generation worker pool.
+byte-deterministic for a fixed config + seed.
 """
 
 from __future__ import annotations
@@ -137,6 +136,12 @@ def align_scale_cmd(depth_rel, depth_metric, cameras, out, scaled_out,
     met = _load_depth_dir(Path(depth_metric), METRIC)
     if len(rel) != len(met):
         raise ParameterError("relative/metric depth counts differ")
+    cams = None
+    if cameras is not None:
+        cams = [CameraModel.load(f) for f in sorted(Path(cameras).glob("*.json"))]
+        if len(cams) != len(rel):
+            raise ParameterError(f"--cameras has {len(cams)} camera file(s) "
+                                 f"for {len(rel)} depth file(s)")
     pairs = [(r, m) for (_, r), (_, m) in zip(rel, met)]
     est = scene_scale(pairs, sample_count=samples, seed=seed,
                       weights="uniform" if uniform_weights else "inverse_metric")
@@ -144,15 +149,13 @@ def align_scale_cmd(depth_rel, depth_metric, cameras, out, scaled_out,
     if scaled_out is not None:
         sdir = Path(scaled_out)
         sdir.mkdir(parents=True, exist_ok=True)
-        cams = ([CameraModel.load(f) for f in sorted(Path(cameras).glob("*.json"))]
-                if cameras is not None else [])
-        for i, ((name, r), _) in enumerate(zip(rel, met)):
-            if i < len(cams):
-                d, c = apply_scale(est.scene_factor, r, cams[i])
-                c.save(sdir / f"{name}.camera.json")
-            else:
+        for i, (name, r) in enumerate(rel):
+            if cams is None:
                 d = DepthMap(r.values * est.scene_factor, scale_kind=METRIC,
                              valid_mask=r.valid_mask)
+            else:
+                d, c = apply_scale(est.scene_factor, r, cams[i])
+                c.save(sdir / f"{name}.camera.json")
             vlt.save_tensor(sdir / f"{name}.vlt", d.values)
     click.echo(f"scene factor {est.scene_factor:.6g} from {len(est.per_image_factors)} frame(s)")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -128,16 +127,6 @@ def _same_kind(value, default) -> bool:
                 and all(_same_kind(v, 0) for v in value))
     return (isinstance(value, _KINDS[type(default)])
             and isinstance(value, bool) == isinstance(default, bool))
-
-
-def worker_count(default: int = 1) -> int:
-    """Thread cap from GEOVID_THREADS; falls back to `default`."""
-    raw = os.environ.get("GEOVID_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, n)
 
 
 def read_json(path: str | Path, *keys: str) -> dict:

@@ -9,6 +9,6 @@ from .nn import (
     Role, TokenSet, MlpParams, MhaParams,
     mlp, mha, l2_normalize, rms_norm, require_role,
 )
-from .optim import AdamW, AdamWState, adamw_step, global_grad_norm
+from .optim import AdamW
 from .gradcheck import grad_check
 from . import vlt

@@ -118,12 +118,15 @@ def fuse_tokens(lang: TokenSet, depth: DepthMap, cam: CameraModel,
     return Patch3DTokens(tokens=lang.tokens + emb, anchor_points=anchors)
 
 
+_PLY_XYZ = ["property float x", "property float y", "property float z"]
+_PLY_RGB = ["property uchar red", "property uchar green", "property uchar blue"]
+
+
 def write_ply(path: str | Path, cloud: PointCloud) -> None:
     """ASCII PLY, deterministic formatting; colors as uchar when present."""
-    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
-             "property float x", "property float y", "property float z"]
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"] + _PLY_XYZ
     if cloud.colors is not None:
-        lines += ["property uchar red", "property uchar green", "property uchar blue"]
+        lines += _PLY_RGB
     lines.append("end_header")
     rows = [f"{x:.10g} {y:.10g} {z:.10g}" for x, y, z in cloud.points]
     if cloud.colors is not None:
@@ -135,25 +138,30 @@ def write_ply(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_ply(path: str | Path) -> PointCloud:
-    """ASCII PLY as written by write_ply; malformed input is a ParameterError.
-    A non-ASCII byte reads as U+FFFD, which no header keyword or number matches."""
+    """ASCII PLY with the header write_ply writes and no other: format ascii
+    1.0, a vertex count, float x y z, then optionally uchar red green blue.
+    Anything else is a ParameterError. A non-ASCII byte reads as U+FFFD,
+    which no header line or number matches."""
     with open(path, encoding="ascii", errors="replace") as fh:
-        if fh.readline().strip() != "ply":
-            raise ParameterError("not a PLY file")
-        n = 0
-        has_color = False
-        for line in fh:
-            token = line.strip()
-            if token.startswith("element vertex"):
-                try:
-                    n = int(token.split()[-1])
-                except ValueError:
-                    raise ParameterError(f"bad PLY vertex count: {token!r}") from None
-            elif token.startswith("property uchar red"):
-                has_color = True
-            elif token == "end_header":
+        header = []
+        for line in fh:   # at most ply, format, count, six properties, end
+            header.append(line.strip())
+            if header[-1] == "end_header" or len(header) == 10:
                 break
-        width = 6 if has_color else 3
+        if header[:1] != ["ply"]:
+            raise ParameterError("not a PLY file")
+        if header[-1] != "end_header":
+            raise ParameterError("PLY header has no end_header where write_ply puts it")
+        if header[1] != "format ascii 1.0":
+            raise ParameterError(f"unsupported PLY format: {header[1]!r}")
+        count = header[2].split()
+        if count[:2] != ["element", "vertex"] or len(count) != 3 or not count[2].isdecimal():
+            raise ParameterError(f"bad PLY vertex element: {header[2]!r}")
+        n = int(count[2])
+        props = header[3:-1]
+        if props not in (_PLY_XYZ, _PLY_XYZ + _PLY_RGB):
+            raise ParameterError(f"unsupported PLY properties: {props}")
+        width = len(props)
         rows = []
         for i in range(n):
             parts = fh.readline().split()
@@ -165,4 +173,4 @@ def read_ply(path: str | Path) -> PointCloud:
             except ValueError:
                 raise ParameterError(f"PLY vertex {i} is not numeric") from None
     data = np.array(rows, dtype=np.float64).reshape(-1, width)
-    return PointCloud(points=data[:, :3], colors=data[:, 3:] if has_color else None)
+    return PointCloud(points=data[:, :3], colors=data[:, 3:] if width == 6 else None)

@@ -23,15 +23,13 @@ import csv
 import json
 import sys
 import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .config import RunConfig, worker_count, write_json
+from .config import RunConfig, write_json
 from .errors import DegenerateInputError, NumericError
 from .evalmetrics import MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
@@ -54,12 +52,10 @@ class TrainLogEntry:
     step: int
     stage: int
     report: LossReport
-    eval: MetricsReport | None = None
 
     def to_json(self) -> dict:
         return {"step": self.step, "stage": self.stage,
-                "losses": self.report.to_json(),
-                "eval": self.eval.to_json() if self.eval else None}
+                "losses": self.report.to_json()}
 
 
 def write_jsonl(path: str | Path, entries: list[TrainLogEntry]) -> None:
@@ -81,38 +77,18 @@ def scene_seeds(cfg: RunConfig, count: int | None = None, held_out: bool = False
 
 def generate_scenes(cfg: RunConfig, count: int | None = None,
                     held_out: bool = False) -> list[SceneSample]:
-    """Scene generation is pure per seed, so a thread pool keeps determinism."""
     return list(_iter_scenes(cfg, count, held_out))
 
 
 def _iter_scenes(cfg: RunConfig, count: int | None = None,
                  held_out: bool = False) -> Iterator[SceneSample]:
-    """The scenes of `generate_scenes`, in seed order, as the pool makes them.
-
-    At most two scenes per worker are in flight, so a caller that consumes
-    each scene as it arrives holds a bounded number of them.
-    """
-    seeds = scene_seeds(cfg, count, held_out)
+    """The scenes of `generate_scenes` one at a time, in seed order."""
     tok = TokenizerConfig(dim=cfg.dim, noise=cfg.token_noise,
                           seed=cfg.seed, patch_size=cfg.patch_size)
-
-    def build(s: int) -> SceneSample:
-        return gen_scene(s, n_frames=cfg.frames_per_scene,
-                         resolution=cfg.resolution, n_objects=cfg.n_objects,
-                         tokenizer=tok)
-
-    workers = worker_count()
-    if workers <= 1 or len(seeds) <= 1:
-        yield from map(build, seeds)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque[Future] = deque()
-        for s in seeds:
-            pending.append(pool.submit(build, s))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    for s in scene_seeds(cfg, count, held_out):
+        yield gen_scene(s, n_frames=cfg.frames_per_scene,
+                        resolution=cfg.resolution, n_objects=cfg.n_objects,
+                        tokenizer=tok)
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,9 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, check=True, threads=None):
+def run_cli(*args, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if threads is not None:
-        env["GEOVID_THREADS"] = str(threads)
     proc = subprocess.run([sys.executable, "-m", "geovid.cli", *args],
                           capture_output=True, text=True, env=env)
     if check and proc.returncode != 0:
@@ -50,18 +48,18 @@ def test_gen_scenes_layout(workspace):
     assert (scenes[0] / "frame_000" / "camera.json").exists()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_gen_scenes_streamed_files_match_list_path(tmp_path, threads):
-    # gen-scenes saves each scene as the pool yields it; five scenes are more
-    # than the pool keeps in flight at two workers
+@pytest.mark.parametrize("frames", [1, 2])
+def test_gen_scenes_streamed_files_match_list_path(tmp_path, frames):
+    # gen-scenes saves each scene as it is generated; the files must equal
+    # those of saving generate_scenes' list, for one- and two-frame scenes
     from geovid.config import RunConfig
     from geovid.synthscene import save_scene
     from geovid.train import generate_scenes
 
-    run_cli("gen-scenes", "--seed", "13", "--count", "5", "--frames", "2",
+    run_cli("gen-scenes", "--seed", "13", "--count", "5", "--frames", str(frames),
             "--out", str(tmp_path / "cli"), "--resolution", "28",
-            "--objects", "3", "--dim", "16", threads=threads)
-    cfg = RunConfig(seed=13, dim=16, resolution=(28, 28), frames_per_scene=2,
+            "--objects", "3", "--dim", "16")
+    cfg = RunConfig(seed=13, dim=16, resolution=(28, 28), frames_per_scene=frames,
                     n_objects=3, token_noise=0.01)
     for i, scene in enumerate(generate_scenes(cfg, count=5)):
         save_scene(tmp_path / "list" / f"scene_{i:04d}", scene)
@@ -142,6 +140,66 @@ def test_align_scale_cli(workspace, tmp_path):
     est = json.loads((tmp_path / "scale.json").read_text())
     assert est["scene_factor"] == pytest.approx(2.5, rel=1e-9)
     assert len(est["factors"]) == 3
+
+
+def _align_inputs(root, n_depths, n_cameras):
+    """Relative depths at 1/2.5 of metric ones, plus relative cameras."""
+    from geovid.geometry import CameraModel
+    from geovid.numkit import vlt
+    rng = np.random.default_rng(3)
+    dirs = {k: root / k for k in ("rel", "met", "cams")}
+    for d in dirs.values():
+        d.mkdir()
+    for i in range(n_depths):
+        metric = rng.uniform(1.0, 5.0, (8, 8))
+        vlt.save_tensor(dirs["met"] / f"f{i}.vlt", metric)
+        vlt.save_tensor(dirs["rel"] / f"f{i}.vlt", metric / 2.5)
+    for i in range(n_cameras):
+        CameraModel(fx=10.0, fy=10.0, cx=4.0, cy=4.0, rotation=np.eye(3),
+                    translation=rng.standard_normal(3)).save(dirs["cams"] / f"c{i}.json")
+    return dirs
+
+
+def test_align_scale_scaled_out_with_cameras(tmp_path):
+    from geovid.geometry import CameraModel
+    from geovid.numkit import vlt
+    dirs = _align_inputs(tmp_path, 3, 3)
+    run_cli("align-scale", "--depth-rel", str(dirs["rel"]), "--depth-metric", str(dirs["met"]),
+            "--cameras", str(dirs["cams"]), "--out", str(tmp_path / "scale.json"),
+            "--scaled-out", str(tmp_path / "scaled"))
+    factor = json.loads((tmp_path / "scale.json").read_text())["scene_factor"]
+    for i in range(3):
+        cam = CameraModel.load(dirs["cams"] / f"c{i}.json")
+        scaled = CameraModel.load(tmp_path / "scaled" / f"f{i}.camera.json")
+        assert scaled.scale_kind == "metric"
+        np.testing.assert_array_equal(scaled.translation, cam.translation * factor)
+        np.testing.assert_array_equal(vlt.load_tensor(tmp_path / "scaled" / f"f{i}.vlt"),
+                                      vlt.load_tensor(dirs["rel"] / f"f{i}.vlt") * factor)
+
+
+def test_align_scale_scaled_out_without_cameras(tmp_path):
+    from geovid.numkit import vlt
+    dirs = _align_inputs(tmp_path, 3, 0)
+    run_cli("align-scale", "--depth-rel", str(dirs["rel"]), "--depth-metric", str(dirs["met"]),
+            "--out", str(tmp_path / "scale.json"), "--scaled-out", str(tmp_path / "scaled"))
+    factor = json.loads((tmp_path / "scale.json").read_text())["scene_factor"]
+    assert sorted(p.name for p in (tmp_path / "scaled").iterdir()) == \
+        ["f0.vlt", "f1.vlt", "f2.vlt"]
+    for i in range(3):
+        np.testing.assert_array_equal(vlt.load_tensor(tmp_path / "scaled" / f"f{i}.vlt"),
+                                      vlt.load_tensor(dirs["rel"] / f"f{i}.vlt") * factor)
+
+
+def test_align_scale_rejects_camera_count_mismatch(tmp_path):
+    dirs = _align_inputs(tmp_path, 3, 1)
+    proc = run_cli("align-scale", "--depth-rel", str(dirs["rel"]),
+                   "--depth-metric", str(dirs["met"]), "--cameras", str(dirs["cams"]),
+                   "--out", str(tmp_path / "scale.json"),
+                   "--scaled-out", str(tmp_path / "scaled"), check=False)
+    assert proc.returncode == 1
+    assert "1 camera file(s) for 3 depth file(s)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "scaled").exists()
 
 
 def test_exit_code_degenerate(tmp_path):
@@ -225,3 +283,22 @@ def test_eval_rejects_truncated_ply(tmp_path):
                    "--out", str(tmp_path / "report.json"), check=False)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("old, new", [
+    ("property uchar red", "property uchar rXd"),
+    ("format ascii 1.0", "format binary_little_endian 1.0"),
+    ("property float z\n", ""),
+], ids=["corrupt-red", "binary-format", "no-z"])
+def test_eval_rejects_unsupported_ply_header(tmp_path, old, new):
+    from geovid.patch3d import PointCloud, write_ply
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    write_ply(pred / "cloud.ply", PointCloud(points=np.zeros((2, 3)),
+                                             colors=np.full((2, 3), 0.5)))
+    text = (pred / "cloud.ply").read_text()
+    (pred / "cloud.ply").write_text(text.replace(old, new, 1))
+    proc = run_cli("eval", "--pred", str(pred), "--gt", str(pred),
+                   "--out", str(tmp_path / "report.json"), check=False)
+    assert proc.returncode == 1
+    assert "PLY" in proc.stderr and "Traceback" not in proc.stderr

@@ -2,14 +2,13 @@
 
 import ast
 import importlib.util
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from geovid.config import RunConfig, worker_count
+from geovid.config import RunConfig
 from geovid.model import init_model, predict_window
 from geovid.numkit import (
     MhaParams, MlpParams, Tensor, grad_check, mha, mlp, tsum,
@@ -30,17 +29,6 @@ def test_autodiff_soundness_100_points_mlp_mha():
         x2 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         worst = max(worst, grad_check(lambda t: tsum(mha(t, t, t, p_mha) * w2), x2))
     assert worst < 1e-4
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GEOVID_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GEOVID_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GEOVID_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("GEOVID_THREADS", "junk")
-    assert worker_count(default=2) == 2
 
 
 def test_stage2_never_mutates_teachers():

@@ -196,3 +196,25 @@ class TestPly:
         with pytest.raises(ParameterError):
             read_ply(tmp_path / "c.ply")
 
+    @pytest.mark.parametrize("colors, old, new", [
+        (True, "property uchar red", "property uchar rXd"),
+        (False, "format ascii 1.0", "format binary_little_endian 1.0"),
+        (False, "property float z\n", ""),
+        (False, "property float z", "property double z"),
+        (True, "property uchar blue\n", ""),
+        (False, "format ascii 1.0\n", "format ascii 1.0\ncomment other writer\n"),
+        (False, "element vertex 2", "element vertex -2"),
+        (False, "element vertex 2", "element face 2"),
+        (False, "end_header\n", ""),
+    ], ids=["corrupt-red", "binary-format", "no-z", "double-z", "no-blue",
+            "comment", "negative-count", "face-element", "no-end-header"])
+    def test_header_other_than_write_ply_rejected(self, tmp_path, colors, old, new):
+        pts = np.arange(6, dtype=float).reshape(2, 3)
+        cols = np.full((2, 3), 0.5) if colors else None
+        write_ply(tmp_path / "c.ply", PointCloud(points=pts, colors=cols))
+        text = (tmp_path / "c.ply").read_text()
+        assert old in text
+        (tmp_path / "c.ply").write_text(text.replace(old, new, 1))
+        with pytest.raises(ParameterError):
+            read_ply(tmp_path / "c.ply")
+
