@@ -52,6 +52,10 @@ class BinConfig:
         gaps = np.diff(self.centers)
         return np.minimum(np.concatenate([gaps[:1], gaps]), np.concatenate([gaps, gaps[-1:]]))
 
+    def shift_budget(self) -> np.ndarray:
+        """Per-bin bound on a center's shift: max_shift times its local width."""
+        return self.max_shift * self.local_widths()
+
 
 def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> BinConfig:
     """Log-uniform centers: c_k = exp(ln d_min + (k - 1/2)/N * (ln d_max - ln d_min))."""
@@ -64,79 +68,159 @@ def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> Bin
     return BinConfig(centers=np.exp(ln), d_min=d_min, d_max=d_max, max_shift=max_shift)
 
 
-def _ordinal_mass(logits: np.ndarray, q_full: np.ndarray, clamped: np.ndarray,
-                  out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative-link mass of logits [rows, N] into `out` (may be `clamped`) via
-    q_full = [1, q, 0], q = P(depth > boundary_k); returns q and row totals."""
-    n = logits.shape[1]
-    q_full[:, 0] = 1.0
-    q_full[:, n] = 0.0
-    q = special.expit(logits[:, 0:n - 1], out=q_full[:, 1:n])
-    np.subtract(q_full[:, 0:n], q_full[:, 1:n + 1], out=clamped)  # sums to 1
+ROW_BLOCK = 392   # pixel rows per block of the head's loops: 8 blocks per 56x56 frame
+
+
+def _row_blocks(hw: int):
+    """(lo, hi) bounds of the ROW_BLOCK-row blocks covering hw rows."""
+    return ((lo, min(lo + ROW_BLOCK, hw)) for lo in range(0, hw, ROW_BLOCK))
+
+
+def _workspace(hw: int, n: int, dtype=np.float64) -> np.ndarray:
+    """One block's [rows, n] scratch array for a loop over hw rows."""
+    return np.empty((min(ROW_BLOCK, hw), n), dtype=dtype)
+
+
+def _pixel_count(x: Tensor, up: np.ndarray | None) -> int:
+    """Rows of the pixel-level [HW, N] input: x's own, or up's for x = [P, N]."""
+    if x.ndim != 2:
+        raise ShapeError("bin inputs must be [HW, N], or [P, N] with an upsample")
+    if up is None:
+        return x.shape[0]
+    if up.ndim != 2 or up.shape[1] != x.shape[0]:
+        raise ShapeError(f"upsample {up.shape} does not take {x.shape[0]} patch rows")
+    return up.shape[0]
+
+
+def _pixel_rows(x: np.ndarray, up: np.ndarray | None, lo: int, hi: int,
+                buf: np.ndarray | None) -> np.ndarray:
+    """Rows lo:hi of x, or of up @ x computed into `buf` and checked finite."""
+    if up is None:
+        return x[lo:hi]
+    rows = np.matmul(up[lo:hi], x, out=buf[:hi - lo])
+    _check_finite(rows, "matmul")
+    return rows
+
+
+def _fold_up(up: np.ndarray | None, g_rows: np.ndarray) -> np.ndarray:
+    """Gradient of the node's input from that of its pixel rows: the matmul
+    VJP `up.T @ g`, one BLAS call over all rows."""
+    return g_rows if up is None else np.swapaxes(up, -1, -2) @ g_rows
+
+
+def _ordinal_mass(logits: np.ndarray, qx: np.ndarray, clamped: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Cumulative-link mass of logits [rows, N] into `out` (may be `clamped`).
+
+    `qx` (may be `logits`) receives the exceedance probabilities
+    q_k = P(depth > boundary_k) as [q_1 .. q_{N-1}, 0], so the mass
+    [1 - q_1, q_1 - q_2, .., q_{N-1} - 0] is one flat subtract over the
+    contiguous rows and a fix-up of column 0. Returns the row totals.
+    """
+    special.expit(logits, out=qx)
+    qx[:, -1] = 0.0
+    flat_q = qx.reshape(-1)
+    np.subtract(flat_q[:-1], flat_q[1:], out=clamped.reshape(-1)[1:])  # sums to 1
+    np.subtract(1.0, qx[:, 0], out=clamped[:, 0])
     np.maximum(clamped, 0.0, out=clamped)
     total = clamped.sum(axis=1, keepdims=True)            # >= 1 by telescoping
     np.divide(clamped, total, out=out)
-    return q, total
+    return total
 
 
-def _bounded_shift(cfg: BinConfig, raw: np.ndarray, t: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """c_k + budget_k * tanh(raw_k) into `out`, tanh into `t`; returns budget."""
-    budget = cfg.max_shift * cfg.local_widths()
+def _bounded_shift(budget: np.ndarray, centers: np.ndarray, raw: np.ndarray,
+                   t: np.ndarray, out: np.ndarray) -> None:
+    """centers + budget * tanh(raw) into `out`, tanh into `t` (either may be `raw`)."""
     np.tanh(raw, out=t)
     np.multiply(budget, t, out=out)
-    out += cfg.centers
-    return budget
+    out += centers
 
 
-def _expectation(probs: np.ndarray, centers: np.ndarray, prod=None) -> np.ndarray:
-    """Row sums of probs * centers, the products (into `prod`) checked finite."""
-    prod = np.multiply(probs, centers, out=prod)
+def _expectation(probs: np.ndarray, centers: np.ndarray, prod: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Row sums of probs * centers into `out`, the products (into `prod`) checked finite."""
+    np.multiply(probs, centers, out=prod)
     _check_finite(prod, "mul")
-    return prod.sum(axis=1)
+    prod.sum(axis=1, out=out)
 
 
-def bin_logits_to_probs(logits: Tensor, ordinal: bool = True) -> Tensor:
-    """Logits [HW, N] -> per-pixel simplex [HW, N].
+def bin_logits_to_probs(logits: Tensor, ordinal: bool = True,
+                        up: np.ndarray | None = None) -> Tensor:
+    """Logits [HW, N] -> per-pixel simplex [HW, N]; with an upsample matrix
+    `up` [HW, P], patch logits [P, N] -> the simplex of `up @ logits`.
 
     Ordinal mode (cumulative link): sigma(logit_k) models P(depth > boundary_k)
     for the N-1 interior boundaries; with P(>0) = 1 and P(>N) = 0 the bin mass
     is the difference of adjacent exceedance probabilities, clamped at zero and
     renormalized to guard monotonicity violations. The last logit column only
-    participates in the softmax fallback. The ordinal map is one graph node;
-    its gradient is zero where the clamp is active.
+    participates in the softmax fallback. The ordinal map, upsample included,
+    is one graph node that runs in ROW_BLOCK-row blocks; its gradient is zero
+    where the clamp is active.
     """
     logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeError("bin logits must be [HW, N]")
+    hw = _pixel_count(logits, up)
     if not ordinal:
-        return softmax(logits, axis=-1)
-    hw, n = logits.shape
+        return softmax(logits if up is None else matmul(up, logits), axis=-1)
+    n = logits.shape[1]
     if n < 2:
         raise ShapeError("ordinal normalization needs at least 2 bins")
-    clamped, out = np.empty((hw, n)), np.empty((hw, n))
-    q, total = _ordinal_mass(logits.data, np.empty((hw, n + 1)), clamped, out)
+    qx, clamped, out = (np.empty((hw, n)) for _ in range(3))
+    total = np.empty((hw, 1))
+    lg = None if up is None else _workspace(hw, n)
+    for lo, hi in _row_blocks(hw):
+        rows = _pixel_rows(logits.data, up, lo, hi, lg)
+        total[lo:hi] = _ordinal_mass(rows, qx[lo:hi], clamped[lo:hi], out[lo:hi])
 
     def vjp(g):
-        g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1, keepdims=True)
-        g_raw = g_mass * (clamped > 0.0)                  # zero where the clamp is active
-        g_logits = np.zeros((hw, n))
-        g_logits[:, 0:n - 1] = (g_raw[:, 1:n] - g_raw[:, 0:n - 1]) * q * (1.0 - q)
-        return g_logits
+        # per block, the ops and order of
+        #   g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1)
+        #   g_raw = g_mass * (clamped > 0)
+        #   g_logits[:, :N-1] = (g_raw[:, 1:] - g_raw[:, :-1]) * q * (1 - q)
+        # with -g * c / t^2 taken as g * c / -(t^2), which has the same bits
+        g_rows, w, g_mass = np.empty((hw, n)), _workspace(hw, n), _workspace(hw, n)
+        active = _workspace(hw, n, bool)
+        for lo, hi in _row_blocks(hw):
+            m, g_b, c_b, t_b, q_b = hi - lo, g[lo:hi], clamped[lo:hi], total[lo:hi], qx[lo:hi]
+            share = np.multiply(g_b, c_b, out=w[:m])
+            share /= -(t_b * t_b)
+            np.divide(g_b, t_b, out=g_mass[:m])
+            g_mass[:m] += share.sum(axis=1, keepdims=True)
+            g_mass[:m] *= np.greater(c_b, 0.0, out=active[:m])   # zero where clamped
+            dst, flat = g_rows[lo:hi], g_mass[:m].reshape(-1)
+            np.subtract(flat[1:], flat[:-1], out=dst.reshape(-1)[:-1])
+            dst[:, -1] = 0.0                                # the last logit gets none
+            dst *= q_b
+            dst *= np.subtract(1.0, q_b, out=w[:m])
+        return _fold_up(up, g_rows)
 
     return Tensor._from_op(out, "ordinal_probs", (logits,), (vjp,))
 
 
-def bounded_centers(cfg: BinConfig, raw: Tensor) -> Tensor:
+def bounded_centers(cfg: BinConfig, raw: Tensor, up: np.ndarray | None = None) -> Tensor:
     """c_k + max_shift * width_k * tanh(raw_k): rows stay strictly increasing.
-    One graph node."""
-    if raw.ndim != 2 or raw.shape[1] != cfg.n_bins:
+    With an upsample matrix `up` [HW, P], raw is [P, n_bins] and the shift
+    applies to `up @ raw`. One graph node, run in ROW_BLOCK-row blocks."""
+    hw = _pixel_count(raw, up)
+    if raw.shape[1] != cfg.n_bins:
         raise ShapeError("raw shifts must be [rows, n_bins]")
-    t, out = np.empty(raw.shape), np.empty(raw.shape)
-    budget = _bounded_shift(cfg, raw.data, t, out)
-    return Tensor._from_op(out, "bounded_centers", (raw,), (
-        lambda g: g * budget * (1.0 - t * t),
-    ))
+    n, budget = cfg.n_bins, cfg.shift_budget()
+    t, out = np.empty((hw, n)), np.empty((hw, n))
+    rw = None if up is None else _workspace(hw, n)
+    for lo, hi in _row_blocks(hw):
+        _bounded_shift(budget, cfg.centers, _pixel_rows(raw.data, up, lo, hi, rw),
+                       t[lo:hi], out[lo:hi])
+
+    def vjp(g):
+        # g * budget * (1 - t * t), block by block
+        g_rows, w = np.empty((hw, n)), _workspace(hw, n)
+        for lo, hi in _row_blocks(hw):
+            slope = np.multiply(t[lo:hi], t[lo:hi], out=w[:hi - lo])
+            np.subtract(1.0, slope, out=slope)
+            np.multiply(g[lo:hi], budget, out=g_rows[lo:hi])
+            g_rows[lo:hi] *= slope
+        return _fold_up(up, g_rows)
+
+    return Tensor._from_op(out, "bounded_centers", (raw,), (vjp,))
 
 
 def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
@@ -144,7 +228,11 @@ def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
     if probs.shape != centers.shape:
         raise ShapeError("probs and centers must have equal shapes")
     p, c = probs.data, centers.data
-    return Tensor._from_op(_expectation(p, c), "expected_depth", (probs, centers),
+    hw = p.shape[0]
+    depth, prod = np.empty(hw), _workspace(hw, p.shape[1])
+    for lo, hi in _row_blocks(hw):
+        _expectation(p[lo:hi], c[lo:hi], prod[:hi - lo], depth[lo:hi])
+    return Tensor._from_op(depth, "expected_depth", (probs, centers),
                            (lambda g: g[:, None] * c, lambda g: g[:, None] * p))
 
 
@@ -173,26 +261,21 @@ class MetricDepthParams:
         return out
 
 
-ROW_BLOCK = 392   # pixels per block of the no-grad head: 8 blocks per 56x56 frame
-
-
 def _blocked_depth(up: np.ndarray, logits: np.ndarray, raw: np.ndarray,
                    bins: BinConfig) -> np.ndarray:
     """The ordinal head in row blocks through one workspace, with the graph's bits."""
     hw, n = up.shape[0], logits.shape[1]
-    lg, probs, rw, q_full = (np.empty((ROW_BLOCK, n + k)) for k in (0, 0, 0, 1))
-    depth = np.empty(hw)
-    for lo in range(0, hw, ROW_BLOCK):
-        up_b, m = up[lo:lo + ROW_BLOCK], min(ROW_BLOCK, hw - lo)
-        lg_b = np.matmul(up_b, logits, out=lg[:m])
-        _check_finite(lg_b, "matmul")
-        _ordinal_mass(lg_b, q_full[:m], probs[:m], probs[:m])
+    lg, probs, rw = (_workspace(hw, n) for _ in range(3))
+    budget, depth = bins.shift_budget(), np.empty(hw)
+    for lo, hi in _row_blocks(hw):
+        m = hi - lo
+        lg_b = _pixel_rows(logits, up, lo, hi, lg)
+        _ordinal_mass(lg_b, lg_b, probs[:m], probs[:m])
         _check_finite(probs[:m], "ordinal_probs")
-        rw_b = np.matmul(up_b, raw, out=rw[:m])
-        _check_finite(rw_b, "matmul")
-        _bounded_shift(bins, rw_b, rw_b, rw_b)
+        rw_b = _pixel_rows(raw, up, lo, hi, rw)
+        _bounded_shift(budget, bins.centers, rw_b, rw_b, rw_b)
         _check_finite(rw_b, "bounded_centers")
-        depth[lo:lo + m] = _expectation(probs[:m], rw_b, rw_b)
+        _expectation(probs[:m], rw_b, rw_b, depth[lo:hi])
     return depth
 
 
@@ -209,13 +292,13 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
     """
     h, w = image_size
     gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
-    up = upsample_tensor(gh, gw, h, w)
+    up = upsample_tensor(gh, gw, h, w).data
     feats = rms_norm(patch_tokens.tokens)
     patch_logits = mlp(feats, p.logits_mlp)   # [..., P, N]
     patch_raw = mlp(feats, p.refine_mlp)      # [..., P, N]
     if p.ordinal and not (patch_logits.requires_grad or patch_raw.requires_grad):
         cells = (-1, gh * gw, p.bins.n_bins)
-        depth = [_blocked_depth(up.data, lg, rw, p.bins) for lg, rw in
+        depth = [_blocked_depth(up, lg, rw, p.bins) for lg, rw in
                  zip(patch_logits.data.reshape(cells), patch_raw.data.reshape(cells))]
         return Tensor(np.stack(depth).reshape(*feats.shape[:-2], h * w))
     if feats.ndim == 2:
@@ -224,9 +307,10 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
                   for f in range(feats.shape[0])])
 
 
-def _pixel_depth(up: Tensor, patch_logits: Tensor, patch_raw: Tensor,
+def _pixel_depth(up: np.ndarray, patch_logits: Tensor, patch_raw: Tensor,
                  p: MetricDepthParams) -> Tensor:
-    """One frame's [P, N] patch outputs -> its metric depth [HW], in-graph."""
-    probs = bin_logits_to_probs(matmul(up, patch_logits), ordinal=p.ordinal)
-    centers = bounded_centers(p.bins, matmul(up, patch_raw))
+    """One frame's [P, N] patch outputs -> its metric depth [HW], in-graph; the
+    probs and centers nodes upsample their own rows."""
+    probs = bin_logits_to_probs(patch_logits, ordinal=p.ordinal, up=up)
+    centers = bounded_centers(p.bins, patch_raw, up=up)
     return expected_depth_tensor(probs, centers)

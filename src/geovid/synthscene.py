@@ -192,8 +192,11 @@ def _patch_summaries(depth: np.ndarray, labels: np.ndarray,
     depth_p, labels_p, normals_p = (a.reshape(gh, patch_size, gw, patch_size, -1).swapaxes(1, 2)
                                     .reshape(n, patch_size * patch_size, -1)
                                     for a in (depth, labels, normals))
-    hist = np.zeros((n, NUM_CLASSES), dtype=np.int64)
-    np.add.at(hist, (np.arange(n)[:, None], labels_p[..., 0]), 1)
+    if labels.min() < 0 or labels.max() >= NUM_CLASSES:
+        raise ParameterError(f"class labels must lie in [0, {NUM_CLASSES})")
+    # one count per (patch, class) cell, patch-major, so a row is a patch's histogram
+    cells = labels_p[..., 0] + NUM_CLASSES * np.arange(n)[:, None]
+    hist = np.bincount(cells.ravel(), minlength=n * NUM_CLASSES).reshape(n, NUM_CLASSES)
     py, px = np.divmod(np.arange(n)[:, None], gw)
     feats = np.concatenate([depth_p.mean(axis=1) / DEPTH_SCALE, normals_p.mean(axis=1),
                             hist / hist.sum(axis=1, keepdims=True),
@@ -349,6 +352,16 @@ def save_scene(directory: str | Path, scene: SceneSample) -> None:
         vlt.save_tensor(fd / "teacher_lang.vlt", f.teacher_lang.tokens.data)
 
 
+def _load_labels(path: Path, dtype) -> np.ndarray:
+    """Class ids saved as floats; any value that is not an integer in
+    [0, NUM_CLASSES) is a ParameterError naming the file."""
+    values = vlt.load_tensor(path)
+    if not ((values >= 0) & (values < NUM_CLASSES) & (values == np.floor(values))).all():
+        raise ParameterError(f"{path} holds a class label outside the integers "
+                             f"0..{NUM_CLASSES - 1}")
+    return values.astype(dtype)
+
+
 def load_scene(directory: str | Path) -> SceneSample:
     """A scene as `save_scene` wrote it; a malformed one is a ParameterError."""
     directory = Path(directory)
@@ -371,9 +384,9 @@ def load_scene(directory: str | Path) -> SceneSample:
         frame = FrameData(
             index=k, camera=cam,
             depth=DepthMap(vlt.load_tensor(fd / "depth.vlt"), scale_kind=GROUND_TRUTH),
-            labels=vlt.load_tensor(fd / "labels.vlt").astype(np.int16),
+            labels=_load_labels(fd / "labels.vlt", np.int16),
             patch_summary=vlt.load_tensor(fd / "summary.vlt"),
-            patch_labels=vlt.load_tensor(fd / "patch_labels.vlt").astype(np.int64),
+            patch_labels=_load_labels(fd / "patch_labels.vlt", np.int64),
             noise_seed=seed * 1000 + k,
         )
         frame.base = TokenSet(Tensor(vlt.load_tensor(fd / "base.vlt")), Role.BASE)

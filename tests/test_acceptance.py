@@ -42,7 +42,7 @@ from geovid.patch3d import (
     positional_embed, project,
 )
 from geovid.recon import (
-    BackboneParams, CameraPrediction, gfa_backbone, quat_to_rotation,
+    BackboneParams, CameraPrediction, gfa_backbone, quat_to_rotation, upsample_matrix,
 )
 from geovid.scale_align import apply_scale, per_image_scale, scene_scale
 from geovid.synthscene import TokenizerConfig, gen_scene
@@ -224,6 +224,18 @@ def test_criterion_1_gradient_suite():
     check("expected_depth",
           lambda: lambda t: tsum(expected_depth_tensor(t[0], t[1]) * w_depth),
           lambda: Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True))
+
+    # the probs and centers nodes with the upsample folded in: x is a 2x2
+    # grid's patch outputs, the loss weighs the 6x6 frame's pixel rows
+    up = upsample_matrix(2, 2, 6, 6)
+    w_pixels = Tensor(rng.standard_normal((36, 5)))
+    check("ordinal_probs_upsampled",
+          lambda: lambda t: tsum(bin_logits_to_probs(t, up=up) * w_pixels),
+          lambda: Tensor(rng.standard_normal((4, 5)) * 2.0, requires_grad=True))
+
+    check("bounded_centers_upsampled",
+          lambda: lambda t: tsum(bounded_centers(bins, t, up=up) * w_pixels),
+          lambda: Tensor(rng.standard_normal((4, 5)), requires_grad=True))
 
     elapsed = time.monotonic() - t0
     bad = {k: v for k, v in worst.items() if v >= 1e-4}

@@ -28,6 +28,9 @@ CFG = RunConfig(seed=3, dim=16, heads=2, blocks=2, bridge_tokens=4, resolution=(
                 n_bins=8, n_objects=3, stage2_frames=2)
 PEAK_BYTES = 64 * 2**20   # a load of these few-kilobyte files stays far below this
 
+# a numeric warning while loading corrupt bytes is a missed check, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
@@ -115,6 +118,18 @@ def test_corrupt_ply_loads_or_raises_parameter_error(ply_dir, data, cut, pos, va
     with tempfile.TemporaryDirectory() as tmp:
         bad = _corrupted_copy(ply_dir, Path(tmp) / "p", name, cut, pos, value)
         _load_bounded(read_ply, bad / name)
+
+
+@pytest.mark.parametrize("value", [2.5, -1.0, 11.0, 1e300])
+@pytest.mark.parametrize("name", ["frame_000/labels.vlt", "frame_001/patch_labels.vlt"])
+def test_bad_class_label_names_the_file(saved, tmp_path, name, value):
+    scene_dir, _ = saved
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    labels = vlt.load_tensor(tmp_path / "scene" / name)
+    labels.reshape(-1)[-1] = value
+    vlt.save_tensor(tmp_path / "scene" / name, labels)
+    with pytest.raises(ParameterError, match=name):
+        load_scene(tmp_path / "scene")
 
 
 @pytest.mark.parametrize("content", [b'{"tensors": ["enc', b"[]", b"{}", b"\xff\xfe{}"],

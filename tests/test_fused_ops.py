@@ -1,13 +1,16 @@
 """The single-node ordinal-probs, bounded-centers, expected-depth and
 quat_to_rotation ops against the composed graphs they replace, kept here as
-references, and the metric head's blocked no-grad path against its graph
-path. Each repeats the float operations of its reference in the same order,
-so forward values and VJPs must be equal, not only close."""
+references; the probs and centers nodes with the upsample folded in against
+a matmul node feeding the unfolded ones; and the metric head's blocked
+no-grad path against its graph path. Each repeats the float operations of its
+reference in the same order, so forward values and VJPs must be equal, not
+only close."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from geovid import metric_depth
 from geovid.errors import NumericError, ShapeError
@@ -15,7 +18,9 @@ from geovid.metric_depth import (
     MetricDepthParams, bin_logits_to_probs, bounded_centers, expected_depth_tensor,
     init_bins, predict_metric_depth,
 )
-from geovid.numkit import Role, Tensor, TokenSet, concat, maximum, no_grad, sigmoid, tanh, tsum
+from geovid.numkit import (
+    Role, Tensor, TokenSet, concat, matmul, maximum, no_grad, sigmoid, tanh, tsum,
+)
 from geovid.recon import quat_to_rotation, upsample_matrix
 
 def composed_ordinal_probs(logits: Tensor) -> Tensor:
@@ -25,6 +30,26 @@ def composed_ordinal_probs(logits: Tensor) -> Tensor:
     raw = q_full[:, 0:n] - q_full[:, 1:n + 1]
     clamped = maximum(raw, 0.0)
     return clamped / tsum(clamped, axis=1, keepdims=True)
+
+
+def strided_ordinal_probs(logits: Tensor) -> Tensor:
+    """The ordinal node as one whole-array pass over the strided layout
+    q_full = [1, q, 0], with its VJP written as one expression."""
+    hw, n = logits.shape
+    q_full = np.empty((hw, n + 1))
+    q_full[:, 0], q_full[:, n] = 1.0, 0.0
+    q = special.expit(logits.data[:, 0:n - 1], out=q_full[:, 1:n])
+    clamped = np.maximum(q_full[:, 0:n] - q_full[:, 1:n + 1], 0.0)
+    total = clamped.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1, keepdims=True)
+        g_raw = g_mass * (clamped > 0.0)
+        g_logits = np.zeros((hw, n))
+        g_logits[:, 0:n - 1] = (g_raw[:, 1:n] - g_raw[:, 0:n - 1]) * q * (1.0 - q)
+        return g_logits
+
+    return Tensor._from_op(clamped / total, "ordinal_probs", (logits,), (vjp,))
 
 
 def composed_bounded_centers(cfg, raw: Tensor) -> Tensor:
@@ -50,12 +75,27 @@ def forward_and_vjp(op, x: np.ndarray, seed: np.ndarray):
     return out.data, t.grad
 
 
+def _bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()   # signed zeros too
+
+
+def _upstream(rng, shape) -> np.ndarray:
+    """A random upstream gradient whose every fifth row is zero, with +0.0
+    and -0.0 alternating along every tenth row."""
+    g = rng.standard_normal(shape)
+    g[::5] = 0.0
+    g[::10, ::2] = -0.0
+    return g
+
+
 def assert_matches_composed(op, reference, x: np.ndarray, rng) -> None:
     seed = rng.standard_normal(reference(Tensor(x)).shape)
     out, grad = forward_and_vjp(op, x, seed)
     ref_out, ref_grad = forward_and_vjp(reference, x, seed)
-    np.testing.assert_array_equal(out, ref_out)
-    np.testing.assert_array_equal(grad, ref_grad)
+    _bits_equal(out, ref_out)
+    _bits_equal(grad, ref_grad)
 
 
 def test_ordinal_probs_match_composed_graph_with_active_clamp():
@@ -80,6 +120,16 @@ def test_ordinal_probs_zero_gradient_where_clamped():
                                 np.array([[0.0, 0.0, 1.0, 0.0]]))
     assert out[0, 2] == 0.0
     np.testing.assert_array_equal(grad, np.zeros((1, 4)))
+
+
+def test_ordinal_probs_match_strided_whole_array_node():
+    rng = np.random.default_rng(7)
+    logits = rng.standard_normal((900, 16)) * 3.0     # three blocks, the last partial
+    logits[::7, :5] = 45.0                            # saturated: masses exactly 0
+    seed = _upstream(rng, (900, 16))
+    for got, want in zip(forward_and_vjp(bin_logits_to_probs, logits, seed),
+                         forward_and_vjp(strided_ordinal_probs, logits, seed)):
+        _bits_equal(got, want)
 
 
 def test_bounded_centers_match_composed_graph():
@@ -180,3 +230,82 @@ def test_blocked_no_grad_depth_allocates_no_pixel_by_bin_array():
         finally:
             tracemalloc.stop()
     assert peak < 56 * 56 * 64 * 8, peak
+
+
+def _upsampled_case(h: int, w: int, grid: tuple[int, int], n: int, seed: int):
+    """An upsample matrix, [P, n] patch logits and an upstream gradient [HW, n].
+
+    Wide unsorted logits leave the clamp active; every pixel's first three
+    logits and every logit of patch 0 are at least 40, where sigma is
+    exactly 1 and those bins' mass exactly 0.
+    """
+    rng = np.random.default_rng(seed)
+    up = upsample_matrix(*grid, h, w)
+    logits = rng.standard_normal((grid[0] * grid[1], n)) * 3.0
+    logits[:, :3] = 40.0 + np.abs(logits[:, :3])
+    logits[0] = 40.0 + rng.random(n)
+    return up, logits, _upstream(rng, (h * w, n))
+
+
+def _patch_vjp(op, patch: np.ndarray, seed_grad: np.ndarray):
+    t = Tensor(patch.copy(), requires_grad=True)
+    out = op(t)
+    tsum(out * Tensor(seed_grad)).backward()
+    return out.data, t.grad
+
+
+# 56x56 gives 3136 rows (8 full blocks), 42x42 1764 (a partial last block),
+# 10x10 100 (less than one block)
+UPSAMPLED = [(56, 56, (4, 4)), (42, 42, (3, 3)), (10, 10, (2, 2))]
+
+
+@pytest.mark.parametrize("h, w, grid", UPSAMPLED)
+def test_folded_ordinal_probs_match_matmul_then_node(h, w, grid):
+    up, logits, seed_grad = _upsampled_case(h, w, grid, 64, seed=h)
+    folded = _patch_vjp(lambda t: bin_logits_to_probs(t, up=up), logits, seed_grad)
+    pixel_logits = up @ logits
+    assert (pixel_logits[:, :3] >= 40.0).all() and (folded[0][:, :3] == 0.0).all()
+    q = special.expit(pixel_logits[:, :-1])
+    assert (np.diff(q, axis=1) > 0).any(), "the clamp must be active somewhere"
+    for reference in (bin_logits_to_probs, strided_ordinal_probs):
+        unfolded = _patch_vjp(lambda t: reference(matmul(Tensor(up), t)), logits, seed_grad)
+        for got, want in zip(folded, unfolded):
+            _bits_equal(got, want)
+
+
+@pytest.mark.parametrize("h, w, grid", UPSAMPLED)
+def test_folded_bounded_centers_match_matmul_then_node(h, w, grid):
+    up, raw, seed_grad = _upsampled_case(h, w, grid, 64, seed=h + 1)
+    raw -= 20.0 * (raw > 20.0)   # still >= 20 there: tanh is exactly 1, its slope 0
+    cfg = init_bins(64, 0.1, 10.0)
+    folded = _patch_vjp(lambda t: bounded_centers(cfg, t, up=up), raw, seed_grad)
+    for reference in (bounded_centers, composed_bounded_centers):
+        unfolded = _patch_vjp(lambda t: reference(cfg, matmul(Tensor(up), t)), raw, seed_grad)
+        for got, want in zip(folded, unfolded):
+            _bits_equal(got, want)
+
+
+# the two folded nodes on a 2x2 grid's [4, 5] patch outputs and a 28x28 frame
+FOLDED = [lambda x: bin_logits_to_probs(x, up=upsample_matrix(2, 2, 28, 28)),
+          lambda x: bounded_centers(init_bins(5, 0.1, 10.0), x, up=upsample_matrix(2, 2, 28, 28))]
+
+
+@pytest.mark.parametrize("op", FOLDED)
+def test_folded_nodes_take_the_patch_outputs_as_their_parent(op):
+    x = Tensor(np.zeros((4, 5)), requires_grad=True)
+    out = op(x)
+    assert out.shape == (784, 5) and out._parents == (x,)
+
+
+@pytest.mark.parametrize("op", FOLDED)
+def test_folded_nodes_reject_mismatched_upsample(op):
+    with pytest.raises(ShapeError, match="upsample"):
+        op(Tensor(np.zeros((9, 5))))
+
+
+@pytest.mark.parametrize("op", FOLDED)
+def test_folded_nodes_raise_on_non_finite_upsampled_rows(op):
+    x = Tensor(np.zeros((4, 5)))
+    x.data[3, 2] = np.nan                # a leaf is checked when built: corrupt it after
+    with pytest.raises(NumericError, match="matmul"):
+        op(x)

@@ -311,6 +311,17 @@ def test_cast_and_summaries_match_reference(seed, n_frames, resolution, n_object
             _assert_same_bits(got, ref)
 
 
+@pytest.mark.parametrize("bad", [-1, NUM_CLASSES])
+def test_summaries_reject_out_of_range_label(bad):
+    # a label one past the last class would be counted into the next patch's
+    # first bin of the flat (patch, class) histogram
+    depth, normals = np.ones((28, 28)), np.zeros((28, 28, 3))
+    labels = np.zeros((28, 28), dtype=np.int16)
+    labels[3, 5] = bad
+    with pytest.raises(ParameterError, match="class labels"):
+        _patch_summaries(depth, labels, normals, TOK.patch_size)
+
+
 # proper signed permutations: exact rotations that send the camera axes to world axes
 _AXIS_ROTATIONS = [r for r in (np.diag(s)[list(p)] for p in itertools.permutations(range(3))
                                for s in itertools.product((-1.0, 1.0), repeat=3))

@@ -39,17 +39,19 @@ def test_non_finite_raises():
     with pytest.raises(NumericError):
         Tensor([np.nan, 1.0])
     x = Tensor([1e300])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="overflow"):
         _ = x * x * x  # overflows to inf
 
 
 def test_finite_values_whose_sum_overflows_pass():
     # the finite check is a single sum; 4 x 1e308 overflows it without any inf
-    big = Tensor(np.full(4, 1e308))
-    np.testing.assert_array_equal((big * 1.0).data, np.full(4, 1e308))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        big = Tensor(np.full(4, 1e308))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.testing.assert_array_equal((big * 1.0).data, np.full(4, 1e308))
     with pytest.raises(NumericError):
         Tensor(np.array([1e308, np.inf, 1.0]))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="overflow"):
         _ = big * 2.0  # every element overflows to inf
 
 
