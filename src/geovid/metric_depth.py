@@ -19,7 +19,7 @@ from .numkit import (
     MlpParams, Tensor, TokenSet, as_tensor, matmul, mlp, rms_norm, softmax, stack,
 )
 from .numkit.tensor import _check_finite
-from .recon import _patch_grid, upsample_tensor
+from .recon import _patch_grid, upsample_matrix, upsample_rows, upsample_tensor
 
 
 @dataclass
@@ -69,6 +69,7 @@ def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> Bin
 
 
 ROW_BLOCK = 392   # pixel rows per block of the head's loops: 8 blocks per 56x56 frame
+Grid = tuple[int, int, int, int]   # (gh, gw, h, w): a gh x gw patch grid upsampled to h x w
 
 
 def _row_blocks(hw: int):
@@ -81,31 +82,36 @@ def _workspace(hw: int, n: int, dtype=np.float64) -> np.ndarray:
     return np.empty((min(ROW_BLOCK, hw), n), dtype=dtype)
 
 
-def _pixel_count(x: Tensor, up: np.ndarray | None) -> int:
-    """Rows of the pixel-level [HW, N] input: x's own, or up's for x = [P, N]."""
+def _node_rows(x: np.ndarray, grid: Grid | None):
+    """(HW, U, inv, blocks) for a head node. It computes U rows: x = [HW, N]'s own
+    (inv None), or with a grid (gh, gw, h, w) the distinct upsampled rows of patch
+    rows x = [gh*gw, N] (`recon.upsample_rows`; inv maps pixel -> row). `blocks`
+    yields (lo, hi, rows) per ROW_BLOCK rows; upsampled rows share one workspace."""
     if x.ndim != 2:
-        raise ShapeError("bin inputs must be [HW, N], or [P, N] with an upsample")
-    if up is None:
-        return x.shape[0]
-    if up.ndim != 2 or up.shape[1] != x.shape[0]:
-        raise ShapeError(f"upsample {up.shape} does not take {x.shape[0]} patch rows")
-    return up.shape[0]
+        raise ShapeError("bin inputs must be [HW, N], or [P, N] with an upsample grid")
+    if grid is None:
+        return len(x), len(x), None, ((lo, hi, x[lo:hi]) for lo, hi in _row_blocks(len(x)))
+    if grid[0] * grid[1] != x.shape[0]:
+        raise ShapeError(f"upsample from grid {grid} does not take {x.shape[0]} patch rows")
+    uniq, inv = upsample_rows(*grid)
+
+    def blocks():
+        buf = _workspace(uniq.shape[0], x.shape[1])
+        for lo, hi in _row_blocks(uniq.shape[0]):
+            rows = np.matmul(uniq[lo:hi], x, out=buf[:hi - lo])
+            _check_finite(rows, "matmul")
+            yield lo, hi, rows
+    return inv.size, uniq.shape[0], inv, blocks()
 
 
-def _pixel_rows(x: np.ndarray, up: np.ndarray | None, lo: int, hi: int,
-                buf: np.ndarray | None) -> np.ndarray:
-    """Rows lo:hi of x, or of up @ x computed into `buf` and checked finite."""
-    if up is None:
-        return x[lo:hi]
-    rows = np.matmul(up[lo:hi], x, out=buf[:hi - lo])
-    _check_finite(rows, "matmul")
-    return rows
+def _at(inv: np.ndarray | None, lo: int, hi: int):
+    """Index of pixels lo:hi into a node's computed rows."""
+    return slice(lo, hi) if inv is None else inv[lo:hi]
 
 
-def _fold_up(up: np.ndarray | None, g_rows: np.ndarray) -> np.ndarray:
-    """Gradient of the node's input from that of its pixel rows: the matmul
-    VJP `up.T @ g`, one BLAS call over all rows."""
-    return g_rows if up is None else np.swapaxes(up, -1, -2) @ g_rows
+def _fold_up(grid: Grid | None, g_rows: np.ndarray) -> np.ndarray:
+    """The node input's gradient from its pixel rows': the matmul VJP `up.T @ g`."""
+    return g_rows if grid is None else np.swapaxes(upsample_matrix(*grid), -1, -2) @ g_rows
 
 
 def _ordinal_mass(logits: np.ndarray, qx: np.ndarray, clamped: np.ndarray,
@@ -144,35 +150,33 @@ def _expectation(probs: np.ndarray, centers: np.ndarray, prod: np.ndarray,
     prod.sum(axis=1, out=out)
 
 
-def bin_logits_to_probs(logits: Tensor, ordinal: bool = True,
-                        up: np.ndarray | None = None) -> Tensor:
-    """Logits [HW, N] -> per-pixel simplex [HW, N]; with an upsample matrix
-    `up` [HW, P], patch logits [P, N] -> the simplex of `up @ logits`.
+def bin_logits_to_probs(logits: Tensor, ordinal: bool = True, grid: Grid | None = None) -> Tensor:
+    """Logits [HW, N] -> per-pixel simplex [HW, N]; with an upsample grid (gh, gw,
+    h, w), patch logits [gh*gw, N] -> the simplex of `upsample_matrix(*grid) @ logits`.
 
     Ordinal mode (cumulative link): sigma(logit_k) models P(depth > boundary_k)
     for the N-1 interior boundaries; with P(>0) = 1 and P(>N) = 0 the bin mass
     is the difference of adjacent exceedance probabilities, clamped at zero and
     renormalized to guard monotonicity violations. The last logit column only
     participates in the softmax fallback. The ordinal map, upsample included,
-    is one graph node that runs in ROW_BLOCK-row blocks; its gradient is zero
-    where the clamp is active.
+    is one graph node; its gradient is zero where the clamp is active. Its
+    forward runs on the upsample's distinct rows and its VJP on pixel rows,
+    whose upstream gradients differ, both in ROW_BLOCK-row blocks.
     """
     logits = as_tensor(logits)
-    hw = _pixel_count(logits, up)
+    hw, u, inv, blocks = _node_rows(logits.data, grid)
     if not ordinal:
-        return softmax(logits if up is None else matmul(up, logits), axis=-1)
+        return softmax(logits if grid is None else matmul(upsample_tensor(*grid), logits))
     n = logits.shape[1]
     if n < 2:
         raise ShapeError("ordinal normalization needs at least 2 bins")
-    qx, clamped, out = (np.empty((hw, n)) for _ in range(3))
-    total = np.empty((hw, 1))
-    lg = None if up is None else _workspace(hw, n)
-    for lo, hi in _row_blocks(hw):
-        rows = _pixel_rows(logits.data, up, lo, hi, lg)
+    qx, clamped, out = (np.empty((u, n)) for _ in range(3))
+    total = np.empty((u, 1))
+    for lo, hi, rows in blocks:
         total[lo:hi] = _ordinal_mass(rows, qx[lo:hi], clamped[lo:hi], out[lo:hi])
 
     def vjp(g):
-        # per block, the ops and order of
+        # per block of pixels, the ops and order of
         #   g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1)
         #   g_raw = g_mass * (clamped > 0)
         #   g_logits[:, :N-1] = (g_raw[:, 1:] - g_raw[:, :-1]) * q * (1 - q)
@@ -180,7 +184,8 @@ def bin_logits_to_probs(logits: Tensor, ordinal: bool = True,
         g_rows, w, g_mass = np.empty((hw, n)), _workspace(hw, n), _workspace(hw, n)
         active = _workspace(hw, n, bool)
         for lo, hi in _row_blocks(hw):
-            m, g_b, c_b, t_b, q_b = hi - lo, g[lo:hi], clamped[lo:hi], total[lo:hi], qx[lo:hi]
+            at = _at(inv, lo, hi)
+            m, g_b, c_b, t_b, q_b = hi - lo, g[lo:hi], clamped[at], total[at], qx[at]
             share = np.multiply(g_b, c_b, out=w[:m])
             share /= -(t_b * t_b)
             np.divide(g_b, t_b, out=g_mass[:m])
@@ -191,36 +196,35 @@ def bin_logits_to_probs(logits: Tensor, ordinal: bool = True,
             dst[:, -1] = 0.0                                # the last logit gets none
             dst *= q_b
             dst *= np.subtract(1.0, q_b, out=w[:m])
-        return _fold_up(up, g_rows)
+        return _fold_up(grid, g_rows)
 
-    return Tensor._from_op(out, "ordinal_probs", (logits,), (vjp,))
+    return Tensor._from_op(out[_at(inv, 0, hw)], "ordinal_probs", (logits,), (vjp,))
 
 
-def bounded_centers(cfg: BinConfig, raw: Tensor, up: np.ndarray | None = None) -> Tensor:
+def bounded_centers(cfg: BinConfig, raw: Tensor, grid: Grid | None = None) -> Tensor:
     """c_k + max_shift * width_k * tanh(raw_k): rows stay strictly increasing.
-    With an upsample matrix `up` [HW, P], raw is [P, n_bins] and the shift
-    applies to `up @ raw`. One graph node, run in ROW_BLOCK-row blocks."""
-    hw = _pixel_count(raw, up)
+    With an upsample grid, raw is [gh*gw, n_bins] and the shift applies to its
+    bilinear upsample. One graph node, run as `bin_logits_to_probs`'s."""
+    hw, u, inv, blocks = _node_rows(raw.data, grid)
     if raw.shape[1] != cfg.n_bins:
         raise ShapeError("raw shifts must be [rows, n_bins]")
     n, budget = cfg.n_bins, cfg.shift_budget()
-    t, out = np.empty((hw, n)), np.empty((hw, n))
-    rw = None if up is None else _workspace(hw, n)
-    for lo, hi in _row_blocks(hw):
-        _bounded_shift(budget, cfg.centers, _pixel_rows(raw.data, up, lo, hi, rw),
-                       t[lo:hi], out[lo:hi])
+    t, out = np.empty((u, n)), np.empty((u, n))
+    for lo, hi, rows in blocks:
+        _bounded_shift(budget, cfg.centers, rows, t[lo:hi], out[lo:hi])
 
     def vjp(g):
         # g * budget * (1 - t * t), block by block
         g_rows, w = np.empty((hw, n)), _workspace(hw, n)
         for lo, hi in _row_blocks(hw):
-            slope = np.multiply(t[lo:hi], t[lo:hi], out=w[:hi - lo])
+            t_b = t[_at(inv, lo, hi)]
+            slope = np.multiply(t_b, t_b, out=w[:hi - lo])
             np.subtract(1.0, slope, out=slope)
             np.multiply(g[lo:hi], budget, out=g_rows[lo:hi])
             g_rows[lo:hi] *= slope
-        return _fold_up(up, g_rows)
+        return _fold_up(grid, g_rows)
 
-    return Tensor._from_op(out, "bounded_centers", (raw,), (vjp,))
+    return Tensor._from_op(out[_at(inv, 0, hw)], "bounded_centers", (raw,), (vjp,))
 
 
 def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
@@ -261,22 +265,19 @@ class MetricDepthParams:
         return out
 
 
-def _blocked_depth(up: np.ndarray, logits: np.ndarray, raw: np.ndarray,
+def _blocked_depth(grid: Grid, logits: np.ndarray, raw: np.ndarray,
                    bins: BinConfig) -> np.ndarray:
-    """The ordinal head in row blocks through one workspace, with the graph's bits."""
-    hw, n = up.shape[0], logits.shape[1]
-    lg, probs, rw = (_workspace(hw, n) for _ in range(3))
-    budget, depth = bins.shift_budget(), np.empty(hw)
-    for lo, hi in _row_blocks(hw):
+    """The ordinal head on the upsample's distinct rows, spread to pixels: the graph's bits."""
+    (_, u, inv, lgs), (*_, rws) = _node_rows(logits, grid), _node_rows(raw, grid)
+    probs, budget, depth = _workspace(u, logits.shape[1]), bins.shift_budget(), np.empty(u)
+    for (lo, hi, lg_b), (*_, rw_b) in zip(lgs, rws):
         m = hi - lo
-        lg_b = _pixel_rows(logits, up, lo, hi, lg)
         _ordinal_mass(lg_b, lg_b, probs[:m], probs[:m])
         _check_finite(probs[:m], "ordinal_probs")
-        rw_b = _pixel_rows(raw, up, lo, hi, rw)
         _bounded_shift(budget, bins.centers, rw_b, rw_b, rw_b)
         _check_finite(rw_b, "bounded_centers")
         _expectation(probs[:m], rw_b, rw_b, depth[lo:hi])
-    return depth
+    return depth[inv]
 
 
 def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
@@ -292,25 +293,19 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
     """
     h, w = image_size
     gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
-    up = upsample_tensor(gh, gw, h, w).data
+    grid = (gh, gw, h, w)
     feats = rms_norm(patch_tokens.tokens)
     patch_logits = mlp(feats, p.logits_mlp)   # [..., P, N]
     patch_raw = mlp(feats, p.refine_mlp)      # [..., P, N]
     if p.ordinal and not (patch_logits.requires_grad or patch_raw.requires_grad):
         cells = (-1, gh * gw, p.bins.n_bins)
-        depth = [_blocked_depth(up, lg, rw, p.bins) for lg, rw in
+        depth = [_blocked_depth(grid, lg, rw, p.bins) for lg, rw in
                  zip(patch_logits.data.reshape(cells), patch_raw.data.reshape(cells))]
         return Tensor(np.stack(depth).reshape(*feats.shape[:-2], h * w))
+
+    def frame(lg: Tensor, rw: Tensor) -> Tensor:   # [P, N] outputs -> depth [HW]
+        return expected_depth_tensor(bin_logits_to_probs(lg, p.ordinal, grid),
+                                     bounded_centers(p.bins, rw, grid))
     if feats.ndim == 2:
-        return _pixel_depth(up, patch_logits, patch_raw, p)
-    return stack([_pixel_depth(up, patch_logits[f], patch_raw[f], p)
-                  for f in range(feats.shape[0])])
-
-
-def _pixel_depth(up: np.ndarray, patch_logits: Tensor, patch_raw: Tensor,
-                 p: MetricDepthParams) -> Tensor:
-    """One frame's [P, N] patch outputs -> its metric depth [HW], in-graph; the
-    probs and centers nodes upsample their own rows."""
-    probs = bin_logits_to_probs(patch_logits, ordinal=p.ordinal, up=up)
-    centers = bounded_centers(p.bins, patch_raw, up=up)
-    return expected_depth_tensor(probs, centers)
+        return frame(patch_logits, patch_raw)
+    return stack([frame(patch_logits[f], patch_raw[f]) for f in range(feats.shape[0])])

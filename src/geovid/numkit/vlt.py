@@ -70,12 +70,20 @@ def save_tensor(path: str | Path, arr: np.ndarray) -> None:
         write_record(fh, arr)
 
 
-def load_tensor(path: str | Path) -> np.ndarray:
+def _read_file(path: str | Path, count: int) -> list[np.ndarray]:
+    """The `count` records that fill the file at `path`; every error names it."""
     with open(path, "rb") as fh:
-        arr = read_record(fh)
+        try:
+            records = [read_record(fh) for _ in range(count)]
+        except ParameterError as exc:
+            raise ParameterError(f"{path}: {exc}") from None
         if fh.read(1):
-            raise ParameterError(f"trailing bytes after the VLT1 record in {path}")
-    return arr
+            raise ParameterError(f"{path}: trailing bytes after the last VLT1 record")
+    return records
+
+
+def load_tensor(path: str | Path) -> np.ndarray:
+    return _read_file(path, 1)[0]
 
 
 def save_container(directory: str | Path, tensors: dict[str, np.ndarray],
@@ -99,10 +107,5 @@ def load_container(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     names = manifest["tensors"]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ParameterError(f"{directory / 'manifest.json'} 'tensors' is not a list of names")
-    out = {}
-    with open(directory / "weights.vlt", "rb") as fh:
-        for name in names:
-            out[name] = read_record(fh)
-        if fh.read(1):
-            raise ParameterError(f"trailing bytes after the last record in {directory}")
-    return out, manifest.get("meta", {})
+    records = _read_file(directory / "weights.vlt", len(names))
+    return dict(zip(names, records)), manifest.get("meta", {})

@@ -33,6 +33,8 @@ class PointCloud:
             c = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
             if c.shape[0] != p.shape[0]:
                 raise ShapeError("colors count differs from points count")
+            if not np.all(np.isfinite(c)):
+                raise ParameterError("point colors must be finite")
             self.colors = np.clip(c, 0.0, 1.0)
 
     def __len__(self) -> int:
@@ -120,21 +122,23 @@ def fuse_tokens(lang: TokenSet, depth: DepthMap, cam: CameraModel,
 
 _PLY_XYZ = ["property float x", "property float y", "property float z"]
 _PLY_RGB = ["property uchar red", "property uchar green", "property uchar blue"]
+PLY_CHUNK = 4096   # rows per %-format call of write_ply, so no one string holds the cloud
 
 
 def write_ply(path: str | Path, cloud: PointCloud) -> None:
     """ASCII PLY, deterministic formatting; colors as uchar when present."""
     lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"] + _PLY_XYZ
+    row, table = "%.10g %.10g %.10g", cloud.points
     if cloud.colors is not None:
         lines += _PLY_RGB
+        rgb = np.clip(np.round(cloud.colors * 255), 0, 255)   # integral: %d prints it exactly
+        row, table = row + " %d %d %d", np.hstack([table, rgb])
     lines.append("end_header")
-    rows = [f"{x:.10g} {y:.10g} {z:.10g}" for x, y, z in cloud.points]
-    if cloud.colors is not None:
-        rgb = np.clip(np.round(cloud.colors * 255), 0, 255).astype(int)
-        rows = [f"{row} {r} {g} {b}" for row, (r, g, b) in zip(rows, rgb)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines + rows))
-        fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
+        for lo in range(0, len(table), PLY_CHUNK):
+            chunk = table[lo:lo + PLY_CHUNK]
+            fh.write((row + "\n") * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_ply(path: str | Path) -> PointCloud:

@@ -252,6 +252,19 @@ def upsample_matrix(gh: int, gw: int, h: int, w: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
+def upsample_rows(gh: int, gw: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """`upsample_matrix`'s distinct rows [U, gh*gw] in order of first appearance,
+    and each pixel's index into them [h*w]; both read-only. Rows repeat where
+    the grid coordinate is clamped at the border."""
+    mat = upsample_matrix(gh, gw, h, w)
+    _, first, inv = np.unique(mat, axis=0, return_index=True, return_inverse=True)
+    # argsort(argsort(first)) maps np.unique's sorted order to first-appearance rank
+    uniq, inv = mat[np.sort(first)], np.argsort(np.argsort(first))[inv.reshape(-1)]
+    uniq.flags.writeable = inv.flags.writeable = False
+    return uniq, inv
+
+
+@functools.lru_cache(maxsize=32)
 def upsample_tensor(gh: int, gw: int, h: int, w: int) -> Tensor:
     """`upsample_matrix` as one shared read-only constant, checked finite once."""
     mat = upsample_matrix(gh, gw, h, w).view()

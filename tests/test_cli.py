@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -302,3 +303,27 @@ def test_eval_rejects_unsupported_ply_header(tmp_path, old, new):
                    "--out", str(tmp_path / "report.json"), check=False)
     assert proc.returncode == 1
     assert "PLY" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_infer_artifact_bytes_pinned(tmp_path):
+    # infer's cloud and depth bytes on a fixed scene and an untrained model,
+    # pinned so a speed-up of the metric-bin head or the PLY writer that moves
+    # a single bit fails here
+    from geovid.config import RunConfig
+    from geovid.model import init_model, save_checkpoint
+    from geovid.synthscene import save_scene
+    from geovid.train import generate_scenes
+
+    cfg = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4, n_bins=16,
+                    resolution=(56, 56), frames_per_scene=2, n_objects=3,
+                    stage2_frames=2)
+    save_scene(tmp_path / "scene", generate_scenes(cfg, count=1)[0])
+    save_checkpoint(tmp_path / "ckpt", init_model(cfg), cfg)
+    run_cli("infer", "--ckpt", str(tmp_path / "ckpt"), "--scene", str(tmp_path / "scene"),
+            "--out", str(tmp_path / "pred"))
+    digests = {name: hashlib.sha256((tmp_path / "pred" / name).read_bytes()).hexdigest()
+               for name in ("cloud.ply", "depth/frame_000.vlt")}
+    assert digests == {
+        "cloud.ply": "b3af4d574bd0ce6d01b3b0195ff1e26d58b5ff9057f1685cb223f14504e17181",
+        "depth/frame_000.vlt": "3cecb4108369a9da95f1146aad6ea0a07e7017fbedda57672fb08bfc56ed34e1",
+    }

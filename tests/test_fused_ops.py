@@ -212,11 +212,11 @@ def test_blocked_no_grad_depth_matches_graph(side, ordinal):
 @pytest.mark.parametrize("bad", ["logits", "raw"])
 def test_blocked_no_grad_depth_raises_on_non_finite(bad):
     rng = np.random.default_rng(6)
-    up = upsample_matrix(2, 2, 28, 28)
     inputs = {"logits": rng.standard_normal((4, 8)), "raw": rng.standard_normal((4, 8))}
     inputs[bad][2, 3] = np.nan
     with pytest.raises(NumericError, match="matmul"):
-        metric_depth._blocked_depth(up, inputs["logits"], inputs["raw"], init_bins(8, 0.1, 10.0))
+        metric_depth._blocked_depth((2, 2, 28, 28), inputs["logits"], inputs["raw"],
+                                    init_bins(8, 0.1, 10.0))
 
 
 def test_blocked_no_grad_depth_allocates_no_pixel_by_bin_array():
@@ -262,7 +262,7 @@ UPSAMPLED = [(56, 56, (4, 4)), (42, 42, (3, 3)), (10, 10, (2, 2))]
 @pytest.mark.parametrize("h, w, grid", UPSAMPLED)
 def test_folded_ordinal_probs_match_matmul_then_node(h, w, grid):
     up, logits, seed_grad = _upsampled_case(h, w, grid, 64, seed=h)
-    folded = _patch_vjp(lambda t: bin_logits_to_probs(t, up=up), logits, seed_grad)
+    folded = _patch_vjp(lambda t: bin_logits_to_probs(t, grid=(*grid, h, w)), logits, seed_grad)
     pixel_logits = up @ logits
     assert (pixel_logits[:, :3] >= 40.0).all() and (folded[0][:, :3] == 0.0).all()
     q = special.expit(pixel_logits[:, :-1])
@@ -278,7 +278,7 @@ def test_folded_bounded_centers_match_matmul_then_node(h, w, grid):
     up, raw, seed_grad = _upsampled_case(h, w, grid, 64, seed=h + 1)
     raw -= 20.0 * (raw > 20.0)   # still >= 20 there: tanh is exactly 1, its slope 0
     cfg = init_bins(64, 0.1, 10.0)
-    folded = _patch_vjp(lambda t: bounded_centers(cfg, t, up=up), raw, seed_grad)
+    folded = _patch_vjp(lambda t: bounded_centers(cfg, t, grid=(*grid, h, w)), raw, seed_grad)
     for reference in (bounded_centers, composed_bounded_centers):
         unfolded = _patch_vjp(lambda t: reference(cfg, matmul(Tensor(up), t)), raw, seed_grad)
         for got, want in zip(folded, unfolded):
@@ -286,8 +286,8 @@ def test_folded_bounded_centers_match_matmul_then_node(h, w, grid):
 
 
 # the two folded nodes on a 2x2 grid's [4, 5] patch outputs and a 28x28 frame
-FOLDED = [lambda x: bin_logits_to_probs(x, up=upsample_matrix(2, 2, 28, 28)),
-          lambda x: bounded_centers(init_bins(5, 0.1, 10.0), x, up=upsample_matrix(2, 2, 28, 28))]
+FOLDED = [lambda x: bin_logits_to_probs(x, grid=(2, 2, 28, 28)),
+          lambda x: bounded_centers(init_bins(5, 0.1, 10.0), x, grid=(2, 2, 28, 28))]
 
 
 @pytest.mark.parametrize("op", FOLDED)

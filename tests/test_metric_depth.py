@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from geovid import metric_depth
 from geovid.errors import ParameterError, ShapeError
 from geovid.metric_depth import (
     BinConfig, MetricDepthParams, bin_logits_to_probs, bounded_centers,
     expected_depth_tensor, init_bins, predict_metric_depth,
 )
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, mlp, tsum
+from geovid.recon import upsample_matrix, upsample_rows
 
 
 class TestInitBins:
@@ -176,3 +178,95 @@ def test_full_head_gradient():
 def test_expected_depth_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
         expected_depth_tensor(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 2))))
+
+
+# ----------------------------------------------------------------------
+# the head on unique upsample rows against the head on every pixel row
+# ----------------------------------------------------------------------
+
+def _full_rows(up: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """up @ x for every pixel row, ROW_BLOCK rows per product."""
+    return np.concatenate([up[lo:hi] @ x for lo, hi in metric_depth._row_blocks(up.shape[0])])
+
+
+def full_row_probs(logits: Tensor, up: np.ndarray) -> Tensor:
+    """The ordinal probs node computed on all HW pixel rows, with the VJP's
+    float operations in the node's order."""
+    q = expit(_full_rows(up, logits.data))
+    q[:, -1] = 0.0
+    mass = np.empty_like(q)
+    mass[:, 0] = 1.0 - q[:, 0]
+    mass[:, 1:] = q[:, :-1] - q[:, 1:]
+    clamped = np.maximum(mass, 0.0)
+    total = clamped.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        g_mass = g / total + (g * clamped / -(total * total)).sum(axis=1, keepdims=True)
+        g_mass *= clamped > 0.0
+        g_rows, flat = np.empty_like(g_mass), g_mass.reshape(-1)
+        g_rows.reshape(-1)[:-1] = flat[1:] - flat[:-1]
+        g_rows[:, -1] = 0.0
+        g_rows *= q
+        g_rows *= 1.0 - q
+        return up.T @ g_rows
+
+    return Tensor._from_op(clamped / total, "ordinal_probs", (logits,), (vjp,))
+
+
+def full_row_centers(cfg: BinConfig, raw: Tensor, up: np.ndarray) -> Tensor:
+    """The bounded-centers node computed on all HW pixel rows."""
+    t, budget = np.tanh(_full_rows(up, raw.data)), cfg.shift_budget()
+    return Tensor._from_op(budget * t + cfg.centers, "bounded_centers", (raw,),
+                           (lambda g: up.T @ (g * budget * (1.0 - t * t)),))
+
+
+# (h, w, patch): square 56x56 (1936 of 3136 rows distinct), non-square 42x70,
+# and 2 px patches, where no two pixels share a row
+ROW_MAP_GRIDS = [(56, 56, 14), (42, 70, 14), (12, 10, 2)]
+
+
+@pytest.mark.parametrize("h, w, ps", ROW_MAP_GRIDS)
+def test_row_map_is_cached_read_only_and_rebuilds_the_upsample(h, w, ps):
+    grid = (h // ps, w // ps, h, w)
+    uniq, inv = upsample_rows(*grid)
+    assert upsample_rows(*grid)[0] is uniq
+    assert not uniq.flags.writeable and not inv.flags.writeable
+    up = upsample_matrix(*grid)
+    assert uniq[inv].tobytes() == up.tobytes()
+    assert len(np.unique(up, axis=0)) == len(uniq)
+    first = np.unique(inv, return_index=True)[1]
+    assert (np.diff(first) > 0).all()                  # in order of first appearance
+    if (h, w) == (56, 56):
+        assert uniq.shape == (1936, 16)
+    if ps == 2:
+        np.testing.assert_array_equal(inv, np.arange(h * w))
+
+
+@pytest.mark.parametrize("h, w, ps", ROW_MAP_GRIDS)
+def test_unique_row_head_matches_full_row_head_bit_for_bit(h, w, ps):
+    grid = (h // ps, w // ps, h, w)
+    up, p_rows = upsample_matrix(*grid), grid[0] * grid[1]
+    rng = np.random.default_rng(h + w)
+    cfg = init_bins(64, 0.1, 10.0)
+    logits = rng.standard_normal((p_rows, 64)) * 3.0       # the clamp is active
+    logits[:, :3] = 40.0 + np.abs(logits[:, :3])            # mass exactly 0
+    raw = rng.standard_normal((p_rows, 64)) * 2.0
+    raw[0] = 25.0                                           # tanh exactly 1
+    g = rng.standard_normal(h * w)
+    g[::5] = 0.0
+    g[::10] = -0.0
+
+    def run(probs_op, centers_op):
+        lt, rt = Tensor(logits.copy(), requires_grad=True), Tensor(raw.copy(), requires_grad=True)
+        probs, centers = probs_op(lt), centers_op(rt)
+        depth = expected_depth_tensor(probs, centers)
+        tsum(depth * Tensor(g)).backward()
+        return probs.data, centers.data, depth.data, lt.grad, rt.grad
+
+    got = run(lambda t: bin_logits_to_probs(t, grid=grid),
+              lambda t: bounded_centers(cfg, t, grid=grid))
+    want = run(lambda t: full_row_probs(t, up), lambda t: full_row_centers(cfg, t, up))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    blocked = metric_depth._blocked_depth(grid, logits, raw, cfg)
+    assert blocked.tobytes() == want[2].tobytes()

@@ -6,7 +6,7 @@ from geovid.geometry import METRIC, RELATIVE, CameraModel, DepthMap, look_at_rot
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, tsum
 from geovid.patch3d import (
     Patch3DTokens, PointCloud, backproject, fuse_tokens, positional_embed,
-    project, read_ply, write_ply,
+    PLY_CHUNK, project, read_ply, write_ply,
 )
 
 
@@ -180,6 +180,14 @@ class TestPly:
         assert "element vertex 1" in text
         assert text[-1] == "0 0 0"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_colors_rejected(self, bad):
+        # write_ply cannot print a non-finite channel as a uchar
+        cols = np.zeros((2, 3))
+        cols[1, 2] = bad
+        with pytest.raises(ParameterError, match="colors must be finite"):
+            PointCloud(points=np.zeros((2, 3)), colors=cols)
+
     def test_deterministic_bytes(self, tmp_path):
         pts = np.random.default_rng(2).standard_normal((20, 3)) * 3.7
         write_ply(tmp_path / "a.ply", PointCloud(points=pts))
@@ -218,3 +226,56 @@ class TestPly:
         with pytest.raises(ParameterError):
             read_ply(tmp_path / "c.ply")
 
+
+
+def row_by_row_write_ply(path, cloud: PointCloud) -> None:
+    """The PLY writer as one f-string per row, kept as the byte reference."""
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+             "property float x", "property float y", "property float z"]
+    if cloud.colors is not None:
+        lines += ["property uchar red", "property uchar green", "property uchar blue"]
+    lines.append("end_header")
+    rows = [f"{x:.10g} {y:.10g} {z:.10g}" for x, y, z in cloud.points]
+    if cloud.colors is not None:
+        rgb = np.clip(np.round(cloud.colors * 255), 0, 255).astype(int)
+        rows = [f"{row} {r} {g} {b}" for row, (r, g, b) in zip(rows, rgb)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines + rows))
+        fh.write("\n")
+
+
+def _edge_points(n: int, seed: int) -> np.ndarray:
+    """n points led by signed zeros, subnormals, +-1e300 and values that
+    round at the 10th significant digit, then random magnitudes over
+    1e-12 .. 1e12."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+             1.23456789049999, 1.2345678905, 9.9999999995, -9.99999999949,
+             0.12345678915, 99999999995.0, 1e-7 * 1.00000000005, -0.99999999995]
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal(n * 3) * 10.0 ** rng.integers(-12, 13, n * 3)
+    pts[:len(edges)] = edges
+    return pts.reshape(n, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, PLY_CHUNK, PLY_CHUNK + 1, 2 * PLY_CHUNK + 29],
+                         ids=lambda n: f"rows{n}")
+@pytest.mark.parametrize("colors", [False, True], ids=["xyz", "rgb"])
+def test_ply_bytes_match_row_by_row_writer(tmp_path, n, colors):
+    pts = _edge_points(max(n, 5), seed=n)[:n]
+    cols = None
+    if colors:   # 0, 1, and either side of the k + 0.5 rounding edge of x * 255
+        edge = (np.arange(n * 3) % 255 + 0.5) / 255
+        cols = np.where(np.arange(n * 3) % 4 == 0, edge,
+                        np.nextafter(edge, np.where(np.arange(n * 3) % 4 == 1, 0.0, 1.0)))
+        cols[:6] = [0.0, 1.0, 0.5 / 255, 254.5 / 255, 1e-300, 1.0 - 1e-16][:len(cols[:6])]
+        cols = cols.reshape(n, 3)
+    cloud = PointCloud(points=pts, colors=cols)
+    write_ply(tmp_path / "new.ply", cloud)
+    row_by_row_write_ply(tmp_path / "old.ply", cloud)
+    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
+    back = read_ply(tmp_path / "new.ply")
+    assert len(back) == n
+    parsed = np.array([float(f"{v:.10g}") for v in pts.ravel()]).reshape(-1, 3)
+    assert back.points.tobytes() == parsed.tobytes()
+    if colors:
+        np.testing.assert_array_equal(back.colors * 255, np.round(cloud.colors * 255))

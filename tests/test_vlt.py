@@ -99,3 +99,25 @@ def test_trailing_bytes_rejected(tmp_path):
         vlt.load_tensor(tmp_path / "t.vlt")
     with pytest.raises(ParameterError):
         vlt.load_container(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("raw, named", [
+    (b"NOPE" + bytes(20), "bad VLT1 magic"),
+    (vlt.MAGIC + b"\x01", "truncated VLT1 header"),
+    (_header(1, [2]) + np.array([1.0, np.nan]).tobytes(), "non-finite values"),
+], ids=["bad-magic", "truncated-header", "non-finite"])
+def test_record_errors_name_the_file(tmp_path, raw, named):
+    # a single tensor file, and the second record of a checkpoint's weights
+    (tmp_path / "t.vlt").write_bytes(raw)
+    with pytest.raises(ParameterError, match=named) as exc:
+        vlt.load_tensor(tmp_path / "t.vlt")
+    assert str(tmp_path / "t.vlt") in str(exc.value)
+
+    vlt.save_container(tmp_path / "ckpt", {"a": np.ones(2), "b": np.ones(2)})
+    weights = tmp_path / "ckpt" / "weights.vlt"
+    good = io.BytesIO()
+    vlt.write_record(good, np.ones(2))
+    weights.write_bytes(good.getvalue() + raw)
+    with pytest.raises(ParameterError, match=named) as exc:
+        vlt.load_container(tmp_path / "ckpt")
+    assert str(weights) in str(exc.value)
