@@ -68,50 +68,13 @@ def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> Bin
     return BinConfig(centers=np.exp(ln), d_min=d_min, d_max=d_max, max_shift=max_shift)
 
 
-ROW_BLOCK = 392   # pixel rows per block of the head's loops: 8 blocks per 56x56 frame
+ROW_BLOCK = 392   # rows per block of the head's loops: 8 blocks per 56x56 frame
 Grid = tuple[int, int, int, int]   # (gh, gw, h, w): a gh x gw patch grid upsampled to h x w
 
 
 def _row_blocks(hw: int):
     """(lo, hi) bounds of the ROW_BLOCK-row blocks covering hw rows."""
     return ((lo, min(lo + ROW_BLOCK, hw)) for lo in range(0, hw, ROW_BLOCK))
-
-
-def _workspace(hw: int, n: int, dtype=np.float64) -> np.ndarray:
-    """One block's [rows, n] scratch array for a loop over hw rows."""
-    return np.empty((min(ROW_BLOCK, hw), n), dtype=dtype)
-
-
-def _node_rows(x: np.ndarray, grid: Grid | None):
-    """(HW, U, inv, blocks) for a head node. It computes U rows: x = [HW, N]'s own
-    (inv None), or with a grid (gh, gw, h, w) the distinct upsampled rows of patch
-    rows x = [gh*gw, N] (`recon.upsample_rows`; inv maps pixel -> row). `blocks`
-    yields (lo, hi, rows) per ROW_BLOCK rows; upsampled rows share one workspace."""
-    if x.ndim != 2:
-        raise ShapeError("bin inputs must be [HW, N], or [P, N] with an upsample grid")
-    if grid is None:
-        return len(x), len(x), None, ((lo, hi, x[lo:hi]) for lo, hi in _row_blocks(len(x)))
-    if grid[0] * grid[1] != x.shape[0]:
-        raise ShapeError(f"upsample from grid {grid} does not take {x.shape[0]} patch rows")
-    uniq, inv = upsample_rows(*grid)
-
-    def blocks():
-        buf = _workspace(uniq.shape[0], x.shape[1])
-        for lo, hi in _row_blocks(uniq.shape[0]):
-            rows = np.matmul(uniq[lo:hi], x, out=buf[:hi - lo])
-            _check_finite(rows, "matmul")
-            yield lo, hi, rows
-    return inv.size, uniq.shape[0], inv, blocks()
-
-
-def _at(inv: np.ndarray | None, lo: int, hi: int):
-    """Index of pixels lo:hi into a node's computed rows."""
-    return slice(lo, hi) if inv is None else inv[lo:hi]
-
-
-def _fold_up(grid: Grid | None, g_rows: np.ndarray) -> np.ndarray:
-    """The node input's gradient from its pixel rows': the matmul VJP `up.T @ g`."""
-    return g_rows if grid is None else np.swapaxes(upsample_matrix(*grid), -1, -2) @ g_rows
 
 
 def _ordinal_mass(logits: np.ndarray, qx: np.ndarray, clamped: np.ndarray,
@@ -134,12 +97,45 @@ def _ordinal_mass(logits: np.ndarray, qx: np.ndarray, clamped: np.ndarray,
     return total
 
 
+def _ordinal_grad(g: np.ndarray, clamped: np.ndarray, total: np.ndarray, qx: np.ndarray,
+                  out: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ordinal mass's VJP: the logits' gradient into `out` (may be `g`),
+    returned, from the probs' gradient `g`; `w` is scratch, all [rows, N] as
+    `_ordinal_mass`'s state, and total [rows, 1]. The ops and order of
+      g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1)
+      g_raw = g_mass * (clamped > 0)
+      g_logits[:, :N-1] = (g_raw[:, 1:] - g_raw[:, :-1]) * q * (1 - q)
+    with -g * c / t^2 taken as g * c / -(t^2), which has the same bits."""
+    share = np.multiply(g, clamped, out=w)
+    share /= -(total * total)
+    shared = share.sum(axis=1, keepdims=True)
+    g_mass = np.divide(g, total, out=w)
+    g_mass += shared
+    g_mass *= np.greater(clamped, 0.0, out=out)          # zero where clamped
+    flat = g_mass.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    out[:, -1] = 0.0                                    # the last logit gets none
+    out *= qx
+    out *= np.subtract(1.0, qx, out=w)
+    return out
+
+
 def _bounded_shift(budget: np.ndarray, centers: np.ndarray, raw: np.ndarray,
                    t: np.ndarray, out: np.ndarray) -> None:
     """centers + budget * tanh(raw) into `out`, tanh into `t` (either may be `raw`)."""
     np.tanh(raw, out=t)
     np.multiply(budget, t, out=out)
     out += centers
+
+
+def _shift_grad(g: np.ndarray, t: np.ndarray, budget: np.ndarray,
+                out: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The bounded shift's VJP g * budget * (1 - t * t) into `out` (may be `g`), returned."""
+    slope = np.multiply(t, t, out=w)
+    np.subtract(1.0, slope, out=slope)
+    np.multiply(g, budget, out=out)
+    out *= slope
+    return out
 
 
 def _expectation(probs: np.ndarray, centers: np.ndarray, prod: np.ndarray,
@@ -150,81 +146,39 @@ def _expectation(probs: np.ndarray, centers: np.ndarray, prod: np.ndarray,
     prod.sum(axis=1, out=out)
 
 
-def bin_logits_to_probs(logits: Tensor, ordinal: bool = True, grid: Grid | None = None) -> Tensor:
-    """Logits [HW, N] -> per-pixel simplex [HW, N]; with an upsample grid (gh, gw,
-    h, w), patch logits [gh*gw, N] -> the simplex of `upsample_matrix(*grid) @ logits`.
+def bin_logits_to_probs(logits: Tensor, ordinal: bool = True) -> Tensor:
+    """Logits [HW, N] -> per-pixel simplex [HW, N].
 
     Ordinal mode (cumulative link): sigma(logit_k) models P(depth > boundary_k)
     for the N-1 interior boundaries; with P(>0) = 1 and P(>N) = 0 the bin mass
     is the difference of adjacent exceedance probabilities, clamped at zero and
     renormalized to guard monotonicity violations. The last logit column only
-    participates in the softmax fallback. The ordinal map, upsample included,
-    is one graph node; its gradient is zero where the clamp is active. Its
-    forward runs on the upsample's distinct rows and its VJP on pixel rows,
-    whose upstream gradients differ, both in ROW_BLOCK-row blocks.
+    participates in the softmax fallback. The ordinal map is one graph node;
+    its gradient is zero where the clamp is active.
     """
     logits = as_tensor(logits)
-    hw, u, inv, blocks = _node_rows(logits.data, grid)
+    if logits.ndim != 2:
+        raise ShapeError("bin logits must be [HW, N]")
     if not ordinal:
-        return softmax(logits if grid is None else matmul(upsample_tensor(*grid), logits))
-    n = logits.shape[1]
-    if n < 2:
+        return softmax(logits)
+    if logits.shape[1] < 2:
         raise ShapeError("ordinal normalization needs at least 2 bins")
-    qx, clamped, out = (np.empty((u, n)) for _ in range(3))
-    total = np.empty((u, 1))
-    for lo, hi, rows in blocks:
-        total[lo:hi] = _ordinal_mass(rows, qx[lo:hi], clamped[lo:hi], out[lo:hi])
-
-    def vjp(g):
-        # per block of pixels, the ops and order of
-        #   g_mass = g / total + (-g * clamped / (total * total)).sum(axis=1)
-        #   g_raw = g_mass * (clamped > 0)
-        #   g_logits[:, :N-1] = (g_raw[:, 1:] - g_raw[:, :-1]) * q * (1 - q)
-        # with -g * c / t^2 taken as g * c / -(t^2), which has the same bits
-        g_rows, w, g_mass = np.empty((hw, n)), _workspace(hw, n), _workspace(hw, n)
-        active = _workspace(hw, n, bool)
-        for lo, hi in _row_blocks(hw):
-            at = _at(inv, lo, hi)
-            m, g_b, c_b, t_b, q_b = hi - lo, g[lo:hi], clamped[at], total[at], qx[at]
-            share = np.multiply(g_b, c_b, out=w[:m])
-            share /= -(t_b * t_b)
-            np.divide(g_b, t_b, out=g_mass[:m])
-            g_mass[:m] += share.sum(axis=1, keepdims=True)
-            g_mass[:m] *= np.greater(c_b, 0.0, out=active[:m])   # zero where clamped
-            dst, flat = g_rows[lo:hi], g_mass[:m].reshape(-1)
-            np.subtract(flat[1:], flat[:-1], out=dst.reshape(-1)[:-1])
-            dst[:, -1] = 0.0                                # the last logit gets none
-            dst *= q_b
-            dst *= np.subtract(1.0, q_b, out=w[:m])
-        return _fold_up(grid, g_rows)
-
-    return Tensor._from_op(out[_at(inv, 0, hw)], "ordinal_probs", (logits,), (vjp,))
+    qx, clamped, out = (np.empty(logits.shape) for _ in range(3))
+    total = _ordinal_mass(logits.data, qx, clamped, out)
+    return Tensor._from_op(out, "ordinal_probs", (logits,), (lambda g: _ordinal_grad(
+        g, clamped, total, qx, np.empty_like(qx), np.empty_like(qx)),))
 
 
-def bounded_centers(cfg: BinConfig, raw: Tensor, grid: Grid | None = None) -> Tensor:
+def bounded_centers(cfg: BinConfig, raw: Tensor) -> Tensor:
     """c_k + max_shift * width_k * tanh(raw_k): rows stay strictly increasing.
-    With an upsample grid, raw is [gh*gw, n_bins] and the shift applies to its
-    bilinear upsample. One graph node, run as `bin_logits_to_probs`'s."""
-    hw, u, inv, blocks = _node_rows(raw.data, grid)
-    if raw.shape[1] != cfg.n_bins:
+    One graph node over raw shifts [HW, n_bins]."""
+    if raw.ndim != 2 or raw.shape[1] != cfg.n_bins:
         raise ShapeError("raw shifts must be [rows, n_bins]")
-    n, budget = cfg.n_bins, cfg.shift_budget()
-    t, out = np.empty((u, n)), np.empty((u, n))
-    for lo, hi, rows in blocks:
-        _bounded_shift(budget, cfg.centers, rows, t[lo:hi], out[lo:hi])
-
-    def vjp(g):
-        # g * budget * (1 - t * t), block by block
-        g_rows, w = np.empty((hw, n)), _workspace(hw, n)
-        for lo, hi in _row_blocks(hw):
-            t_b = t[_at(inv, lo, hi)]
-            slope = np.multiply(t_b, t_b, out=w[:hi - lo])
-            np.subtract(1.0, slope, out=slope)
-            np.multiply(g[lo:hi], budget, out=g_rows[lo:hi])
-            g_rows[lo:hi] *= slope
-        return _fold_up(grid, g_rows)
-
-    return Tensor._from_op(out[_at(inv, 0, hw)], "bounded_centers", (raw,), (vjp,))
+    budget = cfg.shift_budget()
+    t, out = np.empty(raw.shape), np.empty(raw.shape)
+    _bounded_shift(budget, cfg.centers, raw.data, t, out)
+    return Tensor._from_op(out, "bounded_centers", (raw,), (
+        lambda g: _shift_grad(g, t, budget, np.empty_like(t), np.empty_like(t)),))
 
 
 def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
@@ -232,12 +186,68 @@ def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
     if probs.shape != centers.shape:
         raise ShapeError("probs and centers must have equal shapes")
     p, c = probs.data, centers.data
-    hw = p.shape[0]
-    depth, prod = np.empty(hw), _workspace(hw, p.shape[1])
-    for lo, hi in _row_blocks(hw):
-        _expectation(p[lo:hi], c[lo:hi], prod[:hi - lo], depth[lo:hi])
+    depth = np.empty(p.shape[0])
+    _expectation(p, c, np.empty_like(p), depth)
     return Tensor._from_op(depth, "expected_depth", (probs, centers),
                            (lambda g: g[:, None] * c, lambda g: g[:, None] * p))
+
+
+def ordinal_depth(grid: Grid, logits: Tensor, raw: Tensor, bins: BinConfig) -> Tensor:
+    """One frame's ordinal head as one graph node: patch logits and raw shifts
+    [gh*gw, N] -> the expected depth [h*w] of their bilinear upsample to h x w,
+    with the bits of `expected_depth_tensor(bin_logits_to_probs(up @ logits),
+    bounded_centers(bins, up @ raw))` for up = `upsample_matrix(*grid)`.
+
+    The forward runs on the upsample's distinct rows (`recon.upsample_rows`) in
+    ROW_BLOCK-row blocks and spreads depth to pixels. When an input requires
+    grad, the [U, N] state of every row is kept for the VJPs, which run on
+    pixel rows, whose upstream gradients differ; otherwise three block
+    buffers are reused in place and no [HW, N] or [U, N] array is allocated.
+    """
+    n = bins.n_bins
+    if logits.ndim != 2 or logits.shape != raw.shape or n != logits.shape[1]:
+        raise ShapeError(f"logits and raw shifts must both be [P, {n}]")
+    if grid[0] * grid[1] != logits.shape[0]:
+        raise ShapeError(f"upsample from grid {grid} does not take {logits.shape[0]} patch rows")
+    uniq, inv = upsample_rows(*grid)
+    u, budget, block = uniq.shape[0], bins.shift_budget(), min(ROW_BLOCK, uniq.shape[0])
+    keep = logits.requires_grad or raw.requires_grad
+    if keep:
+        qx, clamped, probs, t, centers = (np.empty((u, n)) for _ in range(5))
+        total, prod = np.empty((u, 1)), np.empty((block, n))
+    else:   # logits rows -> q; raw rows -> tanh -> centers -> products
+        qx, probs, t = (np.empty((block, n)) for _ in range(3))
+        clamped, centers, prod, total = probs, t, t, np.empty((block, 1))
+    depth = np.empty(u)
+    for lo, hi in _row_blocks(u):
+        b = slice(lo, hi) if keep else slice(0, hi - lo)
+        for x, rows in ((logits, qx[b]), (raw, t[b])):
+            np.matmul(uniq[lo:hi], x.data, out=rows)
+            _check_finite(rows, "matmul")
+        total[b] = _ordinal_mass(qx[b], qx[b], clamped[b], probs[b])
+        _check_finite(probs[b], "ordinal_probs")
+        _bounded_shift(budget, bins.centers, t[b], t[b], centers[b])
+        _check_finite(centers[b], "bounded_centers")
+        _expectation(probs[b], centers[b], prod[:hi - lo], depth[lo:hi])
+
+    def pixel_vjp(rows_grad):
+        # the upstream g, block by block of pixel rows, then `up.T @ g`
+        def vjp(g):
+            g_rows, w = np.empty((inv.size, n)), np.empty((min(ROW_BLOCK, inv.size), n))
+            for lo, hi in _row_blocks(inv.size):
+                rows_grad(g[lo:hi, None], inv[lo:hi], g_rows[lo:hi], w[:hi - lo])
+            return upsample_matrix(*grid).T @ g_rows
+        return vjp
+
+    def logits_grad(g, at, out, w):   # g * centers, then the ordinal VJP
+        _ordinal_grad(np.multiply(g, centers[at], out=out), clamped[at], total[at],
+                      qx[at], out, w)
+
+    def raw_grad(g, at, out, w):      # g * probs, then the shift VJP
+        _shift_grad(np.multiply(g, probs[at], out=out), t[at], budget, out, w)
+
+    return Tensor._from_op(depth[inv], "ordinal_depth", (logits, raw),
+                           (pixel_vjp(logits_grad), pixel_vjp(raw_grad)))
 
 
 @dataclass
@@ -265,21 +275,6 @@ class MetricDepthParams:
         return out
 
 
-def _blocked_depth(grid: Grid, logits: np.ndarray, raw: np.ndarray,
-                   bins: BinConfig) -> np.ndarray:
-    """The ordinal head on the upsample's distinct rows, spread to pixels: the graph's bits."""
-    (_, u, inv, lgs), (*_, rws) = _node_rows(logits, grid), _node_rows(raw, grid)
-    probs, budget, depth = _workspace(u, logits.shape[1]), bins.shift_budget(), np.empty(u)
-    for (lo, hi, lg_b), (*_, rw_b) in zip(lgs, rws):
-        m = hi - lo
-        _ordinal_mass(lg_b, lg_b, probs[:m], probs[:m])
-        _check_finite(probs[:m], "ordinal_probs")
-        _bounded_shift(budget, bins.centers, rw_b, rw_b, rw_b)
-        _check_finite(rw_b, "bounded_centers")
-        _expectation(probs[:m], rw_b, rw_b, depth[lo:hi])
-    return depth[inv]
-
-
 def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
                          p: MetricDepthParams) -> Tensor:
     """Patch tokens [P, C] -> in-graph metric depth [HW]; a window's tokens
@@ -297,15 +292,13 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
     feats = rms_norm(patch_tokens.tokens)
     patch_logits = mlp(feats, p.logits_mlp)   # [..., P, N]
     patch_raw = mlp(feats, p.refine_mlp)      # [..., P, N]
-    if p.ordinal and not (patch_logits.requires_grad or patch_raw.requires_grad):
-        cells = (-1, gh * gw, p.bins.n_bins)
-        depth = [_blocked_depth(grid, lg, rw, p.bins) for lg, rw in
-                 zip(patch_logits.data.reshape(cells), patch_raw.data.reshape(cells))]
-        return Tensor(np.stack(depth).reshape(*feats.shape[:-2], h * w))
 
     def frame(lg: Tensor, rw: Tensor) -> Tensor:   # [P, N] outputs -> depth [HW]
-        return expected_depth_tensor(bin_logits_to_probs(lg, p.ordinal, grid),
-                                     bounded_centers(p.bins, rw, grid))
+        if p.ordinal:
+            return ordinal_depth(grid, lg, rw, p.bins)
+        up = upsample_tensor(*grid)
+        return expected_depth_tensor(bin_logits_to_probs(matmul(up, lg), ordinal=False),
+                                     bounded_centers(p.bins, matmul(up, rw)))
     if feats.ndim == 2:
         return frame(patch_logits, patch_raw)
     return stack([frame(patch_logits[f], patch_raw[f]) for f in range(feats.shape[0])])

@@ -126,7 +126,12 @@ PLY_CHUNK = 4096   # rows per %-format call of write_ply, so no one string holds
 
 
 def write_ply(path: str | Path, cloud: PointCloud) -> None:
-    """ASCII PLY, deterministic formatting; colors as uchar when present."""
+    """ASCII PLY, deterministic formatting; colors as uchar when present.
+    A coordinate whose 10-digit form would read back as inf (within about
+    5e-10 of the largest float) is a ParameterError, raised before writing."""
+    if len(cloud) and np.isinf(float("%.10g" % np.abs(cloud.points).max())):
+        raise ParameterError("a point coordinate this near the largest float "
+                             "would be written as inf")
     lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"] + _PLY_XYZ
     row, table = "%.10g %.10g %.10g", cloud.points
     if cloud.colors is not None:

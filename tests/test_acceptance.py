@@ -30,7 +30,7 @@ from geovid.losses import (
 )
 from geovid.metric_depth import (
     MetricDepthParams, bin_logits_to_probs, bounded_centers,
-    expected_depth_tensor, init_bins, predict_metric_depth,
+    expected_depth_tensor, init_bins, ordinal_depth, predict_metric_depth,
 )
 from geovid.model import init_model, predict_window
 from geovid.numkit import (
@@ -225,16 +225,24 @@ def test_criterion_1_gradient_suite():
           lambda: lambda t: tsum(expected_depth_tensor(t[0], t[1]) * w_depth),
           lambda: Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True))
 
-    # the probs and centers nodes with the upsample folded in: x is a 2x2
-    # grid's patch outputs, the loss weighs the 6x6 frame's pixel rows
+    # the ordinal head's one node per frame, through each operand: x is a
+    # 2x2 grid's patch logits or shifts, the other operand a fresh constant,
+    # and the loss weighs the 6x6 frame's pixel depths
     grid = (2, 2, 6, 6)
-    w_pixels = Tensor(rng.standard_normal((36, 5)))
-    check("ordinal_probs_upsampled",
-          lambda: lambda t: tsum(bin_logits_to_probs(t, grid=grid) * w_pixels),
+    w_pixels = Tensor(rng.standard_normal(36))
+
+    def ordinal_depth_f(through_logits: bool):
+        other = Tensor(rng.standard_normal((4, 5)) * (1.0 if through_logits else 2.0))
+
+        def f(t):
+            logits, raw = (t, other) if through_logits else (other, t)
+            return tsum(ordinal_depth(grid, logits, raw, bins) * w_pixels)
+        return f
+
+    check("ordinal_depth_logits", lambda: ordinal_depth_f(True),
           lambda: Tensor(rng.standard_normal((4, 5)) * 2.0, requires_grad=True))
 
-    check("bounded_centers_upsampled",
-          lambda: lambda t: tsum(bounded_centers(bins, t, grid=grid) * w_pixels),
+    check("ordinal_depth_raw", lambda: ordinal_depth_f(False),
           lambda: Tensor(rng.standard_normal((4, 5)), requires_grad=True))
 
     elapsed = time.monotonic() - t0

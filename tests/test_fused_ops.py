@@ -1,10 +1,10 @@
 """The single-node ordinal-probs, bounded-centers, expected-depth and
 quat_to_rotation ops against the composed graphs they replace, kept here as
-references; the probs and centers nodes with the upsample folded in against
-a matmul node feeding the unfolded ones; and the metric head's blocked
-no-grad path against its graph path. Each repeats the float operations of its
-reference in the same order, so forward values and VJPs must be equal, not
-only close."""
+references; the ordinal head's one node per frame (`ordinal_depth`, the
+upsample folded in) against matmul nodes feeding the pixel-row ones; and the
+metric head under no_grad against its graph. Each repeats the float
+operations of its reference in the same order, so forward values and VJPs
+must be equal, not only close."""
 
 import tracemalloc
 
@@ -16,12 +16,12 @@ from geovid import metric_depth
 from geovid.errors import NumericError, ShapeError
 from geovid.metric_depth import (
     MetricDepthParams, bin_logits_to_probs, bounded_centers, expected_depth_tensor,
-    init_bins, predict_metric_depth,
+    init_bins, ordinal_depth, predict_metric_depth,
 )
 from geovid.numkit import (
     Role, Tensor, TokenSet, concat, matmul, maximum, no_grad, sigmoid, tanh, tsum,
 )
-from geovid.recon import quat_to_rotation, upsample_matrix
+from geovid.recon import quat_to_rotation, upsample_matrix, upsample_rows
 
 def composed_ordinal_probs(logits: Tensor) -> Tensor:
     hw, n = logits.shape
@@ -83,10 +83,11 @@ def _bits_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 def _upstream(rng, shape) -> np.ndarray:
     """A random upstream gradient whose every fifth row is zero, with +0.0
-    and -0.0 alternating along every tenth row."""
+    and -0.0 alternating along every tenth row; a vector's rows are its
+    entries, so its zeros alternate +0.0 and -0.0."""
     g = rng.standard_normal(shape)
     g[::5] = 0.0
-    g[::10, ::2] = -0.0
+    g.reshape(len(g), -1)[::10, ::2] = -0.0
     return g
 
 
@@ -211,16 +212,19 @@ def test_blocked_no_grad_depth_matches_graph(side, ordinal):
 
 @pytest.mark.parametrize("bad", ["logits", "raw"])
 def test_blocked_no_grad_depth_raises_on_non_finite(bad):
+    # inputs that require no grad: the node runs in its reused block buffers
     rng = np.random.default_rng(6)
-    inputs = {"logits": rng.standard_normal((4, 8)), "raw": rng.standard_normal((4, 8))}
-    inputs[bad][2, 3] = np.nan
+    inputs = {"logits": Tensor(rng.standard_normal((4, 8))),
+              "raw": Tensor(rng.standard_normal((4, 8)))}
+    inputs[bad].data[2, 3] = np.nan     # a leaf is checked when built: corrupt it after
     with pytest.raises(NumericError, match="matmul"):
-        metric_depth._blocked_depth((2, 2, 28, 28), inputs["logits"], inputs["raw"],
-                                    init_bins(8, 0.1, 10.0))
+        ordinal_depth((2, 2, 28, 28), inputs["logits"], inputs["raw"], init_bins(8, 0.1, 10.0))
 
 
 def test_blocked_no_grad_depth_allocates_no_pixel_by_bin_array():
+    # nor a [U, N] array over the upsample's U distinct rows
     tokens, p = _random_head(56, 64, True)
+    u = upsample_rows(4, 4, 56, 56)[0].shape[0]
     with no_grad():
         predict_metric_depth(tokens, (56, 56), p)   # builds the cached upsample
         tracemalloc.start()
@@ -229,29 +233,47 @@ def test_blocked_no_grad_depth_allocates_no_pixel_by_bin_array():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < 56 * 56 * 64 * 8, peak
+    assert peak < u * 64 * 8, peak
 
 
 def _upsampled_case(h: int, w: int, grid: tuple[int, int], n: int, seed: int):
-    """An upsample matrix, [P, n] patch logits and an upstream gradient [HW, n].
+    """An upsample matrix, [P, n] patch logits and raw shifts, and an upstream
+    gradient [HW] of the depth.
 
     Wide unsorted logits leave the clamp active; every pixel's first three
     logits and every logit of patch 0 are at least 40, where sigma is
-    exactly 1 and those bins' mass exactly 0.
+    exactly 1 and those bins' mass exactly 0. The shifts are drawn the same
+    way, less 20 where above 20: still >= 20 there, where tanh is exactly 1
+    and its slope 0.
     """
     rng = np.random.default_rng(seed)
     up = upsample_matrix(*grid, h, w)
-    logits = rng.standard_normal((grid[0] * grid[1], n)) * 3.0
-    logits[:, :3] = 40.0 + np.abs(logits[:, :3])
-    logits[0] = 40.0 + rng.random(n)
-    return up, logits, _upstream(rng, (h * w, n))
+
+    def draw():
+        x = rng.standard_normal((grid[0] * grid[1], n)) * 3.0
+        x[:, :3] = 40.0 + np.abs(x[:, :3])
+        x[0] = 40.0 + rng.random(n)
+        return x
+    logits, raw = draw(), draw()
+    raw -= 20.0 * (raw > 20.0)
+    return up, logits, raw, _upstream(rng, h * w)
 
 
-def _patch_vjp(op, patch: np.ndarray, seed_grad: np.ndarray):
-    t = Tensor(patch.copy(), requires_grad=True)
-    out = op(t)
+def _depth_vjp(head, logits: np.ndarray, raw: np.ndarray, seed_grad: np.ndarray,
+               through_logits: bool):
+    """head(logits, raw)'s depth and the gradient of the one operand that
+    requires grad: the logits, or the raw shifts."""
+    lt = Tensor(logits.copy(), requires_grad=through_logits)
+    rt = Tensor(raw.copy(), requires_grad=not through_logits)
+    out = head(lt, rt)
     tsum(out * Tensor(seed_grad)).backward()
-    return out.data, t.grad
+    return out.data, (lt if through_logits else rt).grad
+
+
+def _matmul_then_nodes(up: np.ndarray, cfg, probs_op, centers_op):
+    """The head as a matmul node per operand feeding pixel-row nodes."""
+    return lambda lg, rw: expected_depth_tensor(probs_op(matmul(Tensor(up), lg)),
+                                                centers_op(cfg, matmul(Tensor(up), rw)))
 
 
 # 56x56 gives 3136 rows (8 full blocks), 42x42 1764 (a partial last block),
@@ -261,51 +283,63 @@ UPSAMPLED = [(56, 56, (4, 4)), (42, 42, (3, 3)), (10, 10, (2, 2))]
 
 @pytest.mark.parametrize("h, w, grid", UPSAMPLED)
 def test_folded_ordinal_probs_match_matmul_then_node(h, w, grid):
-    up, logits, seed_grad = _upsampled_case(h, w, grid, 64, seed=h)
-    folded = _patch_vjp(lambda t: bin_logits_to_probs(t, grid=(*grid, h, w)), logits, seed_grad)
+    # the head's node through its logits, which fold in the upsample
+    up, logits, raw, seed_grad = _upsampled_case(h, w, grid, 64, seed=h)
+    cfg = init_bins(64, 0.1, 10.0)
+    folded = _depth_vjp(lambda lg, rw: ordinal_depth((*grid, h, w), lg, rw, cfg),
+                        logits, raw, seed_grad, through_logits=True)
     pixel_logits = up @ logits
-    assert (pixel_logits[:, :3] >= 40.0).all() and (folded[0][:, :3] == 0.0).all()
+    assert (pixel_logits[:, :3] >= 40.0).all()
+    assert (bin_logits_to_probs(Tensor(pixel_logits)).data[:, :3] == 0.0).all()
     q = special.expit(pixel_logits[:, :-1])
     assert (np.diff(q, axis=1) > 0).any(), "the clamp must be active somewhere"
-    for reference in (bin_logits_to_probs, strided_ordinal_probs):
-        unfolded = _patch_vjp(lambda t: reference(matmul(Tensor(up), t)), logits, seed_grad)
+    for probs_op in (bin_logits_to_probs, strided_ordinal_probs):
+        unfolded = _depth_vjp(_matmul_then_nodes(up, cfg, probs_op, bounded_centers),
+                              logits, raw, seed_grad, through_logits=True)
         for got, want in zip(folded, unfolded):
             _bits_equal(got, want)
 
 
 @pytest.mark.parametrize("h, w, grid", UPSAMPLED)
 def test_folded_bounded_centers_match_matmul_then_node(h, w, grid):
-    up, raw, seed_grad = _upsampled_case(h, w, grid, 64, seed=h + 1)
-    raw -= 20.0 * (raw > 20.0)   # still >= 20 there: tanh is exactly 1, its slope 0
+    # the head's node through its raw shifts, which fold in the upsample
+    up, logits, raw, seed_grad = _upsampled_case(h, w, grid, 64, seed=h + 1)
     cfg = init_bins(64, 0.1, 10.0)
-    folded = _patch_vjp(lambda t: bounded_centers(cfg, t, grid=(*grid, h, w)), raw, seed_grad)
-    for reference in (bounded_centers, composed_bounded_centers):
-        unfolded = _patch_vjp(lambda t: reference(cfg, matmul(Tensor(up), t)), raw, seed_grad)
+    assert (np.tanh(up @ raw) == 1.0).any()
+    folded = _depth_vjp(lambda lg, rw: ordinal_depth((*grid, h, w), lg, rw, cfg),
+                        logits, raw, seed_grad, through_logits=False)
+    for centers_op in (bounded_centers, composed_bounded_centers):
+        unfolded = _depth_vjp(_matmul_then_nodes(up, cfg, bin_logits_to_probs, centers_op),
+                              logits, raw, seed_grad, through_logits=False)
         for got, want in zip(folded, unfolded):
             _bits_equal(got, want)
 
 
-# the two folded nodes on a 2x2 grid's [4, 5] patch outputs and a 28x28 frame
-FOLDED = [lambda x: bin_logits_to_probs(x, grid=(2, 2, 28, 28)),
-          lambda x: bounded_centers(init_bins(5, 0.1, 10.0), x, grid=(2, 2, 28, 28))]
+# the head's node on a 2x2 grid's [4, 5] patch outputs and a 28x28 frame,
+# with x as its logits or as its raw shifts and zeros as the other operand
+FOLDED = [lambda x: ordinal_depth((2, 2, 28, 28), x, Tensor(np.zeros(x.shape)),
+                                  init_bins(5, 0.1, 10.0)),
+          lambda x: ordinal_depth((2, 2, 28, 28), Tensor(np.zeros(x.shape)), x,
+                                  init_bins(5, 0.1, 10.0))]
 
 
 @pytest.mark.parametrize("op", FOLDED)
 def test_folded_nodes_take_the_patch_outputs_as_their_parent(op):
     x = Tensor(np.zeros((4, 5)), requires_grad=True)
     out = op(x)
-    assert out.shape == (784, 5) and out._parents == (x,)
+    assert out.shape == (784,) and out._parents == (x,)
 
 
 @pytest.mark.parametrize("op", FOLDED)
 def test_folded_nodes_reject_mismatched_upsample(op):
     with pytest.raises(ShapeError, match="upsample"):
-        op(Tensor(np.zeros((9, 5))))
+        op(Tensor(np.zeros((9, 5)), requires_grad=True))
 
 
 @pytest.mark.parametrize("op", FOLDED)
 def test_folded_nodes_raise_on_non_finite_upsampled_rows(op):
-    x = Tensor(np.zeros((4, 5)))
+    # an input that requires grad: the node keeps its state for the VJPs
+    x = Tensor(np.zeros((4, 5)), requires_grad=True)
     x.data[3, 2] = np.nan                # a leaf is checked when built: corrupt it after
     with pytest.raises(NumericError, match="matmul"):
         op(x)

@@ -6,9 +6,9 @@ from geovid import metric_depth
 from geovid.errors import ParameterError, ShapeError
 from geovid.metric_depth import (
     BinConfig, MetricDepthParams, bin_logits_to_probs, bounded_centers,
-    expected_depth_tensor, init_bins, predict_metric_depth,
+    expected_depth_tensor, init_bins, ordinal_depth, predict_metric_depth,
 )
-from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, mlp, tsum
+from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, mlp, no_grad, tsum
 from geovid.recon import upsample_matrix, upsample_rows
 
 
@@ -256,17 +256,17 @@ def test_unique_row_head_matches_full_row_head_bit_for_bit(h, w, ps):
     g[::5] = 0.0
     g[::10] = -0.0
 
-    def run(probs_op, centers_op):
+    def run(head):
         lt, rt = Tensor(logits.copy(), requires_grad=True), Tensor(raw.copy(), requires_grad=True)
-        probs, centers = probs_op(lt), centers_op(rt)
-        depth = expected_depth_tensor(probs, centers)
+        depth = head(lt, rt)
         tsum(depth * Tensor(g)).backward()
-        return probs.data, centers.data, depth.data, lt.grad, rt.grad
+        return depth.data, lt.grad, rt.grad
 
-    got = run(lambda t: bin_logits_to_probs(t, grid=grid),
-              lambda t: bounded_centers(cfg, t, grid=grid))
-    want = run(lambda t: full_row_probs(t, up), lambda t: full_row_centers(cfg, t, up))
+    got = run(lambda lt, rt: ordinal_depth(grid, lt, rt, cfg))
+    want = run(lambda lt, rt: expected_depth_tensor(full_row_probs(lt, up),
+                                                    full_row_centers(cfg, rt, up)))
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    blocked = metric_depth._blocked_depth(grid, logits, raw, cfg)
-    assert blocked.tobytes() == want[2].tobytes()
+    with no_grad():
+        no_grad_depth = ordinal_depth(grid, Tensor(logits), Tensor(raw), cfg)
+    assert no_grad_depth.data.tobytes() == want[0].tobytes()

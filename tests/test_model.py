@@ -59,21 +59,21 @@ def test_adapt_produces_streams(scene):
     assert out.bridge.tokens.shape == (4, 16)
 
 
-def _spy_expectation(monkeypatch) -> list:
-    """Record the (probs, centers) shapes of every expected_depth_tensor call."""
-    shapes, original = [], metric_depth.expected_depth_tensor
+def _spy_ordinal_depth(monkeypatch) -> list:
+    """Record the (logits, raw) shapes of every ordinal_depth call."""
+    shapes, original = [], metric_depth.ordinal_depth
 
-    def spy(probs, centers):
-        shapes.append((probs.shape, centers.shape))
-        return original(probs, centers)
+    def spy(grid, logits, raw, bins):
+        shapes.append((logits.shape, raw.shape))
+        return original(grid, logits, raw, bins)
 
-    monkeypatch.setattr(metric_depth, "expected_depth_tensor", spy)
+    monkeypatch.setattr(metric_depth, "ordinal_depth", spy)
     return shapes
 
 
 def test_predict_window_shapes(scene, monkeypatch):
     params = init_model(CFG)
-    bin_shapes = _spy_expectation(monkeypatch)
+    bin_shapes = _spy_ordinal_depth(monkeypatch)
     preds = predict_window(scene.frames, params, CFG)
     assert len(preds) == 2
     p = preds[0]
@@ -81,7 +81,8 @@ def test_predict_window_shapes(scene, monkeypatch):
     assert p.depth_rel.data.min() > 0
     assert p.depth_metric.shape == (4 * 28 * 28 // (14 * 14),) or \
         p.depth_metric.shape == (28 * 28,)
-    assert bin_shapes == [((28 * 28, CFG.n_bins), (28 * 28, CFG.n_bins))] * 2
+    # one call per frame on its [P, N] patch outputs
+    assert bin_shapes == [((4, CFG.n_bins), (4, CFG.n_bins))] * 2
     cam = p.camera.to_camera()
     assert abs(np.linalg.det(cam.rotation) - 1.0) < 1e-9
 
@@ -96,7 +97,7 @@ def test_md_off_skips_metric(scene, monkeypatch):
     cfg = RunConfig(**{**CFG.to_json(), "md_mode": "off",
                        "resolution": (28, 28)})
     params = init_model(cfg)
-    bin_shapes = _spy_expectation(monkeypatch)
+    bin_shapes = _spy_ordinal_depth(monkeypatch)
     preds = predict_window(scene.frames, params, cfg)
     assert bin_shapes == []
     assert preds[0].depth_metric is None

@@ -188,6 +188,23 @@ class TestPly:
         with pytest.raises(ParameterError, match="colors must be finite"):
             PointCloud(points=np.zeros((2, 3)), colors=cols)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("big", [np.finfo(float).max, 1.7976931345e308])
+    def test_coordinate_written_as_inf_rejected_before_writing(self, tmp_path, big, sign):
+        # both print as 1.797693135e+308, which parses as inf
+        pts = np.zeros((3, 3))
+        pts[1, 2] = sign * big
+        with pytest.raises(ParameterError, match="largest float"):
+            write_ply(tmp_path / "c.ply", PointCloud(points=pts))
+        assert not (tmp_path / "c.ply").exists()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_coordinate_with_a_finite_form_round_trips(self, tmp_path, sign):
+        # the float just below 1.7976931345e308 prints as 1.797693134e+308
+        big = np.nextafter(1.7976931345e308, 0.0)
+        write_ply(tmp_path / "c.ply", PointCloud(points=[[0.0, sign * big, 1.0]]))
+        assert read_ply(tmp_path / "c.ply").points[0, 1] == sign * 1.797693134e308
+
     def test_deterministic_bytes(self, tmp_path):
         pts = np.random.default_rng(2).standard_normal((20, 3)) * 3.7
         write_ply(tmp_path / "a.ply", PointCloud(points=pts))
