@@ -7,9 +7,9 @@ fraction of pairs whose max(rotation, translation) error clears the
 threshold. Pairs with a zero-length relative translation are excluded
 from the translation-dependent metrics with a warning.
 
-Point-cloud nearest neighbors use a KD-tree above a size cutoff and an
-exact O(n^2) scan below it; unit tests hold the two routes to the same
-answers.
+All pairs' pose errors come from one batched pass, bit for bit the per-pair
+arithmetic. Point-cloud nearest neighbors come from a KD-tree at every size;
+unit tests hold it to a brute-force scan by exact equality.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .config import write_json
 from .errors import DegenerateInputError, ParameterError, StateError
 from .geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap, rotation_angle_deg
 from .patch3d import PointCloud
-
-_BRUTE_FORCE_LIMIT = 512   # below this many points the exact scan is used
 
 
 @dataclass
@@ -46,17 +44,35 @@ class MetricsReport:
 # camera pose
 # ----------------------------------------------------------------------
 
-def _relative_pose(cam_i: CameraModel, cam_j: CameraModel
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(R_ij, t_ij) mapping camera-j coordinates into camera i."""
-    r_ij = cam_i.rotation @ cam_j.rotation.T
-    t_ij = cam_i.translation - r_ij @ cam_j.translation
+def _relative_poses(cams: list[CameraModel]) -> tuple[np.ndarray, np.ndarray]:
+    """[n, n, 3, 3] and [n, n, 3]: (R_ij, t_ij) mapping camera-j coordinates
+    into camera i, for every ordered pair."""
+    r = np.stack([c.rotation for c in cams])
+    t = np.stack([c.translation for c in cams])
+    r_ij = r[:, None] @ r.transpose(0, 2, 1)[None]
+    t_ij = t[:, None] - (r_ij @ t[None, :, :, None])[..., 0]
     return r_ij, t_ij
 
 
-def _direction_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
-    c = float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-    return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of [m, 3] arrays, one BLAS dot per row as
+    `a[k] @ b[k]` would take it, so every bit matches the per-pair form."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _pair_errors(pred: list[CameraModel], gt: list[CameraModel]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ordered pair (i != j, row-major): the relative-rotation error, the
+    relative-translation direction error of the pairs in `keep`, and `keep`,
+    the pairs whose relative translations both have nonzero length."""
+    off = ~np.eye(len(pred), dtype=bool)
+    rp, tp = (x[off] for x in _relative_poses(pred))
+    rg, tg = (x[off] for x in _relative_poses(gt))
+    rot = rotation_angle_deg(rp @ rg.transpose(0, 2, 1))
+    norm_p, norm_g = np.sqrt(_dots(tp, tp)), np.sqrt(_dots(tg, tg))
+    keep = ~((norm_p < 1e-12) | (norm_g < 1e-12))
+    c = _dots(tp[keep], tg[keep]) / (norm_p[keep] * norm_g[keep])
+    return rot, np.degrees(np.arccos(np.clip(c, -1.0, 1.0))), keep
 
 
 def pose_metrics(pred: list[CameraModel], gt: list[CameraModel]) -> dict:
@@ -66,34 +82,17 @@ def pose_metrics(pred: list[CameraModel], gt: list[CameraModel]) -> dict:
     if len(pred) < 2:
         raise ParameterError("pose metrics need at least 2 cameras")
 
-    rot_errs = []          # every ordered pair
-    trans_errs = []        # pairs with well-defined translation direction
-    max_errs = []          # same pairs as trans_errs
-    excluded = 0
-    n = len(pred)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rp, tp = _relative_pose(pred[i], pred[j])
-            rg, tg = _relative_pose(gt[i], gt[j])
-            r_err = rotation_angle_deg(rp @ rg.T)
-            rot_errs.append(r_err)
-            if np.linalg.norm(tp) < 1e-12 or np.linalg.norm(tg) < 1e-12:
-                excluded += 1
-                continue
-            t_err = _direction_angle_deg(tp, tg)
-            trans_errs.append(t_err)
-            max_errs.append(max(r_err, t_err))
+    rot, trans, keep = _pair_errors(pred, gt)
+    excluded = int(np.count_nonzero(~keep))
     if excluded:
         warnings.warn(f"{excluded} camera pair(s) excluded: zero-length relative translation")
 
-    rot = np.asarray(rot_errs)
     rra = float(np.mean(rot < 15.0) * 100.0)
     rta = maa = 0.0
-    if trans_errs:
-        mx = np.asarray(max_errs)
-        rta = float(np.mean(np.asarray(trans_errs) < 15.0) * 100.0)
+    if trans.size:
+        # max(r, t) as Python's max takes it: r unless t is greater
+        mx = np.where(trans > rot[keep], trans, rot[keep])
+        rta = float(np.mean(trans < 15.0) * 100.0)
         maa = float(np.mean([np.mean(mx < tau) for tau in range(1, 31)]) * 100.0)
     return {"RRA@15": rra, "RTA@15": rta, "mAA30": maa}
 
@@ -122,11 +121,9 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> dict:
 # ----------------------------------------------------------------------
 
 def _nearest_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """For every src point, the distance to its nearest dst point."""
-    if src.shape[0] * dst.shape[0] <= _BRUTE_FORCE_LIMIT ** 2:
-        d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
-        return np.sqrt(d2.min(axis=1))
-    tree = cKDTree(dst)
+    """For every src point, the exact distance to its nearest dst point. An
+    unbalanced, non-compact tree answers a predicted cloud's far queries sooner."""
+    tree = cKDTree(dst, balanced_tree=False, compact_nodes=False)
     dist, _ = tree.query(src, k=1)
     return np.asarray(dist, dtype=np.float64)
 
@@ -135,8 +132,8 @@ def pointcloud_metrics(pred: PointCloud, gt: PointCloud, tau: float = 0.05) -> d
     """Acc/Comp (mean nearest distances) and Prec/Recall/F-score at tau."""
     if len(pred) == 0 or len(gt) == 0:
         raise ParameterError("point clouds must be nonempty")
-    if tau <= 0:
-        raise ParameterError("tau must be positive")
+    if not 0 < tau < np.inf:   # NaN fails too
+        raise ParameterError(f"tau must be positive and finite, got {tau}")
     d_pred = _nearest_distances(pred.points, gt.points)
     d_gt = _nearest_distances(gt.points, pred.points)
     acc = float(np.mean(d_pred))

@@ -45,6 +45,8 @@ class CameraModel:
             raise ShapeError(f"rotation must be 3x3, got {r.shape}")
         if not (self.fx > 0 and self.fy > 0):   # NaN fails too
             raise ParameterError("focal lengths must be positive")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *t]).all():
+            raise ParameterError("intrinsics and translation must be finite")
         if self.scale_kind not in (RELATIVE, METRIC, GROUND_TRUTH):
             raise ParameterError(f"unknown scale kind '{self.scale_kind}'")
         if not np.abs(r @ r.T - np.eye(3)).max() <= _ORTHO_TOL:
@@ -153,10 +155,10 @@ def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def rotation_angle_deg(r: np.ndarray) -> float:
-    """Geodesic angle of a rotation matrix, in degrees."""
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
+def rotation_angle_deg(r: np.ndarray) -> float | np.ndarray:
+    """Geodesic angle of a rotation matrix or of each in a stack, in degrees."""
+    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
 def look_at_rotation(position: np.ndarray, target: np.ndarray,

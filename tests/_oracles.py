@@ -6,14 +6,15 @@ from geovid.evalmetrics internals."""
 import numpy as np
 
 
-def pose_metrics_oracle(pred, gt):
-    """Scalar double-loop over ordered camera pairs; mirrors the documented
-    exclusion rule (zero-length relative translation pairs drop out of the
-    translation-dependent metrics)."""
+def pose_pair_errors_oracle(pred, gt):
+    """Scalar double-loop over ordered camera pairs (i != j, row-major): every
+    rotation error, the translation-direction errors of the kept pairs, and
+    the keep mask. A pair drops out of the translation errors when either
+    relative translation has zero length."""
     n = len(pred)
     rot_errs = []
     trans_errs = []
-    max_errs = []
+    keep = []
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -23,17 +24,25 @@ def pose_metrics_oracle(pred, gt):
             rg = gt[i].rotation @ gt[j].rotation.T
             tg = gt[i].translation - rg @ gt[j].translation
             c = (np.trace(rp @ rg.T) - 1.0) / 2.0
-            r_err = float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-            rot_errs.append(r_err)
-            if np.linalg.norm(tp) < 1e-12 or np.linalg.norm(tg) < 1e-12:
+            rot_errs.append(float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))))
+            keep.append(not (np.linalg.norm(tp) < 1e-12 or np.linalg.norm(tg) < 1e-12))
+            if not keep[-1]:
                 continue
             ct = float(tp @ tg) / (float(np.linalg.norm(tp)) * float(np.linalg.norm(tg)))
-            t_err = float(np.degrees(np.arccos(np.clip(ct, -1.0, 1.0))))
-            trans_errs.append(t_err)
-            max_errs.append(max(r_err, t_err))
-    rra = float(np.mean(np.asarray(rot_errs) < 15.0) * 100.0)
-    if trans_errs:
-        rta = float(np.mean(np.asarray(trans_errs) < 15.0) * 100.0)
+            trans_errs.append(float(np.degrees(np.arccos(np.clip(ct, -1.0, 1.0)))))
+    return (np.asarray(rot_errs, dtype=float), np.asarray(trans_errs, dtype=float),
+            np.asarray(keep, dtype=bool))
+
+
+def pose_metrics_oracle(pred, gt):
+    """RRA@15, RTA@15 and mAA(30) from the per-pair loop; mirrors the
+    documented exclusion rule (zero-length relative translation pairs drop
+    out of the translation-dependent metrics)."""
+    rot_errs, trans_errs, keep = pose_pair_errors_oracle(pred, gt)
+    max_errs = [max(r, t) for r, t in zip(rot_errs[keep].tolist(), trans_errs.tolist())]
+    rra = float(np.mean(rot_errs < 15.0) * 100.0)
+    if len(trans_errs):
+        rta = float(np.mean(trans_errs < 15.0) * 100.0)
         maa = float(np.mean([np.mean(np.asarray(max_errs) < tau)
                              for tau in range(1, 31)]) * 100.0)
     else:

@@ -305,6 +305,32 @@ def test_eval_rejects_unsupported_ply_header(tmp_path, old, new):
     assert "PLY" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_eval_rejects_non_finite_tau(workspace, tmp_path, tau):
+    root, _ = workspace
+    scene = str(root / "scenes" / "scene_0000")
+    proc = run_cli("eval", "--pred", scene, "--gt", scene, "--tau", tau,
+                   "--out", str(tmp_path / "report.json"), check=False)
+    assert proc.returncode == 1
+    assert "tau must be positive and finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_rejects_non_finite_pred_camera(workspace, tmp_path):
+    from geovid.geometry import CameraModel
+    root, _ = workspace
+    scene = root / "scenes" / "scene_0000"
+    cam = CameraModel.load(scene / "frame_000" / "camera.json").to_json()
+    cam["translation"] = [float("nan"), 0.0, 0.0]
+    (tmp_path / "pred" / "cameras").mkdir(parents=True)
+    (tmp_path / "pred" / "cameras" / "frame_000.json").write_text(json.dumps(cam))
+    proc = run_cli("eval", "--pred", str(tmp_path / "pred"), "--gt", str(scene),
+                   "--out", str(tmp_path / "report.json"), check=False)
+    assert proc.returncode == 1
+    assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_infer_artifact_bytes_pinned(tmp_path):
     # infer's cloud and depth bytes on a fixed scene and an untrained model,
     # pinned so a speed-up of the metric-bin head or the PLY writer that moves
@@ -326,4 +352,34 @@ def test_infer_artifact_bytes_pinned(tmp_path):
     assert digests == {
         "cloud.ply": "b3af4d574bd0ce6d01b3b0195ff1e26d58b5ff9057f1685cb223f14504e17181",
         "depth/frame_000.vlt": "3cecb4108369a9da95f1146aad6ea0a07e7017fbedda57672fb08bfc56ed34e1",
+    }
+
+
+def test_infer_metrics_bytes_pinned(tmp_path):
+    # infer's metrics.json on 8 frames at 56x56: 56 camera pairs and
+    # 6,272-point clouds, pinned so a faster pose or point-cloud scoring that
+    # moves a single bit fails here. The camera head's output layer is
+    # randomized: zero-initialized, it gives every frame the same pose, and
+    # every pair would drop out of the translation errors.
+    from geovid.config import RunConfig
+    from geovid.model import init_model, save_checkpoint
+    from geovid.synthscene import save_scene
+    from geovid.train import generate_scenes
+
+    cfg = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4, n_bins=16,
+                    resolution=(56, 56), frames_per_scene=8, n_objects=3,
+                    stage2_frames=2)
+    params = init_model(cfg)
+    w2 = params.camera_head.mlp.w2
+    w2.data = np.random.default_rng(5).normal(0.0, 0.5, w2.shape)
+    save_scene(tmp_path / "scene", generate_scenes(cfg, count=1)[0])
+    save_checkpoint(tmp_path / "ckpt", params, cfg)
+    proc = run_cli("infer", "--ckpt", str(tmp_path / "ckpt"), "--scene", str(tmp_path / "scene"),
+                   "--out", str(tmp_path / "pred"))
+    assert "excluded" not in proc.stderr
+    digests = {name: hashlib.sha256((tmp_path / "pred" / name).read_bytes()).hexdigest()
+               for name in ("cloud.ply", "metrics.json")}
+    assert digests == {
+        "cloud.ply": "c04ac092f31f0cec8e2ca206f267cdac7bd137963edd753a5fed4c13662fd51d",
+        "metrics.json": "cff2213314d834e2ae42d1d4250bc9faff27cf2af480612d49da55a6005e7688",
     }

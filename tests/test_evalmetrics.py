@@ -1,18 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from geovid.config import RunConfig
 from geovid.errors import DegenerateInputError, ParameterError, StateError
 from geovid.evalmetrics import (
-    MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics,
+    MetricsReport, _nearest_distances, _pair_errors, depth_metrics,
+    pointcloud_metrics, pose_metrics,
 )
 from geovid.geometry import (
     GROUND_TRUTH, METRIC, RELATIVE, CameraModel, DepthMap, look_at_rotation,
     quaternion_to_rotation,
 )
+from geovid.model import init_model
 from geovid.patch3d import PointCloud
+from geovid.train import generate_scenes, run_pipeline, strided_cloud
 
 from _oracles import (
     depth_metrics_oracle, pointcloud_metrics_oracle, pose_metrics_oracle,
+    pose_pair_errors_oracle,
 )
 
 
@@ -107,6 +114,26 @@ class TestPoseMetrics:
             want = pose_metrics_oracle(pred, gt)
             assert got == want  # bit-exact: same arithmetic, independent code
 
+    def test_32_cameras_with_duplicates_match_per_pair_loop(self):
+        # infer's camera count; repeated cameras give zero-length relative
+        # translations, in both lists (3, 4 and 17, 18) or in pred alone (30, 31)
+        rng = np.random.default_rng(7)
+        gt = [_random_cam(rng) for _ in range(32)]
+        pred = [_perturbed(c, rng, float(rng.uniform(0, 40)),
+                           float(rng.uniform(0, 1.0))) for c in gt]
+        for k in (3, 17):
+            gt[k + 1] = gt[k]
+            pred[k + 1] = pred[k]
+        pred[31] = pred[30]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = pose_metrics(pred, gt)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "6 camera pair(s) excluded" in str(caught[0].message)
+        assert got == pose_metrics_oracle(pred, gt)
+        for batched, looped in zip(_pair_errors(pred, gt), pose_pair_errors_oracle(pred, gt)):
+            assert np.array_equal(batched, looped)
+
     def test_needs_two_cameras(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ParameterError):
@@ -190,12 +217,52 @@ class TestPointCloudMetrics:
 
     def test_kdtree_path_agrees_with_bruteforce(self):
         rng = np.random.default_rng(2)
-        pred = rng.standard_normal((700, 3))   # above the brute-force cutoff
+        pred = rng.standard_normal((700, 3))
         gt = pred + rng.standard_normal((700, 3)) * 0.01
         got = pointcloud_metrics(PointCloud(pred), PointCloud(gt), tau=0.05)
         want = pointcloud_metrics_oracle(pred, gt, 0.05)
-        for k in got:
-            assert got[k] == pytest.approx(want[k], abs=1e-12)
+        assert got == want
+
+    @pytest.mark.parametrize("degenerate", [
+        np.tile([0.3, -0.2, 1.5], (50, 1)),
+        np.outer(np.linspace(-1.0, 2.0, 40), [0.5, -1.0, 2.0]),
+        np.array([[0.1, 0.2, 0.3]]),
+    ], ids=["all-equal", "collinear", "single"])
+    def test_degenerate_clouds_match_oracle(self, degenerate):
+        other = np.random.default_rng(6).standard_normal((60, 3))
+        for a, b in ((degenerate, other), (other, degenerate), (degenerate, degenerate)):
+            got = pointcloud_metrics(PointCloud(a), PointCloud(b), tau=0.3)
+            assert got == pointcloud_metrics_oracle(a, b, 0.3)
+
+    @pytest.mark.filterwarnings("ignore:.*camera pair")
+    def test_pipeline_clouds_match_blockwise_scan(self):
+        # the clouds infer scores: an untrained model's prediction lies far
+        # from the ground truth, so the tree answers far queries
+        cfg = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4, n_bins=16,
+                        resolution=(56, 56), frames_per_scene=8, n_objects=3,
+                        stage2_frames=2)
+        scene = generate_scenes(cfg, count=1)[0]
+        pred = run_pipeline(cfg, scene, init_model(cfg)).cloud.points
+        gt = strided_cloud([f.depth for f in scene.frames],
+                           [f.camera for f in scene.frames]).points
+
+        def scan(src, dst, block=128):
+            out = np.empty(len(src))
+            for lo in range(0, len(src), block):
+                d2 = ((src[lo:lo + block, None, :] - dst[None]) ** 2).sum(axis=2)
+                out[lo:lo + block] = np.sqrt(d2.min(axis=1))
+            return out
+
+        assert len(pred) == len(gt) == 8 * 28 * 28
+        assert np.array_equal(_nearest_distances(pred, gt), scan(pred, gt))
+        assert np.array_equal(_nearest_distances(gt, pred), scan(gt, pred))
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.1])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        a = PointCloud(np.zeros((3, 3)))
+        b = PointCloud(np.full((3, 3), 8.0))
+        with pytest.raises(ParameterError, match="tau"):
+            pointcloud_metrics(a, b, tau=tau)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,28 @@ def test_camera_positive_focals():
     with pytest.raises(ParameterError):
         CameraModel(fx=-1, fy=10, cx=5, cy=5, rotation=np.eye(3),
                     translation=np.zeros(3))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fx", np.inf), ("fy", np.inf), ("cx", np.nan), ("cy", -np.inf),
+    ("translation", [np.nan, 0.0, 0.0]), ("translation", [0.0, 0.0, np.inf]),
+])
+def test_camera_rejects_non_finite(field, value):
+    kw = dict(fx=10.0, fy=10.0, cx=5.0, cy=5.0, rotation=np.eye(3),
+              translation=np.zeros(3))
+    kw[field] = value
+    with pytest.raises(ParameterError, match="finite"):
+        CameraModel(**kw)
+
+
+def test_camera_load_rejects_nan_translation(tmp_path):
+    cam = CameraModel(fx=10.0, fy=10.0, cx=5.0, cy=5.0, rotation=np.eye(3),
+                      translation=np.zeros(3))
+    obj = cam.to_json()
+    obj["translation"] = [float("nan"), 0.0, 0.0]
+    (tmp_path / "cam.json").write_text(json.dumps(obj))   # writes a NaN literal
+    with pytest.raises(ParameterError, match="finite"):
+        CameraModel.load(tmp_path / "cam.json")
 
 
 def test_camera_center():
@@ -65,6 +89,8 @@ def test_rotation_angle():
     assert rotation_angle_deg(np.eye(3)) == 0.0
     half_turn = np.diag([1.0, -1.0, -1.0])
     assert rotation_angle_deg(half_turn) == pytest.approx(180.0)
+    stack = np.stack([np.eye(3), half_turn])
+    assert rotation_angle_deg(stack).tolist() == [0.0, rotation_angle_deg(half_turn)]
 
 
 def test_look_at_points_forward():

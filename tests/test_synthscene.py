@@ -374,14 +374,16 @@ def test_corner_ray_ties_go_to_first_axis():
     assert normals[0].tolist() == [-1.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("center", [(0.0, 0.0, 5.0), (2.0, 0.0, 0.0), (0.0, -2.0, 0.0),
-                                    (np.nan, 0.0, 0.0)],
-                         ids=["outside", "on-x-wall", "on-y-wall", "nan"])
-def test_camera_outside_room_rejected(center):
+@pytest.mark.parametrize("center, message", [
+    ((0.0, 0.0, 5.0), "inside the room"), ((2.0, 0.0, 0.0), "inside the room"),
+    ((0.0, -2.0, 0.0), "inside the room"),
+    ((np.nan, 0.0, 0.0), "must be finite"),   # refused by CameraModel itself
+], ids=["outside", "on-x-wall", "on-y-wall", "nan"])
+def test_camera_outside_room_rejected(center, message):
     room = Box(lo=np.full(3, -2.0), hi=np.full(3, 2.0), class_id=0)
-    cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.eye(3),
-                      translation=-np.array(center), scale_kind=METRIC)
-    with pytest.raises(ParameterError, match="inside the room"):
+    with pytest.raises(ParameterError, match=message):
+        cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.eye(3),
+                          translation=-np.array(center), scale_kind=METRIC)
         cast_pixels(cam, SceneGeometry(room=room, objects=[]), np.zeros(1), np.zeros(1))
 
 
