@@ -14,10 +14,10 @@ from pathlib import Path
 
 import click
 
-from .config import RunConfig
+from .config import RunConfig, check_tau
 from .errors import DegenerateInputError, GeovidError, NumericError, ParameterError
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
-from .model import MODEL_FIELDS, init_model, load_checkpoint, save_checkpoint
+from .model import init_model, load_checkpoint, save_checkpoint
 from .numkit import vlt
 from .patch3d import read_ply, write_ply
 from .scale_align import apply_scale, scene_scale
@@ -91,14 +91,7 @@ def train_cmd(stage, config_path, scenes_path, out, init_ckpt):
     scenes = _load_scene_dir(Path(scenes_path))
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    if init_ckpt is not None:
-        params, ckpt_cfg = load_checkpoint(init_ckpt)
-        for name in MODEL_FIELDS:
-            if getattr(ckpt_cfg, name) != getattr(cfg, name):
-                raise ParameterError(f"--init checkpoint has {name}={getattr(ckpt_cfg, name)}"
-                                     f" but --config has {getattr(cfg, name)}")
-    else:
-        params = init_model(cfg)
+    params = init_model(cfg) if init_ckpt is None else load_checkpoint(init_ckpt, cfg)[0]
     dump = out / "abort_dump.json"
     if stage == "1":
         params, log = train_stage1(cfg, scenes, params=params, dump_path=dump)
@@ -211,11 +204,14 @@ def _dir_artifacts(path: Path):
 @_exit_codes
 def eval_cmd(pred, gt, out, tau):
     """Compare prediction artifacts against ground truth; write a report."""
+    check_tau(tau)
     p_cloud, p_cams, p_depths = _dir_artifacts(Path(pred))
     g_cloud, g_cams, g_depths = _dir_artifacts(Path(gt))
-    report = score_frames(p_cams if len(p_cams) == len(g_cams) else [], g_cams,
-                          p_depths if len(p_depths) == len(g_depths) else [], g_depths,
-                          p_cloud, g_cloud, tau=tau)
+    for kind, got, want in (("camera", p_cams, g_cams), ("depth", p_depths, g_depths)):
+        if len(got) != len(want):
+            raise ParameterError(f"--pred has {len(got)} {kind} file(s) "
+                                 f"for {len(want)} in --gt")
+    report = score_frames(p_cams, g_cams, p_depths, g_depths, p_cloud, g_cloud, tau=tau)
     report.save(out)
     click.echo(f"report written to {out}")
 

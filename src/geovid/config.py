@@ -36,7 +36,6 @@ class RunConfig:
     d_min: float = 0.1
     d_max: float = 10.0
     max_shift: float = 0.3
-    ordinal_bins: bool = True
 
     # loss hyperparameters
     lambda_sc: float = 0.5
@@ -89,6 +88,7 @@ class RunConfig:
             raise ParameterError("bridge_tokens must be nonnegative")
         if self.dim % self.heads != 0:
             raise ParameterError(f"dim {self.dim} is not a multiple of heads {self.heads}")
+        check_tau(self.tau_f, "tau_f")
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -101,6 +101,9 @@ class RunConfig:
         wrong type is a ParameterError naming the key."""
         if not isinstance(obj, dict):
             raise ParameterError("a config must be a JSON object")
+        obj = dict(obj)   # older files hold "ordinal_bins": true, the one metric head
+        if obj.pop("ordinal_bins", True) is not True:
+            raise ParameterError("config key 'ordinal_bins' must be true or absent")
         defaults = {f.name: f.default for f in fields(RunConfig)}
         for key, value in obj.items():
             if key not in defaults:
@@ -115,6 +118,12 @@ class RunConfig:
     @staticmethod
     def load(path: str | Path) -> "RunConfig":
         return RunConfig.from_json(read_json(path))
+
+
+def check_tau(tau: float, name: str = "tau") -> None:
+    """A distance threshold must be positive and finite."""
+    if not 0 < tau < float("inf"):   # NaN fails too
+        raise ParameterError(f"{name} must be positive and finite, got {tau}")
 
 
 _KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import write_json
+from .config import check_tau, write_json
 from .errors import DegenerateInputError, ParameterError, StateError
 from .geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap, rotation_angle_deg
 from .patch3d import PointCloud
@@ -132,8 +132,7 @@ def pointcloud_metrics(pred: PointCloud, gt: PointCloud, tau: float = 0.05) -> d
     """Acc/Comp (mean nearest distances) and Prec/Recall/F-score at tau."""
     if len(pred) == 0 or len(gt) == 0:
         raise ParameterError("point clouds must be nonempty")
-    if not 0 < tau < np.inf:   # NaN fails too
-        raise ParameterError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau)
     d_pred = _nearest_distances(pred.points, gt.points)
     d_gt = _nearest_distances(gt.points, pred.points)
     acc = float(np.mean(d_pred))

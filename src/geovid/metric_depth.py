@@ -2,9 +2,10 @@
 
 Each pixel carries a categorical distribution over depth-bin centers; the
 prediction is the expectation sum_k p(k) * c(k). Probabilities come from a
-cumulative-link ordinal construction over boundary logits (plain softmax
-available as a fallback), and the base centers are refined per pixel by a
-tanh-bounded shift so the per-pixel centers stay strictly increasing.
+cumulative-link ordinal construction over boundary logits, and the base
+centers are refined per pixel by a tanh-bounded shift so the per-pixel
+centers stay strictly increasing. One graph node, `ordinal_depth`, runs
+the head on a whole window.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError, ShapeError
-from .numkit import (
-    MlpParams, Tensor, TokenSet, as_tensor, matmul, mlp, rms_norm, softmax, stack,
-)
+from .numkit import MlpParams, Tensor, TokenSet, as_tensor, mlp, rms_norm
 from .numkit.tensor import _check_finite
-from .recon import _patch_grid, upsample_matrix, upsample_rows, upsample_tensor
+from .recon import _patch_grid, upsample_matrix, upsample_rows
 
 
 @dataclass
@@ -146,21 +145,18 @@ def _expectation(probs: np.ndarray, centers: np.ndarray, prod: np.ndarray,
     prod.sum(axis=1, out=out)
 
 
-def bin_logits_to_probs(logits: Tensor, ordinal: bool = True) -> Tensor:
-    """Logits [HW, N] -> per-pixel simplex [HW, N].
+def bin_logits_to_probs(logits: Tensor) -> Tensor:
+    """Logits [HW, N] -> per-pixel simplex [HW, N], as one graph node.
 
-    Ordinal mode (cumulative link): sigma(logit_k) models P(depth > boundary_k)
-    for the N-1 interior boundaries; with P(>0) = 1 and P(>N) = 0 the bin mass
-    is the difference of adjacent exceedance probabilities, clamped at zero and
-    renormalized to guard monotonicity violations. The last logit column only
-    participates in the softmax fallback. The ordinal map is one graph node;
-    its gradient is zero where the clamp is active.
+    Cumulative link: sigma(logit_k) models P(depth > boundary_k) for the N-1
+    interior boundaries; with P(>0) = 1 and P(>N) = 0 the bin mass is the
+    difference of adjacent exceedance probabilities, clamped at zero and
+    renormalized to guard monotonicity violations. The last logit column is
+    unused. The gradient is zero where the clamp is active.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError("bin logits must be [HW, N]")
-    if not ordinal:
-        return softmax(logits)
     if logits.shape[1] < 2:
         raise ShapeError("ordinal normalization needs at least 2 bins")
     qx, clamped, out = (np.empty(logits.shape) for _ in range(3))
@@ -193,10 +189,11 @@ def expected_depth_tensor(probs: Tensor, centers: Tensor) -> Tensor:
 
 
 def ordinal_depth(grid: Grid, logits: Tensor, raw: Tensor, bins: BinConfig) -> Tensor:
-    """One frame's ordinal head as one graph node: patch logits and raw shifts
-    [gh*gw, N] -> the expected depth [h*w] of their bilinear upsample to h x w,
-    with the bits of `expected_depth_tensor(bin_logits_to_probs(up @ logits),
-    bounded_centers(bins, up @ raw))` for up = `upsample_matrix(*grid)`.
+    """The ordinal head as one graph node: patch logits and raw shifts [P, N]
+    -> the expected depth [h*w] of their bilinear upsample to h x w, with the
+    bits of `expected_depth_tensor(bin_logits_to_probs(up @ logits),
+    bounded_centers(bins, up @ raw))` for up = `upsample_matrix(*grid)`. A
+    window's [F, P, N] inputs give [F, h*w], frame by frame with those bits.
 
     The forward runs on the upsample's distinct rows (`recon.upsample_rows`) in
     ROW_BLOCK-row blocks and spreads depth to pixels. When an input requires
@@ -205,38 +202,43 @@ def ordinal_depth(grid: Grid, logits: Tensor, raw: Tensor, bins: BinConfig) -> T
     buffers are reused in place and no [HW, N] or [U, N] array is allocated.
     """
     n = bins.n_bins
-    if logits.ndim != 2 or logits.shape != raw.shape or n != logits.shape[1]:
-        raise ShapeError(f"logits and raw shifts must both be [P, {n}]")
-    if grid[0] * grid[1] != logits.shape[0]:
-        raise ShapeError(f"upsample from grid {grid} does not take {logits.shape[0]} patch rows")
+    if logits.ndim not in (2, 3) or logits.shape != raw.shape or n != logits.shape[-1]:
+        raise ShapeError(f"logits and raw shifts must both be [P, {n}] or [F, P, {n}]")
+    if grid[0] * grid[1] != logits.shape[-2]:
+        raise ShapeError(f"upsample from grid {grid} does not take {logits.shape[-2]} patch rows")
     uniq, inv = upsample_rows(*grid)
     u, budget, block = uniq.shape[0], bins.shift_budget(), min(ROW_BLOCK, uniq.shape[0])
-    keep = logits.requires_grad or raw.requires_grad
+    lg, rw = (x.data.reshape(-1, *x.shape[-2:]) for x in (logits, raw))
+    frames, keep = lg.shape[0], logits.requires_grad or raw.requires_grad
     if keep:
-        qx, clamped, probs, t, centers = (np.empty((u, n)) for _ in range(5))
-        total, prod = np.empty((u, 1)), np.empty((block, n))
+        qx, clamped, probs, t, centers = (np.empty((frames, u, n)) for _ in range(5))
+        total, prod = np.empty((frames, u, 1)), np.empty((block, n))
     else:   # logits rows -> q; raw rows -> tanh -> centers -> products
-        qx, probs, t = (np.empty((block, n)) for _ in range(3))
-        clamped, centers, prod, total = probs, t, t, np.empty((block, 1))
-    depth = np.empty(u)
-    for lo, hi in _row_blocks(u):
-        b = slice(lo, hi) if keep else slice(0, hi - lo)
-        for x, rows in ((logits, qx[b]), (raw, t[b])):
-            np.matmul(uniq[lo:hi], x.data, out=rows)
-            _check_finite(rows, "matmul")
-        total[b] = _ordinal_mass(qx[b], qx[b], clamped[b], probs[b])
-        _check_finite(probs[b], "ordinal_probs")
-        _bounded_shift(budget, bins.centers, t[b], t[b], centers[b])
-        _check_finite(centers[b], "bounded_centers")
-        _expectation(probs[b], centers[b], prod[:hi - lo], depth[lo:hi])
+        qx, probs, t = (np.empty((1, block, n)) for _ in range(3))
+        clamped, centers, prod, total = probs, t, t[0], np.empty((1, block, 1))
+    depth = np.empty((frames, u))
+    for f in range(frames):
+        for lo, hi in _row_blocks(u):
+            b = (f, slice(lo, hi)) if keep else (0, slice(0, hi - lo))
+            for x, rows in ((lg[f], qx[b]), (rw[f], t[b])):
+                np.matmul(uniq[lo:hi], x, out=rows)
+                _check_finite(rows, "matmul")
+            total[b] = _ordinal_mass(qx[b], qx[b], clamped[b], probs[b])
+            _check_finite(probs[b], "ordinal_probs")
+            _bounded_shift(budget, bins.centers, t[b], t[b], centers[b])
+            _check_finite(centers[b], "bounded_centers")
+            _expectation(probs[b], centers[b], prod[:hi - lo], depth[f, lo:hi])
 
     def pixel_vjp(rows_grad):
-        # the upstream g, block by block of pixel rows, then `up.T @ g`
+        # per frame: the upstream g, block by block of pixel rows, then `up.T @ g`
         def vjp(g):
+            g, out = g.reshape(frames, inv.size), np.empty(lg.shape)
             g_rows, w = np.empty((inv.size, n)), np.empty((min(ROW_BLOCK, inv.size), n))
-            for lo, hi in _row_blocks(inv.size):
-                rows_grad(g[lo:hi, None], inv[lo:hi], g_rows[lo:hi], w[:hi - lo])
-            return upsample_matrix(*grid).T @ g_rows
+            for f in range(frames):
+                for lo, hi in _row_blocks(inv.size):
+                    rows_grad(g[f, lo:hi, None], (f, inv[lo:hi]), g_rows[lo:hi], w[:hi - lo])
+                out[f] = upsample_matrix(*grid).T @ g_rows
+            return out.reshape(logits.shape)
         return vjp
 
     def logits_grad(g, at, out, w):   # g * centers, then the ordinal VJP
@@ -246,7 +248,8 @@ def ordinal_depth(grid: Grid, logits: Tensor, raw: Tensor, bins: BinConfig) -> T
     def raw_grad(g, at, out, w):      # g * probs, then the shift VJP
         _shift_grad(np.multiply(g, probs[at], out=out), t[at], budget, out, w)
 
-    return Tensor._from_op(depth[inv], "ordinal_depth", (logits, raw),
+    return Tensor._from_op(depth[:, inv].reshape(*logits.shape[:-2], inv.size),
+                           "ordinal_depth", (logits, raw),
                            (pixel_vjp(logits_grad), pixel_vjp(raw_grad)))
 
 
@@ -257,16 +260,15 @@ class MetricDepthParams:
     logits_mlp: MlpParams    # C -> N_bins boundary logits
     refine_mlp: MlpParams    # C -> N_bins center shifts
     bins: BinConfig
-    ordinal: bool = True
     patch_size: int = 14
 
     @staticmethod
     def init(rng: np.random.Generator, c: int, bins: BinConfig,
-             ordinal: bool = True, patch_size: int = 14) -> "MetricDepthParams":
+             patch_size: int = 14) -> "MetricDepthParams":
         return MetricDepthParams(
             logits_mlp=MlpParams.init(rng, c, bins.n_bins, hidden=c),
             refine_mlp=MlpParams.init(rng, c, bins.n_bins, hidden=c, zero_out=True),
-            bins=bins, ordinal=ordinal, patch_size=patch_size,
+            bins=bins, patch_size=patch_size,
         )
 
     def tensors(self, prefix: str = "metric") -> dict[str, Tensor]:
@@ -281,24 +283,13 @@ def predict_metric_depth(patch_tokens: TokenSet, image_size: tuple[int, int],
     [F, P, C] -> [F, HW].
 
     The two MLPs run per patch, over the whole window at once; their raw
-    outputs (boundary logits and unbounded shifts) are bilinearly upsampled
-    to pixels frame by frame before the per-pixel sigmoid/tanh
-    constructions, which keeps the per-pixel simplex and monotone-center
-    guarantees while avoiding per-pixel MLPs.
+    outputs (boundary logits and unbounded shifts) go to one `ordinal_depth`
+    node, which upsamples them bilinearly to pixels before the per-pixel
+    sigmoid/tanh constructions. That keeps the per-pixel simplex and
+    monotone-center guarantees while avoiding per-pixel MLPs.
     """
     h, w = image_size
     gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
-    grid = (gh, gw, h, w)
     feats = rms_norm(patch_tokens.tokens)
-    patch_logits = mlp(feats, p.logits_mlp)   # [..., P, N]
-    patch_raw = mlp(feats, p.refine_mlp)      # [..., P, N]
-
-    def frame(lg: Tensor, rw: Tensor) -> Tensor:   # [P, N] outputs -> depth [HW]
-        if p.ordinal:
-            return ordinal_depth(grid, lg, rw, p.bins)
-        up = upsample_tensor(*grid)
-        return expected_depth_tensor(bin_logits_to_probs(matmul(up, lg), ordinal=False),
-                                     bounded_centers(p.bins, matmul(up, rw)))
-    if feats.ndim == 2:
-        return frame(patch_logits, patch_raw)
-    return stack([frame(patch_logits[f], patch_raw[f]) for f in range(feats.shape[0])])
+    return ordinal_depth((gh, gw, h, w), mlp(feats, p.logits_mlp), mlp(feats, p.refine_mlp),
+                         p.bins)

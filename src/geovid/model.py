@@ -52,7 +52,7 @@ class VidModelParams:
 
 # the RunConfig fields init_model builds the model from, besides its seed
 MODEL_FIELDS = ("dim", "heads", "blocks", "bridge_tokens", "patch_size",
-                "n_bins", "d_min", "d_max", "max_shift", "ordinal_bins")
+                "n_bins", "d_min", "d_max", "max_shift")
 
 
 def init_model(cfg: RunConfig) -> VidModelParams:
@@ -66,8 +66,7 @@ def init_model(cfg: RunConfig) -> VidModelParams:
         camera_head=CameraHeadParams.init(rng, c),
         # DPT-style two-level fusion: backbone output plus the adapter stream
         depth_head=DepthHeadParams.init(rng, 2 * c, patch_size=cfg.patch_size),
-        metric=MetricDepthParams.init(rng, c, bins, ordinal=cfg.ordinal_bins,
-                                      patch_size=cfg.patch_size),
+        metric=MetricDepthParams.init(rng, c, bins, patch_size=cfg.patch_size),
         pos_embed=MlpParams.init(rng, 3, c, hidden=c),
         vl_head=MlpParams.init(rng, c, NUM_CLASSES, hidden=c),
     )
@@ -100,20 +99,16 @@ def predict_window(frames: list[FrameData], params: VidModelParams,
     if not frames:
         raise ShapeError("empty frame window")
     adapted = adapt(TokenSet.stack([f.base for f in frames]), params)
-    patch_tokens, cam_tokens = gfa_backbone(adapted.geom, params.backbone)
-
+    patch, cams = gfa_backbone(adapted.geom, params.backbone)
+    depth_in = patch.with_tokens(concat([patch.tokens, adapted.geom.tokens], axis=2))
+    d_rel = depth_head_tensor(depth_in, cfg.resolution, params.depth_head)
     d_met = (None if cfg.md_mode == "off"
              else predict_metric_depth(adapted.geom, cfg.resolution, params.metric))
-
-    preds = []
-    for i, (frame, pt, ct) in enumerate(zip(frames, patch_tokens, cam_tokens)):
-        cam = camera_head(ct, params.camera_head, cfg.resolution)
-        depth_in = pt.with_tokens(concat([pt.tokens, adapted.geom.tokens[i]], axis=1))
-        d_rel = depth_head_tensor(depth_in, cfg.resolution, params.depth_head)
-        preds.append(FramePrediction(frame=frame, lang=adapted.lang[i], camera=cam,
-                                     depth_rel=d_rel,
-                                     depth_metric=None if d_met is None else d_met[i]))
-    return preds
+    # the camera head runs per frame: batched on [F, 1, C], a quaternion's bits can move
+    return [FramePrediction(frame=frame, lang=adapted.lang[i], depth_rel=d_rel[i],
+                            camera=camera_head(cams[i], params.camera_head, cfg.resolution),
+                            depth_metric=None if d_met is None else d_met[i])
+            for i, frame in enumerate(frames)]
 
 
 def save_checkpoint(directory, params: VidModelParams, cfg: RunConfig) -> None:
@@ -121,11 +116,18 @@ def save_checkpoint(directory, params: VidModelParams, cfg: RunConfig) -> None:
     vlt.save_container(directory, arrays, meta={"config": cfg.to_json()})
 
 
-def load_checkpoint(directory) -> tuple[VidModelParams, RunConfig]:
-    """Weights and config of `save_checkpoint`; a mismatch is a ParameterError."""
+def load_checkpoint(directory, cfg: RunConfig | None = None
+                    ) -> tuple[VidModelParams, RunConfig]:
+    """Weights and config of `save_checkpoint`; a mismatch is a ParameterError,
+    as is a MODEL_FIELDS value that differs from `cfg`'s when `cfg` is given
+    (the config `train --init` trains the checkpoint on)."""
     arrays, meta = vlt.load_container(directory)
-    cfg = RunConfig.from_json(meta.get("config"))
-    params = init_model(cfg)
+    ckpt_cfg = RunConfig.from_json(meta.get("config"))
+    for name in MODEL_FIELDS if cfg is not None else ():
+        if getattr(ckpt_cfg, name) != getattr(cfg, name):
+            raise ParameterError(f"--init checkpoint has {name}={getattr(ckpt_cfg, name)}"
+                                 f" but --config has {getattr(cfg, name)}")
+    params = init_model(ckpt_cfg)
     named = params.named_tensors()
     if set(named) != set(arrays):
         raise ParameterError(f"checkpoint {directory} tensor names do not match the model")
@@ -133,4 +135,4 @@ def load_checkpoint(directory) -> tuple[VidModelParams, RunConfig]:
         if tensor.data.shape != arrays[name].shape:
             raise ParameterError(f"checkpoint shape mismatch for '{name}'")
         tensor.data = arrays[name]
-    return params, cfg
+    return params, ckpt_cfg

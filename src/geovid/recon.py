@@ -77,10 +77,9 @@ def _block(x: Tensor, blk: BackboneBlock) -> Tensor:
     return x + mlp(rms_norm(x), blk.mlp)
 
 
-def gfa_backbone(frames: TokenSet, p: BackboneParams
-                 ) -> tuple[list[TokenSet], list[TokenSet]]:
-    """Refine a window's geometry tokens [F, N, C]; returns per-frame
-    (patch tokens, camera tokens).
+def gfa_backbone(frames: TokenSet, p: BackboneParams) -> tuple[TokenSet, TokenSet]:
+    """Refine a window's geometry tokens [F, N, C]; returns the window's patch
+    tokens [F, N, C] and camera tokens [F, n_cam, C].
 
     Camera and register tokens are appended to every frame from the shared
     learned init; register outputs are dropped after the last block. A
@@ -96,8 +95,7 @@ def gfa_backbone(frames: TokenSet, p: BackboneParams
     x = concat([frames.tokens, *shared], axis=1)
     for i, blk in enumerate(p.blocks):
         x = _block(x, blk) if i % 2 == 0 else _block(x.reshape(-1, c), blk).reshape(x.shape)
-    return ([TokenSet(x[k, 0:n, :], Role.GEOM) for k in range(f)],
-            [TokenSet(x[k, n:n + n_cam, :], Role.CAMERA) for k in range(f)])
+    return TokenSet(x[:, 0:n, :], Role.GEOM), TokenSet(x[:, n:n + n_cam, :], Role.CAMERA)
 
 
 # ----------------------------------------------------------------------
@@ -284,13 +282,14 @@ def _patch_grid(n_tokens: int, image_size: tuple[int, int], ps: int) -> tuple[in
 
 def depth_head_tensor(patch_tokens: TokenSet, image_size: tuple[int, int],
                       p: DepthHeadParams) -> Tensor:
-    """In-graph relative depth: per-patch logits, bilinear upsample, softplus.
+    """In-graph relative depth [H, W] from patch tokens [P, C], or [F, H, W]
+    from a window's [F, P, C]: per-patch logits, bilinear upsample, softplus.
 
     Floored at 1e-6 so a diverged logit cannot underflow softplus to an
     exact zero; any logit above -13 is untouched.
     """
     h, w = image_size
     gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
-    logits = mlp(rms_norm(patch_tokens.tokens), p.mlp)  # [P, 1]
+    logits = mlp(rms_norm(patch_tokens.tokens), p.mlp)  # [..., P, 1]
     up = upsample_tensor(gh, gw, h, w)
-    return maximum(softplus(matmul(up, logits)), 1e-6).reshape(h, w)
+    return maximum(softplus(matmul(up, logits)), 1e-6).reshape(*logits.shape[:-2], h, w)

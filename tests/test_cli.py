@@ -253,6 +253,8 @@ def test_compare_cli(workspace, tmp_path):
     ('{"bogus": 1}', "bogus"),
     ('{"resolution": 56}', "resolution"),
     ('{"dim": "64"}', "dim"),
+    ('{"ordinal_bins": false}', "ordinal_bins"),
+    ('{"tau_f": NaN}', "tau_f"),
     ('{"seed": 1,', "not valid JSON"),
 ])
 def test_bad_config_exit_code(tmp_path, text, named):
@@ -313,6 +315,39 @@ def test_eval_rejects_non_finite_tau(workspace, tmp_path, tau):
                    "--out", str(tmp_path / "report.json"), check=False)
     assert proc.returncode == 1
     assert "tau must be positive and finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_checks_tau_without_a_cloud(tmp_path):
+    # nothing to score: an empty pred directory against itself
+    (tmp_path / "pred").mkdir()
+    proc = run_cli("eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "pred"),
+                   "--tau", "nan", "--out", str(tmp_path / "report.json"), check=False)
+    assert proc.returncode == 1
+    assert "tau must be positive and finite" in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["camera", "depth"])
+def test_eval_rejects_count_mismatch(workspace, tmp_path, kind):
+    # the ground truth has 3 frames; the pred directory holds 3 of one kind
+    # and 2 of the other
+    import shutil
+    root, _ = workspace
+    scene = root / "scenes" / "scene_0000"
+    for sub in ("cameras", "depth"):
+        (tmp_path / "pred" / sub).mkdir(parents=True)
+    for i in range(3 if kind == "depth" else 2):
+        shutil.copy(scene / f"frame_{i:03d}" / "camera.json",
+                    tmp_path / "pred" / "cameras" / f"frame_{i:03d}.json")
+    for i in range(3 if kind == "camera" else 2):
+        shutil.copy(scene / f"frame_{i:03d}" / "depth.vlt",
+                    tmp_path / "pred" / "depth" / f"frame_{i:03d}.vlt")
+    proc = run_cli("eval", "--pred", str(tmp_path / "pred"), "--gt", str(scene),
+                   "--out", str(tmp_path / "report.json"), check=False)
+    assert proc.returncode == 1
+    assert f"--pred has 2 {kind} file(s) for 3 in --gt" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "report.json").exists()
 

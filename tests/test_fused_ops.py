@@ -1,10 +1,10 @@
 """The single-node ordinal-probs, bounded-centers, expected-depth and
 quat_to_rotation ops against the composed graphs they replace, kept here as
-references; the ordinal head's one node per frame (`ordinal_depth`, the
-upsample folded in) against matmul nodes feeding the pixel-row ones; and the
-metric head under no_grad against its graph. Each repeats the float
-operations of its reference in the same order, so forward values and VJPs
-must be equal, not only close."""
+references; the ordinal head's one node (`ordinal_depth`, the upsample
+folded in) against matmul nodes feeding the pixel-row ones, and on a window
+against one node per frame; and the metric head under no_grad against its
+graph. Each repeats the float operations of its reference in the same
+order, so forward values and VJPs must be equal, not only close."""
 
 import tracemalloc
 
@@ -183,25 +183,24 @@ def test_fused_ops_are_one_node():
         assert out._parents == leaves
 
 
-def _random_head(side: int, n_bins: int, ordinal: bool, seed: int = 5):
+def _random_head(side: int, n_bins: int, seed: int = 5):
     """Patch tokens for a side x side frame and a head with every weight
     random, so the clamp and the center shifts are active."""
     rng = np.random.default_rng(seed)
     c = 16
-    p = MetricDepthParams.init(rng, c, init_bins(n_bins, 0.1, 10.0), ordinal=ordinal)
+    p = MetricDepthParams.init(rng, c, init_bins(n_bins, 0.1, 10.0))
     for t in p.tensors().values():
         t.data = rng.standard_normal(t.shape) * 1.5
     tokens = TokenSet(Tensor(rng.standard_normal(((side // 14) ** 2, c))), Role.GEOM)
     return tokens, p
 
 
-@pytest.mark.parametrize("ordinal", [True, False])
 @pytest.mark.parametrize("side", [56, 42])
-def test_blocked_no_grad_depth_matches_graph(side, ordinal):
+def test_blocked_no_grad_depth_matches_graph(side):
     # 42x42 has 1764 pixels, not a multiple of ROW_BLOCK: the last block is
-    # partial. Softmax bins keep the graph's ops under no_grad too.
+    # partial
     assert (side * side % metric_depth.ROW_BLOCK != 0) == (side == 42)
-    tokens, p = _random_head(side, 64, ordinal)
+    tokens, p = _random_head(side, 64)
     graph = predict_metric_depth(tokens, (side, side), p)
     assert graph.requires_grad
     with no_grad():
@@ -223,7 +222,7 @@ def test_blocked_no_grad_depth_raises_on_non_finite(bad):
 
 def test_blocked_no_grad_depth_allocates_no_pixel_by_bin_array():
     # nor a [U, N] array over the upsample's U distinct rows
-    tokens, p = _random_head(56, 64, True)
+    tokens, p = _random_head(56, 64)
     u = upsample_rows(4, 4, 56, 56)[0].shape[0]
     with no_grad():
         predict_metric_depth(tokens, (56, 56), p)   # builds the cached upsample
@@ -312,6 +311,28 @@ def test_folded_bounded_centers_match_matmul_then_node(h, w, grid):
         unfolded = _depth_vjp(_matmul_then_nodes(up, cfg, bin_logits_to_probs, centers_op),
                               logits, raw, seed_grad, through_logits=False)
         for got, want in zip(folded, unfolded):
+            _bits_equal(got, want)
+
+
+@pytest.mark.parametrize("through_logits", [True, False])
+def test_window_node_matches_per_frame_nodes(through_logits):
+    # a window's [F, P, N] inputs in one node: each frame's depth and VJP have
+    # the bits of that frame's own [P, N] node, and so has the no_grad depth
+    h, w, grid = 42, 42, (3, 3)
+    cfg = init_bins(64, 0.1, 10.0)
+    frames = [_upsampled_case(h, w, grid, 64, seed=s)[1:] for s in (7, 8, 9)]
+    logits, raw, seed_grad = (np.stack(part) for part in zip(*frames))
+
+    def head(lg, rw):
+        return ordinal_depth((*grid, h, w), lg, rw, cfg)
+    depth, grad = _depth_vjp(head, logits, raw, seed_grad, through_logits)
+    assert depth.shape == (3, h * w) and grad.shape == (3, 9, 64)
+    with no_grad():
+        blocked = head(Tensor(logits), Tensor(raw)).data
+    for f, frame in enumerate(frames):
+        want_depth, want_grad = _depth_vjp(head, *frame, through_logits)
+        for got, want in ((depth[f], want_depth), (grad[f], want_grad),
+                          (blocked[f], want_depth)):
             _bits_equal(got, want)
 
 

@@ -102,16 +102,14 @@ def test_benchmark_hooks_resolve():
     finally:
         tracer.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
-    # the ordinal head is one node per frame: its time stays in metric_depth
-    assert tracer.calls["metric_depth"] > 0
-    # the softmax fallback still runs the probs, centers and expectation ops
-    softmax_cfg = replace(cfg, ordinal_bins=False)
-    softmax_tracer = tracer_mod.Tracer()
-    with softmax_tracer.active():
-        predict_window(scene.frames, init_model(softmax_cfg), softmax_cfg)
-    for layer in ("metric_depth", "metric_depth.probs", "metric_depth.centers",
-                  "metric_depth.expectation"):
-        assert softmax_tracer.calls[layer] > 0, layer
+    # the ordinal head is one node per window: its time stays in metric_depth,
+    # and its three separate steps are never called; the relative-depth head
+    # runs once per window, the camera head once per frame
+    assert tracer.calls["metric_depth"] == 1
+    for layer in ("metric_depth.probs", "metric_depth.centers", "metric_depth.expectation"):
+        assert tracer.calls[layer] == 0, layer
+    assert tracer.calls["recon.depth_head"] == 1
+    assert tracer.calls["recon.camera_head"] == 2
     # the window's frames share each block call: one attention and one MLP
     # call per block, blocks/2 blocks of each kind
     assert tracer.calls["recon.backbone.local"] == 2 * (cfg.blocks // 2)

@@ -1,5 +1,7 @@
 import gc
+import json
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from geovid import metric_depth
 from geovid.config import RunConfig
 from geovid.errors import ParameterError, ShapeError
-from geovid.model import adapt, encode, init_model, predict_window
+from geovid.model import (
+    adapt, encode, init_model, load_checkpoint, predict_window, save_checkpoint,
+)
 from geovid.numkit import Role, no_grad
 from geovid.synthscene import NUM_CLASSES, TokenizerConfig, gen_scene
 
@@ -81,8 +85,8 @@ def test_predict_window_shapes(scene, monkeypatch):
     assert p.depth_rel.data.min() > 0
     assert p.depth_metric.shape == (4 * 28 * 28 // (14 * 14),) or \
         p.depth_metric.shape == (28 * 28,)
-    # one call per frame on its [P, N] patch outputs
-    assert bin_shapes == [((4, CFG.n_bins), (4, CFG.n_bins))] * 2
+    # one call per window on its [F, P, N] patch outputs
+    assert bin_shapes == [((2, 4, CFG.n_bins), (2, 4, CFG.n_bins))]
     cam = p.camera.to_camera()
     assert abs(np.linalg.det(cam.rotation) - 1.0) < 1e-9
 
@@ -136,6 +140,39 @@ def test_config_validation():
         RunConfig(md_mode="sometimes")
     with pytest.raises(ParameterError):
         RunConfig(dim=0)
+    for tau in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ParameterError, match="tau_f"):
+            RunConfig.from_json({"tau_f": tau})
+
+
+def test_config_accepts_only_true_ordinal_bins():
+    # older configs and checkpoints hold "ordinal_bins": true; the key is gone
+    assert "ordinal_bins" not in RunConfig().to_json()
+    assert RunConfig.from_json({"ordinal_bins": True, "dim": 32}) == RunConfig(dim=32)
+    for bad in (False, 1, "true"):
+        with pytest.raises(ParameterError, match="ordinal_bins"):
+            RunConfig.from_json({"ordinal_bins": bad})
+
+
+def test_load_checkpoint_accepts_manifest_with_ordinal_bins(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", init_model(CFG), CFG)
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    assert "ordinal_bins" not in manifest["meta"]["config"]
+    manifest["meta"]["config"]["ordinal_bins"] = True
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    _, cfg = load_checkpoint(tmp_path / "ckpt")
+    assert cfg == CFG
+
+
+def test_load_checkpoint_checks_model_fields_against_config(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", init_model(CFG), CFG)
+    # fields the model is not built from may differ
+    params, cfg = load_checkpoint(tmp_path / "ckpt", replace(CFG, lr=1e-4, seed=3))
+    assert cfg == CFG
+    for name, value in init_model(CFG).named_tensors().items():
+        assert np.array_equal(params.named_tensors()[name].data, value.data), name
+    with pytest.raises(ParameterError, match="n_bins=8 but --config has 16"):
+        load_checkpoint(tmp_path / "ckpt", replace(CFG, n_bins=16))
 
 
 def test_config_json_roundtrip(tmp_path):

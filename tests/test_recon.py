@@ -45,7 +45,8 @@ class TestBackbone:
         perm = np.random.default_rng(0).permutation(p.register_init.shape[0])
         p.register_init.data = p.register_init.data[perm]
         patch2, cam2 = gfa_backbone(frames, p)
-        for a, b in zip(patch1 + cam1, patch2 + cam2):
+        assert patch1.tokens.shape == (2, 4, 8) and cam1.tokens.shape == (2, 1, 8)
+        for a, b in ((patch1, patch2), (cam1, cam2)):
             np.testing.assert_allclose(a.tokens.data, b.tokens.data, atol=1e-12)
 
     def test_block_count_validation(self):
@@ -173,6 +174,25 @@ class TestDepthHead:
         toks = TokenSet(Tensor(rng.standard_normal((5, 8))), Role.GEOM)
         with pytest.raises(ShapeError):
             depth_head_tensor(toks, (28, 28), p)
+
+    def test_window_matches_per_frame_calls(self):
+        # [F, P, C] -> [F, H, W]: each frame's depth and token gradient have
+        # the bits of its own [P, C] call
+        rng = np.random.default_rng(4)
+        p = DepthHeadParams.init(rng, 8)
+        tokens, w = rng.standard_normal((3, 4, 8)), rng.standard_normal((3, 28, 28))
+
+        def run(x, wt):
+            t = Tensor(x, requires_grad=True)
+            d = depth_head_tensor(TokenSet(t, Role.GEOM), (28, 28), p)
+            tsum(d * Tensor(wt)).backward()
+            return d.data, t.grad
+        depth, grad = run(tokens, w)
+        assert depth.shape == (3, 28, 28)
+        for f in range(3):
+            want_depth, want_grad = run(tokens[f], w[f])
+            assert np.array_equal(depth[f], want_depth)
+            assert np.array_equal(grad[f], want_grad)
 
     def test_gradient(self):
         rng = np.random.default_rng(3)

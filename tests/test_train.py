@@ -227,12 +227,13 @@ def _graph_nodes(root) -> int:
 
 
 def test_stage2_window_graph_node_count(tiny_setup):
-    # The joint loss of one 2-frame window builds 519 recorded nodes (860
+    # The joint loss of one 2-frame window builds 497 recorded nodes (860
     # before the bins, centers and rotation became single nodes, 628 before
     # the expectation did: one node per frame; 626 before the adapter, the
     # frame-local blocks and the metric head's MLPs ran once per window; 527
     # before the probs and centers nodes took in their upsample matmuls; 523
-    # before probs, centers and expectation became one node per frame). A
+    # before probs, centers and expectation became one node per frame; 519
+    # before the metric and relative-depth heads ran once per window). A
     # change here means ops were added to or removed from the hot path:
     # update the count only for an intended change of the graph.
     cfg, scenes = tiny_setup
@@ -240,7 +241,7 @@ def test_stage2_window_graph_node_count(tiny_setup):
     params = init_model(cfg)
     preds = predict_window(scene.frames[:cfg.stage2_frames], params, cfg)
     joint = _window_joint_loss(preds, params, cfg, scene_norm(scene))[0]
-    assert _graph_nodes(joint) == 519
+    assert _graph_nodes(joint) == 497
 
 
 # ----------------------------------------------------------------------
