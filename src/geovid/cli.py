@@ -211,6 +211,8 @@ def eval_cmd(pred, gt, out, tau):
         if len(got) != len(want):
             raise ParameterError(f"--pred has {len(got)} {kind} file(s) "
                                  f"for {len(want)} in --gt")
+    if p_cloud is None and g_cloud is not None:
+        raise ParameterError(f"--pred has no {Path(pred) / 'cloud.ply'} for --gt's cloud")
     report = score_frames(p_cams, g_cams, p_depths, g_depths, p_cloud, g_cloud, tau=tau)
     report.save(out)
     click.echo(f"report written to {out}")

@@ -1,5 +1,9 @@
 """Run configuration: one JSON document drives every CLI command.
 
+A field is a value some caller sets to more than one value. A fixed value
+of the paper's recipe lives in the code that uses it; `RETIRED` lists the
+keys older files may still hold for such values, each with its one value.
+
 Also the one reader and writer of the package's JSON files: written with
 sorted keys, two-space indents and a final newline, so equal objects give
 equal bytes; read so that every way a file can be unreadable is a
@@ -15,6 +19,11 @@ from pathlib import Path
 
 from .errors import ParameterError
 
+# retired config keys, each with the one value any file ever gave it
+RETIRED = {"ordinal_bins": True, "max_shift": 0.3, "lambda_sc": 0.5, "alpha_md": 1.0,
+           "eps_md": 1e-6, "beta1": 0.9, "beta2": 0.999, "weight_decay": 0.05, "clip": 1.0,
+           "encoder_lr_scale": 0.1, "pose_lr_scale": 3.0, "augment_jitter": 0.05,
+           "scale_samples": 16}
 STRATEGIES = ("two_stage_dual", "two_stage_single_teacher", "single_stage", "no_sc_loss")
 MD_MODES = ("off", "no_alignment", "full")
 
@@ -35,23 +44,11 @@ class RunConfig:
     n_bins: int = 64
     d_min: float = 0.1
     d_max: float = 10.0
-    max_shift: float = 0.3
-
-    # loss hyperparameters
-    lambda_sc: float = 0.5
-    alpha_md: float = 1.0
-    eps_md: float = 1e-6
 
     # optimizer
     lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.05
-    clip: float = 1.0
     warmup_steps: int = 50
-    encoder_lr_scale: float = 0.1   # stage-2 fine-tuning rate for the encoder
     adapter_lr_scale: float = 0.3   # stage-2 fine-tuning rate for the adapter
-    pose_lr_scale: float = 3.0      # stage-2 boost for the camera head
 
     # schedules
     stage1_steps: int = 500
@@ -64,12 +61,10 @@ class RunConfig:
     frames_per_scene: int = 32
     n_objects: int = 8
     token_noise: float = 0.01
-    augment_jitter: float = 0.05   # per-step token jitter, training only
 
     # pipeline
     strategy: str = "two_stage_dual"
     md_mode: str = "full"
-    scale_samples: int = 16
     tau_f: float = 0.05
 
     def __post_init__(self):
@@ -97,20 +92,22 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
-        """Build a config from parsed JSON; an unknown key or a value of the
-        wrong type is a ParameterError naming the key."""
+        """Build a config from parsed JSON; an unknown key, a value of the
+        wrong type or a retired key at another value than its one is a
+        ParameterError naming the key."""
         if not isinstance(obj, dict):
             raise ParameterError("a config must be a JSON object")
-        obj = dict(obj)   # older files hold "ordinal_bins": true, the one metric head
-        if obj.pop("ordinal_bins", True) is not True:
-            raise ParameterError("config key 'ordinal_bins' must be true or absent")
         defaults = {f.name: f.default for f in fields(RunConfig)}
         for key, value in obj.items():
-            if key not in defaults:
+            if key in RETIRED:
+                if not (_same_kind(value, RETIRED[key]) and value == RETIRED[key]):
+                    raise ParameterError(f"retired config key '{key}' must be "
+                                         f"{RETIRED[key]!r} or absent, got {value!r}")
+            elif key not in defaults:
                 raise ParameterError(f"unknown config key '{key}'")
-            if not _same_kind(value, defaults[key]):
+            elif not _same_kind(value, defaults[key]):
                 raise ParameterError(f"config key '{key}' has a bad value: {value!r}")
-        return RunConfig(**obj)
+        return RunConfig(**{k: v for k, v in obj.items() if k not in RETIRED})
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_json())

@@ -30,6 +30,8 @@ from .patch3d import Patch3DTokens, backproject_grid
 from .recon import CameraPrediction
 
 _NORM_GUARD = 1e-12
+LAMBDA_SC = 0.5     # weight of the structural-consistency term
+ALPHA_MD = 1.0      # robustness of the metric depth loss
 
 
 def _tokens(x) -> Tensor:
@@ -107,7 +109,7 @@ class DistillResult:
     total: Tensor
 
 
-def distill_loss(stu_geom, stu_lang, tea_geom, tea_lang, lam: float = 0.5,
+def distill_loss(stu_geom, stu_lang, tea_geom, tea_lang, lam: float = LAMBDA_SC,
                  use_geo: bool = True, use_lang: bool = True) -> DistillResult:
     """geo + lang + lam * sc; the single-teacher variant drops one feature term
     and builds the Gram matrices from the remaining stream only. [B, N, C]
@@ -130,7 +132,7 @@ def distill_loss(stu_geom, stu_lang, tea_geom, tea_lang, lam: float = 0.5,
     return DistillResult(geo=geo, lang=lang, sc=sc, total=total)
 
 
-def metric_depth_loss(pred, gt, alpha: float = 1.0, eps: float = 1e-6) -> Tensor:
+def metric_depth_loss(pred, gt, alpha: float = ALPHA_MD, eps: float = 1e-6) -> Tensor:
     """b^2 + mean((e - b)^2 / (1 + alpha |e - b|)) over valid pixels,
     e = log(pred + eps) - log(gt + eps), b = mean(e)."""
     if alpha <= 0:
@@ -233,8 +235,8 @@ class LossReport:
     vl_task: float = 0.0
     md: float = 0.0
     joint_total: float = 0.0
-    lam: float = 0.5
-    alpha: float = 1.0
+    lam: float = LAMBDA_SC
+    alpha: float = ALPHA_MD
 
     def to_json(self) -> dict:
         out = asdict(self)

@@ -52,13 +52,13 @@ class VidModelParams:
 
 # the RunConfig fields init_model builds the model from, besides its seed
 MODEL_FIELDS = ("dim", "heads", "blocks", "bridge_tokens", "patch_size",
-                "n_bins", "d_min", "d_max", "max_shift")
+                "n_bins", "d_min", "d_max")
 
 
 def init_model(cfg: RunConfig) -> VidModelParams:
     rng = np.random.default_rng([cfg.seed, 101])
     c = cfg.dim
-    bins = init_bins(cfg.n_bins, cfg.d_min, cfg.d_max, max_shift=cfg.max_shift)
+    bins = init_bins(cfg.n_bins, cfg.d_min, cfg.d_max)
     return VidModelParams(
         encoder=MlpParams.init(rng, c, zero_out=True),
         cta=CtaParams.init(rng, c, cfg.heads, bridge_tokens=cfg.bridge_tokens),

@@ -95,13 +95,11 @@ def positional_embed(points, p: MlpParams) -> Tensor:
     return mlp(t, p)
 
 
-def patch_anchor_points(depth: DepthMap, cam: CameraModel,
+def patch_anchor_points(depth: DepthMap, cam: CameraModel, grid: tuple[int, int],
                         patch_size: int) -> np.ndarray:
-    """World anchor per patch: depth sampled bilinearly at the patch center."""
-    h, w = depth.shape
-    if h % patch_size != 0 or w % patch_size != 0:
-        raise ShapeError(f"image {h}x{w} not a multiple of patch size {patch_size}")
-    gh, gw = h // patch_size, w // patch_size
+    """World anchor per patch of a `_patch_grid` grid: depth sampled
+    bilinearly at the patch center."""
+    gh, gw = grid
     cy = np.repeat(np.arange(gh) * patch_size + (patch_size - 1) / 2.0, gw)
     cx = np.tile(np.arange(gw) * patch_size + (patch_size - 1) / 2.0, gh)
     return _pixels_to_world(cx, cy, bilinear_sample(depth.values, cx, cy), cam)
@@ -112,8 +110,8 @@ def fuse_tokens(lang: TokenSet, depth: DepthMap, cam: CameraModel,
     """t3d = lang + positional_embed(anchor), one anchor per patch token."""
     if depth.scale_kind not in (METRIC, GROUND_TRUTH):
         raise StateError(f"fuse_tokens needs metric depth, got '{depth.scale_kind}'")
-    _patch_grid(lang.count, depth.shape, patch_size)
-    anchors = patch_anchor_points(depth, cam, patch_size)
+    grid = _patch_grid(lang.count, depth.shape, patch_size)
+    anchors = patch_anchor_points(depth, cam, grid, patch_size)
     emb = positional_embed(anchors, p)
     if emb.shape[1] != lang.dim:
         raise ShapeError("positional embedding dim differs from token dim")

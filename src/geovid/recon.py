@@ -46,9 +46,9 @@ class BackboneParams:
             raise ParameterError("need at least one camera and one register token")
 
     @staticmethod
-    def init(rng: np.random.Generator, c: int, heads: int, blocks: int = 4,
-             qk_norm: bool = True) -> "BackboneParams":
-        blks = [BackboneBlock(attn=MhaParams.init(rng, c, heads, qk_norm=qk_norm,
+    def init(rng: np.random.Generator, c: int, heads: int,
+             blocks: int = 4) -> "BackboneParams":
+        blks = [BackboneBlock(attn=MhaParams.init(rng, c, heads, qk_norm=True,
                                                   out_scale=0.5),
                               mlp=MlpParams.init(rng, c, out_scale=0.5))
                 for _ in range(blocks)]

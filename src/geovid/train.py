@@ -34,7 +34,7 @@ from .errors import DegenerateInputError, NumericError
 from .evalmetrics import MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .losses import (
-    LossReport, distill_loss, metric_depth_loss, recon_task_loss, vl_proxy_loss,
+    LAMBDA_SC, LossReport, distill_loss, metric_depth_loss, recon_task_loss, vl_proxy_loss,
 )
 from .model import (
     FramePrediction, VidModelParams, adapt, init_model, predict_window,
@@ -95,11 +95,12 @@ def _iter_scenes(cfg: RunConfig, count: int | None = None,
 # stage 1: dual-teacher distillation
 # ----------------------------------------------------------------------
 
-def _jitter(frame: FrameData, sigma: float, rng: np.random.Generator) -> FrameData:
+AUGMENT_JITTER = 0.05   # per-step token jitter sigma, training only
+
+
+def _jitter(frame: FrameData, rng: np.random.Generator) -> FrameData:
     """Seeded token-level jitter (the stand-in for image augmentations)."""
-    if sigma <= 0:
-        return frame
-    noisy = frame.base.tokens.data + sigma * rng.standard_normal(
+    noisy = frame.base.tokens.data + AUGMENT_JITTER * rng.standard_normal(
         frame.base.tokens.shape)
     return replace(frame, base=frame.base.with_tokens(Tensor(noisy)))
 
@@ -141,14 +142,13 @@ def train_stage1(cfg: RunConfig, scenes: list[SceneSample],
     params = params or init_model(cfg)
     rng = np.random.default_rng([cfg.seed, 201])
     use_geo, use_lang, use_sc = _stage1_flags(cfg.strategy)
-    lam = cfg.lambda_sc if use_sc else 0.0
+    lam = LAMBDA_SC if use_sc else 0.0
 
     def step_loss() -> tuple[Tensor, LossReport]:
         batch = []
         for _ in range(cfg.stage1_batch):
             scene = scenes[int(rng.integers(len(scenes)))]
-            batch.append(_jitter(scene.frames[int(rng.integers(len(scene.frames)))],
-                                 cfg.augment_jitter, rng))
+            batch.append(_jitter(scene.frames[int(rng.integers(len(scene.frames)))], rng))
         out = adapt(TokenSet.stack([f.base for f in batch]), params)
         res = distill_loss(out.geom, out.lang,
                            TokenSet.stack([f.teacher_geom for f in batch]),
@@ -158,8 +158,7 @@ def train_stage1(cfg: RunConfig, scenes: list[SceneSample],
         geo, lang, sc = (_batch_sum(t) * inv for t in (res.geo, res.lang, res.sc))
         total = (geo + lang) + lam * sc
         return total, LossReport(geo_feat=geo.item(), lang_feat=lang.item(),
-                                 sc=sc.item(), distill_total=total.item(),
-                                 lam=lam, alpha=cfg.alpha_md)
+                                 sc=sc.item(), distill_total=total.item(), lam=lam)
 
     return params, _optimize(cfg, params.stage1_tensors(), None, 1, cfg.stage1_steps,
                              step_loss, dump_path)
@@ -171,8 +170,7 @@ def _optimize(cfg: RunConfig, trainable: dict[str, Tensor],
     """AdamW steps on the loss `step_loss()` returns with its report, logged
     per step. A numeric or degenerate-input failure writes the abort dump
     (the last five log entries), then propagates."""
-    opt = AdamW(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                weight_decay=cfg.weight_decay, clip=cfg.clip, lr_scale=lr_scale)
+    opt = AdamW(trainable, lr=cfg.lr, lr_scale=lr_scale)
     log: list[TrainLogEntry] = []
     t_start = time.monotonic()
     for step in range(1, steps + 1):
@@ -235,7 +233,7 @@ def _aligned_depth_for_vl(preds: list[FramePrediction], cfg: RunConfig,
         pairs = [(DepthMap(p.depth_rel.data.copy(), scale_kind=RELATIVE),
                   DepthMap(p.depth_metric.data.reshape(h, w).copy(), scale_kind=METRIC))
                  for p in preds]
-        est = scene_scale(pairs, sample_count=cfg.scale_samples, seed=cfg.seed)
+        est = scene_scale(pairs, seed=cfg.seed)
         factor = est.scene_factor
         if clamp:
             factor = float(np.clip(factor, 1e-2, 1e2))
@@ -270,8 +268,7 @@ def _window_joint_loss(preds: list[FramePrediction], params: VidModelParams,
             md = Tensor(0.0)
         else:
             h, w = cfg.resolution
-            md = metric_depth_loss(p.depth_metric.reshape(h, w), p.frame.depth,
-                                   alpha=cfg.alpha_md, eps=cfg.eps_md)
+            md = metric_depth_loss(p.depth_metric.reshape(h, w), p.frame.depth)
         recon_acc = r.total if recon_acc is None else recon_acc + r.total
         vl_acc = vl if vl_acc is None else vl_acc + vl
         md_acc = md if md_acc is None else md_acc + md
@@ -279,6 +276,10 @@ def _window_joint_loss(preds: list[FramePrediction], params: VidModelParams,
     recon, vl, md = recon_acc * inv, vl_acc * inv, md_acc * inv
     joint = (recon + vl) + md
     return joint, recon, vl, md
+
+
+ENCODER_LR_SCALE = 0.1   # stage-2 fine-tuning rate for the encoder
+POSE_LR_SCALE = 3.0      # stage-2 boost for the camera head
 
 
 def train_stage2(cfg: RunConfig, params: VidModelParams,
@@ -291,13 +292,13 @@ def train_stage2(cfg: RunConfig, params: VidModelParams,
     lr_scale = {}
     for name in trainable:
         if name.startswith("encoder."):
-            lr_scale[name] = cfg.encoder_lr_scale
+            lr_scale[name] = ENCODER_LR_SCALE
         elif name.startswith("cta."):
             # the distilled adapter is fine-tuned gently so stage 2 cannot
             # unlearn the stage-1 alignment (single_stage uses full rate)
             lr_scale[name] = cfg.adapter_lr_scale
         elif name.startswith("camera_head."):
-            lr_scale[name] = cfg.pose_lr_scale
+            lr_scale[name] = POSE_LR_SCALE
     if cfg.strategy == "single_stage":
         lr_scale = {k: v for k, v in lr_scale.items()
                     if not k.startswith("cta.")}
@@ -307,13 +308,11 @@ def train_stage2(cfg: RunConfig, params: VidModelParams,
         scene = scenes[int(rng.integers(len(scenes)))]
         k = min(cfg.stage2_frames, len(scene.frames))
         idx = rng.choice(len(scene.frames), size=k, replace=False)
-        window = [_jitter(scene.frames[int(i)], cfg.augment_jitter, rng)
-                  for i in sorted(idx)]
+        window = [_jitter(scene.frames[int(i)], rng) for i in sorted(idx)]
         preds = predict_window(window, params, cfg)
         joint, recon, vl, md = _window_joint_loss(preds, params, cfg, scene_norm(scene))
         return joint, LossReport(recon_task=recon.item(), vl_task=vl.item(),
-                                 md=md.item(), joint_total=joint.item(),
-                                 lam=cfg.lambda_sc, alpha=cfg.alpha_md)
+                                 md=md.item(), joint_total=joint.item())
 
     return params, _optimize(cfg, trainable, lr_scale, 2,
                              cfg.stage2_steps if steps is None else steps,

@@ -254,6 +254,8 @@ def test_compare_cli(workspace, tmp_path):
     ('{"resolution": 56}', "resolution"),
     ('{"dim": "64"}', "dim"),
     ('{"ordinal_bins": false}', "ordinal_bins"),
+    ('{"lambda_sc": 0.25}', "lambda_sc"),
+    ('{"clip": true}', "clip"),
     ('{"tau_f": NaN}', "tau_f"),
     ('{"seed": 1,', "not valid JSON"),
 ])
@@ -329,25 +331,26 @@ def test_eval_checks_tau_without_a_cloud(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("kind", ["camera", "depth"])
+@pytest.mark.parametrize("kind", ["camera", "depth", "cloud"])
 def test_eval_rejects_count_mismatch(workspace, tmp_path, kind):
-    # the ground truth has 3 frames; the pred directory holds 3 of one kind
-    # and 2 of the other
+    # the ground truth is a 3-frame scene, so it also yields a cloud; the pred
+    # directory has 3 camera and 3 depth files, but 2 of `kind`, and no cloud.ply
     import shutil
     root, _ = workspace
     scene = root / "scenes" / "scene_0000"
     for sub in ("cameras", "depth"):
         (tmp_path / "pred" / sub).mkdir(parents=True)
-    for i in range(3 if kind == "depth" else 2):
+    for i in range(2 if kind == "camera" else 3):
         shutil.copy(scene / f"frame_{i:03d}" / "camera.json",
                     tmp_path / "pred" / "cameras" / f"frame_{i:03d}.json")
-    for i in range(3 if kind == "camera" else 2):
+    for i in range(2 if kind == "depth" else 3):
         shutil.copy(scene / f"frame_{i:03d}" / "depth.vlt",
                     tmp_path / "pred" / "depth" / f"frame_{i:03d}.vlt")
     proc = run_cli("eval", "--pred", str(tmp_path / "pred"), "--gt", str(scene),
                    "--out", str(tmp_path / "report.json"), check=False)
     assert proc.returncode == 1
-    assert f"--pred has 2 {kind} file(s) for 3 in --gt" in proc.stderr
+    assert (f"--pred has no {tmp_path / 'pred' / 'cloud.ply'} for --gt's cloud"
+            if kind == "cloud" else f"--pred has 2 {kind} file(s) for 3 in --gt") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "report.json").exists()
 

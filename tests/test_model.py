@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geovid import metric_depth
-from geovid.config import RunConfig
+from geovid.config import RETIRED, RunConfig
 from geovid.errors import ParameterError, ShapeError
 from geovid.model import (
     adapt, encode, init_model, load_checkpoint, predict_window, save_checkpoint,
@@ -145,20 +145,31 @@ def test_config_validation():
             RunConfig.from_json({"tau_f": tau})
 
 
-def test_config_accepts_only_true_ordinal_bins():
-    # older configs and checkpoints hold "ordinal_bins": true; the key is gone
-    assert "ordinal_bins" not in RunConfig().to_json()
-    assert RunConfig.from_json({"ordinal_bins": True, "dim": 32}) == RunConfig(dim=32)
-    for bad in (False, 1, "true"):
-        with pytest.raises(ParameterError, match="ordinal_bins"):
-            RunConfig.from_json({"ordinal_bins": bad})
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_config_accepts_retired_key_only_at_its_value(key):
+    # older configs and checkpoints hold each retired key at its one value;
+    # another value, or a bool passing as a number (True == 1.0), is refused
+    held = RETIRED[key]
+    assert key not in RunConfig().to_json()
+    assert RunConfig.from_json({key: held, "dim": 32}) == RunConfig(dim=32)
+    other = (not held) if isinstance(held, bool) else held * 2
+    confusable = 1 if isinstance(held, bool) else True
+    for bad in (other, confusable, str(held)):
+        with pytest.raises(ParameterError, match=f"'{key}'"):
+            RunConfig.from_json({key: bad})
 
 
-def test_load_checkpoint_accepts_manifest_with_ordinal_bins(tmp_path):
+def test_config_in_the_format_before_retirement_loads():
+    # a config written while the retired keys were still fields
+    assert RunConfig.from_json({**RunConfig().to_json(), **RETIRED}) == RunConfig()
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_load_checkpoint_accepts_manifest_with_retired_key(tmp_path, key):
     save_checkpoint(tmp_path / "ckpt", init_model(CFG), CFG)
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    assert "ordinal_bins" not in manifest["meta"]["config"]
-    manifest["meta"]["config"]["ordinal_bins"] = True
+    assert key not in manifest["meta"]["config"]
+    manifest["meta"]["config"][key] = RETIRED[key]
     (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
     _, cfg = load_checkpoint(tmp_path / "ckpt")
     assert cfg == CFG

@@ -274,24 +274,22 @@ def _per_sample_stage1(cfg, scenes, params):
     """Stage 1 with one graph per sample, summed sample by sample: the form
     the batched step must reproduce bit for bit. Returns the log and each
     step's gradients by tensor name."""
-    from geovid.losses import LossReport
+    from geovid.losses import LAMBDA_SC, LossReport
     from geovid.numkit import AdamW
     from geovid.train import TrainLogEntry, _jitter, _lr_at, _stage1_flags
 
     trainable = params.stage1_tensors()
-    opt = AdamW(trainable, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                weight_decay=cfg.weight_decay, clip=cfg.clip)
+    opt = AdamW(trainable, lr=cfg.lr)
     rng = np.random.default_rng([cfg.seed, 201])
     use_geo, use_lang, use_sc = _stage1_flags(cfg.strategy)
-    lam = cfg.lambda_sc if use_sc else 0.0
+    lam = LAMBDA_SC if use_sc else 0.0
     log, grads = [], []
     for step in range(1, cfg.stage1_steps + 1):
         opt.lr = _lr_at(cfg, step, cfg.stage1_steps)
         acc = [None, None, None]
         for _ in range(cfg.stage1_batch):
             scene = scenes[int(rng.integers(len(scenes)))]
-            frame = _jitter(scene.frames[int(rng.integers(len(scene.frames)))],
-                            cfg.augment_jitter, rng)
+            frame = _jitter(scene.frames[int(rng.integers(len(scene.frames)))], rng)
             geom, lang = _per_sample_adapt(frame.base, params)
             res = distill_loss(geom, lang, frame.teacher_geom, frame.teacher_lang,
                                lam=lam, use_geo=use_geo, use_lang=use_lang)
@@ -306,7 +304,7 @@ def _per_sample_stage1(cfg, scenes, params):
         opt.step()
         log.append(TrainLogEntry(step=step, stage=1, report=LossReport(
             geo_feat=geo.item(), lang_feat=lang.item(), sc=sc.item(),
-            distill_total=total.item(), lam=lam, alpha=cfg.alpha_md)))
+            distill_total=total.item(), lam=lam)))
     return log, grads
 
 
