@@ -71,6 +71,10 @@ class CameraModel:
         """A camera from `to_json`'s fields; a malformed one is a ParameterError."""
         try:
             q = np.asarray(obj["quaternion"], dtype=np.float64).reshape(4)
+            top = np.abs(q).max()
+            if not (np.isfinite(top) and top > 0):   # NaN fails too
+                raise ParameterError(f"quaternion {q.tolist()} is not finite and nonzero")
+            q = np.ldexp(q, -np.frexp(top)[1])   # exact scaling, so the norm cannot overflow
             return CameraModel(
                 fx=float(obj["fx"]), fy=float(obj["fy"]),
                 cx=float(obj["cx"]), cy=float(obj["cy"]),

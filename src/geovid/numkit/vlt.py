@@ -2,8 +2,8 @@
 
 Layout: magic bytes `VLT1`, u8 dtype tag (0 = f32, 1 = f64), u8 ndim,
 ndim x u64 little-endian dims, then the raw little-endian payload.
-Checkpoints store many named tensors as back-to-back VLT1 records in one
-file plus a JSON manifest listing the record order.
+Checkpoints and scenes store many tensors as back-to-back VLT1 records in
+one file plus a JSON document that says what the records are.
 """
 
 from __future__ import annotations
@@ -70,20 +70,23 @@ def save_tensor(path: str | Path, arr: np.ndarray) -> None:
         write_record(fh, arr)
 
 
-def _read_file(path: str | Path, count: int) -> list[np.ndarray]:
+def read_file(path: str | Path, count: int) -> list[np.ndarray]:
     """The `count` records that fill the file at `path`; every error names it."""
-    with open(path, "rb") as fh:
-        try:
+    try:
+        with open(path, "rb") as fh:
             records = [read_record(fh) for _ in range(count)]
-        except ParameterError as exc:
-            raise ParameterError(f"{path}: {exc}") from None
-        if fh.read(1):
-            raise ParameterError(f"{path}: trailing bytes after the last VLT1 record")
+            trailing = fh.read(1)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}") from None
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    if trailing:
+        raise ParameterError(f"{path}: trailing bytes after the last VLT1 record")
     return records
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
-    return _read_file(path, 1)[0]
+    return read_file(path, 1)[0]
 
 
 def save_container(directory: str | Path, tensors: dict[str, np.ndarray],
@@ -107,5 +110,5 @@ def load_container(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     names = manifest["tensors"]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ParameterError(f"{directory / 'manifest.json'} 'tensors' is not a list of names")
-    records = _read_file(directory / "weights.vlt", len(names))
+    records = read_file(directory / "weights.vlt", len(names))
     return dict(zip(names, records)), manifest.get("meta", {})

@@ -327,73 +327,66 @@ def gen_scene(seed: int, n_frames: int = 32, resolution: tuple[int, int] = (56, 
 # persistence
 # ----------------------------------------------------------------------
 
+# a frame's arrays, in the order of its records in scene.vlt
+FRAME_RECORDS = ("depth", "labels", "summary", "patch_labels", "base", "teacher_geom",
+                 "teacher_lang")
+
+
 def save_scene(directory: str | Path, scene: SceneSample) -> None:
+    """scene.vlt holds FRAME_RECORDS frame by frame; scene.json the meta and cameras."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "seed": scene.seed,
-        "resolution": list(scene.resolution),
-        "tokenizer": scene.tokenizer.to_json(),
-        "room": scene.geometry.room.to_json(),
+    (directory / "scene.json").unlink(missing_ok=True)   # the marker goes back last
+    with open(directory / "scene.vlt", "wb") as fh:
+        for f in scene.frames:
+            for arr in (f.depth.values, f.labels.astype(np.float64), f.patch_summary,
+                        f.patch_labels.astype(np.float64), f.base.tokens.data,
+                        f.teacher_geom.tokens.data, f.teacher_lang.tokens.data):
+                vlt.write_record(fh, arr)
+    write_json(directory / "scene.json", {
+        "seed": scene.seed, "resolution": list(scene.resolution),
+        "tokenizer": scene.tokenizer.to_json(), "room": scene.geometry.room.to_json(),
         "objects": [b.to_json() for b in scene.geometry.objects],
-        "n_frames": len(scene.frames),
-    }
-    write_json(directory / "scene.json", meta)
-    for f in scene.frames:
-        fd = directory / f"frame_{f.index:03d}"
-        fd.mkdir(exist_ok=True)
-        f.camera.save(fd / "camera.json")
-        vlt.save_tensor(fd / "depth.vlt", f.depth.values)
-        vlt.save_tensor(fd / "labels.vlt", f.labels.astype(np.float64))
-        vlt.save_tensor(fd / "summary.vlt", f.patch_summary)
-        vlt.save_tensor(fd / "patch_labels.vlt", f.patch_labels.astype(np.float64))
-        vlt.save_tensor(fd / "base.vlt", f.base.tokens.data)
-        vlt.save_tensor(fd / "teacher_geom.vlt", f.teacher_geom.tokens.data)
-        vlt.save_tensor(fd / "teacher_lang.vlt", f.teacher_lang.tokens.data)
-
-
-def _load_labels(path: Path, dtype) -> np.ndarray:
-    """Class ids saved as floats; any value that is not an integer in
-    [0, NUM_CLASSES) is a ParameterError naming the file."""
-    values = vlt.load_tensor(path)
-    if not ((values >= 0) & (values < NUM_CLASSES) & (values == np.floor(values))).all():
-        raise ParameterError(f"{path} holds a class label outside the integers "
-                             f"0..{NUM_CLASSES - 1}")
-    return values.astype(dtype)
+        "n_frames": len(scene.frames), "cameras": [f.camera.to_json() for f in scene.frames],
+    })
 
 
 def load_scene(directory: str | Path) -> SceneSample:
     """A scene as `save_scene` wrote it; a malformed one is a ParameterError."""
     directory = Path(directory)
-    path = directory / "scene.json"
-    meta = read_json(path, "tokenizer", "room", "objects", "seed", "n_frames", "resolution")
+    path, records_path = directory / "scene.json", directory / "scene.vlt"
+    if not records_path.is_file():
+        raise ParameterError(f"{records_path} is missing: the scene is incomplete or in the "
+                             f"older per-frame layout; regenerate it with `geovid gen-scenes`")
+    meta = read_json(path, "tokenizer", "room", "objects", "seed", "n_frames", "resolution",
+                     "cameras")
     try:
         tokenizer = TokenizerConfig.from_json(meta["tokenizer"])
         geom = SceneGeometry(room=Box.from_json(meta["room"]),
                              objects=[Box.from_json(o) for o in meta["objects"]])
         seed, n_frames = int(meta["seed"]), int(meta["n_frames"])
         resolution = tuple(int(v) for v in meta["resolution"])
-    except (KeyError, TypeError, ValueError) as exc:
+        cameras = [CameraModel.from_json(c) for c in meta["cameras"]]
+    except (KeyError, TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise ParameterError(f"{path} is malformed: {exc!r}") from None
-    if n_frames < 1:
-        raise ParameterError(f"{path} lists {n_frames} frames")
+    if n_frames < 1 or len(cameras) != n_frames:
+        raise ParameterError(f"{path} lists {n_frames} frames and {len(cameras)} cameras")
+    n = len(FRAME_RECORDS)
+    records = vlt.read_file(records_path, n * n_frames)
     frames = []
-    for k in range(n_frames):
-        fd = directory / f"frame_{k:03d}"
-        cam = CameraModel.load(fd / "camera.json")
-        frame = FrameData(
-            index=k, camera=cam,
-            depth=DepthMap(vlt.load_tensor(fd / "depth.vlt"), scale_kind=GROUND_TRUTH),
-            labels=_load_labels(fd / "labels.vlt", np.int16),
-            patch_summary=vlt.load_tensor(fd / "summary.vlt"),
-            patch_labels=_load_labels(fd / "patch_labels.vlt", np.int64),
-            noise_seed=seed * 1000 + k,
-        )
-        frame.base = TokenSet(Tensor(vlt.load_tensor(fd / "base.vlt")), Role.BASE)
-        frame.teacher_geom = TokenSet(Tensor(vlt.load_tensor(fd / "teacher_geom.vlt")),
-                                      Role.GEOM)
-        frame.teacher_lang = TokenSet(Tensor(vlt.load_tensor(fd / "teacher_lang.vlt")),
-                                      Role.LANG)
-        frames.append(frame)
+    for k, cam in enumerate(cameras):
+        rec = dict(zip(FRAME_RECORDS, records[k * n:(k + 1) * n]))
+        for name in ("labels", "patch_labels"):   # class ids, saved as floats
+            v = rec[name]
+            if not ((v >= 0) & (v < NUM_CLASSES) & (v == np.floor(v))).all():
+                raise ParameterError(f"{records_path} record frame_{k:03d}/{name} holds a "
+                                     f"class label outside the integers 0..{NUM_CLASSES - 1}")
+        frames.append(FrameData(
+            index=k, camera=cam, depth=DepthMap(rec["depth"], scale_kind=GROUND_TRUTH),
+            labels=rec["labels"].astype(np.int16), patch_summary=rec["summary"],
+            patch_labels=rec["patch_labels"].astype(np.int64), noise_seed=seed * 1000 + k,
+            base=TokenSet(Tensor(rec["base"]), Role.BASE),
+            teacher_geom=TokenSet(Tensor(rec["teacher_geom"]), Role.GEOM),
+            teacher_lang=TokenSet(Tensor(rec["teacher_lang"]), Role.LANG)))
     return SceneSample(geometry=geom, frames=frames, seed=seed,
                        resolution=resolution, tokenizer=tokenizer)

@@ -711,7 +711,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     a, b = outs
     artifacts = [
-        "scenes/scene_0000/frame_000/depth.vlt",
+        "scenes/scene_0000/scene.vlt",
         "scenes/scene_0000/scene.json",
         "s1/log.jsonl", "s1/ckpt/weights.vlt", "s1/ckpt/manifest.json",
         "s2/log.jsonl", "s2/ckpt/weights.vlt",

@@ -44,9 +44,8 @@ def test_gen_scenes_layout(workspace):
     root, _ = workspace
     scenes = sorted((root / "scenes").iterdir())
     assert [s.name for s in scenes] == ["scene_0000", "scene_0001"]
-    assert (scenes[0] / "scene.json").exists()
-    assert (scenes[0] / "frame_000" / "depth.vlt").exists()
-    assert (scenes[0] / "frame_000" / "camera.json").exists()
+    for scene in scenes:
+        assert sorted(p.name for p in scene.iterdir()) == ["scene.json", "scene.vlt"]
 
 
 @pytest.mark.parametrize("frames", [1, 2])
@@ -235,7 +234,7 @@ def test_cli_byte_determinism(workspace, tmp_path_factory):
     a, b = outs
     for rel in ("s1/ckpt/weights.vlt", "s1/ckpt/manifest.json", "s1/log.jsonl",
                 "pred/cloud.ply", "pred/metrics.json",
-                "scenes/scene_0000/frame_000/depth.vlt"):
+                "scenes/scene_0000/scene.vlt", "scenes/scene_0000/scene.json"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
@@ -335,17 +334,18 @@ def test_eval_checks_tau_without_a_cloud(tmp_path):
 def test_eval_rejects_count_mismatch(workspace, tmp_path, kind):
     # the ground truth is a 3-frame scene, so it also yields a cloud; the pred
     # directory has 3 camera and 3 depth files, but 2 of `kind`, and no cloud.ply
-    import shutil
+    from geovid.numkit import vlt
+    from geovid.synthscene import load_scene
     root, _ = workspace
     scene = root / "scenes" / "scene_0000"
+    frames = load_scene(scene).frames
     for sub in ("cameras", "depth"):
         (tmp_path / "pred" / sub).mkdir(parents=True)
     for i in range(2 if kind == "camera" else 3):
-        shutil.copy(scene / f"frame_{i:03d}" / "camera.json",
-                    tmp_path / "pred" / "cameras" / f"frame_{i:03d}.json")
+        frames[i].camera.save(tmp_path / "pred" / "cameras" / f"frame_{i:03d}.json")
     for i in range(2 if kind == "depth" else 3):
-        shutil.copy(scene / f"frame_{i:03d}" / "depth.vlt",
-                    tmp_path / "pred" / "depth" / f"frame_{i:03d}.vlt")
+        vlt.save_tensor(tmp_path / "pred" / "depth" / f"frame_{i:03d}.vlt",
+                        frames[i].depth.values)
     proc = run_cli("eval", "--pred", str(tmp_path / "pred"), "--gt", str(scene),
                    "--out", str(tmp_path / "report.json"), check=False)
     assert proc.returncode == 1
@@ -356,10 +356,10 @@ def test_eval_rejects_count_mismatch(workspace, tmp_path, kind):
 
 
 def test_eval_rejects_non_finite_pred_camera(workspace, tmp_path):
-    from geovid.geometry import CameraModel
+    from geovid.synthscene import load_scene
     root, _ = workspace
     scene = root / "scenes" / "scene_0000"
-    cam = CameraModel.load(scene / "frame_000" / "camera.json").to_json()
+    cam = load_scene(scene).frames[0].camera.to_json()
     cam["translation"] = [float("nan"), 0.0, 0.0]
     (tmp_path / "pred" / "cameras").mkdir(parents=True)
     (tmp_path / "pred" / "cameras" / "frame_000.json").write_text(json.dumps(cam))

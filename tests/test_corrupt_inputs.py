@@ -2,7 +2,9 @@
 succeeds or raises ParameterError, in bounded time and memory, and the CLI
 exits 1."""
 
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,11 +19,10 @@ from hypothesis import strategies as st
 
 from geovid.config import RunConfig
 from geovid.errors import ParameterError
-from geovid.geometry import CameraModel
 from geovid.model import init_model, load_checkpoint, save_checkpoint
 from geovid.numkit import vlt
 from geovid.patch3d import PointCloud, read_ply, write_ply
-from geovid.synthscene import TokenizerConfig, gen_scene, load_scene, save_scene
+from geovid.synthscene import FRAME_RECORDS, TokenizerConfig, gen_scene, load_scene, save_scene
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 CFG = RunConfig(seed=3, dim=16, heads=2, blocks=2, bridge_tokens=4, resolution=(28, 28),
@@ -121,34 +122,44 @@ def test_corrupt_ply_loads_or_raises_parameter_error(ply_dir, data, cut, pos, va
 
 
 @pytest.mark.parametrize("value", [2.5, -1.0, 11.0, 1e300])
-@pytest.mark.parametrize("name", ["frame_000/labels.vlt", "frame_001/patch_labels.vlt"])
-def test_bad_class_label_names_the_file(saved, tmp_path, name, value):
+@pytest.mark.parametrize("record", ["frame_000/labels", "frame_001/patch_labels"])
+def test_bad_class_label_names_the_file(saved, tmp_path, record, value):
     scene_dir, _ = saved
     shutil.copytree(scene_dir, tmp_path / "scene")
-    labels = vlt.load_tensor(tmp_path / "scene" / name)
-    labels.reshape(-1)[-1] = value
-    vlt.save_tensor(tmp_path / "scene" / name, labels)
-    with pytest.raises(ParameterError, match=name):
+    path = tmp_path / "scene" / "scene.vlt"
+    frame, name = record.split("/")
+    records = vlt.read_file(path, 2 * len(FRAME_RECORDS))
+    index = int(frame[-3:]) * len(FRAME_RECORDS) + FRAME_RECORDS.index(name)
+    records[index].reshape(-1)[-1] = value
+    with open(path, "wb") as fh:
+        for arr in records:
+            vlt.write_record(fh, arr)
+    with pytest.raises(ParameterError, match=re.escape(f"{path} record {record} ")):
         load_scene(tmp_path / "scene")
+
+
+def _bad_cameras(scene_json: Path, content: bytes) -> None:
+    """Rewrite scene.json with `content` in place of each entry of its `cameras` list."""
+    meta = json.loads(scene_json.read_text())
+    meta["cameras"] = ["CAMERA"] * len(meta["cameras"])
+    scene_json.write_bytes(json.dumps(meta).encode().replace(b'"CAMERA"', content))
 
 
 @pytest.mark.parametrize("content", [b'{"tensors": ["enc', b"[]", b"{}", b"\xff\xfe{}"],
                          ids=["truncated", "list", "empty-object", "not-utf8"])
 @pytest.mark.parametrize("name", ["ckpt/manifest.json", "scene/scene.json",
-                                  "scene/frame_000/camera.json"])
+                                  "scene/scene.json:cameras"])
 def test_bad_json_names_the_file(saved, tmp_path, name, content):
     scene_dir, ckpt_dir = saved
     shutil.copytree(scene_dir, tmp_path / "scene")
     shutil.copytree(ckpt_dir, tmp_path / "ckpt")
-    (tmp_path / name).write_bytes(content)
-    load = {"ckpt": load_checkpoint, "scene": load_scene}[name.split("/")[0]]
-    if name.endswith("camera.json"):
-        load = CameraModel.load
-        target = tmp_path / name
+    if name.endswith(":cameras"):
+        _bad_cameras(tmp_path / "scene" / "scene.json", content)
     else:
-        target = tmp_path / name.split("/")[0]
+        (tmp_path / name).write_bytes(content)
+    load = {"ckpt": load_checkpoint, "scene": load_scene}[name.split("/")[0]]
     with pytest.raises(ParameterError, match="json"):
-        load(target)
+        load(tmp_path / name.split("/")[0])
 
 
 def test_missing_key_is_named(saved, tmp_path):
@@ -160,7 +171,7 @@ def test_missing_key_is_named(saved, tmp_path):
 
 
 @pytest.mark.parametrize("which, name, cut", [
-    ("scene", "scene.json", 0.5), ("scene", "frame_001/depth.vlt", 0.5),
+    ("scene", "scene.json", 0.5), ("scene", "scene.vlt", 0.5),
     ("ckpt", "manifest.json", 0.3), ("ckpt", "weights.vlt", 0.9),
 ])
 def test_cli_exits_1_on_corrupt_input(saved, tmp_path, which, name, cut):
@@ -176,3 +187,24 @@ def test_cli_exits_1_on_corrupt_input(saved, tmp_path, which, name, cut):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("which, name", [("ckpt", "weights.vlt"), ("scene", "scene.vlt")])
+def test_cli_exits_1_on_missing_vlt(saved, tmp_path, which, name):
+    # a checkpoint without its records, and a scene without them, which is
+    # also how a scene saved in the older per-frame layout looks
+    scene_dir, ckpt_dir = saved
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    shutil.copytree(ckpt_dir, tmp_path / "ckpt")
+    (tmp_path / which / name).unlink()
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geovid.cli", "infer", "--ckpt", str(tmp_path / "ckpt"),
+         "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert str(tmp_path / which / name) in proc.stderr
+    if which == "scene":
+        assert "geovid gen-scenes" in proc.stderr

@@ -53,6 +53,34 @@ def test_camera_load_rejects_nan_translation(tmp_path):
         CameraModel.load(tmp_path / "cam.json")
 
 
+def test_camera_json_quaternion_norm_cannot_overflow():
+    # the norm of [1e308, 1e308, 0, 0] overflows to inf, which once read it as
+    # the identity; scaled by a power of two first, it is a half turn about x + y
+    obj = CameraModel(fx=10.0, fy=10.0, cx=5.0, cy=5.0, rotation=np.eye(3),
+                      translation=np.zeros(3)).to_json()
+    obj["quaternion"] = [1e308, 1e308, 0.0, 0.0]
+    want = quaternion_to_rotation(np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
+    np.testing.assert_allclose(CameraModel.from_json(obj).rotation, want, rtol=0, atol=1e-15)
+    # the power-of-two scaling is exact: a quaternion that did not overflow
+    # gives the rotation it gave before, bit for bit
+    rng = np.random.default_rng(1)
+    for q in rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-5, 5, size=(50, 1)):
+        obj["quaternion"] = q.tolist()
+        assert np.array_equal(CameraModel.from_json(obj).rotation,
+                              quaternion_to_rotation(q / np.linalg.norm(q)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [[0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0],
+                               [np.inf, 0.0, 0.0, 0.0], [1.0, 0.0, -np.inf, 0.0]])
+def test_camera_json_rejects_zero_or_non_finite_quaternion(q):
+    obj = CameraModel(fx=10.0, fy=10.0, cx=5.0, cy=5.0, rotation=np.eye(3),
+                      translation=np.zeros(3)).to_json()
+    obj["quaternion"] = q
+    with pytest.raises(ParameterError, match="quaternion"):
+        CameraModel.from_json(obj)
+
+
 def test_camera_center():
     pos = np.array([1.0, 2.0, 3.0])
     r = look_at_rotation(pos, np.zeros(3))

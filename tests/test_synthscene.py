@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 from geovid.errors import ParameterError
 from geovid.geometry import GROUND_TRUTH, CameraModel, METRIC, look_at_rotation
+from geovid.numkit import vlt
 from geovid.patch3d import backproject, project
 from geovid.synthscene import (
     CEILING, DEPTH_SCALE, FLOOR, NUM_CLASSES, WALL_X0, WALL_X1, WALL_Y0, WALL_Y1, Box,
-    SceneGeometry, TokenizerConfig, _patch_summaries, _ROOM_FACE_CLASS, cast_pixels, gen_scene,
+    FRAME_RECORDS, SceneGeometry, TokenizerConfig, _patch_summaries, _ROOM_FACE_CLASS, cast_pixels, gen_scene,
     load_scene, render_tokens, save_scene, teacher_features,
 )
 
@@ -202,19 +205,109 @@ class TestTeachers:
         assert cos < 1.0 - 1e-6
 
 
+ROTATION_ATOL = 1e-15   # cameras persist as quaternions; tighter than the benchmark's 1e-12
+
+
 def test_save_load_roundtrip(tmp_path):
     scene = _scene(seed=10, n_frames=3)
     save_scene(tmp_path / "s", scene)
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["scene.json", "scene.vlt"]
     loaded = load_scene(tmp_path / "s")
     assert loaded.seed == scene.seed
     assert loaded.resolution == scene.resolution
+    assert loaded.tokenizer == scene.tokenizer
+    assert [b.to_json() for b in [loaded.geometry.room, *loaded.geometry.objects]] == \
+           [b.to_json() for b in [scene.geometry.room, *scene.geometry.objects]]
+    assert len(loaded.frames) == len(scene.frames)
     for fa, fb in zip(scene.frames, loaded.frames):
-        assert np.array_equal(fa.depth.values, fb.depth.values)
-        assert np.array_equal(fa.labels, fb.labels)
-        assert np.array_equal(fa.base.tokens.data, fb.base.tokens.data)
-        assert np.array_equal(fa.patch_labels, fb.patch_labels)
-        np.testing.assert_allclose(fa.camera.rotation, fb.camera.rotation,
-                                   atol=1e-15)
+        assert (fb.index, fb.noise_seed) == (fa.index, fa.noise_seed)
+        for a, b in ((fa.depth.values, fb.depth.values), (fa.labels, fb.labels),
+                     (fa.patch_summary, fb.patch_summary), (fa.patch_labels, fb.patch_labels),
+                     (fa.base.tokens.data, fb.base.tokens.data),
+                     (fa.teacher_geom.tokens.data, fb.teacher_geom.tokens.data),
+                     (fa.teacher_lang.tokens.data, fb.teacher_lang.tokens.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (fb.base.role, fb.teacher_geom.role, fb.teacher_lang.role) == \
+               (fa.base.role, fa.teacher_geom.role, fa.teacher_lang.role)
+        ca, cb = fa.camera, fb.camera
+        assert (cb.fx, cb.fy, cb.cx, cb.cy, cb.scale_kind) == (ca.fx, ca.fy, ca.cx, ca.cy,
+                                                               ca.scale_kind)
+        assert np.array_equal(cb.translation, ca.translation)
+        np.testing.assert_allclose(cb.rotation, ca.rotation, rtol=0, atol=ROTATION_ATOL)
+
+
+def test_saved_scene_bytes_pinned(tmp_path):
+    """The two files of a saved scene, pinned so the format cannot drift unnoticed."""
+    save_scene(tmp_path / "s", gen_scene(3, n_frames=2, resolution=(28, 28), n_objects=2,
+                                         tokenizer=TOK))
+    digests = {name: hashlib.sha256((tmp_path / "s" / name).read_bytes()).hexdigest()
+               for name in ("scene.json", "scene.vlt")}
+    assert digests == SAVED_SCENE_DIGESTS
+
+
+def _saved(tmp_path, n_frames=2):
+    save_scene(tmp_path / "s", _scene(seed=12, n_frames=n_frames))
+    return tmp_path / "s"
+
+
+def _edit_meta(directory, **changes):
+    meta = json.loads((directory / "scene.json").read_text())
+    meta.update(changes)
+    (directory / "scene.json").write_text(json.dumps(meta))
+    return meta
+
+
+@pytest.mark.parametrize("n_frames, n_cameras", [(1, 2), (3, 2), (0, 2), (2, 1), (2, 0)])
+def test_load_rejects_frame_count_that_disagrees_with_cameras(tmp_path, n_frames, n_cameras):
+    directory = _saved(tmp_path)
+    cameras = json.loads((directory / "scene.json").read_text())["cameras"]
+    _edit_meta(directory, n_frames=n_frames, cameras=cameras[:n_cameras])
+    with pytest.raises(ParameterError,
+                       match=f"scene.json lists {n_frames} frames and {n_cameras} cameras"):
+        load_scene(directory)
+
+
+@pytest.mark.parametrize("change", ["one-record-short", "one-record-more", "trailing-byte"])
+def test_load_rejects_a_wrong_record_count(tmp_path, change):
+    directory = _saved(tmp_path)
+    path = directory / "scene.vlt"
+    records = vlt.read_file(path, 2 * len(FRAME_RECORDS))
+    if change == "one-record-short":
+        records.pop()
+    elif change == "one-record-more":
+        records.append(np.ones(3))
+    with open(path, "wb") as fh:
+        for arr in records:
+            vlt.write_record(fh, arr)
+        if change == "trailing-byte":
+            fh.write(b"\0")
+    message = "bad VLT1 magic b''" if change == "one-record-short" else "trailing bytes"
+    with pytest.raises(ParameterError, match=re.escape(f"{path}: {message}")):
+        load_scene(directory)
+
+
+def test_load_rejects_the_older_per_frame_layout(tmp_path):
+    # earlier versions wrote scene.json without cameras, and per frame a
+    # directory with camera.json and one .vlt file per array
+    scene = _scene(seed=12, n_frames=2)
+    directory = _saved(tmp_path)
+    (directory / "scene.vlt").unlink()
+    meta = _edit_meta(directory)
+    del meta["cameras"]
+    (directory / "scene.json").write_text(json.dumps(meta))
+    for f in scene.frames:
+        frame_dir = directory / f"frame_{f.index:03d}"
+        frame_dir.mkdir()
+        f.camera.save(frame_dir / "camera.json")
+        for name, arr in zip(FRAME_RECORDS, (f.depth.values, f.labels.astype(np.float64),
+                                             f.patch_summary, f.patch_labels.astype(np.float64),
+                                             f.base.tokens.data, f.teacher_geom.tokens.data,
+                                             f.teacher_lang.tokens.data)):
+            vlt.save_tensor(frame_dir / f"{name}.vlt", arr)
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{directory / 'scene.vlt'} is missing") + ".*"
+                       + re.escape("regenerate it with `geovid gen-scenes`")):
+        load_scene(directory)
 
 
 # ----------------------------------------------------------------------
@@ -412,3 +505,10 @@ def test_scene_bytes_pinned():
 
 
 SCENE_3_DIGEST = "36d0cb3263e5c109a68d038d5303988d6a8f0aae3c964957bb2ba5574b0fc9e4"
+# scene.vlt holds the bytes of the per-frame .vlt files of the older layout, back
+# to back, and scene.json its scene.json with the frames' camera.json objects as
+# `cameras`: these digests are those of the older layout's files, so joined
+SAVED_SCENE_DIGESTS = {
+    "scene.json": "a7851a0e57a1c643c1a4563924ed4b5d6406bf935771bce1072e5e6c01ad3087",
+    "scene.vlt": "a58508747b558d7a31e1393f58a86c514e50d98f99d64880c5b2057530c23117",
+}
