@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from .config import RunConfig, check_tau
-from .errors import DegenerateInputError, GeovidError, NumericError, ParameterError
+from .errors import DegenerateInputError, GeovidError, NumericError, ParameterError, named
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .model import init_model, load_checkpoint, save_checkpoint
 from .numkit import vlt
@@ -71,7 +71,8 @@ def gen_scenes_cmd(seed, count, frames, out, resolution, objects, dim, noise):
 
 
 def _load_scene_dir(path: Path):
-    dirs = sorted(p for p in Path(path).iterdir() if (p / "scene.json").exists())
+    dirs = (sorted(p for p in path.iterdir() if (p / "scene.json").exists())
+            if path.is_dir() else [])
     if not dirs:
         raise ParameterError(f"no scenes found under {path}")
     return [load_scene(d) for d in dirs]
@@ -108,7 +109,7 @@ def _load_depth_dir(path: Path, kind: str) -> list[tuple[str, DepthMap]]:
     files = [path] if path.is_file() else sorted(path.glob("*.vlt"))
     if not files:
         raise ParameterError(f"no .vlt depth files under {path}")
-    return [(f.stem, DepthMap(vlt.load_tensor(f), scale_kind=kind)) for f in files]
+    return [(f.stem, named(f, DepthMap, vlt.load_tensor(f), scale_kind=kind)) for f in files]
 
 
 @main.command("align-scale")
@@ -173,8 +174,7 @@ def infer_cmd(ckpt, scene_path, out):
     for i, (cam, depth) in enumerate(zip(result.cameras, result.depths)):
         cam.save(out / "cameras" / f"frame_{i:03d}.json")
         vlt.save_tensor(out / "depth" / f"frame_{i:03d}.vlt", depth.values)
-    anchors = {f"frame_{i:03d}": t.anchor_points.tolist()
-               for i, t in enumerate(result.t3d)}
+    anchors = {f"frame_{i:03d}": a.tolist() for i, a in enumerate(result.t3d.anchor_points)}
     with open(out / "t3d_anchors.json", "w") as fh:
         json.dump(anchors, fh, sort_keys=True)
         fh.write("\n")
@@ -191,7 +191,7 @@ def _dir_artifacts(path: Path):
         return strided_cloud(depths, cams), cams, depths
     cloud = read_ply(path / "cloud.ply") if (path / "cloud.ply").exists() else None
     cams = [CameraModel.load(f) for f in sorted((path / "cameras").glob("*.json"))]
-    depths = [DepthMap(vlt.load_tensor(f), scale_kind=METRIC)
+    depths = [named(f, DepthMap, vlt.load_tensor(f), scale_kind=METRIC)
               for f in sorted((path / "depth").glob("*.vlt"))]
     return cloud, cams, depths
 

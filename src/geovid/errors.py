@@ -31,3 +31,12 @@ class NumericError(GeovidError):
 
 class DegenerateInputError(GeovidError):
     """Input is formally valid but carries no usable signal."""
+
+
+def named(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a GeovidError it raises re-raised as a
+    ParameterError that names `path`, the input the values came from."""
+    try:
+        return fn(*args, **kwargs)
+    except GeovidError as exc:
+        raise ParameterError(f"{path}: {exc}") from None

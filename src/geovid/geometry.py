@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import read_json, write_json
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, named
 
 RELATIVE = "relative"
 METRIC = "metric"
@@ -90,8 +90,8 @@ class CameraModel:
 
     @staticmethod
     def load(path: str | Path) -> "CameraModel":
-        return CameraModel.from_json(read_json(path, "quaternion", "translation",
-                                               "fx", "fy", "cx", "cy"))
+        return named(path, CameraModel.from_json,
+                     read_json(path, "quaternion", "translation", "fx", "fy", "cx", "cy"))
 
 
 @dataclass

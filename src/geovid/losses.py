@@ -9,9 +9,10 @@ depth, L1 between back-projected point maps), a cross-entropy proxy for
 the language branch, and the robust log-depth metric term
 b^2 + mean((e - b)^2 / (1 + alpha |e - b|)).
 
-Every loss returns a scalar Tensor so gradients flow; call .item() for the
-float value. totals are composed as (a + b) + c so logged components re-add
-bit-exactly.
+Every loss returns a Tensor so gradients flow: a scalar for one token set,
+one value per item of a [B, N, C] batch, and the stage-2 terms one value per
+frame of a window. The frames of a window share one valid mask. totals are
+composed as (a + b) + c so logged components re-add bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import DegenerateInputError, DomainError, ParameterError, ShapeErro
 from .geometry import CameraModel, DepthMap
 from .numkit import (
     MlpParams, Tensor, TokenSet, arccos, as_tensor, concat, exp, log, matmul,
-    mlp, tabs, tmean, tsum,
+    mlp, stack, tabs, tmean, tsum,
 )
 from .patch3d import Patch3DTokens, backproject_grid
 from .recon import CameraPrediction
@@ -56,15 +57,20 @@ def _unit_rows(t: Tensor, what: str) -> Tensor:
     return t * (sq ** -0.5)
 
 
-def _valid_pixels(pred: Tensor, gt: np.ndarray, mask: np.ndarray,
-                  loss: str) -> tuple[Tensor, Tensor]:
-    """(pred, gt) at the valid pixels, flattened in row-major order."""
-    if pred.shape != gt.shape:
+def _valid_pixels(pred: Tensor, gts: list[DepthMap],
+                  loss: str) -> tuple[Tensor, Tensor, np.ndarray]:
+    """A window's (pred, gt) at the valid pixels its depth maps share, each
+    [F, M] in row-major order, and that [H, W] mask."""
+    mask = gts[0].valid_mask
+    if pred.ndim < 2 or pred.shape[0] != len(gts) or pred.size != len(gts) * mask.size:
         raise ShapeError("pred/gt depth shapes differ")
+    if any(not np.array_equal(g.valid_mask, mask) for g in gts):
+        raise ShapeError("the depth maps of a window must share one valid mask")
     if not mask.any():
         raise DegenerateInputError(f"no valid pixels for the {loss}")
-    idx = np.nonzero(mask.reshape(-1))[0]
-    return pred.reshape(pred.size)[idx], Tensor(gt.reshape(-1)[idx])
+    idx = np.flatnonzero(mask)
+    gt = np.stack([g.values.reshape(-1)[idx] for g in gts])
+    return pred.reshape(len(gts), mask.size)[:, idx], Tensor(gt), mask
 
 
 def geo_feat_loss(student, teacher) -> Tensor:
@@ -132,47 +138,39 @@ def distill_loss(stu_geom, stu_lang, tea_geom, tea_lang, lam: float = LAMBDA_SC,
     return DistillResult(geo=geo, lang=lang, sc=sc, total=total)
 
 
-def metric_depth_loss(pred, gt, alpha: float = ALPHA_MD, eps: float = 1e-6) -> Tensor:
-    """b^2 + mean((e - b)^2 / (1 + alpha |e - b|)) over valid pixels,
-    e = log(pred + eps) - log(gt + eps), b = mean(e)."""
+def metric_depth_loss(pred, gts: list[DepthMap], alpha: float = ALPHA_MD,
+                      eps: float = 1e-6) -> Tensor:
+    """b^2 + mean((e - b)^2 / (1 + alpha |e - b|)) over the valid pixels, per
+    frame of a window [F, H, W] or [F, HW]: e = log(pred + eps) - log(gt + eps),
+    b = mean(e). Returns [F]."""
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
-    if isinstance(gt, DepthMap):
-        gt_vals, mask = gt.values, gt.valid_mask
-    else:
-        gt_vals = np.asarray(gt, dtype=np.float64)
-        mask = np.ones(gt_vals.shape, dtype=bool)
-    p, g = _valid_pixels(as_tensor(pred), gt_vals, mask, "metric depth loss")
+    p, g, _ = _valid_pixels(as_tensor(pred), gts, "metric depth loss")
     e = log(p + eps) - log(g + eps)
-    b = tmean(e)
+    b = tmean(e, axis=-1, keepdims=True)
     r = e - b
-    local = tmean(r * r / (1.0 + alpha * tabs(r)))
-    return b * b + local
+    local = tmean(r * r / (1.0 + alpha * tabs(r)), axis=-1)
+    return (b * b).reshape(-1) + local
 
 
 # ----------------------------------------------------------------------
 # reconstruction task loss
 # ----------------------------------------------------------------------
 
-def rotation_geodesic_sq(pred_rot: Tensor, gt_rot: np.ndarray) -> Tensor:
-    """Squared geodesic angle between an in-graph rotation and a fixed one."""
-    rel = matmul(pred_rot, Tensor(np.asarray(gt_rot).T))
-    trace = rel[0, 0] + rel[1, 1] + rel[2, 2]
-    angle = arccos((trace - 1.0) * 0.5)
-    return angle * angle
-
-
 def backproject_grid_tensor(depth: Tensor, cam: CameraPrediction,
                             mask: np.ndarray) -> Tensor:
-    """In-graph dense back-projection of masked pixels -> [M, 3] world points."""
-    h, w = depth.shape
+    """In-graph dense back-projection of a window's masked pixels -> [F, M, 3]
+    world points; `cam` holds the window's cameras stacked: quat [F, 4],
+    translation [F, 3], fx and fy [F], cx and cy [F] arrays."""
+    f, h, w = depth.shape
     jj, ii = np.nonzero(mask)
-    d = depth.reshape(h * w)[jj * w + ii].reshape(-1, 1)
-    px = Tensor(np.stack([ii - cam.cx, jj - cam.cy], axis=1))  # offsets [M, 2]
-    inv_f = concat([(1.0 / cam.fx).reshape(1), (1.0 / cam.fy).reshape(1)], axis=0)
-    xy = px * inv_f.reshape(1, 2) * d
-    cam_pts = concat([xy, d], axis=1)                           # [M, 3] camera frame
-    return matmul(cam_pts - cam.translation.reshape(1, 3), cam.rotation_tensor())
+    d = depth.reshape(f, h * w)[:, jj * w + ii].reshape(f, -1, 1)
+    px = Tensor(np.stack([ii - cam.cx[:, None], jj - cam.cy[:, None]], axis=-1))  # [F, M, 2]
+    # 1/fx and 1/fy are two nodes even where fy is fx, as in a frame's own graph
+    inv_f = concat([(1.0 / cam.fx).reshape(f, 1), (1.0 / cam.fy).reshape(f, 1)], axis=1)
+    xy = px * inv_f.reshape(f, 1, 2) * d
+    cam_pts = concat([xy, d], axis=2)                           # [F, M, 3] camera frame
+    return matmul(cam_pts - cam.translation.reshape(f, 1, 3), cam.rotation_tensor())
 
 
 @dataclass
@@ -183,44 +181,51 @@ class ReconLossResult:
     total: Tensor
 
 
-def recon_task_loss(pred_cam: CameraPrediction, gt_cam: CameraModel, pred_depth: Tensor,
-                    gt_depth: DepthMap) -> ReconLossResult:
-    """pose angle^2 + ||t - t_gt||^2, masked L1 depth, L1 point map; unit weights."""
+def recon_task_loss(pred_cams: list[CameraPrediction], gt_cams: list[CameraModel],
+                    pred_depth: Tensor, gt_depths: list[DepthMap]) -> ReconLossResult:
+    """pose angle^2 + ||t - t_gt||^2, masked L1 depth, L1 point map; unit
+    weights. Each term is [F], one per frame of the window [F, H, W]."""
     pred_vals = as_tensor(pred_depth)
-    mask = gt_depth.valid_mask
-    p, g = _valid_pixels(pred_vals, gt_depth.values, mask, "reconstruction loss")
+    p, g, mask = _valid_pixels(pred_vals, gt_depths, "reconstruction loss")
+    # the camera head runs per frame; its outputs are stacked here
+    cam = CameraPrediction(
+        quat=stack([c.quat for c in pred_cams]),
+        translation=stack([c.translation for c in pred_cams]),
+        fx=stack([c.fx for c in pred_cams]), fy=stack([c.fy for c in pred_cams]),
+        cx=np.array([c.cx for c in pred_cams]), cy=np.array([c.cy for c in pred_cams]))
+    t_diff = cam.translation - Tensor(np.stack([c.translation for c in gt_cams]))
+    # geodesic angle; the pose term and the point map each build their own rotation node
+    rel = matmul(cam.rotation_tensor(),
+                 Tensor(np.swapaxes(np.stack([c.rotation for c in gt_cams]), -1, -2)))
+    angle = arccos((rel[:, 0, 0] + rel[:, 1, 1] + rel[:, 2, 2] - 1.0) * 0.5)
+    pose = angle * angle + tsum(t_diff * t_diff, axis=-1)
+    depth_l1 = tmean(tabs(p - g), axis=-1)
 
-    t_diff = pred_cam.translation - Tensor(gt_cam.translation)
-    pose = (rotation_geodesic_sq(pred_cam.rotation_tensor(), gt_cam.rotation)
-            + tsum(t_diff * t_diff))
-    depth_l1 = tmean(tabs(p - g))
-
-    pred_pts = backproject_grid_tensor(pred_vals, pred_cam, mask)
-    gt_pts = backproject_grid(gt_depth, gt_cam)
-    pointmap = tmean(tabs(pred_pts - Tensor(gt_pts)))
+    pred_pts = backproject_grid_tensor(pred_vals, cam, mask)
+    gt_pts = np.stack([backproject_grid(d, c) for d, c in zip(gt_depths, gt_cams)])
+    pointmap = tmean(tabs(pred_pts - Tensor(gt_pts)), axis=(-2, -1))
 
     total = (pose + depth_l1) + pointmap
     return ReconLossResult(pose=pose, depth=depth_l1, pointmap=pointmap, total=total)
 
 
 def vl_proxy_loss(t3d: Patch3DTokens, labels: np.ndarray, head: MlpParams) -> Tensor:
-    """Mean cross-entropy of an MLP classifier over 3D patch tokens."""
+    """Mean cross-entropy of an MLP classifier over each frame's 3D patch
+    tokens [F, N, C] with labels [F, N]; returns [F]."""
     n_classes = head.out_dim
     if n_classes < 1:
         raise ParameterError("classifier head has zero classes")
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.shape[0] != t3d.tokens.shape[0]:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != t3d.tokens.shape[:-1]:
         raise ShapeError("label count differs from token count")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise DomainError(f"labels must lie in [0, {n_classes})")
     logits = mlp(t3d.tokens, head)
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))  # detached, stabilizes exp
+    shift = Tensor(logits.data.max(axis=-1, keepdims=True))  # detached, stabilizes exp
     z = logits - shift
-    log_norm = log(tsum(exp(z), axis=1, keepdims=True))
-    onehot = np.zeros((labels.shape[0], n_classes))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    picked = tsum((z - log_norm) * Tensor(onehot), axis=1)
-    return -tmean(picked)
+    log_norm = log(tsum(exp(z), axis=-1, keepdims=True))
+    picked = tsum((z - log_norm) * Tensor(np.eye(n_classes)[labels]), axis=-1)
+    return -tmean(picked, axis=-1)
 
 
 @dataclass

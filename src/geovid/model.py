@@ -83,32 +83,32 @@ def adapt(base: TokenSet, params: VidModelParams) -> CtaOutput:
 
 
 @dataclass
-class FramePrediction:
-    """Everything the heads produce for one frame, gradients attached."""
+class WindowPrediction:
+    """Everything the heads produce for a window of F frames, gradients attached."""
 
-    frame: FrameData
-    lang: TokenSet               # adapter language stream
-    camera: CameraPrediction     # relative scale
-    depth_rel: Tensor            # [H, W] relative depth, in-graph
-    depth_metric: Tensor | None  # [HW] metric depth, in-graph; None when md_mode is off
+    frames: list[FrameData]
+    lang: TokenSet                   # [F, N, C] adapter language stream
+    cameras: list[CameraPrediction]  # one per frame, relative scale
+    depth_rel: Tensor                # [F, H, W] relative depth, in-graph
+    depth_metric: Tensor | None      # [F, HW] metric depth, in-graph; None when md_mode is off
 
 
 def predict_window(frames: list[FrameData], params: VidModelParams,
-                   cfg: RunConfig) -> list[FramePrediction]:
+                   cfg: RunConfig) -> WindowPrediction:
     """Joint forward over a window of frames (they share the global blocks)."""
     if not frames:
         raise ShapeError("empty frame window")
     adapted = adapt(TokenSet.stack([f.base for f in frames]), params)
     patch, cams = gfa_backbone(adapted.geom, params.backbone)
     depth_in = patch.with_tokens(concat([patch.tokens, adapted.geom.tokens], axis=2))
-    d_rel = depth_head_tensor(depth_in, cfg.resolution, params.depth_head)
-    d_met = (None if cfg.md_mode == "off"
-             else predict_metric_depth(adapted.geom, cfg.resolution, params.metric))
-    # the camera head runs per frame: batched on [F, 1, C], a quaternion's bits can move
-    return [FramePrediction(frame=frame, lang=adapted.lang[i], depth_rel=d_rel[i],
-                            camera=camera_head(cams[i], params.camera_head, cfg.resolution),
-                            depth_metric=None if d_met is None else d_met[i])
-            for i, frame in enumerate(frames)]
+    return WindowPrediction(
+        frames=list(frames), lang=adapted.lang,
+        depth_rel=depth_head_tensor(depth_in, cfg.resolution, params.depth_head),
+        depth_metric=(None if cfg.md_mode == "off"
+                      else predict_metric_depth(adapted.geom, cfg.resolution, params.metric)),
+        # the camera head runs per frame: batched on [F, 1, C], a quaternion's bits can move
+        cameras=[camera_head(cams[i], params.camera_head, cfg.resolution)
+                 for i in range(len(frames))])
 
 
 def save_checkpoint(directory, params: VidModelParams, cfg: RunConfig) -> None:

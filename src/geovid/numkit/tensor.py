@@ -367,17 +367,19 @@ def transpose(a, axes) -> Tensor:
 
 
 def _selects_unique(key) -> bool:
-    """True when `key` reaches each source element at most once: a basic key
-    (ints, slices, None, Ellipsis) or a 1-D strictly increasing integer array
-    whose entries share a sign (so no negative index aliases a positive one)."""
+    """True when `key` reaches each source element at most once: basic parts
+    (ints, slices, None, Ellipsis) and at most one 1-D strictly increasing
+    integer array whose entries share a sign (so no negative index aliases a
+    positive one)."""
     parts = key if isinstance(key, tuple) else (key,)
-    if all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
-           for k in parts):
+    rest = [k for k in parts if not (k is None or k is Ellipsis
+                                     or isinstance(k, (slice, int, np.integer)))]
+    if not rest:
         return True
-    if isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
-        return key.size < 2 or (bool((key[1:] > key[:-1]).all())
-                                and (key[0] >= 0 or key[-1] < 0))
-    return False
+    a = rest[0]
+    if len(rest) > 1 or not isinstance(a, np.ndarray) or a.ndim != 1 or a.dtype.kind not in "iu":
+        return False
+    return a.size < 2 or (bool((a[1:] > a[:-1]).all()) and (a[0] >= 0 or a[-1] < 0))
 
 
 def getitem(a, key) -> Tensor:

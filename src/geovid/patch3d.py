@@ -43,12 +43,12 @@ class PointCloud:
 
 @dataclass
 class Patch3DTokens:
-    tokens: Tensor            # [N, C]
-    anchor_points: np.ndarray  # [N, 3]
+    tokens: Tensor             # [F, N, C], one token set per frame
+    anchor_points: np.ndarray  # [F, N, 3]
 
     def __post_init__(self):
-        self.anchor_points = np.asarray(self.anchor_points, dtype=np.float64).reshape(-1, 3)
-        if self.tokens.shape[0] != self.anchor_points.shape[0]:
+        self.anchor_points = np.asarray(self.anchor_points, dtype=np.float64)
+        if self.anchor_points.shape != (*self.tokens.shape[:-1], 3):
             raise ShapeError("token count differs from anchor count")
 
 
@@ -88,34 +88,33 @@ def project(point: np.ndarray, cam: CameraModel) -> tuple[tuple[float, float], f
 
 
 def positional_embed(points, p: MlpParams) -> Tensor:
-    """[N, 3] points -> [N, C] embeddings through the positional MLP."""
+    """[F, N, 3] points -> [F, N, C] embeddings through the positional MLP
+    ([N, 3] -> [N, C] too)."""
     t = as_tensor(points)
-    if t.ndim != 2 or t.shape[1] != 3 or p.in_dim != 3:
-        raise ShapeError("positional embedding expects [N, 3] points")
+    if t.ndim not in (2, 3) or t.shape[-1] != 3 or p.in_dim != 3:
+        raise ShapeError("positional embedding expects [F, N, 3] or [N, 3] points")
     return mlp(t, p)
 
 
-def patch_anchor_points(depth: DepthMap, cam: CameraModel, grid: tuple[int, int],
-                        patch_size: int) -> np.ndarray:
-    """World anchor per patch of a `_patch_grid` grid: depth sampled
-    bilinearly at the patch center."""
-    gh, gw = grid
-    cy = np.repeat(np.arange(gh) * patch_size + (patch_size - 1) / 2.0, gw)
-    cx = np.tile(np.arange(gw) * patch_size + (patch_size - 1) / 2.0, gh)
-    return _pixels_to_world(cx, cy, bilinear_sample(depth.values, cx, cy), cam)
-
-
-def fuse_tokens(lang: TokenSet, depth: DepthMap, cam: CameraModel,
+def fuse_tokens(lang: TokenSet, depths: list[DepthMap], cams: list[CameraModel],
                 p: MlpParams, patch_size: int = 14) -> Patch3DTokens:
-    """t3d = lang + positional_embed(anchor), one anchor per patch token."""
-    if depth.scale_kind not in (METRIC, GROUND_TRUTH):
-        raise StateError(f"fuse_tokens needs metric depth, got '{depth.scale_kind}'")
-    grid = _patch_grid(lang.count, depth.shape, patch_size)
-    anchors = patch_anchor_points(depth, cam, grid, patch_size)
-    emb = positional_embed(anchors, p)
-    if emb.shape[1] != lang.dim:
+    """t3d = lang + positional_embed(anchor) for a window's [F, N, C] tokens:
+    one anchor per patch token, its frame's depth sampled bilinearly at the
+    patch center and back-projected through its frame's camera."""
+    if lang.tokens.ndim != 3 or not lang.tokens.shape[0] == len(depths) == len(cams):
+        raise ShapeError("fuse_tokens needs [F, N, C] tokens, F depth maps and F cameras")
+    anchors = []
+    for depth, cam in zip(depths, cams):
+        if depth.scale_kind not in (METRIC, GROUND_TRUTH):
+            raise StateError(f"fuse_tokens needs metric depth, got '{depth.scale_kind}'")
+        gh, gw = _patch_grid(lang.count, depth.shape, patch_size)
+        cy = np.repeat(np.arange(gh) * patch_size + (patch_size - 1) / 2.0, gw)
+        cx = np.tile(np.arange(gw) * patch_size + (patch_size - 1) / 2.0, gh)
+        anchors.append(_pixels_to_world(cx, cy, bilinear_sample(depth.values, cx, cy), cam))
+    emb = positional_embed(np.stack(anchors), p)
+    if emb.shape[-1] != lang.dim:
         raise ShapeError("positional embedding dim differs from token dim")
-    return Patch3DTokens(tokens=lang.tokens + emb, anchor_points=anchors)
+    return Patch3DTokens(tokens=lang.tokens + emb, anchor_points=np.stack(anchors))
 
 
 _PLY_XYZ = ["property float x", "property float y", "property float z"]

@@ -159,27 +159,29 @@ _ROTATION_PRODUCTS = (
 
 
 def quat_to_rotation(quat: Tensor) -> Tensor:
-    """Unit quaternion [w, x, y, z] -> [3, 3] rotation, as one graph node.
+    """Unit quaternion [w, x, y, z] -> [3, 3] rotation, or [F, 4] -> [F, 3, 3],
+    as one graph node.
 
     The VJP sums each component's terms entry by entry, product by product,
     which is the order an op-per-scalar graph of the same formula uses, so
-    the gradient is bit-identical to that graph's.
+    the gradient is bit-identical to that graph's, quaternion by quaternion.
     """
-    if quat.shape != (4,):
-        raise ShapeError(f"quaternion must be [4], got {quat.shape}")
-    q = quat.data.tolist()
+    if quat.ndim not in (1, 2) or quat.shape[-1] != 4:
+        raise ShapeError(f"quaternion must be [4] or [F, 4], got {quat.shape}")
+    q = list(quat.data.T)   # four components, each a scalar or an [F] column
 
     def vjp(g):
-        g2 = (g.reshape(9) * 2.0).tolist()
+        g2 = list((g.reshape(*quat.shape[:-1], 9) * 2.0).T)
         grad = [None] * 4
         for k, products in enumerate(_ROTATION_PRODUCTS):
             for sign, a, b in products:
                 for i, j in ((a, b), (b, a)):
                     term = sign * g2[k] * q[j]
                     grad[i] = term if grad[i] is None else grad[i] + term
-        return np.array(grad)
+        return np.stack(grad, axis=-1)
 
-    return Tensor._from_op(quaternion_to_rotation(quat.data), "quat_to_rotation",
+    rot = np.stack([quaternion_to_rotation(r) for r in quat.data.reshape(-1, 4)])
+    return Tensor._from_op(rot.reshape(*quat.shape[:-1], 3, 3), "quat_to_rotation",
                            (quat,), (vjp,))
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import read_json, write_json
-from .errors import ParameterError
+from .errors import ParameterError, named
 from .geometry import (
     GROUND_TRUTH, METRIC, CameraModel, DepthMap, look_at_rotation,
 )
@@ -381,12 +381,12 @@ def load_scene(directory: str | Path) -> SceneSample:
             if not ((v >= 0) & (v < NUM_CLASSES) & (v == np.floor(v))).all():
                 raise ParameterError(f"{records_path} record frame_{k:03d}/{name} holds a "
                                      f"class label outside the integers 0..{NUM_CLASSES - 1}")
-        frames.append(FrameData(
+        frames.append(named(f"{records_path} frame_{k:03d}", lambda: FrameData(
             index=k, camera=cam, depth=DepthMap(rec["depth"], scale_kind=GROUND_TRUTH),
             labels=rec["labels"].astype(np.int16), patch_summary=rec["summary"],
             patch_labels=rec["patch_labels"].astype(np.int64), noise_seed=seed * 1000 + k,
             base=TokenSet(Tensor(rec["base"]), Role.BASE),
             teacher_geom=TokenSet(Tensor(rec["teacher_geom"]), Role.GEOM),
-            teacher_lang=TokenSet(Tensor(rec["teacher_lang"]), Role.LANG)))
+            teacher_lang=TokenSet(Tensor(rec["teacher_lang"]), Role.LANG))))
     return SceneSample(geometry=geom, frames=frames, seed=seed,
                        resolution=resolution, tokenizer=tokenizer)

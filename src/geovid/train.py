@@ -36,10 +36,8 @@ from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .losses import (
     LAMBDA_SC, LossReport, distill_loss, metric_depth_loss, recon_task_loss, vl_proxy_loss,
 )
-from .model import (
-    FramePrediction, VidModelParams, adapt, init_model, predict_window,
-)
-from .numkit import AdamW, Tensor, TokenSet, no_grad
+from .model import VidModelParams, WindowPrediction, adapt, init_model, predict_window
+from .numkit import AdamW, Role, Tensor, TokenSet, concat, no_grad
 from .patch3d import Patch3DTokens, PointCloud, backproject_grid, fuse_tokens
 from .scale_align import ScaleEstimate, apply_scale, scene_scale
 from .synthscene import FrameData, SceneSample, TokenizerConfig, gen_scene
@@ -200,22 +198,10 @@ def scene_norm(scene: SceneSample) -> float:
     return float(np.mean([f.depth.values.mean() for f in scene.frames]))
 
 
-def _relative_targets(frame: FrameData, norm: float) -> tuple[DepthMap, CameraModel]:
-    gt = frame.depth
-    cam = frame.camera
-    return (
-        DepthMap(gt.values / norm, scale_kind=RELATIVE, valid_mask=gt.valid_mask),
-        CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy,
-                    rotation=cam.rotation, translation=cam.translation / norm,
-                    scale_kind=RELATIVE),
-    )
-
-
-def _aligned_depth_for_vl(preds: list[FramePrediction], cfg: RunConfig,
-                          clamp: bool = False
-                          ) -> tuple[list[tuple[DepthMap, CameraModel]], ScaleEstimate | None]:
-    """Detached (metric depth, metric camera) pairs anchoring the 3D tokens,
-    plus the scene scale estimate (None unless md_mode is full).
+def _aligned_depth_for_vl(pred: WindowPrediction, cfg: RunConfig, clamp: bool = False
+                          ) -> tuple[list[DepthMap], list[CameraModel], ScaleEstimate | None]:
+    """Detached metric depths and metric cameras anchoring the 3D tokens, one
+    per frame, plus the scene scale estimate (None unless md_mode is full).
 
     full: WLS + median alignment of the window predictions.
     no_alignment: the metric-bin depth directly, cameras left as predicted.
@@ -227,53 +213,43 @@ def _aligned_depth_for_vl(preds: list[FramePrediction], cfg: RunConfig,
     clamps.
     """
     h, w = cfg.resolution
-    out = []
-    est = None
-    if cfg.md_mode == "full":
-        pairs = [(DepthMap(p.depth_rel.data.copy(), scale_kind=RELATIVE),
-                  DepthMap(p.depth_metric.data.reshape(h, w).copy(), scale_kind=METRIC))
-                 for p in preds]
-        est = scene_scale(pairs, seed=cfg.seed)
-        factor = est.scene_factor
-        if clamp:
-            factor = float(np.clip(factor, 1e-2, 1e2))
-        for p, (rel, _) in zip(preds, pairs):
-            out.append(apply_scale(factor, rel, p.camera.to_camera(RELATIVE)))
-    else:
-        for p in preds:
-            values = (p.depth_metric.data.reshape(h, w) if cfg.md_mode == "no_alignment"
-                      else p.depth_rel.data)
-            out.append((DepthMap(values.copy(), scale_kind=METRIC),
-                        p.camera.to_camera(RELATIVE)))
-    return out, est
+    cams = [c.to_camera(RELATIVE) for c in pred.cameras]
+    rel = pred.depth_rel.data
+    if cfg.md_mode != "full":
+        values = rel if cfg.md_mode == "off" else pred.depth_metric.data.reshape(-1, h, w)
+        return [DepthMap(v.copy(), scale_kind=METRIC) for v in values], cams, None
+    pairs = [(DepthMap(r.copy(), scale_kind=RELATIVE),
+              DepthMap(m.reshape(h, w).copy(), scale_kind=METRIC))
+             for r, m in zip(rel, pred.depth_metric.data)]
+    est = scene_scale(pairs, seed=cfg.seed)
+    factor = float(np.clip(est.scene_factor, 1e-2, 1e2)) if clamp else est.scene_factor
+    aligned = [apply_scale(factor, r, c) for (r, _), c in zip(pairs, cams)]
+    return [d for d, _ in aligned], [c for _, c in aligned], est
 
 
-def _window_joint_loss(preds: list[FramePrediction], params: VidModelParams,
+def _window_joint_loss(pred: WindowPrediction, params: VidModelParams,
                        cfg: RunConfig, norm: float
                        ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """(joint, recon, vl, md) scalar tensors averaged over the window.
 
-    `norm` is the scene-level depth normalizer: relative-branch targets are
-    deterministic per frame, and the inference-time WLS factor absorbs it.
+    Each term runs once over the window's frames and gives one value per
+    frame, summed from frame 0 up. `norm` is the scene-level depth
+    normalizer: relative-branch targets are deterministic per frame, and the
+    inference-time WLS factor absorbs it.
     """
-    anchors, _ = _aligned_depth_for_vl(preds, cfg, clamp=True)
-    recon_acc = vl_acc = md_acc = None
-    for p, (vl_depth, vl_cam) in zip(preds, anchors):
-        gt_rel, cam_rel = _relative_targets(p.frame, norm)
-        r = recon_task_loss(p.camera, cam_rel, p.depth_rel, gt_rel)
-        t3d = fuse_tokens(p.lang, vl_depth, vl_cam, params.pos_embed,
-                          patch_size=cfg.patch_size)
-        vl = vl_proxy_loss(t3d, p.frame.patch_labels, params.vl_head)
-        if cfg.md_mode == "off":
-            md = Tensor(0.0)
-        else:
-            h, w = cfg.resolution
-            md = metric_depth_loss(p.depth_metric.reshape(h, w), p.frame.depth)
-        recon_acc = r.total if recon_acc is None else recon_acc + r.total
-        vl_acc = vl if vl_acc is None else vl_acc + vl
-        md_acc = md if md_acc is None else md_acc + md
-    inv = 1.0 / len(preds)
-    recon, vl, md = recon_acc * inv, vl_acc * inv, md_acc * inv
+    frames = pred.frames
+    depths, cams, _ = _aligned_depth_for_vl(pred, cfg, clamp=True)
+    gt_cams = [replace(f.camera, translation=f.camera.translation / norm, scale_kind=RELATIVE)
+               for f in frames]
+    gt_depths = [DepthMap(f.depth.values / norm, scale_kind=RELATIVE,
+                          valid_mask=f.depth.valid_mask) for f in frames]
+    recon = recon_task_loss(pred.cameras, gt_cams, pred.depth_rel, gt_depths).total
+    t3d = fuse_tokens(pred.lang, depths, cams, params.pos_embed, patch_size=cfg.patch_size)
+    vl = vl_proxy_loss(t3d, np.stack([f.patch_labels for f in frames]), params.vl_head)
+    md = (Tensor(np.zeros(len(frames))) if cfg.md_mode == "off"
+          else metric_depth_loss(pred.depth_metric, [f.depth for f in frames]))
+    inv = 1.0 / len(frames)
+    recon, vl, md = (_batch_sum(t) * inv for t in (recon, vl, md))
     joint = (recon + vl) + md
     return joint, recon, vl, md
 
@@ -309,8 +285,8 @@ def train_stage2(cfg: RunConfig, params: VidModelParams,
         k = min(cfg.stage2_frames, len(scene.frames))
         idx = rng.choice(len(scene.frames), size=k, replace=False)
         window = [_jitter(scene.frames[int(i)], rng) for i in sorted(idx)]
-        preds = predict_window(window, params, cfg)
-        joint, recon, vl, md = _window_joint_loss(preds, params, cfg, scene_norm(scene))
+        pred = predict_window(window, params, cfg)
+        joint, recon, vl, md = _window_joint_loss(pred, params, cfg, scene_norm(scene))
         return joint, LossReport(recon_task=recon.item(), vl_task=vl.item(),
                                  md=md.item(), joint_total=joint.item())
 
@@ -345,7 +321,7 @@ class PipelineResult:
     depths: list[DepthMap]            # final per-frame depth (scaled when aligned)
     cameras: list[CameraModel]
     cloud: PointCloud
-    t3d: list[Patch3DTokens]
+    t3d: Patch3DTokens                # [F, N, C] tokens of the whole scene
     metrics: MetricsReport
     scale: ScaleEstimate | None
 
@@ -385,15 +361,19 @@ def run_pipeline(cfg: RunConfig, scene: SceneSample,
     scene-level scale is recovered once from all frames' depth pairs.
     """
     with no_grad():
-        preds = []
         k = max(cfg.stage2_frames, 1)
-        for lo in range(0, len(scene.frames), k):
-            preds.extend(predict_window(scene.frames[lo:lo + k], params, cfg))
-        anchors, scale = _aligned_depth_for_vl(preds, cfg)
-        depths = [d for d, _ in anchors]
-        cameras = [c for _, c in anchors]
-        t3d = [fuse_tokens(p.lang, d, c, params.pos_embed, patch_size=cfg.patch_size)
-               for p, (d, c) in zip(preds, anchors)]
+        wins = [predict_window(scene.frames[lo:lo + k], params, cfg)
+                for lo in range(0, len(scene.frames), k)]
+        pred = WindowPrediction(
+            frames=scene.frames, lang=TokenSet(concat([w.lang.tokens for w in wins]), Role.LANG),
+            cameras=[c for w in wins for c in w.cameras],
+            depth_rel=concat([w.depth_rel for w in wins]),
+            depth_metric=(None if cfg.md_mode == "off"
+                          else concat([w.depth_metric for w in wins])))
+        del wins   # pred holds copies of their arrays
+        depths, cameras, scale = _aligned_depth_for_vl(pred, cfg)
+        t3d = fuse_tokens(pred.lang, depths, cameras, params.pos_embed,
+                          patch_size=cfg.patch_size)
 
     gt_cams = [f.camera for f in scene.frames]
     cloud = strided_cloud(depths, cameras)
@@ -418,10 +398,8 @@ def evaluate_test_loss(cfg: RunConfig, params: VidModelParams,
     with no_grad():
         for scene in scenes:
             k = min(cfg.stage2_frames, len(scene.frames))
-            window = scene.frames[:k]
-            preds = predict_window(window, params, cfg)
-            joint, recon, vl, md = _window_joint_loss(preds, params, cfg,
-                                                      scene_norm(scene))
+            pred = predict_window(scene.frames[:k], params, cfg)
+            joint, recon, vl, md = _window_joint_loss(pred, params, cfg, scene_norm(scene))
             for key, value in zip(totals, (joint, recon, vl, md)):
                 totals[key] += value.item()
     n = max(len(scenes), 1)

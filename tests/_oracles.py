@@ -1,9 +1,14 @@
 """Independent brute-force reference implementations used by the test
 suite to cross-check the production metric code. Everything here is
 written from the metric definitions with plain loops; keep it decoupled
-from geovid.evalmetrics internals."""
+from geovid.evalmetrics internals. Below them, the single-frame stage-2
+losses that the window losses must reproduce bit for bit."""
 
 import numpy as np
+
+from geovid.geometry import bilinear_sample
+from geovid.numkit import Tensor, arccos, concat, exp, log, matmul, mlp, tabs, tmean, tsum
+from geovid.patch3d import _pixels_to_world
 
 
 def pose_pair_errors_oracle(pred, gt):
@@ -83,3 +88,66 @@ def pointcloud_metrics_oracle(pred_pts, gt_pts, tau):
     f = 0.0 if (prec + rec) == 0 else 2.0 * prec * rec / (prec + rec)
     return {"Acc": float(np.mean(d_pred)), "Comp": float(np.mean(d_gt)),
             "Prec": prec, "Recall": rec, "Fscore": f}
+
+
+# ----------------------------------------------------------------------
+# The stage-2 losses one frame at a time, each frame with its own graph:
+# the single-frame forms the window losses replaced. A window's per-frame
+# terms, and every gradient of their sum, must equal these bit for bit,
+# with the frames' terms summed from frame 0 up.
+# ----------------------------------------------------------------------
+
+def _frame_valid_pixels(pred, gt_depth):
+    idx = np.nonzero(gt_depth.valid_mask.reshape(-1))[0]
+    return pred.reshape(pred.size)[idx], Tensor(gt_depth.values.reshape(-1)[idx])
+
+
+def frame_md_loss(pred, gt_depth, alpha=1.0, eps=1e-6):
+    """Robust log-depth loss of one [H, W] prediction against one DepthMap."""
+    p, g = _frame_valid_pixels(pred, gt_depth)
+    e = log(p + eps) - log(g + eps)
+    b = tmean(e)
+    r = e - b
+    return b * b + tmean(r * r / (1.0 + alpha * tabs(r)))
+
+
+def frame_recon_loss(cam, gt_cam, depth, gt_depth):
+    """(pose, depth, pointmap, total) of one frame: its CameraPrediction and
+    [H, W] depth against a CameraModel and a DepthMap."""
+    p, g = _frame_valid_pixels(depth, gt_depth)
+    t_diff = cam.translation - Tensor(gt_cam.translation)
+    rel = matmul(cam.rotation_tensor(), Tensor(np.asarray(gt_cam.rotation).T))
+    angle = arccos((rel[0, 0] + rel[1, 1] + rel[2, 2] - 1.0) * 0.5)
+    pose = angle * angle + tsum(t_diff * t_diff)
+    depth_l1 = tmean(tabs(p - g))
+    h, w = depth.shape
+    jj, ii = np.nonzero(gt_depth.valid_mask)
+    d = depth.reshape(h * w)[jj * w + ii].reshape(-1, 1)
+    px = Tensor(np.stack([ii - cam.cx, jj - cam.cy], axis=1))
+    inv_f = concat([(1.0 / cam.fx).reshape(1), (1.0 / cam.fy).reshape(1)], axis=0)
+    xy = px * inv_f.reshape(1, 2) * d
+    pts = matmul(concat([xy, d], axis=1) - cam.translation.reshape(1, 3),
+                 cam.rotation_tensor())
+    gt_pts = _pixels_to_world(ii, jj, gt_depth.values[jj, ii], gt_cam)
+    pointmap = tmean(tabs(pts - Tensor(gt_pts)))
+    return pose, depth_l1, pointmap, (pose + depth_l1) + pointmap
+
+
+def frame_vl_loss(tokens, labels, head):
+    """Mean cross-entropy of the classifier over one frame's [N, C] tokens."""
+    logits = mlp(tokens, head)
+    z = logits - Tensor(logits.data.max(axis=1, keepdims=True))
+    log_norm = log(tsum(exp(z), axis=1, keepdims=True))
+    onehot = np.zeros((len(labels), head.out_dim))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return -tmean(tsum((z - log_norm) * Tensor(onehot), axis=1))
+
+
+def frame_fuse_tokens(tokens, depth, cam, p, patch_size):
+    """(t3d tokens [N, C], anchors [N, 3]) of one frame's [N, C] language tokens."""
+    h, w = depth.shape
+    gh, gw = h // patch_size, w // patch_size
+    cy = np.repeat(np.arange(gh) * patch_size + (patch_size - 1) / 2.0, gw)
+    cx = np.tile(np.arange(gw) * patch_size + (patch_size - 1) / 2.0, gh)
+    anchors = _pixels_to_world(cx, cy, bilinear_sample(depth.values, cx, cy), cam)
+    return tokens + mlp(Tensor(anchors), p), anchors

@@ -148,10 +148,11 @@ def test_criterion_1_gradient_suite():
     check("distill_loss", lambda: distill_f,
           lambda: Tensor(rng.standard_normal((3, 6)) + 0.1, requires_grad=True))
 
-    gt_md = rng.uniform(0.5, 5.0, (3, 3))
+    # the stage-2 losses on one-frame windows
+    gt_md = [DepthMap(rng.uniform(0.5, 5.0, (3, 3)), scale_kind=GROUND_TRUTH)]
     check("metric_depth_loss",
           lambda: lambda t: metric_depth_loss(t, gt_md, alpha=1.0),
-          lambda: Tensor(rng.uniform(0.5, 5.0, (3, 3)), requires_grad=True))
+          lambda: Tensor(rng.uniform(0.5, 5.0, (1, 3, 3)), requires_grad=True))
 
     # ground-truth rotation placed 90 degrees from the identity so the
     # randomized predictions stay inside the smooth mid-range of the
@@ -171,8 +172,8 @@ def test_criterion_1_gradient_suite():
 
     def recon_f(t):
         # t packs [quat_offset(4), translation(3)]; depth held fixed
-        return recon_task_loss(recon_pred(t), cam_gt, Tensor(depth_gt.values),
-                               depth_gt).total
+        return recon_task_loss([recon_pred(t)], [cam_gt], Tensor(depth_gt.values[None]),
+                               [depth_gt]).total
 
     def recon_x():
         # reject draws whose L1 point-map residuals sit on a kink (the
@@ -184,9 +185,13 @@ def test_criterion_1_gradient_suite():
         while True:
             x = Tensor(rng.standard_normal(7) * 0.25, requires_grad=True)
             pred = recon_pred(x)
-            pred_pts = backproject_grid_tensor(Tensor(depth_gt.values), pred,
+            window = CameraPrediction(quat=pred.quat.reshape(1, 4),
+                                      translation=pred.translation.reshape(1, 3),
+                                      fx=Tensor([10.0]), fy=Tensor([10.0]),
+                                      cx=np.array([1.5]), cy=np.array([1.5]))
+            pred_pts = backproject_grid_tensor(Tensor(depth_gt.values[None]), window,
                                                depth_gt.valid_mask)
-            res = pred_pts.data - backproject_grid(depth_gt, cam_gt)
+            res = pred_pts.data[0] - backproject_grid(depth_gt, cam_gt)
             cos = (np.trace(pred.rotation_tensor().data @ r_gt.T) - 1.0) * 0.5
             if np.abs(res).min() > 1e-3 and abs(cos) < exact_below:
                 return x
@@ -194,14 +199,14 @@ def test_criterion_1_gradient_suite():
     check("recon_task_loss", lambda: recon_f, recon_x)
 
     head = MlpParams.init(rng, 6, 4)
-    labels = np.array([0, 1, 3])
+    labels = np.array([[0, 1, 3]])
 
     def vl_f(t):
-        t3d = Patch3DTokens(tokens=t, anchor_points=np.zeros((3, 3)))
+        t3d = Patch3DTokens(tokens=t, anchor_points=np.zeros((1, 3, 3)))
         return vl_proxy_loss(t3d, labels, head)
 
     check("vl_proxy_loss", lambda: vl_f,
-          lambda: Tensor(rng.standard_normal((3, 6)), requires_grad=True))
+          lambda: Tensor(rng.standard_normal((1, 3, 6)), requires_grad=True))
 
     # the single-node ops inside the metric bins and the camera rotation;
     # unsorted logits leave the ordinal clamp active on some rows
@@ -290,14 +295,14 @@ def test_criterion_2_geometry_oracles():
                and np.allclose(h3, rz.T @ np.array([1.0, 0.0, 1.0]), atol=1e-12))
 
     # rigid equivariance of patch anchors
-    lang = TokenSet(Tensor(rng.standard_normal((4, 8))), Role.LANG)
+    lang = TokenSet(Tensor(rng.standard_normal((1, 4, 8))), Role.LANG)
     depth_map = DepthMap(rng.uniform(1, 4, (28, 28)), scale_kind=METRIC)
     pos = np.array([1.5, 1.2, 2.0])
     r = look_at_rotation(pos, np.array([0.2, 0.3, 0.5]))
     cam = CameraModel(fx=30.0, fy=30.0, cx=13.5, cy=13.5, rotation=r,
                       translation=-r @ pos, scale_kind=METRIC)
     p_emb = MlpParams.init(rng, 3, 8)
-    t3d = fuse_tokens(lang, depth_map, cam, p_emb, patch_size=14)
+    t3d = fuse_tokens(lang, [depth_map], [cam], p_emb, patch_size=14)
     ang = 0.9
     axis = np.array([0.3, -0.5, 0.81])
     axis = axis / np.linalg.norm(axis)
@@ -308,7 +313,7 @@ def test_criterion_2_geometry_oracles():
                             rotation=cam.rotation @ rg.T,
                             translation=cam.translation - cam.rotation @ rg.T @ tg,
                             scale_kind=METRIC)
-    t3d_moved = fuse_tokens(lang, depth_map, cam_moved, p_emb, patch_size=14)
+    t3d_moved = fuse_tokens(lang, [depth_map], [cam_moved], p_emb, patch_size=14)
     rigid_err = np.abs(t3d_moved.anchor_points
                        - (t3d.anchor_points @ rg.T + tg)).max()
 
@@ -370,15 +375,17 @@ def test_criterion_4_loss_identities():
                        TokenSet(Tensor(g.copy()), Role.GEOM),
                        TokenSet(Tensor(l.copy()), Role.LANG), lam=0.5).total.item()
 
-    d = rng.uniform(0.5, 5.0, (5, 5))
-    md_zero = metric_depth_loss(Tensor(d), d.copy(), alpha=1.0, eps=0.0).item()
-    md_ratio = metric_depth_loss(Tensor(d * np.e), d, alpha=1.0, eps=0.0).item()
+    d = rng.uniform(0.5, 5.0, (1, 5, 5))
+    gt = [DepthMap(d[0].copy(), scale_kind=GROUND_TRUTH)]
+    md_zero = metric_depth_loss(Tensor(d), gt, alpha=1.0, eps=0.0).item()
+    md_ratio = metric_depth_loss(Tensor(d * np.e), gt, alpha=1.0, eps=0.0).item()
 
     # pre-build scalar oracle for ratios {1, 4}, alpha = 1
     ln2 = np.log(2.0)
     oracle = ln2 ** 2 + ln2 ** 2 / (1.0 + ln2)
-    md_two = metric_depth_loss(Tensor(np.array([[1.0, 4.0]])),
-                               np.array([[1.0, 1.0]]), alpha=1.0, eps=0.0).item()
+    md_two = metric_depth_loss(Tensor(np.array([[[1.0, 4.0]]])),
+                               [DepthMap(np.array([[1.0, 1.0]]), scale_kind=GROUND_TRUTH)],
+                               alpha=1.0, eps=0.0).item()
 
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     tg, tl = rng.standard_normal((5, 8)), rng.standard_normal((4, 8))

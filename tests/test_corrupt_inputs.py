@@ -208,3 +208,82 @@ def test_cli_exits_1_on_missing_vlt(saved, tmp_path, which, name):
     assert str(tmp_path / which / name) in proc.stderr
     if which == "scene":
         assert "geovid gen-scenes" in proc.stderr
+
+
+def _run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "geovid.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def _assert_exit_1_naming(proc, *names):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    for name in names:
+        assert str(name) in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("record, bad", [
+    ("depth", lambda a: -a), ("depth", lambda a: a.reshape(-1)),
+    ("base", lambda a: a.reshape(-1)), ("teacher_lang", lambda a: a[:, :0]),
+], ids=["negative-depth", "1-D-depth", "1-D-base", "empty-teacher"])
+def test_bad_scene_record_names_the_file_and_frame(saved, tmp_path, record, bad):
+    # a record that reads as a VLT1 array but fails its own checks
+    scene_dir, ckpt_dir = saved
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    path = tmp_path / "scene" / "scene.vlt"
+    records = vlt.read_file(path, 2 * len(FRAME_RECORDS))
+    index = len(FRAME_RECORDS) + FRAME_RECORDS.index(record)   # frame_001
+    records[index] = bad(records[index])
+    with open(path, "wb") as fh:
+        for arr in records:
+            vlt.write_record(fh, arr)
+    with pytest.raises(ParameterError, match=re.escape(f"{path} frame_001: ")):
+        load_scene(tmp_path / "scene")
+    _assert_exit_1_naming(_run_cli("infer", "--ckpt", ckpt_dir, "--scene", tmp_path / "scene",
+                                   "--out", tmp_path / "out"), path, "frame_001")
+
+
+@pytest.mark.parametrize("field, value", [("fx", "NaN"), ("fy", "-1.0"), ("cx", "Infinity")])
+def test_bad_pred_camera_names_the_file(saved, tmp_path, field, value):
+    scene_dir, _ = saved
+    cams = tmp_path / "pred" / "cameras"
+    cams.mkdir(parents=True)
+    for k, frame in enumerate(load_scene(scene_dir).frames):
+        text = json.dumps({**frame.camera.to_json(), field: "VALUE"})
+        (cams / f"frame_{k:03d}.json").write_text(text.replace('"VALUE"', value))
+    _assert_exit_1_naming(_run_cli("eval", "--pred", tmp_path / "pred", "--gt", scene_dir,
+                                   "--out", tmp_path / "report.json"), cams / "frame_000.json")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", [lambda a: -a, lambda a: a[None]], ids=["negative", "3-D"])
+@pytest.mark.parametrize("command", ["align-scale", "eval"])
+def test_bad_depth_vlt_names_the_file(saved, tmp_path, command, bad):
+    # align-scale's --depth-rel and eval's --pred depth files load alike
+    scene_dir, _ = saved
+    frames = load_scene(scene_dir).frames
+    for sub in ("depth", "cameras"):
+        (tmp_path / "pred" / sub).mkdir(parents=True)
+    for k, frame in enumerate(frames):
+        values = bad(frame.depth.values) if k == 1 else frame.depth.values
+        vlt.save_tensor(tmp_path / "pred" / "depth" / f"frame_{k:03d}.vlt", values)
+        frame.camera.save(tmp_path / "pred" / "cameras" / f"frame_{k:03d}.json")
+    if command == "eval":
+        args = ("--pred", tmp_path / "pred", "--gt", scene_dir, "--out", tmp_path / "out.json")
+    else:
+        shutil.copytree(tmp_path / "pred" / "depth", tmp_path / "metric")
+        args = ("--depth-rel", tmp_path / "pred" / "depth", "--depth-metric",
+                tmp_path / "metric", "--out", tmp_path / "out.json")
+    _assert_exit_1_naming(_run_cli(command, *args),
+                          tmp_path / "pred" / "depth" / "frame_001.vlt")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_train_scenes_file_names_the_path(saved, tmp_path):
+    scene_dir, _ = saved
+    (tmp_path / "cfg.json").write_text("{}")
+    _assert_exit_1_naming(_run_cli("train", "--stage", "1", "--config", tmp_path / "cfg.json",
+                                   "--scenes", scene_dir / "scene.json",
+                                   "--out", tmp_path / "out"), scene_dir / "scene.json")

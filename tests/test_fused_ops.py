@@ -149,9 +149,24 @@ def test_quat_to_rotation_matches_composed_graph():
         assert_matches_composed(quat_to_rotation, composed_rotation, q, rng)
 
 
+def test_quat_to_rotation_window_matches_one_node_per_quaternion():
+    # a window's [F, 4] quaternions as one node: each rotation and each
+    # quaternion's gradient has the bits of its own [4] node
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((5, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    seed = rng.standard_normal((5, 3, 3))
+    out, grad = forward_and_vjp(quat_to_rotation, q, seed)
+    for f in range(5):
+        ref_out, ref_grad = forward_and_vjp(quat_to_rotation, q[f], seed[f])
+        _bits_equal(out[f], ref_out)
+        _bits_equal(grad[f], ref_grad)
+
+
 def test_quat_to_rotation_rejects_wrong_shape():
-    with pytest.raises(ShapeError):
-        quat_to_rotation(Tensor(np.ones((2, 2))))
+    for shape in ((2, 2), (3,), (2, 3, 4)):
+        with pytest.raises(ShapeError):
+            quat_to_rotation(Tensor(np.ones(shape)))
 
 
 def test_expected_depth_matches_composed_graph():

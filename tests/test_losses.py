@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geovid.errors import DegenerateInputError, DomainError, ParameterError
+from geovid.errors import DegenerateInputError, DomainError, ParameterError, ShapeError
 from geovid.geometry import (
     GROUND_TRUTH, METRIC, CameraModel, DepthMap, look_at_rotation, rotation_to_quaternion,
 )
@@ -12,6 +12,8 @@ from geovid.losses import (
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check
 from geovid.patch3d import Patch3DTokens
 from geovid.recon import CameraPrediction
+
+from _oracles import frame_md_loss, frame_recon_loss, frame_vl_loss
 
 
 def _as_prediction(cam: CameraModel) -> CameraPrediction:
@@ -135,25 +137,53 @@ def md_scalar_oracle(pred, gt, alpha, eps=0.0):
     return b * b + local
 
 
+def _gts(*values, mask=None):
+    """Ground-truth depth maps, one per frame of a window."""
+    return [DepthMap(np.asarray(v, dtype=float), scale_kind=GROUND_TRUTH, valid_mask=mask)
+            for v in values]
+
+
+def _assert_window_matches_frames(window, per_frame, leaves):
+    """`window()` gives a window loss's per-frame terms [F]; `per_frame()` the
+    same F terms from each frame's own graph (the single-frame losses of
+    _oracles). The terms, and the gradient at every leaf of their sum from
+    frame 0 up, must be equal bit for bit."""
+    runs = []
+    for make in (window, per_frame):
+        for t in leaves:
+            t.zero_grad()
+        terms = make()
+        n = terms.shape[0] if isinstance(terms, Tensor) else len(terms)
+        total = None
+        for k in range(n):
+            total = terms[k] if total is None else total + terms[k]
+        total.backward()
+        runs.append([np.array([terms[k].item() for k in range(n)])] + [t.grad for t in leaves])
+    for got, want in zip(*runs):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestMetricDepthLoss:
+    # each case is a window of one frame: pred [1, H, W], one ground-truth map
     def test_perfect_prediction_zero(self):
         d = np.random.default_rng(8).uniform(0.5, 5.0, (4, 4))
-        loss = metric_depth_loss(Tensor(d), DepthMap(d.copy(), scale_kind=GROUND_TRUTH))
+        loss = metric_depth_loss(Tensor(d[None]), _gts(d.copy()))
+        assert loss.shape == (1,)
         assert loss.item() == 0.0
 
     def test_uniform_ratio_e_gives_one(self):
         d = np.random.default_rng(9).uniform(0.5, 5.0, (4, 4))
-        loss = metric_depth_loss(Tensor(d * np.e), d, alpha=1.0, eps=0.0)
+        loss = metric_depth_loss(Tensor(d[None] * np.e), _gts(d), alpha=1.0, eps=0.0)
         assert loss.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_pixel_alpha_one_oracle(self):
         # ratios {1, 4}: e = {0, ln4}, b = ln2, L = (ln2)^2 + (ln2)^2/(1+ln2)
         gt = np.array([[1.0, 1.0]])
-        pred = np.array([[1.0, 4.0]])
+        pred = np.array([[[1.0, 4.0]]])
         expected = md_scalar_oracle([1.0, 4.0], [1.0, 1.0], alpha=1.0)
         ln2 = np.log(2.0)
         assert expected == pytest.approx(ln2**2 + ln2**2 / (1 + ln2), abs=1e-15)
-        loss = metric_depth_loss(Tensor(pred), gt, alpha=1.0, eps=0.0)
+        loss = metric_depth_loss(Tensor(pred), _gts(gt), alpha=1.0, eps=0.0)
         assert loss.item() == pytest.approx(expected, abs=1e-9)
         assert loss.item() == pytest.approx(0.764, abs=5e-4)
 
@@ -163,8 +193,9 @@ class TestMetricDepthLoss:
         gt = rng.uniform(0.5, 5.0, (5, 5))
         pred = gt * rng.uniform(0.7, 1.4, (5, 5))
         c = 1.9
-        base = metric_depth_loss(Tensor(pred), gt, alpha=1.0, eps=0.0).item()
-        scaled = metric_depth_loss(Tensor(pred * c), gt, alpha=1.0, eps=0.0).item()
+        base = metric_depth_loss(Tensor(pred[None]), _gts(gt), alpha=1.0, eps=0.0).item()
+        scaled = metric_depth_loss(Tensor(pred[None] * c), _gts(gt), alpha=1.0,
+                                   eps=0.0).item()
         b = np.mean(np.log(pred) - np.log(gt))
         assert scaled - base == pytest.approx((b + np.log(c)) ** 2 - b ** 2, abs=1e-12)
 
@@ -172,32 +203,62 @@ class TestMetricDepthLoss:
         rng = np.random.default_rng(11)
         gt = rng.uniform(0.5, 5.0, 12)
         pred = rng.uniform(0.5, 5.0, 12)
-        loss = metric_depth_loss(Tensor(pred.reshape(3, 4)), gt.reshape(3, 4),
+        loss = metric_depth_loss(Tensor(pred.reshape(1, 3, 4)), _gts(gt.reshape(3, 4)),
                                  alpha=0.7, eps=1e-6)
         assert loss.item() == pytest.approx(
             md_scalar_oracle(pred, gt, alpha=0.7, eps=1e-6), abs=1e-12)
 
     def test_mask_respected(self):
-        gt = DepthMap(np.ones((2, 2)), scale_kind=GROUND_TRUTH,
-                      valid_mask=np.array([[True, False], [False, False]]))
-        loss = metric_depth_loss(Tensor(np.full((2, 2), np.e)), gt, eps=0.0)
+        gt = _gts(np.ones((2, 2)), mask=np.array([[True, False], [False, False]]))
+        loss = metric_depth_loss(Tensor(np.full((1, 2, 2), np.e)), gt, eps=0.0)
         assert loss.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_no_valid_pixels(self):
-        gt = DepthMap(np.ones((2, 2)), scale_kind=GROUND_TRUTH,
-                      valid_mask=np.zeros((2, 2), dtype=bool))
+        gt = _gts(np.ones((2, 2)), mask=np.zeros((2, 2), dtype=bool))
         with pytest.raises(DegenerateInputError):
-            metric_depth_loss(Tensor(np.ones((2, 2))), gt)
+            metric_depth_loss(Tensor(np.ones((1, 2, 2))), gt)
 
     def test_invalid_alpha(self):
         with pytest.raises(ParameterError):
-            metric_depth_loss(Tensor(np.ones((2, 2))), np.ones((2, 2)), alpha=0.0)
+            metric_depth_loss(Tensor(np.ones((1, 2, 2))), _gts(np.ones((2, 2))), alpha=0.0)
 
     def test_gradient(self):
         rng = np.random.default_rng(12)
         gt = rng.uniform(0.5, 5.0, (3, 3))
-        x = Tensor(rng.uniform(0.5, 5.0, (3, 3)), requires_grad=True)
-        assert grad_check(lambda t: metric_depth_loss(t, gt, alpha=1.0), x) < 1e-4
+        x = Tensor(rng.uniform(0.5, 5.0, (1, 3, 3)), requires_grad=True)
+        assert grad_check(lambda t: metric_depth_loss(t, _gts(gt), alpha=1.0), x) < 1e-4
+
+    def test_window_gives_each_frame_its_own_loss(self):
+        # a flat [F, HW] prediction, as the metric head gives it, against the
+        # scalar oracle per frame, and bit for bit against per-frame graphs
+        rng = np.random.default_rng(13)
+        gts = rng.uniform(0.5, 5.0, (3, 3, 4))
+        x = Tensor(rng.uniform(0.5, 5.0, (3, 12)), requires_grad=True)
+        loss = metric_depth_loss(x, _gts(*gts), alpha=0.7)
+        for f in range(3):
+            assert loss.data[f] == pytest.approx(
+                md_scalar_oracle(x.data[f], gts[f].reshape(-1), alpha=0.7, eps=1e-6),
+                abs=1e-12)
+        gt = _gts(*gts)
+        _assert_window_matches_frames(
+            lambda: metric_depth_loss(x, gt, alpha=0.7),
+            lambda: [frame_md_loss(x[f].reshape(3, 4), gt[f], alpha=0.7) for f in range(3)],
+            [x])
+
+    def test_window_masks_must_agree(self):
+        mask = np.array([[True, False], [True, True]])
+        gts = _gts(np.ones((2, 2)), mask=mask) + _gts(np.ones((2, 2)))
+        with pytest.raises(ShapeError, match="share one valid mask"):
+            metric_depth_loss(Tensor(np.ones((2, 2, 2))), gts)
+        # a window whose shared mask is empty stays a degenerate input
+        empty = _gts(np.ones((2, 2)), np.ones((2, 2)), mask=np.zeros((2, 2), dtype=bool))
+        with pytest.raises(DegenerateInputError):
+            metric_depth_loss(Tensor(np.ones((2, 2, 2))), empty)
+
+    def test_frame_count_must_match(self):
+        for shape in ((2, 2, 2), (1, 2, 3), (4,)):
+            with pytest.raises(ShapeError):
+                metric_depth_loss(Tensor(np.ones(shape)), _gts(np.ones((2, 2))))
 
 
 def _gt_cam(seed=0, kind=METRIC):
@@ -209,12 +270,14 @@ def _gt_cam(seed=0, kind=METRIC):
 
 
 class TestReconTaskLoss:
+    # each case is a window of one frame unless it says otherwise
     def test_perfect_prediction_zero(self):
         cam = _gt_cam()
         depth = DepthMap(np.random.default_rng(1).uniform(1, 4, (28, 28)),
                          scale_kind=METRIC)
-        res = recon_task_loss(_as_prediction(cam), cam,
-                              Tensor(depth.values), depth)
+        res = recon_task_loss([_as_prediction(cam)], [cam],
+                              Tensor(depth.values[None]), [depth])
+        assert res.total.shape == (1,)
         assert res.total.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_half_turn_rotation_pi_squared(self):
@@ -224,8 +287,8 @@ class TestReconTaskLoss:
         flip = np.diag([1.0, -1.0, -1.0])  # 180 degrees about x
         pred_cam = CameraModel(fx=10.0, fy=10.0, cx=1.5, cy=1.5, rotation=flip,
                                translation=np.zeros(3), scale_kind=METRIC)
-        res = recon_task_loss(_as_prediction(pred_cam), gt,
-                              Tensor(depth.values), depth)
+        res = recon_task_loss([_as_prediction(pred_cam)], [gt],
+                              Tensor(depth.values[None]), [depth])
         assert res.pose.item() == pytest.approx(np.pi ** 2, abs=1e-10)
 
     def test_matches_bruteforce_recomputation(self):
@@ -235,7 +298,7 @@ class TestReconTaskLoss:
         pred_depth = gt_depth.values * rng.uniform(0.8, 1.2, (4, 4))
         pred_cam_model = _gt_cam(5)
         pred = _as_prediction(pred_cam_model)
-        res = recon_task_loss(pred, gt_cam, Tensor(pred_depth), gt_depth)
+        res = recon_task_loss([pred], [gt_cam], Tensor(pred_depth[None]), [gt_depth])
 
         # independent scalar recomputation
         rel = pred_cam_model.rotation @ gt_cam.rotation.T
@@ -259,33 +322,79 @@ class TestReconTaskLoss:
         rng = np.random.default_rng(6)
         cam = _gt_cam(7)
         gt = DepthMap(rng.uniform(1, 4, (4, 4)), scale_kind=METRIC)
-        x = Tensor(rng.uniform(1, 4, (4, 4)), requires_grad=True)
+        x = Tensor(rng.uniform(1, 4, (1, 4, 4)), requires_grad=True)
         pred = _as_prediction(_gt_cam(8))
 
         def f(t):
-            return recon_task_loss(pred, cam, t, gt).total
+            return recon_task_loss([pred], [cam], t, [gt]).total
 
         assert grad_check(f, x) < 1e-4
+
+    def test_window_is_bit_identical_to_per_frame_graphs(self):
+        # three frames with their own cameras; each camera's fx also serves as
+        # its fy, as the camera head gives it, and every camera value is a leaf
+        rng = np.random.default_rng(9)
+        gt_cams = [_gt_cam(s) for s in (3, 4, 5)]
+        gt = [DepthMap(rng.uniform(1, 4, (4, 4)), scale_kind=METRIC) for _ in range(3)]
+        depth = Tensor(rng.uniform(1, 4, (3, 4, 4)), requires_grad=True)
+        cams, leaves = [], [depth]
+        for s in (8, 9, 10):
+            c = _gt_cam(s)
+            q = rotation_to_quaternion(c.rotation) + rng.normal(0.0, 0.1, 4)
+            fx = Tensor(c.fx * rng.uniform(0.8, 1.2), requires_grad=True)
+            cams.append(CameraPrediction(
+                quat=Tensor(q / np.linalg.norm(q), requires_grad=True),
+                translation=Tensor(c.translation + rng.normal(0.0, 0.1, 3),
+                                   requires_grad=True),
+                fx=fx, fy=fx, cx=c.cx, cy=c.cy))
+            leaves += [cams[-1].quat, cams[-1].translation, fx]
+        for k, term in enumerate(("pose", "depth", "pointmap", "total")):
+            _assert_window_matches_frames(
+                lambda: getattr(recon_task_loss(cams, gt_cams, depth, gt), term),
+                lambda: [frame_recon_loss(cams[f], gt_cams[f], depth[f], gt[f])[k]
+                         for f in range(3)],
+                leaves)
+
+    def test_window_masks_must_agree(self):
+        cam = _gt_cam()
+        pred = [_as_prediction(cam)] * 2
+        mask = np.ones((4, 4), dtype=bool)
+        mask[1, 2] = False
+        gts = [DepthMap(np.full((4, 4), 2.0), scale_kind=METRIC, valid_mask=m)
+               for m in (mask, np.ones((4, 4), dtype=bool))]
+        with pytest.raises(ShapeError, match="share one valid mask"):
+            recon_task_loss(pred, [cam, cam], Tensor(np.full((2, 4, 4), 2.0)), gts)
+        empty = [DepthMap(np.full((4, 4), 2.0), scale_kind=METRIC,
+                          valid_mask=np.zeros((4, 4), dtype=bool))] * 2
+        with pytest.raises(DegenerateInputError):
+            recon_task_loss(pred, [cam, cam], Tensor(np.full((2, 4, 4), 2.0)), empty)
 
 
 class TestVlProxyLoss:
     def _t3d(self, n=6, c=8, seed=0):
         rng = np.random.default_rng(seed)
-        return Patch3DTokens(tokens=Tensor(rng.standard_normal((n, c))),
-                             anchor_points=rng.standard_normal((n, 3)))
+        return Patch3DTokens(tokens=Tensor(rng.standard_normal((1, n, c))),
+                             anchor_points=rng.standard_normal((1, n, 3)))
 
     def test_uniform_logits_log_nclasses(self):
         head = MlpParams(w1=Tensor(np.zeros((8, 4))), b1=Tensor(np.zeros(4)),
                          w2=Tensor(np.zeros((4, 4))), b2=Tensor(np.zeros(4)))
         t3d = self._t3d()
-        labels = np.array([0, 1, 2, 3, 0, 1])
+        labels = np.array([[0, 1, 2, 3, 0, 1]])
         loss = vl_proxy_loss(t3d, labels, head)
+        assert loss.shape == (1,)
         assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_label_out_of_range(self):
         head = MlpParams.init(np.random.default_rng(0), 8, 4)
         with pytest.raises(DomainError):
-            vl_proxy_loss(self._t3d(), np.array([0, 1, 2, 4, 0, 1]), head)
+            vl_proxy_loss(self._t3d(), np.array([[0, 1, 2, 4, 0, 1]]), head)
+
+    def test_label_shape_must_match_tokens(self):
+        head = MlpParams.init(np.random.default_rng(0), 8, 4)
+        for labels in (np.zeros(6), np.zeros((2, 3)), np.zeros((1, 5))):
+            with pytest.raises(ShapeError):
+                vl_proxy_loss(self._t3d(), labels, head)
 
     def test_trainable_to_separation(self):
         # two clearly separable token clusters; a tiny head drives CE < 0.1
@@ -293,8 +402,8 @@ class TestVlProxyLoss:
         rng = np.random.default_rng(1)
         tokens = np.concatenate([rng.standard_normal((8, 8)) + 4.0,
                                  rng.standard_normal((8, 8)) - 4.0])
-        labels = np.array([0] * 8 + [1] * 8)
-        t3d = Patch3DTokens(tokens=Tensor(tokens), anchor_points=np.zeros((16, 3)))
+        labels = np.array([[0] * 8 + [1] * 8])
+        t3d = Patch3DTokens(tokens=Tensor(tokens[None]), anchor_points=np.zeros((1, 16, 3)))
         head = MlpParams.init(rng, 8, 2, hidden=8)
         opt = AdamW(head.tensors("h"), lr=0.05, weight_decay=0.0)
         for _ in range(150):
@@ -307,14 +416,28 @@ class TestVlProxyLoss:
     def test_gradient(self):
         rng = np.random.default_rng(2)
         head = MlpParams.init(rng, 8, 3)
-        labels = np.array([0, 1, 2, 1])
-        x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
+        labels = np.array([[0, 1, 2, 1]])
+        x = Tensor(rng.standard_normal((1, 4, 8)), requires_grad=True)
 
         def f(t):
-            t3d = Patch3DTokens(tokens=t, anchor_points=np.zeros((4, 3)))
+            t3d = Patch3DTokens(tokens=t, anchor_points=np.zeros((1, 4, 3)))
             return vl_proxy_loss(t3d, labels, head)
 
         assert grad_check(f, x) < 1e-4
+
+    def test_window_is_bit_identical_to_per_frame_graphs(self):
+        rng = np.random.default_rng(3)
+        head = MlpParams.init(rng, 8, 5)
+        for t in head.tensors("h").values():
+            t.requires_grad = True
+        x = Tensor(rng.standard_normal((3, 6, 8)), requires_grad=True)
+        labels = rng.integers(0, 5, (3, 6))
+
+        t3d = Patch3DTokens(tokens=x, anchor_points=np.zeros((3, 6, 3)))
+        _assert_window_matches_frames(
+            lambda: vl_proxy_loss(t3d, labels, head),
+            lambda: [frame_vl_loss(x[f], labels[f], head) for f in range(3)],
+            [x, *head.tensors("h").values()])
 
 
 def test_loss_report_totals_consistent():

@@ -78,17 +78,17 @@ def _spy_ordinal_depth(monkeypatch) -> list:
 def test_predict_window_shapes(scene, monkeypatch):
     params = init_model(CFG)
     bin_shapes = _spy_ordinal_depth(monkeypatch)
-    preds = predict_window(scene.frames, params, CFG)
-    assert len(preds) == 2
-    p = preds[0]
-    assert p.depth_rel.shape == (28, 28)
-    assert p.depth_rel.data.min() > 0
-    assert p.depth_metric.shape == (4 * 28 * 28 // (14 * 14),) or \
-        p.depth_metric.shape == (28 * 28,)
+    pred = predict_window(scene.frames, params, CFG)
+    assert len(pred.frames) == len(pred.cameras) == 2
+    assert all(a is b for a, b in zip(pred.frames, scene.frames))
+    assert pred.lang.role == Role.LANG and pred.lang.tokens.shape == (2, 4, 16)
+    assert pred.depth_rel.shape == (2, 28, 28)
+    assert pred.depth_rel.data.min() > 0
+    assert pred.depth_metric.shape == (2, 28 * 28)
     # one call per window on its [F, P, N] patch outputs
     assert bin_shapes == [((2, 4, CFG.n_bins), (2, 4, CFG.n_bins))]
-    cam = p.camera.to_camera()
-    assert abs(np.linalg.det(cam.rotation) - 1.0) < 1e-9
+    for p in pred.cameras:
+        assert abs(np.linalg.det(p.to_camera().rotation) - 1.0) < 1e-9
 
 
 def test_predict_window_empty_rejected():
@@ -102,9 +102,9 @@ def test_md_off_skips_metric(scene, monkeypatch):
                        "resolution": (28, 28)})
     params = init_model(cfg)
     bin_shapes = _spy_ordinal_depth(monkeypatch)
-    preds = predict_window(scene.frames, params, cfg)
+    pred = predict_window(scene.frames, params, cfg)
     assert bin_shapes == []
-    assert preds[0].depth_metric is None
+    assert pred.depth_metric is None
 
 
 def _reachable_arrays(root) -> list[np.ndarray]:
@@ -127,10 +127,11 @@ def test_predictions_hold_no_per_pixel_bins(scene):
     # metric head; without a graph nothing may keep them alive
     params = init_model(CFG)
     with no_grad():
-        preds = predict_window(scene.frames, params, CFG)
-    shapes = {a.shape for a in _reachable_arrays(preds)}
-    assert (28 * 28,) in shapes   # the metric depth itself is reached
+        pred = predict_window(scene.frames, params, CFG)
+    shapes = {a.shape for a in _reachable_arrays(pred)}
+    assert (2, 28 * 28) in shapes   # the metric depth itself is reached
     assert (28 * 28, CFG.n_bins) not in shapes
+    assert (2, 28 * 28, CFG.n_bins) not in shapes
 
 
 def test_config_validation():

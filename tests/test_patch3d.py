@@ -9,6 +9,8 @@ from geovid.patch3d import (
     PLY_CHUNK, project, read_ply, write_ply,
 )
 
+from _oracles import frame_fuse_tokens
+
 
 def _cam(fx=100.0, cx=50.0, r=None, t=None, kind=METRIC):
     return CameraModel(fx=fx, fy=fx, cx=cx, cy=cx,
@@ -90,7 +92,7 @@ class TestPositionalEmbed:
 class TestFuseTokens:
     def _setup(self, seed=0, zero_mlp=False):
         rng = np.random.default_rng(seed)
-        lang = TokenSet(Tensor(rng.standard_normal((4, 8))), Role.LANG)
+        lang = TokenSet(Tensor(rng.standard_normal((1, 4, 8))), Role.LANG)   # a window of one
         depth = DepthMap(rng.uniform(1.0, 4.0, (28, 28)), scale_kind=METRIC)
         pos = np.array([1.5, 1.5, 2.0])
         r = look_at_rotation(pos, np.array([0.0, 0.0, 0.5]))
@@ -104,25 +106,25 @@ class TestFuseTokens:
 
     def test_zero_positional_mlp_identity(self):
         lang, depth, cam, p = self._setup(zero_mlp=True)
-        t3d = fuse_tokens(lang, depth, cam, p, patch_size=14)
+        t3d = fuse_tokens(lang, [depth], [cam], p, patch_size=14)
         np.testing.assert_array_equal(t3d.tokens.data, lang.tokens.data)
 
     def test_token_count_preserved(self):
         lang, depth, cam, p = self._setup()
-        t3d = fuse_tokens(lang, depth, cam, p, patch_size=14)
-        assert t3d.tokens.shape == (4, 8)
-        assert t3d.anchor_points.shape == (4, 3)
+        t3d = fuse_tokens(lang, [depth], [cam], p, patch_size=14)
+        assert t3d.tokens.shape == (1, 4, 8)
+        assert t3d.anchor_points.shape == (1, 4, 3)
 
     def test_additive_structure(self):
         lang, depth, cam, p = self._setup(seed=3)
-        t3d = fuse_tokens(lang, depth, cam, p, patch_size=14)
+        t3d = fuse_tokens(lang, [depth], [cam], p, patch_size=14)
         emb = positional_embed(t3d.anchor_points, p)
         np.testing.assert_allclose(t3d.tokens.data - lang.tokens.data,
                                    emb.data, atol=1e-14)
 
     def test_rigid_transform_moves_anchors_rigidly(self):
         lang, depth, cam, p = self._setup(seed=4)
-        t3d = fuse_tokens(lang, depth, cam, p, patch_size=14)
+        t3d = fuse_tokens(lang, [depth], [cam], p, patch_size=14)
         # world transform x -> Rg x + tg observed by the adjusted camera
         rng = np.random.default_rng(5)
         axis = rng.standard_normal(3)
@@ -136,7 +138,7 @@ class TestFuseTokens:
                            rotation=cam.rotation @ rg.T,
                            translation=cam.translation - cam.rotation @ rg.T @ tg,
                            scale_kind=METRIC)
-        t3d2 = fuse_tokens(lang, depth, cam2, p, patch_size=14)
+        t3d2 = fuse_tokens(lang, [depth], [cam2], p, patch_size=14)
         expected = t3d.anchor_points @ rg.T + tg
         np.testing.assert_allclose(t3d2.anchor_points, expected, atol=1e-9)
 
@@ -144,13 +146,58 @@ class TestFuseTokens:
         lang, depth, cam, p = self._setup()
         rel = DepthMap(depth.values, scale_kind=RELATIVE)
         with pytest.raises(StateError):
-            fuse_tokens(lang, rel, cam, p, patch_size=14)
+            fuse_tokens(lang, [rel], [cam], p, patch_size=14)
 
     def test_grid_mismatch_rejected(self):
         lang, depth, cam, p = self._setup()
-        bad = TokenSet(Tensor(np.ones((5, 8))), Role.LANG)
+        bad = TokenSet(Tensor(np.ones((1, 5, 8))), Role.LANG)
         with pytest.raises(ShapeError):
-            fuse_tokens(bad, depth, cam, p, patch_size=14)
+            fuse_tokens(bad, [depth], [cam], p, patch_size=14)
+
+    def test_frame_count_mismatch_rejected(self):
+        lang, depth, cam, p = self._setup()
+        for depths, cams in (([depth, depth], [cam]), ([depth], [cam, cam]),
+                             ([depth, depth], [cam, cam])):
+            with pytest.raises(ShapeError):
+                fuse_tokens(lang, depths, cams, p, patch_size=14)
+        with pytest.raises(ShapeError):   # one frame's [N, C] tokens are not a window
+            fuse_tokens(lang[0], [depth], [cam], p, patch_size=14)
+
+    def test_window_is_bit_identical_to_per_frame_graphs(self):
+        # three frames with their own depths and cameras, fused in one call
+        # and one frame at a time (the single-frame form of _oracles), with
+        # the gradient reaching the tokens and the MLP
+        rng = np.random.default_rng(6)
+        p = MlpParams.init(rng, 3, 8)
+        tokens = Tensor(rng.standard_normal((3, 4, 8)), requires_grad=True)
+        depths = [DepthMap(rng.uniform(1.0, 4.0, (28, 28)), scale_kind=METRIC)
+                  for _ in range(3)]
+        cams = []
+        for _ in range(3):
+            pos = rng.uniform(1.0, 2.0, 3)
+            r = look_at_rotation(pos, np.array([0.0, 0.0, 0.5]))
+            cams.append(_cam(fx=30.0, cx=13.5, r=r, t=-r @ pos))
+        w = Tensor(rng.standard_normal((3, 4, 8)))
+        leaves = [tokens, *p.tensors("p").values()]
+        runs = []
+        for window in (True, False):
+            for t in leaves:
+                t.zero_grad()
+            if window:
+                t3d = fuse_tokens(TokenSet(tokens, Role.LANG), depths, cams, p, patch_size=14)
+                out, anchors = t3d.tokens, t3d.anchor_points
+                terms = [tsum(out[f] * w[f]) for f in range(3)]
+            else:
+                fused = [frame_fuse_tokens(tokens[f], depths[f], cams[f], p, 14)
+                         for f in range(3)]
+                out = np.stack([t.data for t, _ in fused])
+                anchors = np.stack([a for _, a in fused])
+                terms = [tsum(t * w[f]) for f, (t, _) in enumerate(fused)]
+            total = (terms[0] + terms[1]) + terms[2]
+            total.backward()
+            runs.append([getattr(out, "data", out), anchors, *(t.grad for t in leaves)])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
 
 
 PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"

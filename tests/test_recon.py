@@ -142,7 +142,7 @@ class TestCameraHead:
 
         def f(t):
             pred = camera_head(TokenSet(t, Role.CAMERA), p, (28, 28))
-            res = recon_task_loss(pred, gt_cam, Tensor(gt_depth.values), gt_depth)
+            res = recon_task_loss([pred], [gt_cam], Tensor(gt_depth.values[None]), [gt_depth])
             return res.pose
 
         assert grad_check(f, x) < 1e-4

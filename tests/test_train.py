@@ -116,7 +116,10 @@ def test_run_pipeline_outputs(tiny_setup):
     assert result.metrics.pose is not None
     assert result.metrics.depth is not None
     assert result.scale is not None
-    assert len(result.t3d) == len(scenes[0].frames)
+    # one Patch3DTokens for the whole scene, one token set per frame
+    n = len(scenes[0].frames)
+    assert result.t3d.tokens.shape == (n, 4, cfg.dim)
+    assert result.t3d.anchor_points.shape == (n, 4, 3)
 
 
 def test_run_pipeline_deterministic(tiny_setup):
@@ -227,21 +230,22 @@ def _graph_nodes(root) -> int:
 
 
 def test_stage2_window_graph_node_count(tiny_setup):
-    # The joint loss of one 2-frame window builds 497 recorded nodes (860
+    # The joint loss of one 2-frame window builds 413 recorded nodes (860
     # before the bins, centers and rotation became single nodes, 628 before
     # the expectation did: one node per frame; 626 before the adapter, the
     # frame-local blocks and the metric head's MLPs ran once per window; 527
     # before the probs and centers nodes took in their upsample matmuls; 523
     # before probs, centers and expectation became one node per frame; 519
-    # before the metric and relative-depth heads ran once per window). A
+    # before the metric and relative-depth heads ran once per window; 497
+    # before each joint-loss term ran once over the window's frames). A
     # change here means ops were added to or removed from the hot path:
     # update the count only for an intended change of the graph.
     cfg, scenes = tiny_setup
     scene = scenes[0]
     params = init_model(cfg)
-    preds = predict_window(scene.frames[:cfg.stage2_frames], params, cfg)
-    joint = _window_joint_loss(preds, params, cfg, scene_norm(scene))[0]
-    assert _graph_nodes(joint) == 497
+    pred = predict_window(scene.frames[:cfg.stage2_frames], params, cfg)
+    joint = _window_joint_loss(pred, params, cfg, scene_norm(scene))[0]
+    assert _graph_nodes(joint) == 413
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +368,8 @@ def _per_frame_window(frames, params, cfg):
     must reproduce bit for bit."""
     from geovid import recon
     from geovid.metric_depth import predict_metric_depth
-    from geovid.model import FramePrediction
-    from geovid.numkit import Role, TokenSet, concat
+    from geovid.model import WindowPrediction
+    from geovid.numkit import Role, TokenSet, concat, stack
 
     adapted = [_per_sample_adapt(f.base, params) for f in frames]
     bb = params.backbone
@@ -378,18 +382,20 @@ def _per_frame_window(frames, params, cfg):
         else:
             joint = recon._block(concat(states, axis=0), blk)
             states = [joint[k * rows:(k + 1) * rows, :] for k in range(len(frames))]
-    preds = []
-    for frame, (geom, lang), x in zip(frames, adapted, states):
+    d_rel, d_met, cams = [], [], []
+    for (geom, _), x in zip(adapted, states):
         n = geom.count
         pt, ct = x[0:n, :], TokenSet(x[n:n + 1, :], Role.CAMERA)
-        d_rel = recon.depth_head_tensor(TokenSet(concat([pt, geom.tokens], axis=1), Role.GEOM),
-                                        cfg.resolution, params.depth_head)
-        d_met = (None if cfg.md_mode == "off"
-                 else predict_metric_depth(geom, cfg.resolution, params.metric))
-        preds.append(FramePrediction(
-            frame=frame, lang=lang, depth_rel=d_rel, depth_metric=d_met,
-            camera=recon.camera_head(ct, params.camera_head, cfg.resolution)))
-    return preds
+        d_rel.append(recon.depth_head_tensor(
+            TokenSet(concat([pt, geom.tokens], axis=1), Role.GEOM), cfg.resolution,
+            params.depth_head))
+        if cfg.md_mode != "off":
+            d_met.append(predict_metric_depth(geom, cfg.resolution, params.metric))
+        cams.append(recon.camera_head(ct, params.camera_head, cfg.resolution))
+    return WindowPrediction(frames=list(frames),
+                            lang=TokenSet.stack([lang for _, lang in adapted]),
+                            cameras=cams, depth_rel=stack(d_rel),
+                            depth_metric=stack(d_met) if d_met else None)
 
 
 @pytest.mark.parametrize("md_mode", ["full", "off"])
@@ -412,3 +418,105 @@ def test_stage2_window_is_bit_identical_to_per_frame(tiny_setup, md_mode):
     assert grads[0].keys() == grads[1].keys()
     for name in grads[1]:
         assert np.array_equal(grads[0][name], grads[1][name]), name
+
+
+def _per_frame_joint_loss(pred, params, cfg, norm):
+    """_window_joint_loss with one graph per frame: each frame's terms from
+    the single-frame losses of _oracles on that frame's slice of the window,
+    summed from frame 0 up. The form the window's one graph must reproduce
+    bit for bit."""
+    from geovid.geometry import RELATIVE, CameraModel
+    from geovid.numkit import Tensor
+    from geovid.train import _aligned_depth_for_vl
+    from _oracles import frame_fuse_tokens, frame_md_loss, frame_recon_loss, frame_vl_loss
+
+    depths, cams, _ = _aligned_depth_for_vl(pred, cfg, clamp=True)
+    h, w = cfg.resolution
+    acc = [None, None, None]
+    for i, frame in enumerate(pred.frames):
+        gt, cam = frame.depth, frame.camera
+        gt_rel = DepthMap(gt.values / norm, scale_kind=RELATIVE, valid_mask=gt.valid_mask)
+        cam_rel = CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy,
+                              rotation=cam.rotation, translation=cam.translation / norm,
+                              scale_kind=RELATIVE)
+        recon = frame_recon_loss(pred.cameras[i], cam_rel, pred.depth_rel[i], gt_rel)[3]
+        tokens, _ = frame_fuse_tokens(pred.lang.tokens[i], depths[i], cams[i],
+                                      params.pos_embed, cfg.patch_size)
+        vl = frame_vl_loss(tokens, frame.patch_labels, params.vl_head)
+        md = (Tensor(0.0) if cfg.md_mode == "off"
+              else frame_md_loss(pred.depth_metric[i].reshape(h, w), gt))
+        for k, term in enumerate((recon, vl, md)):
+            acc[k] = term if acc[k] is None else acc[k] + term
+    inv = 1.0 / len(pred.frames)
+    recon, vl, md = (a * inv for a in acc)
+    return (recon + vl) + md, recon, vl, md
+
+
+@pytest.mark.parametrize("grad", [True, False])
+@pytest.mark.parametrize("frames", [1, 3])
+@pytest.mark.parametrize("md_mode", ["full", "off", "no_alignment"])
+def test_window_joint_loss_is_bit_identical_to_per_frame_loop(tiny_setup, md_mode, frames,
+                                                             grad):
+    # the window's one graph against one graph per frame: joint, recon, vl,
+    # md and every parameter gradient, on weights moved off their init so
+    # the camera head and the classifier are not at zero
+    from geovid.numkit import no_grad
+
+    cfg, scenes = tiny_setup
+    cfg = RunConfig(seed=11, **{**TINY, "md_mode": md_mode})
+    params = init_model(cfg)
+    rng = np.random.default_rng(3)
+    named = params.named_tensors()
+    for t in named.values():
+        t.data = t.data + 0.05 * rng.standard_normal(t.shape)
+    window, norm = scenes[1].frames[:frames], scene_norm(scenes[1])
+    grads, losses = [], []
+    for joint_loss in (_window_joint_loss, _per_frame_joint_loss):
+        for t in named.values():
+            t.zero_grad()
+        if grad:
+            terms = joint_loss(predict_window(window, params, cfg), params, cfg, norm)
+            terms[0].backward()
+        else:
+            with no_grad():
+                terms = joint_loss(predict_window(window, params, cfg), params, cfg, norm)
+        losses.append([t.item() for t in terms])
+        grads.append(_grads(named))
+    assert losses[0] == losses[1]
+    assert grads[0].keys() == grads[1].keys()
+    assert bool(grads[1]) == grad
+    for name in grads[1]:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
+
+
+def test_window_frames_must_share_one_valid_mask(tiny_setup):
+    # every generated or loaded scene has all-valid masks; a window whose
+    # frames disagree is a ShapeError, and a shared empty mask stays a
+    # DegenerateInputError
+    from dataclasses import replace as dc_replace
+
+    from geovid.errors import DegenerateInputError, ShapeError
+
+    cfg, scenes = tiny_setup
+    params = init_model(cfg)
+    frames, norm = scenes[0].frames[:2], scene_norm(scenes[0])
+    assert all(f.depth.valid_mask.all() for s in scenes for f in s.frames)
+
+    def masked(frame, mask):
+        depth = DepthMap(frame.depth.values, scale_kind=frame.depth.scale_kind,
+                         valid_mask=mask)
+        return dc_replace(frame, depth=depth)
+
+    holed = np.ones(cfg.resolution, dtype=bool)
+    holed[3, 5] = False
+    window = [masked(frames[0], holed), frames[1]]
+    with pytest.raises(ShapeError, match="share one valid mask"):
+        _window_joint_loss(predict_window(window, params, cfg), params, cfg, norm)
+    # the same hole in both frames is a valid window
+    window = [masked(f, holed) for f in frames]
+    joint = _window_joint_loss(predict_window(window, params, cfg), params, cfg, norm)[0]
+    assert np.isfinite(joint.item())
+    empty = np.zeros(cfg.resolution, dtype=bool)
+    window = [masked(f, empty) for f in frames]
+    with pytest.raises(DegenerateInputError, match="no valid pixels"):
+        _window_joint_loss(predict_window(window, params, cfg), params, cfg, norm)
