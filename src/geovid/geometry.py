@@ -113,8 +113,9 @@ class DepthMap:
             raise ShapeError("valid mask shape differs from values")
         if self.scale_kind not in (RELATIVE, METRIC, GROUND_TRUTH):
             raise ParameterError(f"unknown scale kind '{self.scale_kind}'")
-        if self.valid_mask.any() and v[self.valid_mask].min() <= 0:
-            raise ParameterError("valid depths must be strictly positive")
+        valid = v[self.valid_mask]
+        if not np.all((valid > 0) & (valid < np.inf)):   # False for NaN
+            raise ParameterError("valid depths must be finite and strictly positive")
 
     @property
     def shape(self) -> tuple[int, int]:

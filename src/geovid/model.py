@@ -84,7 +84,7 @@ def adapt(base: TokenSet, params: VidModelParams) -> CtaOutput:
 
 @dataclass
 class WindowPrediction:
-    """Everything the heads produce for a window of F frames, gradients attached."""
+    """Everything the heads produce for F frames, gradients attached."""
 
     frames: list[FrameData]
     lang: TokenSet                   # [F, N, C] adapter language stream
@@ -95,17 +95,25 @@ class WindowPrediction:
 
 def predict_window(frames: list[FrameData], params: VidModelParams,
                    cfg: RunConfig) -> WindowPrediction:
-    """Joint forward over a window of frames (they share the global blocks)."""
+    """Joint forward over any number of frames. The backbone's global blocks
+    attend within windows of `cfg.stage2_frames` frames, the training size;
+    every other layer runs once over all frames."""
     if not frames:
         raise ShapeError("empty frame window")
     adapted = adapt(TokenSet.stack([f.base for f in frames]), params)
-    patch, cams = gfa_backbone(adapted.geom, params.backbone)
-    depth_in = patch.with_tokens(concat([patch.tokens, adapted.geom.tokens], axis=2))
+    geom, k = adapted.geom, cfg.stage2_frames
+    if len(frames) <= k:   # one window: no slice or concat node
+        patch, cams = gfa_backbone(geom, params.backbone)
+    else:
+        wins = [gfa_backbone(geom.with_tokens(geom.tokens[lo:lo + k]), params.backbone)
+                for lo in range(0, len(frames), k)]
+        patch, cams = (w[0].with_tokens(concat([t.tokens for t in w])) for w in zip(*wins))
+    depth_in = patch.with_tokens(concat([patch.tokens, geom.tokens], axis=2))
     return WindowPrediction(
         frames=list(frames), lang=adapted.lang,
         depth_rel=depth_head_tensor(depth_in, cfg.resolution, params.depth_head),
         depth_metric=(None if cfg.md_mode == "off"
-                      else predict_metric_depth(adapted.geom, cfg.resolution, params.metric)),
+                      else predict_metric_depth(geom, cfg.resolution, params.metric)),
         # the camera head runs per frame: batched on [F, 1, C], a quaternion's bits can move
         cameras=[camera_head(cams[i], params.camera_head, cfg.resolution)
                  for i in range(len(frames))])

@@ -17,7 +17,7 @@ from .errors import ParameterError, ShapeError
 from .geometry import RELATIVE, CameraModel, quaternion_to_rotation
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
-    broadcast_to, concat, matmul, maximum, mha, mlp, require_role, rms_norm, sigmoid,
+    broadcast_to, concat, maximum, mha, mlp, require_role, rms_norm, sigmoid,
     softplus, tan, tmean,
 )
 
@@ -264,14 +264,6 @@ def upsample_rows(gh: int, gw: int, h: int, w: int) -> tuple[np.ndarray, np.ndar
     return uniq, inv
 
 
-@functools.lru_cache(maxsize=32)
-def upsample_tensor(gh: int, gw: int, h: int, w: int) -> Tensor:
-    """`upsample_matrix` as one shared read-only constant, checked finite once."""
-    mat = upsample_matrix(gh, gw, h, w).view()
-    mat.flags.writeable = False
-    return Tensor(mat)
-
-
 def _patch_grid(n_tokens: int, image_size: tuple[int, int], ps: int) -> tuple[int, int]:
     h, w = image_size
     if h % ps != 0 or w % ps != 0:
@@ -287,11 +279,15 @@ def depth_head_tensor(patch_tokens: TokenSet, image_size: tuple[int, int],
     """In-graph relative depth [H, W] from patch tokens [P, C], or [F, H, W]
     from a window's [F, P, C]: per-patch logits, bilinear upsample, softplus.
 
+    The upsample is one node that runs on `upsample_rows`' distinct rows and
+    gathers them to pixels, with the bits of `upsample_matrix(...) @ logits`.
     Floored at 1e-6 so a diverged logit cannot underflow softplus to an
     exact zero; any logit above -13 is untouched.
     """
     h, w = image_size
-    gh, gw = _patch_grid(patch_tokens.count, image_size, p.patch_size)
+    grid = (*_patch_grid(patch_tokens.count, image_size, p.patch_size), h, w)
     logits = mlp(rms_norm(patch_tokens.tokens), p.mlp)  # [..., P, 1]
-    up = upsample_tensor(gh, gw, h, w)
-    return maximum(softplus(matmul(up, logits)), 1e-6).reshape(*logits.shape[:-2], h, w)
+    uniq, inv = upsample_rows(*grid)
+    up = Tensor._from_op((uniq @ logits.data)[..., inv, :], "upsample", (logits,),
+                         (lambda g: upsample_matrix(*grid).T @ g,))
+    return maximum(softplus(up), 1e-6).reshape(*logits.shape[:-2], h, w)

@@ -37,7 +37,7 @@ from .losses import (
     LAMBDA_SC, LossReport, distill_loss, metric_depth_loss, recon_task_loss, vl_proxy_loss,
 )
 from .model import VidModelParams, WindowPrediction, adapt, init_model, predict_window
-from .numkit import AdamW, Role, Tensor, TokenSet, concat, no_grad
+from .numkit import AdamW, Tensor, TokenSet, no_grad
 from .patch3d import Patch3DTokens, PointCloud, backproject_grid, fuse_tokens
 from .scale_align import ScaleEstimate, apply_scale, scene_scale
 from .synthscene import FrameData, SceneSample, TokenizerConfig, gen_scene
@@ -357,20 +357,12 @@ def run_pipeline(cfg: RunConfig, scene: SceneSample,
                  params: VidModelParams) -> PipelineResult:
     """tokens -> adapter -> backbone -> heads -> bins -> alignment -> fusion -> metrics.
 
-    Frames run through the backbone in windows of the training size; the
-    scene-level scale is recovered once from all frames' depth pairs.
+    One forward runs over the whole scene (the backbone's global blocks
+    attend within windows of the training size); the scene-level scale is
+    recovered once from all frames' depth pairs.
     """
     with no_grad():
-        k = max(cfg.stage2_frames, 1)
-        wins = [predict_window(scene.frames[lo:lo + k], params, cfg)
-                for lo in range(0, len(scene.frames), k)]
-        pred = WindowPrediction(
-            frames=scene.frames, lang=TokenSet(concat([w.lang.tokens for w in wins]), Role.LANG),
-            cameras=[c for w in wins for c in w.cameras],
-            depth_rel=concat([w.depth_rel for w in wins]),
-            depth_metric=(None if cfg.md_mode == "off"
-                          else concat([w.depth_metric for w in wins])))
-        del wins   # pred holds copies of their arrays
+        pred = predict_window(scene.frames, params, cfg)
         depths, cameras, scale = _aligned_depth_for_vl(pred, cfg)
         t3d = fuse_tokens(pred.lang, depths, cameras, params.pos_embed,
                           patch_size=cfg.patch_size)

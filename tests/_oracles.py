@@ -151,3 +151,24 @@ def frame_fuse_tokens(tokens, depth, cam, p, patch_size):
     cx = np.tile(np.arange(gw) * patch_size + (patch_size - 1) / 2.0, gh)
     anchors = _pixels_to_world(cx, cy, bilinear_sample(depth.values, cx, cy), cam)
     return tokens + mlp(Tensor(anchors), p), anchors
+
+
+# ----------------------------------------------------------------------
+# the scene forward as per-window calls, stitched field by field: the form
+# one `predict_window` call over a whole scene must reproduce bit for bit
+# ----------------------------------------------------------------------
+
+def stitched_windows(frames, params, cfg):
+    """`predict_window` on each `cfg.stage2_frames` slice of `frames`, the
+    slices' fields joined in frame order into one WindowPrediction."""
+    from geovid.model import WindowPrediction, predict_window
+    from geovid.numkit import Role, TokenSet
+
+    k = cfg.stage2_frames
+    wins = [predict_window(frames[lo:lo + k], params, cfg) for lo in range(0, len(frames), k)]
+    return WindowPrediction(
+        frames=list(frames), lang=TokenSet(concat([w.lang.tokens for w in wins]), Role.LANG),
+        cameras=[c for w in wins for c in w.cameras],
+        depth_rel=concat([w.depth_rel for w in wins]),
+        depth_metric=(None if cfg.md_mode == "off"
+                      else concat([w.depth_metric for w in wins])))

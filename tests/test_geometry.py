@@ -138,8 +138,9 @@ def test_look_at_degenerate():
 
 
 def test_depth_map_validation():
-    with pytest.raises(ParameterError):
-        DepthMap(np.array([[1.0, -2.0]]))
+    for bad in ([[1.0, -2.0]], [[np.nan, np.nan], [np.nan, np.nan]], [[np.inf, 1.0]]):
+        with pytest.raises(ParameterError, match="finite and strictly positive"):
+            DepthMap(np.array(bad))
     with pytest.raises(ShapeError):
         DepthMap(np.ones(4))
     dm = DepthMap(np.array([[0.0, 2.0]]), valid_mask=np.array([[False, True]]))

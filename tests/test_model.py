@@ -91,6 +91,49 @@ def test_predict_window_shapes(scene, monkeypatch):
         assert abs(np.linalg.det(p.to_camera().rotation) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("md_mode", ["full", "off"])
+def test_scene_forward_is_bit_identical_to_stitched_windows(md_mode):
+    # ragged scenes at 4 frames per backbone window: one window, two with a
+    # 1-frame tail, three with a 1-frame tail
+    from _oracles import stitched_windows
+
+    cfg = replace(CFG, stage2_frames=4, md_mode=md_mode)
+    frames = gen_scene(43, n_frames=9, resolution=(28, 28), n_objects=3,
+                       tokenizer=TokenizerConfig(dim=16, seed=5)).frames
+    params = init_model(cfg)
+    for n in (1, 5, 9):
+        with no_grad():
+            got, ref = (f(frames[:n], params, cfg) for f in (predict_window, stitched_windows))
+        assert all(a is b for a, b in zip(got.frames, ref.frames))
+        assert np.array_equal(got.lang.tokens.data, ref.lang.tokens.data)
+        assert np.array_equal(got.depth_rel.data, ref.depth_rel.data)
+        assert (got.depth_metric is None) == (md_mode == "off")
+        if got.depth_metric is not None:
+            assert np.array_equal(got.depth_metric.data, ref.depth_metric.data)
+        assert len(got.cameras) == len(ref.cameras) == n
+        for a, b in zip(got.cameras, ref.cameras):
+            for field in ("quat", "translation", "fx", "fy"):
+                assert np.array_equal(getattr(a, field).data, getattr(b, field).data), field
+            assert (a.cx, a.cy) == (b.cx, b.cy)
+
+
+def test_predict_window_runs_the_backbone_once_per_window(scene, monkeypatch):
+    # through the module attribute, which the benchmark's tracer wraps
+    import geovid.model
+
+    calls, original = [], geovid.model.gfa_backbone
+
+    def spy(frames, p):
+        calls.append(frames.tokens.shape[0])
+        return original(frames, p)
+
+    monkeypatch.setattr(geovid.model, "gfa_backbone", spy)
+    frames = scene.frames * 5
+    for k in (1, 2, 4, 10, 12):
+        predict_window(frames, init_model(CFG), replace(CFG, stage2_frames=k))
+    assert calls == [1] * 10 + [2] * 5 + [4, 4, 2] + [10] + [10]
+
+
 def test_predict_window_empty_rejected():
     params = init_model(CFG)
     with pytest.raises(ShapeError):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from geovid.errors import ParameterError, ShapeError
-from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, tsum
+from geovid.numkit import (
+    MlpParams, Role, Tensor, TokenSet, grad_check, matmul, maximum, mlp, rms_norm, softplus, tsum,
+)
 from geovid.recon import (
     BackboneParams, CameraHeadParams, CameraPrediction, DepthHeadParams,
-    camera_head, depth_head_tensor, gfa_backbone, upsample_matrix, upsample_tensor,
+    camera_head, depth_head_tensor, gfa_backbone, upsample_matrix,
 )
 
 
@@ -194,6 +196,32 @@ class TestDepthHead:
             assert np.array_equal(depth[f], want_depth)
             assert np.array_equal(grad[f], want_grad)
 
+    @pytest.mark.parametrize("shape,size", [((4, 8), (28, 28)), ((3, 16, 8), (56, 56)),
+                                            ((2, 12, 8), (42, 56))])
+    def test_upsample_node_matches_full_matrix_matmul(self, shape, size):
+        # the node on unique upsample rows gives the bits of `up @ logits`
+        # with the full [HW, P] matrix, forward and backward
+        rng = np.random.default_rng(5)
+        p = DepthHeadParams.init(rng, 8)
+        tokens, w = rng.standard_normal(shape), rng.standard_normal((*shape[:-2], *size))
+
+        def full_matrix_head(tokens):
+            h, wd = size
+            up = Tensor(upsample_matrix(h // 14, wd // 14, h, wd))
+            logits = mlp(rms_norm(tokens.tokens), p.mlp)
+            return maximum(softplus(matmul(up, logits)), 1e-6).reshape(*shape[:-2], h, wd)
+
+        runs = []
+        for head in (lambda t: depth_head_tensor(t, size, p), full_matrix_head):
+            t = Tensor(tokens, requires_grad=True)
+            for param in p.tensors().values():
+                param.zero_grad()
+            d = head(TokenSet(t, Role.GEOM))
+            tsum(d * Tensor(w)).backward()
+            runs.append([d.data, t.grad] + [q.grad for q in p.tensors().values()])
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
     def test_gradient(self):
         rng = np.random.default_rng(3)
         p = DepthHeadParams.init(rng, 8)
@@ -240,9 +268,3 @@ def test_upsample_matches_oracle_random_grids():
     got = (up @ grid.reshape(-1)).reshape(56, 56)
     np.testing.assert_allclose(got, bilinear_oracle(grid, 56, 56), atol=1e-12)
 
-
-def test_upsample_tensor_is_one_shared_read_only_constant():
-    up = upsample_tensor(2, 2, 28, 28)
-    assert up is upsample_tensor(2, 2, 28, 28)
-    assert not up.requires_grad and not up.data.flags.writeable
-    np.testing.assert_array_equal(up.data, upsample_matrix(2, 2, 28, 28))

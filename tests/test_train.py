@@ -239,13 +239,16 @@ def test_stage2_window_graph_node_count(tiny_setup):
     # before the metric and relative-depth heads ran once per window; 497
     # before each joint-loss term ran once over the window's frames). A
     # change here means ops were added to or removed from the hot path:
-    # update the count only for an intended change of the graph.
-    cfg, scenes = tiny_setup
+    # update the count only for an intended change of the graph. A window
+    # smaller than `stage2_frames` runs the backbone once, unsliced, as well.
+    _, scenes = tiny_setup
     scene = scenes[0]
-    params = init_model(cfg)
-    pred = predict_window(scene.frames[:cfg.stage2_frames], params, cfg)
-    joint = _window_joint_loss(pred, params, cfg, scene_norm(scene))[0]
-    assert _graph_nodes(joint) == 413
+    for stage2_frames in (2, 3):
+        cfg = RunConfig(seed=11, **{**TINY, "stage2_frames": stage2_frames})
+        params = init_model(cfg)
+        pred = predict_window(scene.frames[:2], params, cfg)
+        joint = _window_joint_loss(pred, params, cfg, scene_norm(scene))[0]
+        assert _graph_nodes(joint) == 413, stage2_frames
 
 
 # ----------------------------------------------------------------------
@@ -400,9 +403,10 @@ def _per_frame_window(frames, params, cfg):
 
 @pytest.mark.parametrize("md_mode", ["full", "off"])
 def test_stage2_window_is_bit_identical_to_per_frame(tiny_setup, md_mode):
-    # three frames, so the order in which per-frame gradients are added shows
+    # three frames, so the order in which per-frame gradients are added
+    # shows, and three frames per backbone window, so they share one
     cfg, scenes = tiny_setup
-    cfg = RunConfig(seed=11, **{**TINY, "md_mode": md_mode})
+    cfg = RunConfig(seed=11, **{**TINY, "md_mode": md_mode, "stage2_frames": 3})
     params = init_model(cfg)
     window, norm = scenes[0].frames[:3], scene_norm(scenes[0])
     named = params.named_tensors()
