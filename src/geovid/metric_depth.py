@@ -16,9 +16,9 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError, ShapeError
-from .numkit import MlpParams, Tensor, TokenSet, as_tensor, mlp, rms_norm
+from .numkit import MlpParams, Tensor, TokenSet, as_tensor, mlp, rms_norm, tensor
 from .numkit.tensor import _check_finite
-from .recon import _patch_grid, upsample_matrix, upsample_rows
+from .recon import _patch_grid, upsample_rows
 
 
 @dataclass
@@ -129,7 +129,8 @@ def _bounded_shift(budget: np.ndarray, centers: np.ndarray, raw: np.ndarray,
 
 def _shift_grad(g: np.ndarray, t: np.ndarray, budget: np.ndarray,
                 out: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The bounded shift's VJP g * budget * (1 - t * t) into `out` (may be `g`), returned."""
+    """The bounded shift's VJP g * budget * (1 - t * t) into `out` (may be `g`),
+    returned; `w` is scratch (may be `t`)."""
     slope = np.multiply(t, t, out=w)
     np.subtract(1.0, slope, out=slope)
     np.multiply(g, budget, out=out)
@@ -192,14 +193,19 @@ def ordinal_depth(grid: Grid, logits: Tensor, raw: Tensor, bins: BinConfig) -> T
     """The ordinal head as one graph node: patch logits and raw shifts [P, N]
     -> the expected depth [h*w] of their bilinear upsample to h x w, with the
     bits of `expected_depth_tensor(bin_logits_to_probs(up @ logits),
-    bounded_centers(bins, up @ raw))` for up = `upsample_matrix(*grid)`. A
+    bounded_centers(bins, up @ raw))` for up = `upsample_matrix(*grid)`; its
+    gradients sum in another order, so only within rounding of that graph's. A
     window's [F, P, N] inputs give [F, h*w], frame by frame with those bits.
 
     The forward runs on the upsample's distinct rows (`recon.upsample_rows`) in
-    ROW_BLOCK-row blocks and spreads depth to pixels. When an input requires
-    grad, the [U, N] state of every row is kept for the VJPs, which run on
-    pixel rows, whose upstream gradients differ; otherwise three block
-    buffers are reused in place and no [HW, N] or [U, N] array is allocated.
+    ROW_BLOCK-row blocks of reused buffers and spreads depth to pixels. Both
+    VJPs are linear in the upstream gradient, and a row's pixels share its
+    state. So for each operand that will record a gradient, the forward also
+    keeps the depth's Jacobian row for every distinct row ([F, U, N]: the
+    ordinal VJP of the centers, or the shift VJP of the probs), and that VJP
+    is, per frame, the upstream summed per row (`np.bincount`) scaling them,
+    then one `uniq.T @`. With no such operand (under `no_grad`, say), three
+    block buffers are all it allocates, and no [HW, N] or [U, N] array.
     """
     n = bins.n_bins
     if logits.ndim not in (2, 3) or logits.shape != raw.shape or n != logits.shape[-1]:
@@ -209,48 +215,40 @@ def ordinal_depth(grid: Grid, logits: Tensor, raw: Tensor, bins: BinConfig) -> T
     uniq, inv = upsample_rows(*grid)
     u, budget, block = uniq.shape[0], bins.shift_budget(), min(ROW_BLOCK, uniq.shape[0])
     lg, rw = (x.data.reshape(-1, *x.shape[-2:]) for x in (logits, raw))
-    frames, keep = lg.shape[0], logits.requires_grad or raw.requires_grad
-    if keep:
-        qx, clamped, probs, t, centers = (np.empty((frames, u, n)) for _ in range(5))
-        total, prod = np.empty((frames, u, 1)), np.empty((block, n))
-    else:   # logits rows -> q; raw rows -> tanh -> centers -> products
-        qx, probs, t = (np.empty((1, block, n)) for _ in range(3))
-        clamped, centers, prod, total = probs, t, t[0], np.empty((1, block, 1))
+    frames = lg.shape[0]
+    jac_lg, jac_rw = (np.empty((frames, u, n)) if tensor._GRAD_ENABLED and x.requires_grad
+                      else None for x in (logits, raw))
+    # logits rows -> q; raw rows -> tanh -> centers; probs -> products -> scratch
+    qx, probs, t = (np.empty((block, n)) for _ in range(3))
+    clamped = probs if jac_lg is None else np.empty((block, n))   # read by jac_lg's rows
+    centers = t if jac_rw is None else np.empty((block, n))       # tanh read by jac_rw's
     depth = np.empty((frames, u))
     for f in range(frames):
         for lo, hi in _row_blocks(u):
-            b = (f, slice(lo, hi)) if keep else (0, slice(0, hi - lo))
-            for x, rows in ((lg[f], qx[b]), (rw[f], t[b])):
+            q, c, p, th, ce = (x[:hi - lo] for x in (qx, clamped, probs, t, centers))
+            for x, rows in ((lg[f], q), (rw[f], th)):
                 np.matmul(uniq[lo:hi], x, out=rows)
                 _check_finite(rows, "matmul")
-            total[b] = _ordinal_mass(qx[b], qx[b], clamped[b], probs[b])
-            _check_finite(probs[b], "ordinal_probs")
-            _bounded_shift(budget, bins.centers, t[b], t[b], centers[b])
-            _check_finite(centers[b], "bounded_centers")
-            _expectation(probs[b], centers[b], prod[:hi - lo], depth[f, lo:hi])
+            total = _ordinal_mass(q, q, c, p)
+            _check_finite(p, "ordinal_probs")
+            _bounded_shift(budget, bins.centers, th, th, ce)
+            _check_finite(ce, "bounded_centers")
+            if jac_rw is not None:   # the shifts' VJP at an upstream of probs
+                _shift_grad(p, th, budget, jac_rw[f, lo:hi], th)
+            _expectation(p, ce, p, depth[f, lo:hi])
+            if jac_lg is not None:   # the ordinal VJP at an upstream of centers
+                _ordinal_grad(ce, c, total, q, jac_lg[f, lo:hi], p)
 
-    def pixel_vjp(rows_grad):
-        # per frame: the upstream g, block by block of pixel rows, then `up.T @ g`
+    def row_vjp(jac):
         def vjp(g):
             g, out = g.reshape(frames, inv.size), np.empty(lg.shape)
-            g_rows, w = np.empty((inv.size, n)), np.empty((min(ROW_BLOCK, inv.size), n))
             for f in range(frames):
-                for lo, hi in _row_blocks(inv.size):
-                    rows_grad(g[f, lo:hi, None], (f, inv[lo:hi]), g_rows[lo:hi], w[:hi - lo])
-                out[f] = upsample_matrix(*grid).T @ g_rows
+                out[f] = uniq.T @ (np.bincount(inv, g[f], minlength=u)[:, None] * jac[f])
             return out.reshape(logits.shape)
         return vjp
 
-    def logits_grad(g, at, out, w):   # g * centers, then the ordinal VJP
-        _ordinal_grad(np.multiply(g, centers[at], out=out), clamped[at], total[at],
-                      qx[at], out, w)
-
-    def raw_grad(g, at, out, w):      # g * probs, then the shift VJP
-        _shift_grad(np.multiply(g, probs[at], out=out), t[at], budget, out, w)
-
     return Tensor._from_op(depth[:, inv].reshape(*logits.shape[:-2], inv.size),
-                           "ordinal_depth", (logits, raw),
-                           (pixel_vjp(logits_grad), pixel_vjp(raw_grad)))
+                           "ordinal_depth", (logits, raw), (row_vjp(jac_lg), row_vjp(jac_rw)))
 
 
 @dataclass

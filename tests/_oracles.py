@@ -172,3 +172,25 @@ def stitched_windows(frames, params, cfg):
         depth_rel=concat([w.depth_rel for w in wins]),
         depth_metric=(None if cfg.md_mode == "off"
                       else concat([w.depth_metric for w in wins])))
+
+
+# ----------------------------------------------------------------------
+# the metric head's VJP in its summation order: a VJP linear in the upstream
+# whose pixel rows share their upsample row's Jacobian row
+# ----------------------------------------------------------------------
+
+def row_jacobian_vjp(up, g, jac):
+    """`up.T @ (g[:, None] * jac)` for [HW, P] `up`, [HW] `g` and the pixel
+    rows' Jacobian rows `jac` [HW, N], where equal rows of `up` have equal
+    rows of `jac`: summed as the ordinal head sums it. The distinct rows of
+    `up` are numbered in order of first appearance; `g` is added up per
+    distinct row in pixel order from 0.0, scales that row's Jacobian row,
+    and one product with the distinct rows gives [P, N]."""
+    ids = {}
+    inv = [ids.setdefault(row.tobytes(), len(ids)) for row in up]
+    first, s = {}, np.zeros(len(ids))
+    for i, k in enumerate(inv):
+        first.setdefault(k, i)
+        s[k] += g[i]
+    rows = [first[k] for k in range(len(ids))]
+    return up[rows].T @ (s[:, None] * jac[rows])

@@ -4,7 +4,10 @@ references; the ordinal head's one node (`ordinal_depth`, the upsample
 folded in) against matmul nodes feeding the pixel-row ones, and on a window
 against one node per frame; and the metric head under no_grad against its
 graph. Each repeats the float operations of its reference in the same
-order, so forward values and VJPs must be equal, not only close."""
+order, so forward values and VJPs must be equal, not only close. The one
+exception is the ordinal head's VJPs: they sum the pixel-row nodes'
+Jacobian rows in another order (`_oracles.row_jacobian_vjp`), which they
+match bit for bit, and they stay within 1e-12 of the nodes' own VJPs."""
 
 import tracemalloc
 
@@ -22,6 +25,9 @@ from geovid.numkit import (
     Role, Tensor, TokenSet, concat, matmul, maximum, no_grad, sigmoid, tanh, tsum,
 )
 from geovid.recon import quat_to_rotation, upsample_matrix, upsample_rows
+
+from _oracles import row_jacobian_vjp
+
 
 def composed_ordinal_probs(logits: Tensor) -> Tensor:
     hw, n = logits.shape
@@ -250,6 +256,46 @@ def test_blocked_no_grad_depth_allocates_no_pixel_by_bin_array():
     assert peak < u * 64 * 8, peak
 
 
+def _traced_window_head(logits_grad: bool, raw_grad: bool):
+    """One `ordinal_depth` call on a 4-frame 56x56 window whose logits and raw
+    shifts require grad as given: its traced peak, the sizes of the traced
+    allocations alive after it (its output held), and the bytes of one
+    [U, N] float64 array over the upsample's U distinct rows."""
+    rng = np.random.default_rng(3)
+    logits, raw = (Tensor(rng.standard_normal((4, 16, 64)), requires_grad=r)
+                   for r in (logits_grad, raw_grad))
+    u = upsample_rows(4, 4, 56, 56)[0].shape[0]      # builds the cached upsample
+    tracemalloc.start()
+    try:
+        out = ordinal_depth((4, 4, 56, 56), logits, raw, init_bins(64, 0.1, 10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+        alive = [trace.size for trace in tracemalloc.take_snapshot().traces]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, 56 * 56)
+    return peak, alive, u * 64 * 8
+
+
+def test_no_grad_depth_of_grad_inputs_allocates_no_pixel_by_bin_array():
+    # no gradient will be recorded, so no Jacobian rows are built
+    with no_grad():
+        peak, _, row_bytes = _traced_window_head(True, True)
+    assert peak < row_bytes, peak                    # the bound of the test above
+
+
+@pytest.mark.parametrize("logits_grad", [True, False])
+def test_head_keeps_jacobian_rows_of_the_grad_operand_only(logits_grad):
+    peak, alive, row_bytes = _traced_window_head(logits_grad, not logits_grad)
+    assert alive.count(4 * row_bytes) == 1           # one [F, U, N] array
+    assert peak < 2 * 4 * row_bytes, peak
+
+
+def test_grad_mode_head_peak_is_two_jacobians_and_block_buffers():
+    peak, alive, row_bytes = _traced_window_head(True, True)
+    assert alive.count(4 * row_bytes) == 2
+    assert peak < 3 * 4 * row_bytes, peak
+
+
 def _upsampled_case(h: int, w: int, grid: tuple[int, int], n: int, seed: int):
     """An upsample matrix, [P, n] patch logits and raw shifts, and an upstream
     gradient [HW] of the depth.
@@ -284,10 +330,23 @@ def _depth_vjp(head, logits: np.ndarray, raw: np.ndarray, seed_grad: np.ndarray,
     return out.data, (lt if through_logits else rt).grad
 
 
-def _matmul_then_nodes(up: np.ndarray, cfg, probs_op, centers_op):
-    """The head as a matmul node per operand feeding pixel-row nodes."""
-    return lambda lg, rw: expected_depth_tensor(probs_op(matmul(Tensor(up), lg)),
-                                                centers_op(cfg, matmul(Tensor(up), rw)))
+def _pixel_row_nodes(cfg, probs_op, centers_op):
+    """The head as pixel-row nodes on upsampled logits and raw shifts [HW, N]."""
+    return lambda lg, rw: expected_depth_tensor(probs_op(lg), centers_op(cfg, rw))
+
+
+def assert_head_matches_nodes(folded, up, nodes, logits, raw, seed_grad, through_logits):
+    """The head's (depth, gradient) `folded` against a matmul node per operand
+    feeding the pixel-row `nodes`: the depth has their bits. The gradient has
+    the bits of the nodes' Jacobian rows (their summed depth's gradient in the
+    upsampled operand) summed in the head's order, and lies within 1e-12 of
+    the matmul-then-nodes gradient, relative to its largest entry."""
+    depth, grad = _depth_vjp(lambda lg, rw: nodes(matmul(Tensor(up), lg), matmul(Tensor(up), rw)),
+                             logits, raw, seed_grad, through_logits)
+    _bits_equal(folded[0], depth)
+    jac = _depth_vjp(nodes, up @ logits, up @ raw, np.ones(len(up)), through_logits)[1]
+    _bits_equal(folded[1], row_jacobian_vjp(up, seed_grad, jac))
+    assert np.abs(folded[1] - grad).max() <= 1e-12 * np.abs(grad).max()
 
 
 # 56x56 gives 3136 rows (8 full blocks), 42x42 1764 (a partial last block),
@@ -308,10 +367,8 @@ def test_folded_ordinal_probs_match_matmul_then_node(h, w, grid):
     q = special.expit(pixel_logits[:, :-1])
     assert (np.diff(q, axis=1) > 0).any(), "the clamp must be active somewhere"
     for probs_op in (bin_logits_to_probs, strided_ordinal_probs):
-        unfolded = _depth_vjp(_matmul_then_nodes(up, cfg, probs_op, bounded_centers),
-                              logits, raw, seed_grad, through_logits=True)
-        for got, want in zip(folded, unfolded):
-            _bits_equal(got, want)
+        assert_head_matches_nodes(folded, up, _pixel_row_nodes(cfg, probs_op, bounded_centers),
+                                  logits, raw, seed_grad, through_logits=True)
 
 
 @pytest.mark.parametrize("h, w, grid", UPSAMPLED)
@@ -323,10 +380,8 @@ def test_folded_bounded_centers_match_matmul_then_node(h, w, grid):
     folded = _depth_vjp(lambda lg, rw: ordinal_depth((*grid, h, w), lg, rw, cfg),
                         logits, raw, seed_grad, through_logits=False)
     for centers_op in (bounded_centers, composed_bounded_centers):
-        unfolded = _depth_vjp(_matmul_then_nodes(up, cfg, bin_logits_to_probs, centers_op),
-                              logits, raw, seed_grad, through_logits=False)
-        for got, want in zip(folded, unfolded):
-            _bits_equal(got, want)
+        assert_head_matches_nodes(folded, up, _pixel_row_nodes(cfg, bin_logits_to_probs, centers_op),
+                                  logits, raw, seed_grad, through_logits=False)
 
 
 @pytest.mark.parametrize("through_logits", [True, False])

@@ -11,6 +11,8 @@ from geovid.metric_depth import (
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, mlp, no_grad, tsum
 from geovid.recon import upsample_matrix, upsample_rows
 
+from _oracles import row_jacobian_vjp
+
 
 class TestInitBins:
     def test_single_bin_rejected(self):
@@ -183,10 +185,15 @@ def _full_rows(up: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([up[lo:hi] @ x for lo, hi in metric_depth._row_blocks(up.shape[0])])
 
 
-def full_row_probs(logits: Tensor, up: np.ndarray) -> Tensor:
-    """The ordinal probs node computed on all HW pixel rows, with the VJP's
-    float operations in the node's order."""
-    q = expit(_full_rows(up, logits.data))
+def full_row_upsample(x: Tensor, up: np.ndarray) -> Tensor:
+    """`_full_rows` as a node, its VJP `up.T @ g`."""
+    return Tensor._from_op(_full_rows(up, x.data), "upsample", (x,), (lambda g: up.T @ g,))
+
+
+def full_row_probs(rows: Tensor) -> Tensor:
+    """The ordinal probs node on pixel rows [HW, N], with the VJP's float
+    operations in the node's order."""
+    q = expit(rows.data)
     q[:, -1] = 0.0
     mass = np.empty_like(q)
     mass[:, 0] = 1.0 - q[:, 0]
@@ -202,16 +209,16 @@ def full_row_probs(logits: Tensor, up: np.ndarray) -> Tensor:
         g_rows[:, -1] = 0.0
         g_rows *= q
         g_rows *= 1.0 - q
-        return up.T @ g_rows
+        return g_rows
 
-    return Tensor._from_op(clamped / total, "ordinal_probs", (logits,), (vjp,))
+    return Tensor._from_op(clamped / total, "ordinal_probs", (rows,), (vjp,))
 
 
-def full_row_centers(cfg: BinConfig, raw: Tensor, up: np.ndarray) -> Tensor:
-    """The bounded-centers node computed on all HW pixel rows."""
-    t, budget = np.tanh(_full_rows(up, raw.data)), cfg.shift_budget()
-    return Tensor._from_op(budget * t + cfg.centers, "bounded_centers", (raw,),
-                           (lambda g: up.T @ (g * budget * (1.0 - t * t)),))
+def full_row_centers(cfg: BinConfig, rows: Tensor) -> Tensor:
+    """The bounded-centers node on pixel rows [HW, N]."""
+    t, budget = np.tanh(rows.data), cfg.shift_budget()
+    return Tensor._from_op(budget * t + cfg.centers, "bounded_centers", (rows,),
+                           (lambda g: g * budget * (1.0 - t * t),))
 
 
 # (h, w, patch): square 56x56 (1936 of 3136 rows distinct), non-square 42x70,
@@ -250,17 +257,23 @@ def test_unique_row_head_matches_full_row_head_bit_for_bit(h, w, ps):
     g[::5] = 0.0
     g[::10] = -0.0
 
-    def run(head):
-        lt, rt = Tensor(logits.copy(), requires_grad=True), Tensor(raw.copy(), requires_grad=True)
+    def run(head, lg, rw, g):
+        lt, rt = Tensor(lg.copy(), requires_grad=True), Tensor(rw.copy(), requires_grad=True)
         depth = head(lt, rt)
         tsum(depth * Tensor(g)).backward()
         return depth.data, lt.grad, rt.grad
 
-    got = run(lambda lt, rt: ordinal_depth(grid, lt, rt, cfg))
-    want = run(lambda lt, rt: expected_depth_tensor(full_row_probs(lt, up),
-                                                    full_row_centers(cfg, rt, up)))
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    def nodes(lt, rt):
+        return expected_depth_tensor(full_row_probs(lt), full_row_centers(cfg, rt))
+    got = run(lambda lt, rt: ordinal_depth(grid, lt, rt, cfg), logits, raw, g)
+    want = run(lambda lt, rt: nodes(full_row_upsample(lt, up), full_row_upsample(rt, up)),
+               logits, raw, g)
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    # the gradients: the pixel rows' Jacobian rows, summed in the head's order
+    jac = run(nodes, _full_rows(up, logits), _full_rows(up, raw), np.ones(h * w))
+    for a, b, j in zip(got[1:], want[1:], jac[1:]):
+        assert a.shape == b.shape and a.tobytes() == row_jacobian_vjp(up, g, j).tobytes()
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     with no_grad():
         no_grad_depth = ordinal_depth(grid, Tensor(logits), Tensor(raw), cfg)
     assert no_grad_depth.data.tobytes() == want[0].tobytes()
