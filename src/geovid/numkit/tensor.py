@@ -41,9 +41,14 @@ def no_grad():
 
 def _check_finite(data: np.ndarray, opname: str) -> None:
     # single-pass reduction; any NaN/Inf propagates into the sum. A finite
-    # array whose sum overflows is re-checked elementwise, off the hot path.
-    # The method call and math.isfinite skip numpy's ufunc dispatch.
-    if not math.isfinite(data.sum()) and not np.isfinite(data).all():
+    # array whose sum overflows (a RuntimeWarning when warnings are errors)
+    # is re-checked elementwise, off the hot path. The method call and
+    # math.isfinite skip numpy's ufunc dispatch.
+    try:
+        finite = math.isfinite(data.sum())
+    except RuntimeWarning:
+        finite = False
+    if not finite and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by '{opname}'")
 
 

@@ -177,6 +177,7 @@ def _optimize(cfg: RunConfig, trainable: dict[str, Tensor],
             total, report = step_loss()
             opt.zero_grad()
             total.backward()
+            del total   # frees this step's graph before the next step's forward
             opt.step()
         except (NumericError, DegenerateInputError) as exc:
             if dump_path is not None:

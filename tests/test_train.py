@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,29 @@ def test_stage2_window_graph_node_count(tiny_setup):
         pred = predict_window(scene.frames[:2], params, cfg)
         joint = _window_joint_loss(pred, params, cfg, scene_norm(scene))[0]
         assert _graph_nodes(joint) == 413, stage2_frames
+
+
+def _stage2_traced_peak(cfg, scenes, steps: int) -> int:
+    params = init_model(cfg)
+    tracemalloc.start()
+    try:
+        train_stage2(cfg, params, scenes, steps=steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage2_steps_hold_one_graph_at_a_time():
+    # _optimize drops each step's loss root after backward(), so no forward
+    # runs beside the previous step's graph: 3 steps peak at 0.99-1.09x one
+    # step's peak here (cold or warm upsample cache), where a graph kept
+    # until the next step's loss replaced it gave 1.67-1.86x.
+    # A 56x56 window with 32 bins makes the graph outweigh the optimizer
+    # state that only later steps hold.
+    cfg = RunConfig(seed=11, **{**TINY, "resolution": (56, 56), "n_bins": 32})
+    scenes = generate_scenes(cfg)
+    one, three = (_stage2_traced_peak(cfg, scenes, steps) for steps in (1, 3))
+    assert three < 1.35 * one, (three, one)
 
 
 # ----------------------------------------------------------------------
