@@ -25,7 +25,7 @@ from .errors import DegenerateInputError, DomainError, ParameterError, ShapeErro
 from .geometry import CameraModel, DepthMap
 from .numkit import (
     MlpParams, Tensor, TokenSet, arccos, as_tensor, concat, exp, log, matmul,
-    mlp, stack, tabs, tmean, tsum,
+    mlp, tabs, tmean, tsum,
 )
 from .patch3d import Patch3DTokens, backproject_grid
 from .recon import CameraPrediction
@@ -160,12 +160,11 @@ def metric_depth_loss(pred, gts: list[DepthMap], alpha: float = ALPHA_MD,
 def backproject_grid_tensor(depth: Tensor, cam: CameraPrediction,
                             mask: np.ndarray) -> Tensor:
     """In-graph dense back-projection of a window's masked pixels -> [F, M, 3]
-    world points; `cam` holds the window's cameras stacked: quat [F, 4],
-    translation [F, 3], fx and fy [F], cx and cy [F] arrays."""
+    world points through the window's cameras `cam`, one row per frame."""
     f, h, w = depth.shape
     jj, ii = np.nonzero(mask)
     d = depth.reshape(f, h * w)[:, jj * w + ii].reshape(f, -1, 1)
-    px = Tensor(np.stack([ii - cam.cx[:, None], jj - cam.cy[:, None]], axis=-1))  # [F, M, 2]
+    px = Tensor(np.stack([ii - cam.cx, jj - cam.cy], axis=-1))  # [M, 2]
     # 1/fx and 1/fy are two nodes even where fy is fx, as in a frame's own graph
     inv_f = concat([(1.0 / cam.fx).reshape(f, 1), (1.0 / cam.fy).reshape(f, 1)], axis=1)
     xy = px * inv_f.reshape(f, 1, 2) * d
@@ -181,18 +180,13 @@ class ReconLossResult:
     total: Tensor
 
 
-def recon_task_loss(pred_cams: list[CameraPrediction], gt_cams: list[CameraModel],
+def recon_task_loss(cam: CameraPrediction, gt_cams: list[CameraModel],
                     pred_depth: Tensor, gt_depths: list[DepthMap]) -> ReconLossResult:
     """pose angle^2 + ||t - t_gt||^2, masked L1 depth, L1 point map; unit
-    weights. Each term is [F], one per frame of the window [F, H, W]."""
+    weights. Each term is [F], one per frame of the window [F, H, W] and its
+    cameras `cam`."""
     pred_vals = as_tensor(pred_depth)
     p, g, mask = _valid_pixels(pred_vals, gt_depths, "reconstruction loss")
-    # the camera head runs per frame; its outputs are stacked here
-    cam = CameraPrediction(
-        quat=stack([c.quat for c in pred_cams]),
-        translation=stack([c.translation for c in pred_cams]),
-        fx=stack([c.fx for c in pred_cams]), fy=stack([c.fy for c in pred_cams]),
-        cx=np.array([c.cx for c in pred_cams]), cy=np.array([c.cy for c in pred_cams]))
     t_diff = cam.translation - Tensor(np.stack([c.translation for c in gt_cams]))
     # geodesic angle; the pose term and the point map each build their own rotation node
     rel = matmul(cam.rotation_tensor(),

@@ -88,7 +88,7 @@ class WindowPrediction:
 
     frames: list[FrameData]
     lang: TokenSet                   # [F, N, C] adapter language stream
-    cameras: list[CameraPrediction]  # one per frame, relative scale
+    cameras: CameraPrediction        # [F] rows, relative scale
     depth_rel: Tensor                # [F, H, W] relative depth, in-graph
     depth_metric: Tensor | None      # [F, HW] metric depth, in-graph; None when md_mode is off
 
@@ -114,9 +114,7 @@ def predict_window(frames: list[FrameData], params: VidModelParams,
         depth_rel=depth_head_tensor(depth_in, cfg.resolution, params.depth_head),
         depth_metric=(None if cfg.md_mode == "off"
                       else predict_metric_depth(geom, cfg.resolution, params.metric)),
-        # the camera head runs per frame: batched on [F, 1, C], a quaternion's bits can move
-        cameras=[camera_head(cams[i], params.camera_head, cfg.resolution)
-                 for i in range(len(frames))])
+        cameras=camera_head(cams, params.camera_head, cfg.resolution))
 
 
 def save_checkpoint(directory, params: VidModelParams, cfg: RunConfig) -> None:

@@ -122,31 +122,29 @@ class CameraHeadParams:
 
 @dataclass
 class CameraPrediction:
-    """Differentiable camera: unit quaternion, translation and intrinsics.
+    """A window's differentiable cameras: unit quaternions, translations and
+    intrinsics, one row per frame.
 
-    The quaternion is normalized in-graph, so `rotation_tensor()` is always
-    orthonormal. `to_camera()` detaches into a plain CameraModel.
+    The quaternions are normalized in-graph, so `rotation_tensor()` is always
+    orthonormal. `to_cameras()` detaches them into plain CameraModels.
     """
 
-    quat: Tensor          # [4], unit norm
-    translation: Tensor   # [3]
-    fx: Tensor            # scalar []
-    fy: Tensor            # scalar []
-    cx: float
+    quat: Tensor          # [F, 4], unit norm
+    translation: Tensor   # [F, 3]
+    fx: Tensor            # [F]
+    fy: Tensor            # [F]
+    cx: float             # one image size per window
     cy: float
 
     def rotation_tensor(self) -> Tensor:
         return quat_to_rotation(self.quat)
 
-    def to_camera(self, scale_kind: str = RELATIVE) -> CameraModel:
-        q = self.quat.data / np.linalg.norm(self.quat.data)
-        return CameraModel(
-            fx=float(self.fx.data), fy=float(self.fy.data),
-            cx=self.cx, cy=self.cy,
-            rotation=quaternion_to_rotation(q),
-            translation=self.translation.data.copy(),
-            scale_kind=scale_kind,
-        )
+    def to_cameras(self, scale_kind: str = RELATIVE) -> list[CameraModel]:
+        return [CameraModel(fx=float(fx), fy=float(fy), cx=self.cx, cy=self.cy,
+                            rotation=quaternion_to_rotation(q / np.linalg.norm(q)),
+                            translation=t.copy(), scale_kind=scale_kind)
+                for q, t, fx, fy in zip(self.quat.data, self.translation.data,
+                                        self.fx.data, self.fy.data)]
 
 
 # Rotation entries in row-major order as 2 * sum(sign * q_a * q_b) over
@@ -156,54 +154,53 @@ _ROTATION_PRODUCTS = (
     ((1.0, 1, 2), (1.0, 0, 3)), ((-1.0, 1, 1), (-1.0, 3, 3)), ((1.0, 2, 3), (-1.0, 0, 1)),
     ((1.0, 1, 3), (-1.0, 0, 2)), ((1.0, 2, 3), (1.0, 0, 1)), ((-1.0, 1, 1), (-1.0, 2, 2)),
 )
+# Each component's VJP terms sign * 2 g[entry] * q[partner], entry by entry and
+# product by product: 6 for w, 10 each for x, y and z. Rows are padded to 10;
+# `_LAST` is each row's last real term.
+_TERMS = [[(k, sign, j) for k, products in enumerate(_ROTATION_PRODUCTS)
+           for sign, a, b in products for i, j in ((a, b), (b, a)) if i == c]
+          for c in range(4)]
+_ENTRY, _SIGN, _PARTNER = (np.array([[t[n] for t in row] + [0] * (10 - len(row))
+                                     for row in _TERMS]) for n in range(3))
+_LAST = np.array([len(row) - 1 for row in _TERMS])
 
 
 def quat_to_rotation(quat: Tensor) -> Tensor:
-    """Unit quaternion [w, x, y, z] -> [3, 3] rotation, or [F, 4] -> [F, 3, 3],
-    as one graph node.
+    """Unit quaternions [F, 4] as [w, x, y, z] -> rotations [F, 3, 3], as one
+    graph node.
 
-    The VJP sums each component's terms entry by entry, product by product,
-    which is the order an op-per-scalar graph of the same formula uses, so
-    the gradient is bit-identical to that graph's, quaternion by quaternion.
+    The VJP adds each component's terms from the first with one cumsum, the
+    order an op-per-scalar graph of the same formula uses, so the gradient is
+    bit-identical to that graph's, quaternion by quaternion.
     """
-    if quat.ndim not in (1, 2) or quat.shape[-1] != 4:
-        raise ShapeError(f"quaternion must be [4] or [F, 4], got {quat.shape}")
-    q = list(quat.data.T)   # four components, each a scalar or an [F] column
+    if quat.ndim != 2 or quat.shape[-1] != 4:
+        raise ShapeError(f"quaternions must be [F, 4], got {quat.shape}")
 
     def vjp(g):
-        g2 = list((g.reshape(*quat.shape[:-1], 9) * 2.0).T)
-        grad = [None] * 4
-        for k, products in enumerate(_ROTATION_PRODUCTS):
-            for sign, a, b in products:
-                for i, j in ((a, b), (b, a)):
-                    term = sign * g2[k] * q[j]
-                    grad[i] = term if grad[i] is None else grad[i] + term
-        return np.stack(grad, axis=-1)
+        terms = _SIGN * (g.reshape(-1, 9) * 2.0)[:, _ENTRY] * quat.data[:, _PARTNER]
+        return np.cumsum(terms, axis=-1)[:, np.arange(4), _LAST]
 
-    rot = np.stack([quaternion_to_rotation(r) for r in quat.data.reshape(-1, 4)])
-    return Tensor._from_op(rot.reshape(*quat.shape[:-1], 3, 3), "quat_to_rotation",
-                           (quat,), (vjp,))
+    rot = np.stack([quaternion_to_rotation(q) for q in quat.data])
+    return Tensor._from_op(rot, "quat_to_rotation", (quat,), (vjp,))
 
 
 def camera_head(camera_tokens: TokenSet, p: CameraHeadParams,
                 image_size: tuple[int, int]) -> CameraPrediction:
-    """Pooled camera tokens -> relative-scale pose and field-of-view intrinsics."""
+    """A window's camera tokens [F, n_cam, C], pooled per frame -> one
+    relative-scale pose and field-of-view intrinsics per frame."""
     require_role(camera_tokens, Role.CAMERA)
     h, w = image_size
-    pooled = rms_norm(tmean(camera_tokens.tokens, axis=0, keepdims=True))  # [1, C]
-    raw = mlp(pooled, p.mlp).reshape(8)
-    q_raw = raw[0:4] + Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
-    q_norm = ((q_raw * q_raw).sum() + 1e-12) ** -0.5
-    quat = q_raw * q_norm
+    # kept [F, 1, C], not [F, C]: each frame's row then has the bits of a one-frame call
+    pooled = rms_norm(tmean(camera_tokens.tokens, axis=1, keepdims=True))
+    raw = mlp(pooled, p.mlp).reshape(-1, 8)
+    q_raw = raw[:, 0:4] + Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
+    q_norm = ((q_raw * q_raw).sum(axis=1, keepdims=True) + 1e-12) ** -0.5
     # sigmoid-bounded field of view; raw 0 lands mid-range
-    fov = FOV_MIN + (FOV_MAX - FOV_MIN) * sigmoid(raw[7])
+    fov = FOV_MIN + (FOV_MAX - FOV_MIN) * sigmoid(raw[:, 7])
     fx = (w / 2.0) / tan(fov * 0.5)
-    return CameraPrediction(
-        quat=quat,
-        translation=raw[4:7],
-        fx=fx, fy=fx,  # square pixels
-        cx=(w - 1) / 2.0, cy=(h - 1) / 2.0,
-    )
+    return CameraPrediction(quat=q_raw * q_norm, translation=raw[:, 4:7],
+                            fx=fx, fy=fx,  # square pixels
+                            cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
 
 
 # ----------------------------------------------------------------------

@@ -214,7 +214,7 @@ def _aligned_depth_for_vl(pred: WindowPrediction, cfg: RunConfig, clamp: bool = 
     clamps.
     """
     h, w = cfg.resolution
-    cams = [c.to_camera(RELATIVE) for c in pred.cameras]
+    cams = pred.cameras.to_cameras(RELATIVE)
     rel = pred.depth_rel.data
     if cfg.md_mode != "full":
         values = rel if cfg.md_mode == "off" else pred.depth_metric.data.reshape(-1, h, w)

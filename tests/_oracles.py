@@ -4,6 +4,8 @@ written from the metric definitions with plain loops; keep it decoupled
 from geovid.evalmetrics internals. Below them, the single-frame stage-2
 losses that the window losses must reproduce bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from geovid.geometry import bilinear_sample
@@ -111,12 +113,27 @@ def frame_md_loss(pred, gt_depth, alpha=1.0, eps=1e-6):
     return b * b + tmean(r * r / (1.0 + alpha * tabs(r)))
 
 
+_CAMERA_TENSORS = ("quat", "translation", "fx", "fy")
+
+
+def frame_camera(cam, i):
+    """Frame i of a window's CameraPrediction: a one-frame prediction of each
+    tensor's [i:i + 1] slice."""
+    return replace(cam, **{k: getattr(cam, k)[i:i + 1] for k in _CAMERA_TENSORS})
+
+
+def joined_cameras(cams):
+    """One CameraPrediction holding the rows of `cams` in order."""
+    return replace(cams[0], **{k: concat([getattr(c, k) for c in cams])
+                               for k in _CAMERA_TENSORS})
+
+
 def frame_recon_loss(cam, gt_cam, depth, gt_depth):
-    """(pose, depth, pointmap, total) of one frame: its CameraPrediction and
-    [H, W] depth against a CameraModel and a DepthMap."""
+    """(pose, depth, pointmap, total) of one frame: its one-frame
+    CameraPrediction and [H, W] depth against a CameraModel and a DepthMap."""
     p, g = _frame_valid_pixels(depth, gt_depth)
     t_diff = cam.translation - Tensor(gt_cam.translation)
-    rel = matmul(cam.rotation_tensor(), Tensor(np.asarray(gt_cam.rotation).T))
+    rel = matmul(cam.rotation_tensor()[0], Tensor(np.asarray(gt_cam.rotation).T))
     angle = arccos((rel[0, 0] + rel[1, 1] + rel[2, 2] - 1.0) * 0.5)
     pose = angle * angle + tsum(t_diff * t_diff)
     depth_l1 = tmean(tabs(p - g))
@@ -127,7 +144,7 @@ def frame_recon_loss(cam, gt_cam, depth, gt_depth):
     inv_f = concat([(1.0 / cam.fx).reshape(1), (1.0 / cam.fy).reshape(1)], axis=0)
     xy = px * inv_f.reshape(1, 2) * d
     pts = matmul(concat([xy, d], axis=1) - cam.translation.reshape(1, 3),
-                 cam.rotation_tensor())
+                 cam.rotation_tensor()[0])
     gt_pts = _pixels_to_world(ii, jj, gt_depth.values[jj, ii], gt_cam)
     pointmap = tmean(tabs(pts - Tensor(gt_pts)))
     return pose, depth_l1, pointmap, (pose + depth_l1) + pointmap
@@ -168,7 +185,7 @@ def stitched_windows(frames, params, cfg):
     wins = [predict_window(frames[lo:lo + k], params, cfg) for lo in range(0, len(frames), k)]
     return WindowPrediction(
         frames=list(frames), lang=TokenSet(concat([w.lang.tokens for w in wins]), Role.LANG),
-        cameras=[c for w in wins for c in w.cameras],
+        cameras=joined_cameras([w.cameras for w in wins]),
         depth_rel=concat([w.depth_rel for w in wins]),
         depth_metric=(None if cfg.md_mode == "off"
                       else concat([w.depth_metric for w in wins])))

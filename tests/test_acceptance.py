@@ -165,14 +165,15 @@ def test_criterion_1_gradient_suite():
     depth_gt = DepthMap(rng.uniform(1.0, 3.0, (4, 4)), scale_kind=METRIC)
 
     def recon_pred(t):
+        # a one-frame window's cameras
         quat = t[0:4] + Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
         quat = quat * (((quat * quat).sum() + 1e-12) ** -0.5)
-        return CameraPrediction(quat=quat, translation=t[4:7],
-                                fx=Tensor(10.0), fy=Tensor(10.0), cx=1.5, cy=1.5)
+        return CameraPrediction(quat=quat.reshape(1, 4), translation=t[4:7].reshape(1, 3),
+                                fx=Tensor([10.0]), fy=Tensor([10.0]), cx=1.5, cy=1.5)
 
     def recon_f(t):
         # t packs [quat_offset(4), translation(3)]; depth held fixed
-        return recon_task_loss([recon_pred(t)], [cam_gt], Tensor(depth_gt.values[None]),
+        return recon_task_loss(recon_pred(t), [cam_gt], Tensor(depth_gt.values[None]),
                                [depth_gt]).total
 
     def recon_x():
@@ -185,14 +186,10 @@ def test_criterion_1_gradient_suite():
         while True:
             x = Tensor(rng.standard_normal(7) * 0.25, requires_grad=True)
             pred = recon_pred(x)
-            window = CameraPrediction(quat=pred.quat.reshape(1, 4),
-                                      translation=pred.translation.reshape(1, 3),
-                                      fx=Tensor([10.0]), fy=Tensor([10.0]),
-                                      cx=np.array([1.5]), cy=np.array([1.5]))
-            pred_pts = backproject_grid_tensor(Tensor(depth_gt.values[None]), window,
+            pred_pts = backproject_grid_tensor(Tensor(depth_gt.values[None]), pred,
                                                depth_gt.valid_mask)
             res = pred_pts.data[0] - backproject_grid(depth_gt, cam_gt)
-            cos = (np.trace(pred.rotation_tensor().data @ r_gt.T) - 1.0) * 0.5
+            cos = (np.trace(pred.rotation_tensor().data[0] @ r_gt.T) - 1.0) * 0.5
             if np.abs(res).min() > 1e-3 and abs(cos) < exact_below:
                 return x
 
@@ -222,7 +219,7 @@ def test_criterion_1_gradient_suite():
     w_rot = Tensor(rng.standard_normal((3, 3)))
     check("quat_to_rotation",
           lambda: lambda t: tsum(quat_to_rotation(t) * w_rot),
-          lambda: Tensor(rng.standard_normal(4), requires_grad=True))
+          lambda: Tensor(rng.standard_normal((1, 4)), requires_grad=True))
 
     # the one-node expectation, through both operands: x stacks probs, centers
     w_depth = Tensor(rng.standard_normal(3))

@@ -64,14 +64,14 @@ def composed_bounded_centers(cfg, raw: Tensor) -> Tensor:
 
 
 def composed_rotation(quat: Tensor) -> Tensor:
-    w, x, y, z = (quat[i] for i in range(4))
+    w, x, y, z = (quat[0, i] for i in range(4))
     one = Tensor(1.0)
     entries = [
         one - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
         2.0 * (x * y + w * z), one - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
         2.0 * (x * z - w * y), 2.0 * (y * z + w * x), one - 2.0 * (x * x + y * y),
     ]
-    return concat([e.reshape(1) for e in entries], axis=0).reshape(3, 3)
+    return concat([e.reshape(1) for e in entries], axis=0).reshape(1, 3, 3)
 
 
 def forward_and_vjp(op, x: np.ndarray, seed: np.ndarray):
@@ -150,27 +150,27 @@ def test_bounded_centers_match_composed_graph():
 def test_quat_to_rotation_matches_composed_graph():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        q = rng.standard_normal(4)
+        q = rng.standard_normal((1, 4))
         q /= np.linalg.norm(q)
         assert_matches_composed(quat_to_rotation, composed_rotation, q, rng)
 
 
 def test_quat_to_rotation_window_matches_one_node_per_quaternion():
     # a window's [F, 4] quaternions as one node: each rotation and each
-    # quaternion's gradient has the bits of its own [4] node
+    # quaternion's gradient has the bits of its own [1, 4] node
     rng = np.random.default_rng(5)
     q = rng.standard_normal((5, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     seed = rng.standard_normal((5, 3, 3))
     out, grad = forward_and_vjp(quat_to_rotation, q, seed)
     for f in range(5):
-        ref_out, ref_grad = forward_and_vjp(quat_to_rotation, q[f], seed[f])
-        _bits_equal(out[f], ref_out)
-        _bits_equal(grad[f], ref_grad)
+        ref_out, ref_grad = forward_and_vjp(quat_to_rotation, q[f:f + 1], seed[f:f + 1])
+        _bits_equal(out[f], ref_out[0])
+        _bits_equal(grad[f], ref_grad[0])
 
 
 def test_quat_to_rotation_rejects_wrong_shape():
-    for shape in ((2, 2), (3,), (2, 3, 4)):
+    for shape in ((2, 2), (3,), (4,), (2, 3, 4)):
         with pytest.raises(ShapeError):
             quat_to_rotation(Tensor(np.ones(shape)))
 
@@ -198,7 +198,7 @@ def test_fused_ops_are_one_node():
     cfg = init_bins(5, 0.1, 10.0)
     x = Tensor(np.zeros((3, 5)), requires_grad=True)
     y = Tensor(np.ones((3, 5)), requires_grad=True)
-    q = Tensor(np.array([1.0, 0.0, 0.0, 0.0]), requires_grad=True)
+    q = Tensor(np.array([[1.0, 0.0, 0.0, 0.0]]), requires_grad=True)
     for out, leaves in ((bin_logits_to_probs(x), (x,)), (bounded_centers(cfg, x), (x,)),
                         (expected_depth_tensor(x, y), (x, y)), (quat_to_rotation(q), (q,))):
         assert out._parents == leaves

@@ -103,13 +103,13 @@ def test_benchmark_hooks_resolve():
         tracer.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
     # the ordinal head is one node per window: its time stays in metric_depth,
-    # and its three separate steps are never called; the relative-depth head
-    # runs once per window, the camera head once per frame
+    # and its three separate steps are never called; the relative-depth and
+    # camera heads run once per window
     assert tracer.calls["metric_depth"] == 1
     for layer in ("metric_depth.probs", "metric_depth.centers", "metric_depth.expectation"):
         assert tracer.calls[layer] == 0, layer
     assert tracer.calls["recon.depth_head"] == 1
-    assert tracer.calls["recon.camera_head"] == 2
+    assert tracer.calls["recon.camera_head"] == 1
     # the window's frames share each block call: one attention and one MLP
     # call per block, blocks/2 blocks of each kind
     assert tracer.calls["recon.backbone.local"] == 2 * (cfg.blocks // 2)

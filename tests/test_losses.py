@@ -13,14 +13,17 @@ from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check
 from geovid.patch3d import Patch3DTokens
 from geovid.recon import CameraPrediction
 
-from _oracles import frame_md_loss, frame_recon_loss, frame_vl_loss
+from _oracles import frame_camera, frame_md_loss, frame_recon_loss, frame_vl_loss
 
 
-def _as_prediction(cam: CameraModel) -> CameraPrediction:
-    """A constant CameraPrediction with the camera's pose and intrinsics."""
-    return CameraPrediction(quat=Tensor(rotation_to_quaternion(cam.rotation)),
-                            translation=Tensor(cam.translation),
-                            fx=Tensor(cam.fx), fy=Tensor(cam.fy), cx=cam.cx, cy=cam.cy)
+def _as_prediction(*cams: CameraModel) -> CameraPrediction:
+    """A constant CameraPrediction with the cameras' poses and intrinsics, one
+    row per camera; the cameras share one image size."""
+    return CameraPrediction(quat=Tensor(np.stack([rotation_to_quaternion(c.rotation)
+                                                  for c in cams])),
+                            translation=Tensor(np.stack([c.translation for c in cams])),
+                            fx=Tensor([c.fx for c in cams]), fy=Tensor([c.fy for c in cams]),
+                            cx=cams[0].cx, cy=cams[0].cy)
 
 
 def _ts(arr, role=Role.GEOM):
@@ -275,7 +278,7 @@ class TestReconTaskLoss:
         cam = _gt_cam()
         depth = DepthMap(np.random.default_rng(1).uniform(1, 4, (28, 28)),
                          scale_kind=METRIC)
-        res = recon_task_loss([_as_prediction(cam)], [cam],
+        res = recon_task_loss(_as_prediction(cam), [cam],
                               Tensor(depth.values[None]), [depth])
         assert res.total.shape == (1,)
         assert res.total.item() == pytest.approx(0.0, abs=1e-12)
@@ -287,7 +290,7 @@ class TestReconTaskLoss:
         flip = np.diag([1.0, -1.0, -1.0])  # 180 degrees about x
         pred_cam = CameraModel(fx=10.0, fy=10.0, cx=1.5, cy=1.5, rotation=flip,
                                translation=np.zeros(3), scale_kind=METRIC)
-        res = recon_task_loss([_as_prediction(pred_cam)], [gt],
+        res = recon_task_loss(_as_prediction(pred_cam), [gt],
                               Tensor(depth.values[None]), [depth])
         assert res.pose.item() == pytest.approx(np.pi ** 2, abs=1e-10)
 
@@ -298,7 +301,7 @@ class TestReconTaskLoss:
         pred_depth = gt_depth.values * rng.uniform(0.8, 1.2, (4, 4))
         pred_cam_model = _gt_cam(5)
         pred = _as_prediction(pred_cam_model)
-        res = recon_task_loss([pred], [gt_cam], Tensor(pred_depth[None]), [gt_depth])
+        res = recon_task_loss(pred, [gt_cam], Tensor(pred_depth[None]), [gt_depth])
 
         # independent scalar recomputation
         rel = pred_cam_model.rotation @ gt_cam.rotation.T
@@ -326,38 +329,40 @@ class TestReconTaskLoss:
         pred = _as_prediction(_gt_cam(8))
 
         def f(t):
-            return recon_task_loss([pred], [cam], t, [gt]).total
+            return recon_task_loss(pred, [cam], t, [gt]).total
 
         assert grad_check(f, x) < 1e-4
 
     def test_window_is_bit_identical_to_per_frame_graphs(self):
-        # three frames with their own cameras; each camera's fx also serves as
-        # its fy, as the camera head gives it, and every camera value is a leaf
+        # three frames with their own cameras; the window's fx also serves as
+        # its fy, as the camera head gives it, and each camera tensor is a
+        # leaf that the per-frame graphs read a row of
         rng = np.random.default_rng(9)
         gt_cams = [_gt_cam(s) for s in (3, 4, 5)]
         gt = [DepthMap(rng.uniform(1, 4, (4, 4)), scale_kind=METRIC) for _ in range(3)]
         depth = Tensor(rng.uniform(1, 4, (3, 4, 4)), requires_grad=True)
-        cams, leaves = [], [depth]
+        quats, fxs, ts = [], [], []
         for s in (8, 9, 10):
             c = _gt_cam(s)
             q = rotation_to_quaternion(c.rotation) + rng.normal(0.0, 0.1, 4)
-            fx = Tensor(c.fx * rng.uniform(0.8, 1.2), requires_grad=True)
-            cams.append(CameraPrediction(
-                quat=Tensor(q / np.linalg.norm(q), requires_grad=True),
-                translation=Tensor(c.translation + rng.normal(0.0, 0.1, 3),
-                                   requires_grad=True),
-                fx=fx, fy=fx, cx=c.cx, cy=c.cy))
-            leaves += [cams[-1].quat, cams[-1].translation, fx]
+            quats.append(q / np.linalg.norm(q))
+            fxs.append(c.fx * rng.uniform(0.8, 1.2))
+            ts.append(c.translation + rng.normal(0.0, 0.1, 3))
+        fx = Tensor(fxs, requires_grad=True)
+        cams = CameraPrediction(quat=Tensor(np.stack(quats), requires_grad=True),
+                                translation=Tensor(np.stack(ts), requires_grad=True),
+                                fx=fx, fy=fx, cx=c.cx, cy=c.cy)
+        leaves = [depth, cams.quat, cams.translation, fx]
         for k, term in enumerate(("pose", "depth", "pointmap", "total")):
             _assert_window_matches_frames(
                 lambda: getattr(recon_task_loss(cams, gt_cams, depth, gt), term),
-                lambda: [frame_recon_loss(cams[f], gt_cams[f], depth[f], gt[f])[k]
+                lambda: [frame_recon_loss(frame_camera(cams, f), gt_cams[f], depth[f], gt[f])[k]
                          for f in range(3)],
                 leaves)
 
     def test_window_masks_must_agree(self):
         cam = _gt_cam()
-        pred = [_as_prediction(cam)] * 2
+        pred = _as_prediction(cam, cam)
         mask = np.ones((4, 4), dtype=bool)
         mask[1, 2] = False
         gts = [DepthMap(np.full((4, 4), 2.0), scale_kind=METRIC, valid_mask=m)

@@ -79,7 +79,8 @@ def test_predict_window_shapes(scene, monkeypatch):
     params = init_model(CFG)
     bin_shapes = _spy_ordinal_depth(monkeypatch)
     pred = predict_window(scene.frames, params, CFG)
-    assert len(pred.frames) == len(pred.cameras) == 2
+    assert len(pred.frames) == 2
+    assert pred.cameras.quat.shape == (2, 4) and pred.cameras.fx.shape == (2,)
     assert all(a is b for a, b in zip(pred.frames, scene.frames))
     assert pred.lang.role == Role.LANG and pred.lang.tokens.shape == (2, 4, 16)
     assert pred.depth_rel.shape == (2, 28, 28)
@@ -87,8 +88,8 @@ def test_predict_window_shapes(scene, monkeypatch):
     assert pred.depth_metric.shape == (2, 28 * 28)
     # one call per window on its [F, P, N] patch outputs
     assert bin_shapes == [((2, 4, CFG.n_bins), (2, 4, CFG.n_bins))]
-    for p in pred.cameras:
-        assert abs(np.linalg.det(p.to_camera().rotation) - 1.0) < 1e-9
+    for cam in pred.cameras.to_cameras():
+        assert abs(np.linalg.det(cam.rotation) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("md_mode", ["full", "off"])
@@ -110,11 +111,11 @@ def test_scene_forward_is_bit_identical_to_stitched_windows(md_mode):
         assert (got.depth_metric is None) == (md_mode == "off")
         if got.depth_metric is not None:
             assert np.array_equal(got.depth_metric.data, ref.depth_metric.data)
-        assert len(got.cameras) == len(ref.cameras) == n
-        for a, b in zip(got.cameras, ref.cameras):
-            for field in ("quat", "translation", "fx", "fy"):
-                assert np.array_equal(getattr(a, field).data, getattr(b, field).data), field
-            assert (a.cx, a.cy) == (b.cx, b.cy)
+        a, b = got.cameras, ref.cameras
+        assert a.quat.shape == b.quat.shape == (n, 4)
+        for field in ("quat", "translation", "fx", "fy"):
+            assert np.array_equal(getattr(a, field).data, getattr(b, field).data), field
+        assert (a.cx, a.cy) == (b.cx, b.cy)
 
 
 def test_predict_window_runs_the_backbone_once_per_window(scene, monkeypatch):

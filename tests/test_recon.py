@@ -106,11 +106,11 @@ class TestCameraHead:
     def test_zero_head_gives_identity_pose(self):
         rng = np.random.default_rng(0)
         p = CameraHeadParams.init(rng, 8)   # second layer zero-initialized
-        toks = TokenSet(Tensor(rng.standard_normal((2, 8))), Role.CAMERA)
+        toks = TokenSet(Tensor(rng.standard_normal((1, 2, 8))), Role.CAMERA)
         pred = camera_head(toks, p, (28, 28))
-        np.testing.assert_allclose(pred.quat.data, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(pred.translation.data, np.zeros(3), atol=1e-15)
-        cam = pred.to_camera()
+        np.testing.assert_allclose(pred.quat.data, [[1.0, 0.0, 0.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(pred.translation.data, np.zeros((1, 3)), atol=1e-15)
+        [cam] = pred.to_cameras()
         np.testing.assert_allclose(cam.rotation, np.eye(3), atol=1e-12)
 
     def test_rotation_always_orthonormal(self):
@@ -121,8 +121,8 @@ class TestCameraHead:
             t.data = rng.standard_normal(t.data.shape)
         for seed in range(5):
             r = np.random.default_rng(seed)
-            toks = TokenSet(Tensor(r.standard_normal((3, 8)) * 5), Role.CAMERA)
-            cam = camera_head(toks, p, (28, 28)).to_camera()
+            toks = TokenSet(Tensor(r.standard_normal((1, 3, 8)) * 5), Role.CAMERA)
+            [cam] = camera_head(toks, p, (28, 28)).to_cameras()
             np.testing.assert_allclose(cam.rotation @ cam.rotation.T, np.eye(3),
                                        atol=1e-9)
             assert abs(np.linalg.det(cam.rotation) - 1.0) < 1e-9
@@ -140,14 +140,46 @@ class TestCameraHead:
                              rotation=np.eye(3), translation=np.array([0.1, 0.2, 0.3]),
                              scale_kind=METRIC)
         gt_depth = DepthMap(np.full((28, 28), 2.0), scale_kind=METRIC)
-        x = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
 
         def f(t):
             pred = camera_head(TokenSet(t, Role.CAMERA), p, (28, 28))
-            res = recon_task_loss([pred], [gt_cam], Tensor(gt_depth.values[None]), [gt_depth])
+            res = recon_task_loss(pred, [gt_cam], Tensor(gt_depth.values[None]), [gt_depth])
             return res.pose
 
         assert grad_check(f, x) < 1e-4
+
+
+def test_camera_head_window_matches_one_frame_slices():
+    # one call on a 5-frame window against five calls on its one-frame
+    # slices: each output row, each head gradient and the token gradient
+    # bit for bit, which is what the per-frame oracles rely on
+    from _oracles import joined_cameras
+
+    rng = np.random.default_rng(4)
+    p = CameraHeadParams.init(rng, 8)
+    for t in p.tensors().values():
+        t.data = rng.standard_normal(t.shape) * 0.5
+    tokens = Tensor(rng.standard_normal((5, 2, 8)), requires_grad=True)
+    fields = ("quat", "translation", "fx")
+    weights = [Tensor(rng.standard_normal(shape)) for shape in ((5, 4), (5, 3), (5,))]
+    leaves = [tokens, *p.tensors().values()]
+    runs = []
+    for one_frame in (False, True):
+        for t in leaves:
+            t.zero_grad()
+        if one_frame:
+            pred = joined_cameras([camera_head(TokenSet(tokens[f:f + 1], Role.CAMERA), p,
+                                               (28, 42)) for f in range(5)])
+        else:
+            pred = camera_head(TokenSet(tokens, Role.CAMERA), p, (28, 42))
+        outs = [getattr(pred, k) for k in fields]
+        ((tsum(outs[0] * weights[0]) + tsum(outs[1] * weights[1]))
+         + tsum(outs[2] * weights[2])).backward()
+        runs.append([o.data for o in outs] + [t.grad for t in leaves])
+    assert len(runs[0]) == 3 + 5
+    for name, got, want in zip([*fields, "tokens", *p.tensors()], *runs):
+        assert np.array_equal(got, want), name
 
 
 class TestDepthHead:

@@ -232,14 +232,15 @@ def _graph_nodes(root) -> int:
 
 
 def test_stage2_window_graph_node_count(tiny_setup):
-    # The joint loss of one 2-frame window builds 413 recorded nodes (860
+    # The joint loss of one 2-frame window builds 378 recorded nodes (860
     # before the bins, centers and rotation became single nodes, 628 before
     # the expectation did: one node per frame; 626 before the adapter, the
     # frame-local blocks and the metric head's MLPs ran once per window; 527
     # before the probs and centers nodes took in their upsample matmuls; 523
     # before probs, centers and expectation became one node per frame; 519
     # before the metric and relative-depth heads ran once per window; 497
-    # before each joint-loss term ran once over the window's frames). A
+    # before each joint-loss term ran once over the window's frames; 413
+    # before the camera head ran once per window). A
     # change here means ops were added to or removed from the hot path:
     # update the count only for an intended change of the graph. A window
     # smaller than `stage2_frames` runs the backbone once, unsliced, as well.
@@ -250,7 +251,7 @@ def test_stage2_window_graph_node_count(tiny_setup):
         params = init_model(cfg)
         pred = predict_window(scene.frames[:2], params, cfg)
         joint = _window_joint_loss(pred, params, cfg, scene_norm(scene))[0]
-        assert _graph_nodes(joint) == 413, stage2_frames
+        assert _graph_nodes(joint) == 378, stage2_frames
 
 
 def _stage2_traced_peak(cfg, scenes, steps: int) -> int:
@@ -391,13 +392,14 @@ def test_stage1_step_graph_node_count(tiny_setup, monkeypatch):
 
 
 def _per_frame_window(frames, params, cfg):
-    """predict_window with one adapter graph per frame and the backbone's
-    per-frame concat, block and slice loops: the form the batched window
-    must reproduce bit for bit."""
+    """predict_window with one adapter graph per frame, the backbone's
+    per-frame concat, block and slice loops, and one camera-head call per
+    frame: the form the batched window must reproduce bit for bit."""
     from geovid import recon
     from geovid.metric_depth import predict_metric_depth
     from geovid.model import WindowPrediction
     from geovid.numkit import Role, TokenSet, concat, stack
+    from _oracles import joined_cameras
 
     adapted = [_per_sample_adapt(f.base, params) for f in frames]
     bb = params.backbone
@@ -413,7 +415,7 @@ def _per_frame_window(frames, params, cfg):
     d_rel, d_met, cams = [], [], []
     for (geom, _), x in zip(adapted, states):
         n = geom.count
-        pt, ct = x[0:n, :], TokenSet(x[n:n + 1, :], Role.CAMERA)
+        pt, ct = x[0:n, :], TokenSet(x[n:n + 1, :].reshape(1, 1, -1), Role.CAMERA)
         d_rel.append(recon.depth_head_tensor(
             TokenSet(concat([pt, geom.tokens], axis=1), Role.GEOM), cfg.resolution,
             params.depth_head))
@@ -422,7 +424,7 @@ def _per_frame_window(frames, params, cfg):
         cams.append(recon.camera_head(ct, params.camera_head, cfg.resolution))
     return WindowPrediction(frames=list(frames),
                             lang=TokenSet.stack([lang for _, lang in adapted]),
-                            cameras=cams, depth_rel=stack(d_rel),
+                            cameras=joined_cameras(cams), depth_rel=stack(d_rel),
                             depth_metric=stack(d_met) if d_met else None)
 
 
@@ -457,7 +459,9 @@ def _per_frame_joint_loss(pred, params, cfg, norm):
     from geovid.geometry import RELATIVE, CameraModel
     from geovid.numkit import Tensor
     from geovid.train import _aligned_depth_for_vl
-    from _oracles import frame_fuse_tokens, frame_md_loss, frame_recon_loss, frame_vl_loss
+    from _oracles import (
+        frame_camera, frame_fuse_tokens, frame_md_loss, frame_recon_loss, frame_vl_loss,
+    )
 
     depths, cams, _ = _aligned_depth_for_vl(pred, cfg, clamp=True)
     h, w = cfg.resolution
@@ -468,7 +472,8 @@ def _per_frame_joint_loss(pred, params, cfg, norm):
         cam_rel = CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy,
                               rotation=cam.rotation, translation=cam.translation / norm,
                               scale_kind=RELATIVE)
-        recon = frame_recon_loss(pred.cameras[i], cam_rel, pred.depth_rel[i], gt_rel)[3]
+        recon = frame_recon_loss(frame_camera(pred.cameras, i), cam_rel, pred.depth_rel[i],
+                                 gt_rel)[3]
         tokens, _ = frame_fuse_tokens(pred.lang.tokens[i], depths[i], cams[i],
                                       params.pos_embed, cfg.patch_size)
         vl = frame_vl_loss(tokens, frame.patch_labels, params.vl_head)
