@@ -175,13 +175,20 @@ def look_at_rotation(position: np.ndarray, target: np.ndarray,
     if n < 1e-12:
         raise ParameterError("look-at target coincides with the camera position")
     z = fwd / n
-    x = np.cross(z, up)
+    x = _cross3(z, np.asarray(up, dtype=np.float64))
     nx = np.linalg.norm(x)
     if nx < 1e-9:
         raise ParameterError("view direction parallel to the up vector")
     x = x / nx
-    y = np.cross(z, x)
+    y = _cross3(z, x)
     return np.stack([x, y, z], axis=0)
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors: its products and differences in its order, so
+    the same bits, without its moveaxis and broadcasting set-up (~25 us)."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def bilinear_sample(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

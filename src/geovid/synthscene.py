@@ -97,9 +97,9 @@ class FrameData:
     patch_summary: np.ndarray    # [P, 4 + NUM_CLASSES + 2] float
     patch_labels: np.ndarray     # [P] majority class per patch
     noise_seed: int
-    base: TokenSet | None = None
-    teacher_geom: TokenSet | None = None
-    teacher_lang: TokenSet | None = None
+    base: TokenSet
+    teacher_geom: TokenSet
+    teacher_lang: TokenSet
 
 
 @dataclass
@@ -222,13 +222,15 @@ def _projections(seed: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return maps
 
 
-def render_tokens(frame: FrameData, cfg: TokenizerConfig) -> TokenSet:
-    """Base tokens: fixed linear map of the patch summary plus seeded noise."""
-    tokens = frame.patch_summary @ _projections(cfg.seed, cfg.dim)[0]
+def render_tokens(summaries: np.ndarray, noise_seeds: list[int], cfg: TokenizerConfig
+                  ) -> np.ndarray:
+    """Base tokens [F, P, dim] of [F, P, D] patch summaries: a fixed linear map
+    (numpy runs one GEMM per frame) plus each frame's own seeded noise."""
+    tokens = summaries @ _projections(cfg.seed, cfg.dim)[0]
     if cfg.noise > 0:
-        rng = np.random.default_rng([frame.noise_seed, 5])
-        tokens = tokens + cfg.noise * rng.standard_normal(tokens.shape)
-    return TokenSet(Tensor(tokens), Role.BASE)
+        for t, noise_seed in zip(tokens, noise_seeds, strict=True):
+            t += cfg.noise * np.random.default_rng([noise_seed, 5]).standard_normal(t.shape)
+    return tokens
 
 
 TEACHER_DEPTH_GAIN = 2.5   # balances the depth coordinate against the unit
@@ -236,18 +238,17 @@ TEACHER_DEPTH_GAIN = 2.5   # balances the depth coordinate against the unit
                            # the teacher to ~1e-3 pins depth to ~1%
 
 
-def teacher_features(frame: FrameData, cfg: TokenizerConfig
-                     ) -> tuple[TokenSet, TokenSet]:
-    """Unit-norm teacher embeddings of (depth, normals) and class histograms."""
+def teacher_features(summaries: np.ndarray, cfg: TokenizerConfig
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm teacher embeddings [F, P, dim] of (depth, normals) and class histograms."""
     _, a_geom, a_lang = _projections(cfg.seed, cfg.dim)
-    geo_in = frame.patch_summary[:, 0:4].copy()
-    geo_in[:, 0] *= TEACHER_DEPTH_GAIN
-    lang_in = frame.patch_summary[:, 4:4 + NUM_CLASSES]
+    geo_in = summaries[..., 0:4].copy()
+    geo_in[..., 0] *= TEACHER_DEPTH_GAIN
     tg = geo_in @ a_geom
-    tl = lang_in @ a_lang
-    tg = tg / np.linalg.norm(tg, axis=1, keepdims=True)
-    tl = tl / np.linalg.norm(tl, axis=1, keepdims=True)
-    return TokenSet(Tensor(tg), Role.GEOM), TokenSet(Tensor(tl), Role.LANG)
+    tl = summaries[..., 4:4 + NUM_CLASSES] @ a_lang
+    tg /= np.linalg.norm(tg, axis=-1, keepdims=True)
+    tl /= np.linalg.norm(tl, axis=-1, keepdims=True)
+    return tg, tl
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +297,14 @@ def gen_scene(seed: int, n_frames: int = 32, resolution: tuple[int, int] = (56, 
     fx = (w / 2.0) / np.tan(DEFAULT_FOV / 2.0)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
 
-    frames = []
+    # each frame's cast and summaries land in scene-wide stacks; tokens and
+    # teachers then run once over them, and every FrameData holds views
+    n_patches = (h // ps) * (w // ps)
+    depth = np.empty((n_frames, h, w))
+    labels = np.empty((n_frames, h, w), dtype=np.int16)
+    summaries = np.empty((n_frames, n_patches, 4 + NUM_CLASSES + 2))
+    majority = np.empty((n_frames, n_patches), dtype=np.int64)
+    cameras = []
     for k in range(n_frames):
         theta = 2.0 * np.pi * k / n_frames + rng.uniform(-0.4, 0.4) * np.pi / n_frames
         pos = center + np.array([radius * np.cos(theta), radius * np.sin(theta),
@@ -304,21 +312,20 @@ def gen_scene(seed: int, n_frames: int = 32, resolution: tuple[int, int] = (56, 
         target = center + np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                                     rng.uniform(0.5, 1.3)])
         r = look_at_rotation(pos, target)
-        cam = CameraModel(fx=fx, fy=fx, cx=cx, cy=cy, rotation=r,
-                          translation=-r @ pos, scale_kind=METRIC)
-        depth, labels, normals = _render_frame(cam, geom, resolution)
-        feats, majority = _patch_summaries(depth, labels, normals, ps)
-        frame = FrameData(
-            index=k, camera=cam,
-            depth=DepthMap(depth, scale_kind=GROUND_TRUTH),
-            labels=labels.astype(np.int16),
-            patch_summary=feats, patch_labels=majority,
-            noise_seed=int(seed) * 1000 + k,
-        )
-        frame.base = render_tokens(frame, tokenizer)
-        frame.teacher_geom, frame.teacher_lang = teacher_features(frame, tokenizer)
-        frames.append(frame)
+        cameras.append(CameraModel(fx=fx, fy=fx, cx=cx, cy=cy, rotation=r,
+                                   translation=-r @ pos, scale_kind=METRIC))
+        depth[k], labels[k], normals = _render_frame(cameras[k], geom, resolution)
+        summaries[k], majority[k] = _patch_summaries(depth[k], labels[k], normals, ps)
 
+    noise_seeds = [int(seed) * 1000 + k for k in range(n_frames)]
+    base = render_tokens(summaries, noise_seeds, tokenizer)
+    teacher_geom, teacher_lang = teacher_features(summaries, tokenizer)
+    frames = [FrameData(index=k, camera=cam, depth=DepthMap(depth[k], scale_kind=GROUND_TRUTH),
+                        labels=labels[k], patch_summary=summaries[k], patch_labels=majority[k],
+                        noise_seed=noise_seeds[k], base=TokenSet(Tensor(base[k]), Role.BASE),
+                        teacher_geom=TokenSet(Tensor(teacher_geom[k]), Role.GEOM),
+                        teacher_lang=TokenSet(Tensor(teacher_lang[k]), Role.LANG))
+              for k, cam in enumerate(cameras)]
     return SceneSample(geometry=geom, frames=frames, seed=int(seed),
                        resolution=resolution, tokenizer=tokenizer)
 

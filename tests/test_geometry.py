@@ -5,7 +5,7 @@ import pytest
 
 from geovid.errors import ParameterError, ShapeError
 from geovid.geometry import (
-    METRIC, RELATIVE, CameraModel, DepthMap, bilinear_sample, look_at_rotation,
+    METRIC, RELATIVE, CameraModel, DepthMap, _cross3, bilinear_sample, look_at_rotation,
     quaternion_to_rotation, rotation_angle_deg, rotation_to_quaternion,
 )
 
@@ -135,6 +135,37 @@ def test_look_at_degenerate():
         look_at_rotation(np.zeros(3), np.zeros(3))
     with pytest.raises(ParameterError):
         look_at_rotation(np.zeros(3), np.array([0.0, 0.0, 1.0]))  # parallel to up
+
+
+def test_cross3_matches_np_cross_bit_for_bit():
+    # seeded vectors with exact zeros of both signs, crossed with each other and
+    # with the default up, so the signs of zero products and differences count too
+    rng = np.random.default_rng(7)
+    up = np.array([0.0, 0.0, 1.0])
+    for _ in range(2000):
+        a, b = (rng.standard_normal(3) * rng.choice([0.0, -0.0, 1.0], 3) for _ in range(2))
+        for x, y in ((a, b), (a, up), (up, a), (a, -up), (a, a)):
+            assert _cross3(x, y).tobytes() == np.cross(x, y).tobytes()
+
+
+def test_look_at_matches_np_cross_reference_bit_for_bit():
+    def reference(position, target, up=np.array([0.0, 0.0, 1.0])):
+        z = (target - position) / np.linalg.norm(target - position)
+        x = np.cross(z, up)
+        x = x / np.linalg.norm(x)
+        return np.stack([x, np.cross(z, x), z])
+
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        pos = rng.standard_normal(3) * rng.choice([0.0, -0.0, 1.0], 3)
+        fwd = rng.standard_normal(3) * rng.choice([0.0, -0.0, 1.0, 1.0], 3)
+        if np.linalg.norm(fwd[:2]) < 1e-3:   # (nearly) parallel to up
+            continue
+        for up in (np.array([0.0, 0.0, 1.0]), np.array([0.0, -1.0, 0.0])):
+            if np.linalg.norm(np.cross(fwd, up)) < 1e-3 * np.linalg.norm(fwd):
+                continue
+            got = look_at_rotation(pos, pos + fwd, up=up)
+            assert got.tobytes() == reference(pos, pos + fwd, up).tobytes()
 
 
 def test_depth_map_validation():
