@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ShapeError
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
-    broadcast_to, mha, mlp, require_role, stack,
+    broadcast_to, mha, mlp, param, require_role, stack,
 )
 
 
@@ -47,7 +47,7 @@ class CtaParams:
         return CtaParams(
             phi_geom=MlpParams.init(rng, c),
             phi_lang=MlpParams.init(rng, c),
-            bridge_init=Tensor(bridge, requires_grad=True),
+            bridge_init=param(bridge),
             bridge_attn=MhaParams.init(rng, c, heads),
             fuse_geom_attn=MhaParams.init(rng, c, heads),
             fuse_lang_attn=MhaParams.init(rng, c, heads),

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import check_tau, write_json
 from .errors import DegenerateInputError, ParameterError, StateError
@@ -122,7 +121,11 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> dict:
 
 def _nearest_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """For every src point, the exact distance to its nearest dst point. An
-    unbalanced, non-compact tree answers a predicted cloud's far queries sooner."""
+    unbalanced, non-compact tree answers a predicted cloud's far queries sooner.
+    scipy.spatial is imported here, not at module level: it adds about 12 MB
+    to every process, and only the cloud metrics use it."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(dst, balanced_tree=False, compact_nodes=False)
     dist, _ = tree.query(src, k=1)
     return np.asarray(dist, dtype=np.float64)

@@ -11,6 +11,7 @@ the classification proxy head.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .config import RunConfig
 from .cta import CtaOutput, CtaParams, cta_forward
 from .errors import ParameterError, ShapeError
 from .metric_depth import MetricDepthParams, init_bins, predict_metric_depth
-from .numkit import MlpParams, Role, Tensor, TokenSet, concat, mlp, vlt
+from .numkit import MlpParams, Role, ShapeRng, Tensor, TokenSet, concat, mlp, vlt
 from .recon import (
     BackboneParams, CameraHeadParams, CameraPrediction, DepthHeadParams,
     camera_head, depth_head_tensor, gfa_backbone,
@@ -56,7 +57,12 @@ MODEL_FIELDS = ("dim", "heads", "blocks", "bridge_tokens", "patch_size",
 
 
 def init_model(cfg: RunConfig) -> VidModelParams:
-    rng = np.random.default_rng([cfg.seed, 101])
+    return _build_model(cfg, np.random.default_rng([cfg.seed, 101]))
+
+
+def _build_model(cfg: RunConfig, rng) -> VidModelParams:
+    """The parameter tree of `cfg` drawn from `rng`; from a ShapeRng, each
+    leaf holds only its shape."""
     c = cfg.dim
     bins = init_bins(cfg.n_bins, cfg.d_min, cfg.d_max)
     return VidModelParams(
@@ -124,21 +130,26 @@ def save_checkpoint(directory, params: VidModelParams, cfg: RunConfig) -> None:
 
 def load_checkpoint(directory, cfg: RunConfig | None = None
                     ) -> tuple[VidModelParams, RunConfig]:
-    """Weights and config of `save_checkpoint`; a mismatch is a ParameterError,
-    as is a MODEL_FIELDS value that differs from `cfg`'s when `cfg` is given
-    (the config `train --init` trains the checkpoint on)."""
+    """Weights and config of `save_checkpoint`. The tensors are the stored
+    arrays, checked against the names and shapes `init_model` gives the
+    stored config, with nothing drawn. A mismatch is a ParameterError, as is
+    a MODEL_FIELDS value that differs from `cfg`'s when `cfg` is given (the
+    config `train --init` trains the checkpoint on)."""
     arrays, meta = vlt.load_container(directory)
     ckpt_cfg = RunConfig.from_json(meta.get("config"))
     for name in MODEL_FIELDS if cfg is not None else ():
         if getattr(ckpt_cfg, name) != getattr(cfg, name):
             raise ParameterError(f"--init checkpoint has {name}={getattr(ckpt_cfg, name)}"
                                  f" but --config has {getattr(cfg, name)}")
-    params = init_model(ckpt_cfg)
+    manifest = Path(directory) / "manifest.json"
+    params = _build_model(ckpt_cfg, ShapeRng())
     named = params.named_tensors()
     if set(named) != set(arrays):
-        raise ParameterError(f"checkpoint {directory} tensor names do not match the model")
+        raise ParameterError(f"{manifest} config does not match its weights: the model"
+                             " it describes has other tensor names")
     for name, tensor in named.items():
-        if tensor.data.shape != arrays[name].shape:
-            raise ParameterError(f"checkpoint shape mismatch for '{name}'")
+        if tensor.shape != arrays[name].shape:
+            raise ParameterError(f"{manifest} config does not match its weights: '{name}'"
+                                 f" is {arrays[name].shape}, the config gives {tensor.shape}")
         tensor.data = arrays[name]
     return params, ckpt_cfg

@@ -6,7 +6,7 @@ from .tensor import (
     tabs, maximum, arccos, tan, softmax,
 )
 from .nn import (
-    Role, TokenSet, MlpParams, MhaParams,
+    Role, TokenSet, MlpParams, MhaParams, ShapeRng, param,
     mlp, mha, l2_normalize, rms_norm, require_role,
 )
 from .optim import AdamW

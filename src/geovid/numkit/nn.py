@@ -57,6 +57,49 @@ class TokenSet:
         return TokenSet(tokens, self.role)
 
 
+class ParamShape:
+    """A parameter's shape in place of its values: what a `ShapeRng` draws.
+    Scaling it by a number returns it unchanged."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __mul__(self, scale) -> "ParamShape":
+        return self
+
+    __truediv__ = __mul__
+
+
+class ShapeRng:
+    """Stands in for the numpy Generator of the `init` functions. Every draw
+    and zero fill is a `ParamShape`, so an `init` given a ShapeRng builds its
+    parameter tree with names and shapes only, nothing drawn or allocated."""
+
+    def standard_normal(self, shape) -> ParamShape:
+        return ParamShape(shape)
+
+
+def zeros(rng, shape):
+    """np.zeros(shape) for an `init`; its ParamShape when `rng` is a ShapeRng."""
+    return ParamShape(shape) if isinstance(rng, ShapeRng) else np.zeros(shape)
+
+
+def param(value) -> Tensor:
+    """A trainable leaf. From a ParamShape, a leaf whose `data` is that shape
+    until the caller assigns it an array."""
+    if not isinstance(value, ParamShape):
+        return Tensor(value, requires_grad=True)
+    leaf = Tensor(np.empty(0), requires_grad=True)
+    leaf.data = value
+    return leaf
+
+
 @dataclass
 class MlpParams:
     """Two fully connected layers with a GELU in between.
@@ -97,14 +140,10 @@ class MlpParams:
         c_out = c_in if c_out is None else c_out
         h = hidden if hidden is not None else 4 * c_in
         w1 = rng.standard_normal((c_in, h)) / np.sqrt(c_in)
-        w2 = np.zeros((h, c_out)) if zero_out \
+        w2 = zeros(rng, (h, c_out)) if zero_out \
             else rng.standard_normal((h, c_out)) * (out_scale / np.sqrt(h))
-        return MlpParams(
-            w1=Tensor(w1, requires_grad=True),
-            b1=Tensor(np.zeros(h), requires_grad=True),
-            w2=Tensor(w2, requires_grad=True),
-            b2=Tensor(np.zeros(c_out), requires_grad=True),
-        )
+        return MlpParams(w1=param(w1), b1=param(zeros(rng, (h,))),
+                         w2=param(w2), b2=param(zeros(rng, (c_out,))))
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
@@ -154,9 +193,9 @@ class MhaParams:
         scale = 1.0 / np.sqrt(c)
 
         def w():
-            return Tensor(rng.standard_normal((heads, c, dh)) * scale, requires_grad=True)
+            return param(rng.standard_normal((heads, c, dh)) * scale)
 
-        wo = Tensor(rng.standard_normal((c, c)) * (scale * out_scale), requires_grad=True)
+        wo = param(rng.standard_normal((c, c)) * (scale * out_scale))
         return MhaParams(wq=w(), wk=w(), wv=w(), wo=wo, qk_norm=qk_norm)
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:

@@ -17,7 +17,7 @@ from .errors import ParameterError, ShapeError
 from .geometry import RELATIVE, CameraModel, quaternion_to_rotation
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
-    broadcast_to, concat, maximum, mha, mlp, require_role, rms_norm, sigmoid,
+    broadcast_to, concat, maximum, mha, mlp, param, require_role, rms_norm, sigmoid,
     softplus, tan, tmean,
 )
 
@@ -54,10 +54,8 @@ class BackboneParams:
                 for _ in range(blocks)]
         return BackboneParams(
             blocks=blks,
-            camera_init=Tensor(rng.standard_normal((1, c)) / np.sqrt(c),
-                               requires_grad=True),
-            register_init=Tensor(rng.standard_normal((4, c)) / np.sqrt(c),
-                                 requires_grad=True),
+            camera_init=param(rng.standard_normal((1, c)) / np.sqrt(c)),
+            register_init=param(rng.standard_normal((4, c)) / np.sqrt(c)),
         )
 
     def tensors(self, prefix: str = "backbone") -> dict[str, Tensor]:

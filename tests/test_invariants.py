@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -72,6 +74,39 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(src)}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_scipy_spatial_loads_only_with_the_cloud_metrics():
+    # scipy.spatial adds about 12 MB to a process; only pointcloud_metrics
+    # uses it, so training and the CLI module load it on first use
+    code = """
+import sys
+import numpy as np
+import geovid.cli, geovid.train
+from geovid.config import RunConfig
+from geovid.evalmetrics import pointcloud_metrics
+from geovid.patch3d import PointCloud
+
+def loaded():
+    return "scipy.spatial" in sys.modules
+
+assert not loaded(), "import"
+cfg = RunConfig(seed=3, dim=16, heads=2, blocks=2, bridge_tokens=4, resolution=(28, 28),
+                n_bins=8, n_scenes=1, frames_per_scene=2, stage1_steps=1, stage1_batch=2,
+                stage2_steps=1, stage2_frames=2, warmup_steps=1, n_objects=3)
+scenes = geovid.train.generate_scenes(cfg)
+params, _ = geovid.train.train_stage1(cfg, scenes)
+geovid.train.train_stage2(cfg, params, scenes)
+assert not loaded(), "training"
+cloud = PointCloud(np.random.default_rng(0).standard_normal((20, 3)))
+pointcloud_metrics(cloud, cloud)
+assert loaded(), "pointcloud_metrics"
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _perfbench_module(name: str):

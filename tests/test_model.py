@@ -1,5 +1,7 @@
 import gc
 import json
+import re
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -229,6 +231,30 @@ def test_load_checkpoint_checks_model_fields_against_config(tmp_path):
         assert np.array_equal(params.named_tensors()[name].data, value.data), name
     with pytest.raises(ParameterError, match="n_bins=8 but --config has 16"):
         load_checkpoint(tmp_path / "ckpt", replace(CFG, n_bins=16))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("dim", 4096, "'encoder.w1' is \\(64, 256\\), the config gives \\(4096, 16384\\)"),
+    ("dim", 100000, "'encoder.w1' is \\(64, 256\\), the config gives \\(100000, 400000\\)"),
+    ("blocks", 6, "other tensor names"),
+])
+def test_load_checkpoint_refuses_a_config_its_weights_do_not_fit(tmp_path, field, value, match):
+    # a manifest claiming a far larger model than its weights fails at once,
+    # without drawing or allocating the model it claims
+    save_checkpoint(tmp_path / "ckpt", init_model(RunConfig()), RunConfig())
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["meta"]["config"][field] = value
+    path.write_text(json.dumps(manifest))
+    weights = (tmp_path / "ckpt" / "weights.vlt").stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"{re.escape(str(path))}.*{match}"):
+            load_checkpoint(tmp_path / "ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * weights
 
 
 def test_config_json_roundtrip(tmp_path):
