@@ -62,6 +62,8 @@ def main():
 @_exit_codes
 def gen_scenes_cmd(seed, count, frames, out, resolution, objects, dim, noise):
     """Generate synthetic scenes into OUT/scene_XXXX directories."""
+    if count < 1:
+        raise ParameterError(f"--count must be at least 1, got {count}")
     cfg = RunConfig(seed=seed, dim=dim, resolution=(resolution, resolution),
                     frames_per_scene=frames, n_objects=objects, token_noise=noise)
     out = Path(out)

@@ -121,12 +121,13 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> dict:
 
 def _nearest_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """For every src point, the exact distance to its nearest dst point. An
-    unbalanced, non-compact tree answers a predicted cloud's far queries sooner.
+    unbalanced, non-compact tree answers a predicted cloud's far queries sooner,
+    and leaves of 32 points, scanned in one pass each, sooner again.
     scipy.spatial is imported here, not at module level: it adds about 12 MB
     to every process, and only the cloud metrics use it."""
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(dst, balanced_tree=False, compact_nodes=False)
+    tree = cKDTree(dst, leafsize=32, balanced_tree=False, compact_nodes=False)
     dist, _ = tree.query(src, k=1)
     return np.asarray(dist, dtype=np.float64)
 

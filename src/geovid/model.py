@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,14 +58,14 @@ MODEL_FIELDS = ("dim", "heads", "blocks", "bridge_tokens", "patch_size",
 
 
 def init_model(cfg: RunConfig) -> VidModelParams:
-    return _build_model(cfg, np.random.default_rng([cfg.seed, 101]))
+    return _build_model(cfg, np.random.default_rng([cfg.seed, 101]),
+                        init_bins(cfg.n_bins, cfg.d_min, cfg.d_max))
 
 
-def _build_model(cfg: RunConfig, rng) -> VidModelParams:
+def _build_model(cfg: RunConfig, rng, bins) -> VidModelParams:
     """The parameter tree of `cfg` drawn from `rng`; from a ShapeRng, each
-    leaf holds only its shape."""
+    leaf holds only its shape, and `bins` need only carry `n_bins`."""
     c = cfg.dim
-    bins = init_bins(cfg.n_bins, cfg.d_min, cfg.d_max)
     return VidModelParams(
         encoder=MlpParams.init(rng, c, zero_out=True),
         cta=CtaParams.init(rng, c, cfg.heads, bridge_tokens=cfg.bridge_tokens),
@@ -142,7 +143,9 @@ def load_checkpoint(directory, cfg: RunConfig | None = None
             raise ParameterError(f"--init checkpoint has {name}={getattr(ckpt_cfg, name)}"
                                  f" but --config has {getattr(cfg, name)}")
     manifest = Path(directory) / "manifest.json"
-    params = _build_model(ckpt_cfg, ShapeRng())
+    # the bin centers are built only once the shapes fit: a claimed n_bins
+    # allocates nothing before the weights refute it
+    params = _build_model(ckpt_cfg, ShapeRng(), SimpleNamespace(n_bins=ckpt_cfg.n_bins))
     named = params.named_tensors()
     if set(named) != set(arrays):
         raise ParameterError(f"{manifest} config does not match its weights: the model"
@@ -152,4 +155,5 @@ def load_checkpoint(directory, cfg: RunConfig | None = None
             raise ParameterError(f"{manifest} config does not match its weights: '{name}'"
                                  f" is {arrays[name].shape}, the config gives {tensor.shape}")
         tensor.data = arrays[name]
+    params.metric.bins = init_bins(ckpt_cfg.n_bins, ckpt_cfg.d_min, ckpt_cfg.d_max)
     return params, ckpt_cfg

@@ -16,6 +16,7 @@ Regenerating with the same seed is bit-identical.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -121,6 +122,36 @@ def _first_index(rows: np.ndarray, beats) -> np.ndarray:
     return np.where(beats(rows[2], np.where(past1, rows[1], rows[0])), 2, past1.astype(np.intp))
 
 
+CULL_MARGIN = 1e-6   # metres past a bounding plane before a box is skipped
+_CORNER_ENDS = np.array(list(itertools.product((0, 1), repeat=3)))   # [8, 3]: lo 0, hi 1
+
+
+def _boxes_in_view(cam: CameraModel, geom: SceneGeometry, ii: np.ndarray, jj: np.ndarray
+                   ) -> np.ndarray:
+    """[B] bool: the boxes of `geom` that a ray through the 1-D pixel arrays
+    ii/jj may hit.
+
+    A box is culled when all eight of its corners lie more than CULL_MARGIN
+    behind the camera plane, or beyond one of the four side planes of the
+    rays' frustum. Each such plane passes through the camera centre with
+    every ray on its inner side, so a convex box wholly past it holds no
+    point at positive t of any ray: the cull drops no hit.
+    """
+    if ii.size == 0:
+        return np.zeros(len(geom.objects), dtype=bool)
+    ends = np.array([(b.lo, b.hi) for b in geom.objects]).reshape(-1, 2, 3)   # [B, lo/hi, 3]
+    corners = (ends[:, _CORNER_ENDS, [0, 1, 2]] - cam.center()) @ cam.rotation.T   # [B, 8, 3]
+    # slopes of the outermost rays; the pixel arrays are 1-D, so min/max stay cheap
+    x0, x1 = (float(ii.min()) - cam.cx) / cam.fx, (float(ii.max()) - cam.cx) / cam.fx
+    y0, y1 = (float(jj.min()) - cam.cy) / cam.fy, (float(jj.max()) - cam.cy) / cam.fy
+    # inward unit normals of the camera plane and the four side planes, one per column
+    planes = np.array([[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0],
+                       [1.0, -x0, x1, -y0, y1]])
+    planes /= np.sqrt((planes * planes).sum(axis=0))
+    dist = (corners.reshape(-1, 3) @ planes).reshape(-1, 8, 5)   # [B, 8, plane]
+    return (dist.max(axis=1) >= -CULL_MARGIN).all(axis=1)
+
+
 def cast_pixels(cam: CameraModel, geom: SceneGeometry,
                 ii: np.ndarray, jj: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,8 +181,9 @@ def cast_pixels(cam: CameraModel, geom: SceneGeometry,
     classes = _ROOM_FACE_CLASS[axis, positive.astype(np.intp)]
     normal = np.where(positive, -1.0, 1.0)   # interior face normal's `axis` component
 
-    # object entries, nearest hit wins (a hit's t_near > 0, so max has argmax's bits)
-    for box in geom.objects:
+    # object entries, nearest hit wins (a hit's t_near > 0, so max has argmax's bits);
+    # a box out of view has no hit, so skipping it leaves every array as it was
+    for box in itertools.compress(geom.objects, _boxes_in_view(cam, geom, ii, jj)):
         t1 = (box.lo - origin)[:, None] / d_safe
         t2 = (box.hi - origin)[:, None] / d_safe
         t_near_ax = np.minimum(t1, t2)

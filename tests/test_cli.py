@@ -48,6 +48,15 @@ def test_gen_scenes_layout(workspace):
         assert sorted(p.name for p in scene.iterdir()) == ["scene.json", "scene.vlt"]
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_gen_scenes_refuses_a_count_below_one(tmp_path, count):
+    proc = run_cli("gen-scenes", "--seed", "1", "--count", str(count),
+                   "--out", str(tmp_path / "out"), check=False)
+    assert proc.returncode == 1
+    assert f"--count must be at least 1, got {count}" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("frames", [1, 2])
 def test_gen_scenes_streamed_files_match_list_path(tmp_path, frames):
     # gen-scenes saves each scene as it is generated; the files must equal

@@ -237,6 +237,8 @@ def test_load_checkpoint_checks_model_fields_against_config(tmp_path):
     ("dim", 4096, "'encoder.w1' is \\(64, 256\\), the config gives \\(4096, 16384\\)"),
     ("dim", 100000, "'encoder.w1' is \\(64, 256\\), the config gives \\(100000, 400000\\)"),
     ("blocks", 6, "other tensor names"),
+    ("n_bins", 10**6,
+     "'metric.logits_mlp.w2' is \\(64, 64\\), the config gives \\(64, 1000000\\)"),
 ])
 def test_load_checkpoint_refuses_a_config_its_weights_do_not_fit(tmp_path, field, value, match):
     # a manifest claiming a far larger model than its weights fails at once,

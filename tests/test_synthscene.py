@@ -14,10 +14,10 @@ from geovid.geometry import GROUND_TRUTH, CameraModel, METRIC, look_at_rotation
 from geovid.numkit import vlt
 from geovid.patch3d import backproject, project
 from geovid.synthscene import (
-    CEILING, DEPTH_SCALE, FLOOR, NUM_CLASSES, WALL_X0, WALL_X1, WALL_Y0, WALL_Y1, Box,
+    CEILING, CULL_MARGIN, DEPTH_SCALE, FLOOR, NUM_CLASSES, WALL_X0, WALL_X1, WALL_Y0, WALL_Y1, Box,
     FRAME_RECORDS, TEACHER_DEPTH_GAIN, SceneGeometry, TokenizerConfig, _patch_summaries,
-    _projections, _ROOM_FACE_CLASS, cast_pixels, gen_scene, load_scene, render_tokens, save_scene,
-    teacher_features,
+    _boxes_in_view, _projections, _ROOM_FACE_CLASS, cast_pixels, gen_scene, load_scene,
+    render_tokens, save_scene, teacher_features,
 )
 
 TOK = TokenizerConfig(dim=16, noise=0.01, seed=0)
@@ -524,6 +524,82 @@ def test_single_axis_aligned_rays_match_reference(rot, lo, hi, i, j, boxes):
     got = cast_pixels(cam, geom, np.array([i]), np.array([j]))
     for g, ref in zip(got, _cast_reference(cam, geom, np.array([i]), np.array([j]))):
         _assert_same_bits(g, ref)
+
+
+def _quaternion_rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
+_unit = st.floats(0.0, 1.0)
+_quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=_quaternions, size=st.tuples(*[st.floats(1.0, 6.0)] * 3),
+       at=st.tuples(*[st.floats(0.05, 0.95)] * 3), f=st.floats(0.5, 4.0),
+       c=st.tuples(*[st.floats(-3.0, 3.0)] * 2),
+       grid=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       placed=st.lists(st.tuples(st.sampled_from(["left", "right", "top", "bottom", "camera"]),
+                                 _unit, st.floats(0.2, 4.0),
+                                 st.tuples(*[st.floats(0.01, 1.0)] * 3)),
+                       min_size=1, max_size=6),
+       loose=st.lists(st.tuples(*[_unit] * 6), max_size=4))
+def test_culled_cast_matches_unculled_reference(q, size, at, f, c, grid, placed, loose):
+    """Boxes centred on each side plane of the rays' frustum and on the camera
+    plane (so they straddle it), one box holding the camera centre and boxes
+    anywhere in the room, under any rotation and any grid of rays down to one
+    ray: the cast that skips out-of-view boxes has the bits of the reference
+    that casts every box."""
+    hi = np.array(size)
+    center = np.array(at) * hi
+    rot = _quaternion_rotation(q)
+    cam = CameraModel(fx=f, fy=f, cx=c[0], cy=c[1], rotation=rot, translation=-rot @ center,
+                      scale_kind=METRIC)
+    jj, ii = (a.reshape(-1).astype(np.float64)
+              for a in np.meshgrid(np.arange(grid[0]), np.arange(grid[1]), indexing="ij"))
+    x0, x1 = (ii.min() - c[0]) / f, (ii.max() - c[0]) / f
+    y0, y1 = (jj.min() - c[1]) / f, (jj.max() - c[1]) / f
+    boxes = [Box(lo=cam.center() - 0.1, hi=cam.center() + 0.1, class_id=7)]
+    for k, (plane, s, depth, half) in enumerate(placed):
+        # a camera-frame point on the plane: an outermost ray at `depth`, or z = 0
+        on_plane = {"left": (x0, y0 + s * (y1 - y0), 1.0), "right": (x1, y0 + s * (y1 - y0), 1.0),
+                    "top": (x0 + s * (x1 - x0), y0, 1.0),
+                    "bottom": (x0 + s * (x1 - x0), y1, 1.0),
+                    "camera": (2.0 * s - 1.0, 1.0 - 2.0 * s, 0.0)}[plane]
+        mid = cam.center() + rot.T @ (depth * np.array(on_plane))
+        boxes.append(Box(lo=mid - half, hi=mid + np.array(half), class_id=8 + k % 3))
+    for u in loose:
+        lo = np.array(u[:3]) * hi
+        boxes.append(Box(lo=lo, hi=lo + 0.1 + np.array(u[3:]) * (hi - lo), class_id=10))
+    geom = SceneGeometry(room=Box(lo=np.zeros(3), hi=hi, class_id=0), objects=boxes)
+    for rays in ((ii, jj), (ii[:1], jj[:1]), (ii[-1:], jj[-1:])):
+        for got, ref in zip(cast_pixels(cam, geom, *rays), _cast_reference(cam, geom, *rays)):
+            _assert_same_bits(got, ref)
+
+
+def test_boxes_in_view_culls_only_boxes_wholly_past_a_plane():
+    # a camera at the origin looking down +z; rays with slopes -1..1 on both axes
+    cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.eye(3),
+                      translation=np.zeros(3), scale_kind=METRIC)
+    room = Box(lo=np.full(3, -10.0), hi=np.full(3, 10.0), class_id=0)
+    ii = jj = np.array([-1.0, 0.0, 1.0])
+    boxes = [Box(lo=(-1, -1, -3), hi=(1, 1, -2), class_id=7),          # behind the camera
+             Box(lo=(-5.5, -0.5, 4.5), hi=(-4.5, 0.5, 5.5), class_id=8),  # across x = -z
+             Box(lo=(-7.0, -0.5, 4.5), hi=(-6.0, 0.5, 5.5), class_id=9),  # wholly past x = -z
+             Box(lo=(-1, -1, -1), hi=(1, 1, 1), class_id=10)]            # holds the camera
+    geom = SceneGeometry(room=room, objects=boxes)
+    assert _boxes_in_view(cam, geom, ii, jj).tolist() == [False, True, False, True]
+    # a box past x = -z by less than CULL_MARGIN is cast, one past it by more is not
+    near = [Box(lo=(-6.0, -0.5, 4.0), hi=(-5.0 - gap, 0.5, 5.0), class_id=7)
+            for gap in (0.1 * CULL_MARGIN, 10 * CULL_MARGIN)]
+    assert _boxes_in_view(cam, SceneGeometry(room=room, objects=near), ii, jj).tolist() \
+        == [True, False]
+    assert _boxes_in_view(cam, SceneGeometry(room=room, objects=[]), ii, jj).shape == (0,)
+    assert _boxes_in_view(cam, geom, ii[:0], jj[:0]).tolist() == [False] * 4
 
 
 def test_corner_ray_ties_go_to_first_axis():
