@@ -84,6 +84,10 @@ class RunConfig:
         if self.dim % self.heads != 0:
             raise ParameterError(f"dim {self.dim} is not a multiple of heads {self.heads}")
         check_tau(self.tau_f, "tau_f")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not -float("inf") < value < float("inf"):
+                raise ParameterError(f"config key '{f.name}' must be finite, got {value}")
 
     def to_json(self) -> dict:
         d = asdict(self)

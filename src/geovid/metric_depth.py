@@ -60,8 +60,8 @@ def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> Bin
     """Log-uniform centers: c_k = exp(ln d_min + (k - 1/2)/N * (ln d_max - ln d_min))."""
     if n < 2:
         raise ParameterError(f"need at least 2 bins, got {n}")
-    if d_min <= 0 or d_min >= d_max:
-        raise ParameterError("require 0 < d_min < d_max")
+    if not 0 < d_min < d_max < float("inf"):   # NaN fails too
+        raise ParameterError(f"require 0 < d_min < d_max < inf, got {d_min} and {d_max}")
     k = np.arange(1, n + 1)
     ln = np.log(d_min) + (k - 0.5) / n * (np.log(d_max) - np.log(d_min))
     return BinConfig(centers=np.exp(ln), d_min=d_min, d_max=d_max, max_shift=max_shift)

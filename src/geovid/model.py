@@ -154,6 +154,6 @@ def load_checkpoint(directory, cfg: RunConfig | None = None
         if tensor.shape != arrays[name].shape:
             raise ParameterError(f"{manifest} config does not match its weights: '{name}'"
                                  f" is {arrays[name].shape}, the config gives {tensor.shape}")
-        tensor.data = arrays[name]
+        tensor.data = arrays[name].astype(np.float64, copy=False)   # VLT1 may hold f32
     params.metric.bins = init_bins(ckpt_cfg.n_bins, ckpt_cfg.d_min, ckpt_cfg.d_max)
     return params, ckpt_cfg

@@ -95,6 +95,7 @@ def save_container(directory: str | Path, tensors: dict[str, np.ndarray],
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = sorted(tensors)
+    (directory / "manifest.json").unlink(missing_ok=True)   # the marker goes back last
     with open(directory / "weights.vlt", "wb") as fh:
         for name in names:
             write_record(fh, tensors[name])

@@ -71,6 +71,8 @@ def scene_scale(frames: list[tuple[DepthMap, DepthMap]],
     """
     if not frames:
         raise ParameterError("need at least one frame")
+    if sample_count < 1:
+        raise ParameterError(f"the frame sample count must be at least 1, got {sample_count}")
     if weights not in ("inverse_metric", "uniform"):
         raise ParameterError(f"unknown weighting '{weights}'")
     usable = [idx for idx, (rel, met) in enumerate(frames) if rel.shape == met.shape

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -366,22 +367,21 @@ def gen_scene(seed: int, n_frames: int = 32, resolution: tuple[int, int] = (56, 
 # persistence
 # ----------------------------------------------------------------------
 
-# a frame's arrays, in the order of its records in scene.vlt
-FRAME_RECORDS = ("depth", "labels", "summary", "patch_labels", "base", "teacher_geom",
-                 "teacher_lang")
+# scene.vlt's [F, ...] records in order, each with the FrameData array it stacks
+_FIELDS = dict(depth="depth.values", labels="labels", summary="patch_summary",
+               patch_labels="patch_labels", base="base.tokens.data",
+               teacher_geom="teacher_geom.tokens.data", teacher_lang="teacher_lang.tokens.data")
+FRAME_RECORDS = tuple(_FIELDS)
 
 
 def save_scene(directory: str | Path, scene: SceneSample) -> None:
-    """scene.vlt holds FRAME_RECORDS frame by frame; scene.json the meta and cameras."""
+    """scene.vlt holds FRAME_RECORDS as [F, ...] f64 stacks; scene.json the meta and cameras."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "scene.json").unlink(missing_ok=True)   # the marker goes back last
     with open(directory / "scene.vlt", "wb") as fh:
-        for f in scene.frames:
-            for arr in (f.depth.values, f.labels.astype(np.float64), f.patch_summary,
-                        f.patch_labels.astype(np.float64), f.base.tokens.data,
-                        f.teacher_geom.tokens.data, f.teacher_lang.tokens.data):
-                vlt.write_record(fh, arr)
+        for stack in zip(*map(attrgetter(*_FIELDS.values()), scene.frames)):
+            vlt.write_record(fh, np.stack(stack, dtype=np.float64))
     write_json(directory / "scene.json", {
         "seed": scene.seed, "resolution": list(scene.resolution),
         "tokenizer": scene.tokenizer.to_json(), "room": scene.geometry.room.to_json(),
@@ -391,12 +391,13 @@ def save_scene(directory: str | Path, scene: SceneSample) -> None:
 
 
 def load_scene(directory: str | Path) -> SceneSample:
-    """A scene as `save_scene` wrote it; a malformed one is a ParameterError."""
-    directory = Path(directory)
-    path, records_path = directory / "scene.json", directory / "scene.vlt"
-    if not records_path.is_file():
-        raise ParameterError(f"{records_path} is missing: the scene is incomplete or in the "
-                             f"older per-frame layout; regenerate it with `geovid gen-scenes`")
+    """A scene as `save_scene` wrote it, its frames views of the records (or a ParameterError)."""
+    path, records_path = Path(directory) / "scene.json", Path(directory) / "scene.vlt"
+    try:   # the older layouts have no scene.vlt, or one of 7 records per frame
+        rec = dict(zip(FRAME_RECORDS, vlt.read_file(records_path, len(FRAME_RECORDS))))
+    except ParameterError as exc:
+        raise ParameterError(f"{exc}; the scene is incomplete, damaged or in an older layout: "
+                             f"regenerate it with `geovid gen-scenes`") from None
     meta = read_json(path, "tokenizer", "room", "objects", "seed", "n_frames", "resolution",
                      "cameras")
     try:
@@ -410,22 +411,20 @@ def load_scene(directory: str | Path) -> SceneSample:
         raise ParameterError(f"{path} is malformed: {exc!r}") from None
     if n_frames < 1 or len(cameras) != n_frames:
         raise ParameterError(f"{path} lists {n_frames} frames and {len(cameras)} cameras")
-    n = len(FRAME_RECORDS)
-    records = vlt.read_file(records_path, n * n_frames)
-    frames = []
-    for k, cam in enumerate(cameras):
-        rec = dict(zip(FRAME_RECORDS, records[k * n:(k + 1) * n]))
-        for name in ("labels", "patch_labels"):   # class ids, saved as floats
-            v = rec[name]
-            if not ((v >= 0) & (v < NUM_CLASSES) & (v == np.floor(v))).all():
-                raise ParameterError(f"{records_path} record frame_{k:03d}/{name} holds a "
-                                     f"class label outside the integers 0..{NUM_CLASSES - 1}")
-        frames.append(named(f"{records_path} frame_{k:03d}", lambda: FrameData(
-            index=k, camera=cam, depth=DepthMap(rec["depth"], scale_kind=GROUND_TRUTH),
-            labels=rec["labels"].astype(np.int16), patch_summary=rec["summary"],
-            patch_labels=rec["patch_labels"].astype(np.int64), noise_seed=seed * 1000 + k,
-            base=TokenSet(Tensor(rec["base"]), Role.BASE),
-            teacher_geom=TokenSet(Tensor(rec["teacher_geom"]), Role.GEOM),
-            teacher_lang=TokenSet(Tensor(rec["teacher_lang"]), Role.LANG))))
-    return SceneSample(geometry=geom, frames=frames, seed=seed,
-                       resolution=resolution, tokenizer=tokenizer)
+    if wrong := [name for name, v in rec.items() if v.shape[:1] != (n_frames,)]:
+        raise ParameterError(f"{records_path} record {wrong[0]} is not [{n_frames}, ...]")
+    for name, dtype in (("labels", np.int16), ("patch_labels", np.int64)):
+        v = np.clip(rec[name], -0.5, NUM_CLASSES - 0.5, out=rec[name])   # bad ids turn fractional
+        ids = rec[name] = v.astype(dtype)
+        bad = (ids != v).reshape(n_frames, -1).any(axis=1)
+        if bad.any():
+            raise ParameterError(f"{records_path} record {name} frame_{bad.argmax():03d}: a "
+                                 f"class label outside the integers 0..{NUM_CLASSES - 1}")
+
+    def at(name: str, k: int, *args, make=TokenSet):   # an error names the record and the frame
+        return named(f"{records_path} record {name} frame_{k:03d}", make, rec[name][k], *args)
+    frames = [FrameData(k, cam, at("depth", k, GROUND_TRUTH, make=DepthMap), rec["labels"][k],
+                        rec["summary"][k], rec["patch_labels"][k], seed * 1000 + k,
+                        at("base", k, Role.BASE), at("teacher_geom", k, Role.GEOM),
+                        at("teacher_lang", k, Role.LANG)) for k, cam in enumerate(cameras)]
+    return SceneSample(geom, frames, seed, resolution, tokenizer)

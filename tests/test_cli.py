@@ -211,6 +211,18 @@ def test_align_scale_rejects_camera_count_mismatch(tmp_path):
     assert not (tmp_path / "scaled").exists()
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_align_scale_refuses_samples_below_one(tmp_path, samples):
+    dirs = _align_inputs(tmp_path, 3, 0)
+    proc = run_cli("align-scale", "--depth-rel", str(dirs["rel"]),
+                   "--depth-metric", str(dirs["met"]), "--samples", str(samples),
+                   "--out", str(tmp_path / "scale.json"), check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert f"sample count must be at least 1, got {samples}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "scale.json").exists()
+
+
 def test_exit_code_degenerate(tmp_path):
     from geovid.numkit import vlt
     rel_dir = tmp_path / "rel"
@@ -274,6 +286,16 @@ def test_bad_config_exit_code(tmp_path, text, named):
                    str(tmp_path), "--out", str(tmp_path / "out"), check=False)
     assert proc.returncode == 1
     assert named in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_train_refuses_a_nan_lr_before_training(workspace, tmp_path):
+    root, _ = workspace
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY_CFG).replace("}", ', "lr": NaN}'))
+    proc = run_cli("train", "--stage", "1", "--config", str(tmp_path / "cfg.json"),
+                   "--scenes", str(root / "scenes"), "--out", str(tmp_path / "out"), check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert "config key 'lr' must be finite" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "ckpt").exists()
 
 
 def test_checked_in_fixture_configs_load():

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -121,6 +122,18 @@ def test_corrupt_ply_loads_or_raises_parameter_error(ply_dir, data, cut, pos, va
         _load_bounded(read_ply, bad / name)
 
 
+def _rewrite_record(path: Path, name: str, bad) -> None:
+    """Replace scene.vlt's record `name` at `path` with `bad` of it."""
+    records = dict(zip(FRAME_RECORDS, vlt.read_file(path, len(FRAME_RECORDS))))
+    records[name] = bad(records[name])
+    with open(path, "wb") as fh:
+        for arr in records.values():
+            if arr.ndim:
+                vlt.write_record(fh, arr)
+            else:   # a 0-D record, which write_record never makes
+                fh.write(vlt.MAGIC + struct.pack("<BB", 1, 0) + arr.tobytes())
+
+
 @pytest.mark.parametrize("value", [2.5, -1.0, 11.0, 1e300])
 @pytest.mark.parametrize("record", ["frame_000/labels", "frame_001/patch_labels"])
 def test_bad_class_label_names_the_file(saved, tmp_path, record, value):
@@ -128,13 +141,13 @@ def test_bad_class_label_names_the_file(saved, tmp_path, record, value):
     shutil.copytree(scene_dir, tmp_path / "scene")
     path = tmp_path / "scene" / "scene.vlt"
     frame, name = record.split("/")
-    records = vlt.read_file(path, 2 * len(FRAME_RECORDS))
-    index = int(frame[-3:]) * len(FRAME_RECORDS) + FRAME_RECORDS.index(name)
-    records[index].reshape(-1)[-1] = value
-    with open(path, "wb") as fh:
-        for arr in records:
-            vlt.write_record(fh, arr)
-    with pytest.raises(ParameterError, match=re.escape(f"{path} record {record} ")):
+
+    def bad(stack):
+        stack[int(frame[-3:])].reshape(-1)[-1] = value
+        return stack
+
+    _rewrite_record(path, name, bad)
+    with pytest.raises(ParameterError, match=re.escape(f"{path} record {name} {frame}: ")):
         load_scene(tmp_path / "scene")
 
 
@@ -224,25 +237,54 @@ def _assert_exit_1_naming(proc, *names):
         assert str(name) in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("record, bad", [
-    ("depth", lambda a: -a), ("depth", lambda a: a.reshape(-1)),
-    ("base", lambda a: a.reshape(-1)), ("teacher_lang", lambda a: a[:, :0]),
-], ids=["negative-depth", "1-D-depth", "1-D-base", "empty-teacher"])
-def test_bad_scene_record_names_the_file_and_frame(saved, tmp_path, record, bad):
-    # a record that reads as a VLT1 array but fails its own checks
+@pytest.mark.parametrize("record, bad, frame", [
+    ("depth", lambda a: np.concatenate([a[:1], -a[1:]]), "frame_001"),
+    ("depth", lambda a: a.reshape(-1), None), ("base", lambda a: a.reshape(-1), None),
+    ("teacher_lang", lambda a: a[:, :0], "frame_000"),
+    ("summary", lambda a: a[:1], None), ("labels", lambda a: np.concatenate([a, a[:1]]), None),
+    ("patch_labels", lambda a: np.array(a[0, 0]), None),
+], ids=["negative-depth", "1-D-depth", "1-D-base", "empty-teacher", "one-frame-summary",
+        "three-frame-labels", "0-D-patch-labels"])
+def test_bad_scene_record_names_the_file_and_frame(saved, tmp_path, record, bad, frame):
+    # a record that reads as a VLT1 array but fails its own checks: its shape
+    # names the record, one frame's values the record and the frame; a leading
+    # axis other than the frame count is never a raw IndexError
     scene_dir, ckpt_dir = saved
     shutil.copytree(scene_dir, tmp_path / "scene")
     path = tmp_path / "scene" / "scene.vlt"
-    records = vlt.read_file(path, 2 * len(FRAME_RECORDS))
-    index = len(FRAME_RECORDS) + FRAME_RECORDS.index(record)   # frame_001
-    records[index] = bad(records[index])
-    with open(path, "wb") as fh:
-        for arr in records:
-            vlt.write_record(fh, arr)
-    with pytest.raises(ParameterError, match=re.escape(f"{path} frame_001: ")):
+    _rewrite_record(path, record, bad)
+    where = f"{path} record {record} {frame}: " if frame else f"{path} record {record} is not [2,"
+    with pytest.raises(ParameterError, match=re.escape(where)):
         load_scene(tmp_path / "scene")
     _assert_exit_1_naming(_run_cli("infer", "--ckpt", ckpt_dir, "--scene", tmp_path / "scene",
-                                   "--out", tmp_path / "out"), path, "frame_001")
+                                   "--out", tmp_path / "out"), where)
+
+
+@pytest.mark.parametrize("layout", ["seven-records-per-frame", "per-frame-directories"])
+def test_cli_exits_1_on_an_older_scene_layout(saved, tmp_path, layout):
+    scene_dir, ckpt_dir = saved
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    path = tmp_path / "scene" / "scene.vlt"
+    frames = load_scene(scene_dir).frames
+    if layout == "per-frame-directories":   # no scene.vlt or cameras, and a directory per frame
+        path.unlink()
+        meta = json.loads((tmp_path / "scene" / "scene.json").read_text())
+        del meta["cameras"]
+        (tmp_path / "scene" / "scene.json").write_text(json.dumps(meta))
+        for f in frames:
+            (tmp_path / "scene" / f"frame_{f.index:03d}").mkdir()
+            vlt.save_tensor(tmp_path / "scene" / f"frame_{f.index:03d}" / "depth.vlt",
+                            f.depth.values)
+    else:
+        with open(path, "wb") as fh:
+            for f in frames:
+                for arr in (f.depth.values, f.labels, f.patch_summary, f.patch_labels,
+                            f.base.tokens.data, f.teacher_geom.tokens.data,
+                            f.teacher_lang.tokens.data):
+                    vlt.write_record(fh, arr.astype(np.float64))
+    _assert_exit_1_naming(_run_cli("infer", "--ckpt", ckpt_dir, "--scene", tmp_path / "scene",
+                                   "--out", tmp_path / "out"),
+                          path, "regenerate it with `geovid gen-scenes`")
 
 
 @pytest.mark.parametrize("field, value", [("fx", "NaN"), ("fy", "-1.0"), ("cx", "Infinity")])

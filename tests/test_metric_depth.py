@@ -25,6 +25,12 @@ class TestInitBins:
         with pytest.raises(ParameterError):
             init_bins(4, 5.0, 5.0)
 
+    @pytest.mark.parametrize("d_min, d_max", [(float("nan"), 10.0), (0.1, float("nan")),
+                                              (0.1, float("inf")), (float("inf"), float("inf"))])
+    def test_non_finite_range_rejected(self, d_min, d_max):
+        with pytest.raises(ParameterError, match="d_min < d_max < inf"):
+            init_bins(4, d_min, d_max)
+
     def test_two_bin_log_uniform_formula(self):
         cfg = init_bins(2, 1.0, float(np.exp(4.0)))
         np.testing.assert_allclose(cfg.centers, [np.e, np.exp(3.0)], rtol=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import re
@@ -14,7 +15,7 @@ from geovid.errors import ParameterError, ShapeError
 from geovid.model import (
     adapt, encode, init_model, load_checkpoint, predict_window, save_checkpoint,
 )
-from geovid.numkit import Role, no_grad
+from geovid.numkit import Role, no_grad, vlt
 from geovid.synthscene import NUM_CLASSES, TokenizerConfig, gen_scene
 
 CFG = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4,
@@ -192,6 +193,14 @@ def test_config_validation():
             RunConfig.from_json({"tau_f": tau})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                 if isinstance(f.default, float)])
+def test_config_refuses_a_non_finite_float(key, value):
+    with pytest.raises(ParameterError, match=key):
+        RunConfig.from_json({key: value})
+
+
 @pytest.mark.parametrize("key", sorted(RETIRED))
 def test_config_accepts_retired_key_only_at_its_value(key):
     # older configs and checkpoints hold each retired key at its one value;
@@ -220,6 +229,18 @@ def test_load_checkpoint_accepts_manifest_with_retired_key(tmp_path, key):
     (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
     _, cfg = load_checkpoint(tmp_path / "ckpt")
     assert cfg == CFG
+
+
+def test_load_checkpoint_widens_f32_records(tmp_path):
+    # VLT1 stores f32 too; a checkpoint of f32 records loads as numkit's float64
+    save_checkpoint(tmp_path / "ckpt", init_model(CFG), CFG)
+    arrays, meta = vlt.load_container(tmp_path / "ckpt")
+    narrow = {name: a.astype(np.float32) for name, a in arrays.items()}
+    vlt.save_container(tmp_path / "ckpt", narrow, meta=meta)
+    params, _ = load_checkpoint(tmp_path / "ckpt")
+    for name, tensor in params.named_tensors().items():
+        assert tensor.data.dtype == np.float64, name
+        assert np.array_equal(tensor.data, narrow[name]), name
 
 
 def test_load_checkpoint_checks_model_fields_against_config(tmp_path):

@@ -280,11 +280,48 @@ def test_load_rejects_frame_count_that_disagrees_with_cameras(tmp_path, n_frames
         load_scene(directory)
 
 
+def _frame_arrays(f) -> dict:
+    """A frame's arrays by the name of their scene.vlt record."""
+    return dict(zip(FRAME_RECORDS, (f.depth.values, f.labels, f.patch_summary, f.patch_labels,
+                                    f.base.tokens.data, f.teacher_geom.tokens.data,
+                                    f.teacher_lang.tokens.data)))
+
+
+@pytest.mark.parametrize("n_frames", [1, 3])
+def test_scene_vlt_holds_one_stack_per_field(tmp_path, n_frames):
+    scene = _scene(seed=12, n_frames=n_frames)
+    save_scene(tmp_path / "s", scene)
+    records = vlt.read_file(tmp_path / "s" / "scene.vlt", len(FRAME_RECORDS))   # and no more
+    for name, record in zip(FRAME_RECORDS, records):
+        assert record.dtype == np.float64, name   # class ids too
+        assert np.array_equal(record, np.stack([_frame_arrays(f)[name] for f in scene.frames]))
+
+
+def test_loaded_frames_are_views_of_the_records(tmp_path, monkeypatch):
+    save_scene(tmp_path / "s", _scene(seed=12, n_frames=3))
+    read_file, records = vlt.read_file, []
+
+    def spy(*args):
+        records.extend(read_file(*args))
+        return records
+
+    monkeypatch.setattr(vlt, "read_file", spy)
+    frames = load_scene(tmp_path / "s").frames
+    assert len(records) == len(FRAME_RECORDS)
+    for name, record in zip(FRAME_RECORDS, records):
+        arrays = [_frame_arrays(f)[name] for f in frames]
+        stack = arrays[0].base   # the record itself, or the one cast of its class ids
+        assert stack is record or name in ("labels", "patch_labels"), name
+        assert stack.shape == record.shape and np.array_equal(stack, record), name
+        for k, a in enumerate(arrays):
+            assert np.shares_memory(a, stack) and np.array_equal(a, stack[k]), (name, k)
+
+
 @pytest.mark.parametrize("change", ["one-record-short", "one-record-more", "trailing-byte"])
 def test_load_rejects_a_wrong_record_count(tmp_path, change):
     directory = _saved(tmp_path)
     path = directory / "scene.vlt"
-    records = vlt.read_file(path, 2 * len(FRAME_RECORDS))
+    records = vlt.read_file(path, len(FRAME_RECORDS))
     if change == "one-record-short":
         records.pop()
     elif change == "one-record-more":
@@ -296,6 +333,24 @@ def test_load_rejects_a_wrong_record_count(tmp_path, change):
             fh.write(b"\0")
     message = "bad VLT1 magic b''" if change == "one-record-short" else "trailing bytes"
     with pytest.raises(ParameterError, match=re.escape(f"{path}: {message}")):
+        load_scene(directory)
+
+
+REGENERATE = re.escape("regenerate it with `geovid gen-scenes`")
+
+
+@pytest.mark.parametrize("n_frames", [2, 3])
+def test_load_rejects_the_older_layout_of_seven_records_per_frame(tmp_path, n_frames):
+    # earlier versions wrote the same scene.json, and in scene.vlt each frame's
+    # seven records in turn
+    directory = _saved(tmp_path, n_frames=n_frames)
+    scene = _scene(seed=12, n_frames=n_frames)
+    with open(directory / "scene.vlt", "wb") as fh:
+        for f in scene.frames:
+            for arr in _frame_arrays(f).values():
+                vlt.write_record(fh, arr.astype(np.float64))
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{directory / 'scene.vlt'}: ") + ".*" + REGENERATE):
         load_scene(directory)
 
 
@@ -312,14 +367,11 @@ def test_load_rejects_the_older_per_frame_layout(tmp_path):
         frame_dir = directory / f"frame_{f.index:03d}"
         frame_dir.mkdir()
         f.camera.save(frame_dir / "camera.json")
-        for name, arr in zip(FRAME_RECORDS, (f.depth.values, f.labels.astype(np.float64),
-                                             f.patch_summary, f.patch_labels.astype(np.float64),
-                                             f.base.tokens.data, f.teacher_geom.tokens.data,
-                                             f.teacher_lang.tokens.data)):
-            vlt.save_tensor(frame_dir / f"{name}.vlt", arr)
+        for name, arr in _frame_arrays(f).items():
+            vlt.save_tensor(frame_dir / f"{name}.vlt", arr.astype(np.float64))
     with pytest.raises(ParameterError,
-                       match=re.escape(f"{directory / 'scene.vlt'} is missing") + ".*"
-                       + re.escape("regenerate it with `geovid gen-scenes`")):
+                       match=re.escape(f"cannot read {directory / 'scene.vlt'}") + ".*"
+                       + REGENERATE):
         load_scene(directory)
 
 
@@ -655,10 +707,10 @@ def test_scene_bytes_pinned():
 
 
 SCENE_3_DIGEST = "36d0cb3263e5c109a68d038d5303988d6a8f0aae3c964957bb2ba5574b0fc9e4"
-# scene.vlt holds the bytes of the per-frame .vlt files of the older layout, back
-# to back, and scene.json its scene.json with the frames' camera.json objects as
-# `cameras`: these digests are those of the older layout's files, so joined
+# scene.json is the one the layout of seven records per frame wrote; scene.vlt
+# holds one [F, ...] record per field, the frames' arrays of the older layout's
+# records stacked in the same order (class ids as f64)
 SAVED_SCENE_DIGESTS = {
     "scene.json": "a7851a0e57a1c643c1a4563924ed4b5d6406bf935771bce1072e5e6c01ad3087",
-    "scene.vlt": "a58508747b558d7a31e1393f58a86c514e50d98f99d64880c5b2057530c23117",
+    "scene.vlt": "3efed658065c1e96a9587f7c63411ef20abbfa3904461d50c81211af1f771f6b",
 }

@@ -70,6 +70,22 @@ def test_container_bytes_deterministic(tmp_path):
            (tmp_path / "c2" / "manifest.json").read_bytes()
 
 
+def test_container_resave_drops_the_old_manifest_first(tmp_path, monkeypatch):
+    # a re-save that fails before its manifest is written must not leave the
+    # new weights paired with the old meta
+    vlt.save_container(tmp_path / "ckpt", {"a": np.ones(2)}, meta={"run": 1})
+
+    def fail(path, obj):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(vlt, "write_json", fail)
+    with pytest.raises(OSError):
+        vlt.save_container(tmp_path / "ckpt", {"a": np.zeros(2)}, meta={"run": 2})
+    monkeypatch.undo()
+    with pytest.raises(ParameterError, match="manifest.json"):
+        vlt.load_container(tmp_path / "ckpt")
+
+
 def _header(tag, dims, ndim=None):
     ndim = len(dims) if ndim is None else ndim
     return vlt.MAGIC + bytes([tag, ndim]) + b"".join(d.to_bytes(8, "little") for d in dims)
