@@ -51,33 +51,38 @@ def main():
 
 
 @main.command("gen-scenes")
-@click.option("--seed", type=int, required=True)
-@click.option("--count", type=int, required=True)
-@click.option("--frames", type=int, default=32, show_default=True)
+@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--resolution", type=int, default=56, show_default=True)
-@click.option("--objects", type=int, default=5, show_default=True)
-@click.option("--dim", type=int, default=64, show_default=True)
-@click.option("--noise", type=float, default=0.01, show_default=True)
 @_exit_codes
-def gen_scenes_cmd(seed, count, frames, out, resolution, objects, dim, noise):
-    """Generate synthetic scenes into OUT/scene_XXXX directories."""
-    if count < 1:
-        raise ParameterError(f"--count must be at least 1, got {count}")
-    cfg = RunConfig(seed=seed, dim=dim, resolution=(resolution, resolution),
-                    frames_per_scene=frames, n_objects=objects, token_noise=noise)
+def gen_scenes_cmd(config_path, out):
+    """Generate the config's n_scenes scenes into OUT/scene_XXXX directories."""
+    cfg = RunConfig.load(config_path)
     out = Path(out)
-    for i, scene in enumerate(_iter_scenes(cfg, count=count)):
+    for i, scene in enumerate(_iter_scenes(cfg)):
         save_scene(out / f"scene_{i:04d}", scene)
-    click.echo(f"wrote {count} scene(s) to {out}")
+    click.echo(f"wrote {cfg.n_scenes} scene(s) to {out}")
 
 
-def _load_scene_dir(path: Path):
+def _fitting_scene(path: str | Path, cfg: RunConfig, source: str):
+    """The scene at `path`, built for the resolution, token width and patch
+    grid of the model that `cfg` (from `source`) describes."""
+    scene = load_scene(path)
+    for field, got, want in (("resolution", scene.resolution, cfg.resolution),
+                             ("tokenizer.dim", scene.tokenizer.dim, cfg.dim),
+                             ("tokenizer.patch_size", scene.tokenizer.patch_size,
+                              cfg.patch_size)):
+        if got != want:
+            raise ParameterError(f"scene {path} has {field}={got} but {source} has {want}; "
+                                 f"regenerate it with `geovid gen-scenes --config`")
+    return scene
+
+
+def _load_scene_dir(path: Path, cfg: RunConfig):
     dirs = (sorted(p for p in path.iterdir() if (p / "scene.json").exists())
             if path.is_dir() else [])
     if not dirs:
         raise ParameterError(f"no scenes found under {path}")
-    return [load_scene(d) for d in dirs]
+    return [_fitting_scene(d, cfg, "--config") for d in dirs]
 
 
 @main.command("train")
@@ -91,10 +96,10 @@ def _load_scene_dir(path: Path):
 def train_cmd(stage, config_path, scenes_path, out, init_ckpt):
     """Run one training stage and write checkpoint + JSONL log to OUT."""
     cfg = RunConfig.load(config_path)
-    scenes = _load_scene_dir(Path(scenes_path))
+    scenes = _load_scene_dir(Path(scenes_path), cfg)
+    params = init_model(cfg) if init_ckpt is None else load_checkpoint(init_ckpt, cfg)[0]
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    params = init_model(cfg) if init_ckpt is None else load_checkpoint(init_ckpt, cfg)[0]
     dump = out / "abort_dump.json"
     if stage == "1":
         params, log = train_stage1(cfg, scenes, params=params, dump_path=dump)
@@ -134,10 +139,15 @@ def align_scale_cmd(depth_rel, depth_metric, cameras, out, scaled_out,
         raise ParameterError("relative/metric depth counts differ")
     cams = None
     if cameras is not None:
-        cams = [CameraModel.load(f) for f in sorted(Path(cameras).glob("*.json"))]
+        files = sorted(Path(cameras).glob("*.json"))
+        cams = [CameraModel.load(f) for f in files]
         if len(cams) != len(rel):
             raise ParameterError(f"--cameras has {len(cams)} camera file(s) "
                                  f"for {len(rel)} depth file(s)")
+        for f, cam in zip(files, cams):
+            if cam.scale_kind != RELATIVE:
+                raise ParameterError(f"{f} holds a '{cam.scale_kind}' camera; "
+                                     f"--cameras takes relative ones")
     pairs = [(r, m) for (_, r), (_, m) in zip(rel, met)]
     est = scene_scale(pairs, sample_count=samples, seed=seed,
                       weights="uniform" if uniform_weights else "inverse_metric")
@@ -164,7 +174,7 @@ def align_scale_cmd(depth_rel, depth_metric, cameras, out, scaled_out,
 def infer_cmd(ckpt, scene_path, out):
     """Run the trained pipeline on one scene; write PLY + JSON artifacts."""
     params, cfg = load_checkpoint(ckpt)
-    scene = load_scene(scene_path)
+    scene = _fitting_scene(scene_path, cfg, "--ckpt's config")
     result = run_pipeline(cfg, scene, params)
     out = Path(out)
     (out / "cameras").mkdir(parents=True, exist_ok=True)
@@ -226,7 +236,8 @@ def eval_cmd(pred, gt, out, tau):
               help="comma-separated strategy names")
 @click.option("--sizes", type=str, required=True,
               help="comma-separated scene counts")
-@click.option("--seeds", type=str, default="7", show_default=True)
+@click.option("--seeds", type=str, default=None, show_default="the config's seed",
+              help="comma-separated seeds")
 @click.option("--out", type=click.Path(), required=True)
 @_exit_codes
 def compare_cmd(config_path, strategies, sizes, seeds, out):
@@ -234,7 +245,8 @@ def compare_cmd(config_path, strategies, sizes, seeds, out):
     cfg = RunConfig.load(config_path)
     strat = [s.strip() for s in strategies.split(",") if s.strip()]
     size_list = [int(s) for s in sizes.split(",") if s.strip()]
-    seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+    seed_list = ([cfg.seed] if seeds is None
+                 else [int(s) for s in seeds.split(",") if s.strip()])
     rows = compare_strategies(cfg, strat, size_list, seed_list, out_csv=out)
     click.echo(f"{len(rows)} row(s) written to {out}")
 

@@ -74,6 +74,8 @@ class RunConfig:
             raise ParameterError(f"unknown md mode '{self.md_mode}'")
         if isinstance(self.resolution, list):
             self.resolution = tuple(self.resolution)
+        if min(self.resolution) <= 0:   # gen-scenes builds its images at this size
+            raise ParameterError(f"resolution must be positive, got {list(self.resolution)}")
         for name in ("dim", "heads", "blocks", "patch_size", "n_bins",
                      "stage1_steps", "stage1_batch", "stage2_steps",
                      "stage2_frames", "n_scenes", "frames_per_scene", "n_objects"):
@@ -85,9 +87,15 @@ class RunConfig:
             raise ParameterError(f"dim {self.dim} is not a multiple of heads {self.heads}")
         check_tau(self.tau_f, "tau_f")
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not -float("inf") < value < float("inf"):
-                raise ParameterError(f"config key '{f.name}' must be finite, got {value}")
+            if isinstance(f.default, float):
+                try:
+                    value = float(getattr(self, f.name))
+                except OverflowError:   # a JSON integer past the float range
+                    raise ParameterError(f"config key '{f.name}' must be finite, got an "
+                                         "integer too large for a float") from None
+                if not -float("inf") < value < float("inf"):
+                    raise ParameterError(f"config key '{f.name}' must be finite, got {value}")
+                setattr(self, f.name, value)
 
     def to_json(self) -> dict:
         d = asdict(self)

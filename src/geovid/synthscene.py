@@ -35,6 +35,7 @@ FLOOR, CEILING, WALL_X0, WALL_X1, WALL_Y0, WALL_Y1 = 1, 2, 3, 4, 5, 6
 OBJECT_CLASS_BASE = 7
 N_OBJECT_CLASSES = 4
 NUM_CLASSES = OBJECT_CLASS_BASE + N_OBJECT_CLASSES  # 11
+SUMMARY_DIM = 4 + NUM_CLASSES + 2   # a patch summary: depth, normal, class histogram, coords
 
 DEPTH_SCALE = 5.0   # token depths divided by this to stay O(1)
 DEFAULT_FOV = np.deg2rad(70.0)
@@ -96,7 +97,7 @@ class FrameData:
     camera: CameraModel          # ground-truth pose, metric scale
     depth: DepthMap              # scale_kind ground_truth
     labels: np.ndarray           # [H, W] int16 class ids
-    patch_summary: np.ndarray    # [P, 4 + NUM_CLASSES + 2] float
+    patch_summary: np.ndarray    # [P, SUMMARY_DIM] float
     patch_labels: np.ndarray     # [P] majority class per patch
     noise_seed: int
     base: TokenSet
@@ -245,8 +246,8 @@ def _patch_summaries(depth: np.ndarray, labels: np.ndarray,
 def _projections(seed: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(token map, geometry teacher map, language teacher map) of a tokenizer:
     built once per (seed, dim) and shared read-only by every frame."""
-    in_dim = 4 + NUM_CLASSES + 2
-    maps = (np.random.default_rng([seed, 11]).standard_normal((in_dim, dim)) / np.sqrt(in_dim),
+    maps = (np.random.default_rng([seed, 11]).standard_normal((SUMMARY_DIM, dim))
+            / np.sqrt(SUMMARY_DIM),
             np.random.default_rng([seed, 23]).standard_normal((4, dim)) / 2.0,
             np.random.default_rng([seed, 37]).standard_normal((NUM_CLASSES, dim))
             / np.sqrt(NUM_CLASSES))
@@ -335,7 +336,7 @@ def gen_scene(seed: int, n_frames: int = 32, resolution: tuple[int, int] = (56, 
     n_patches = (h // ps) * (w // ps)
     depth = np.empty((n_frames, h, w))
     labels = np.empty((n_frames, h, w), dtype=np.int16)
-    summaries = np.empty((n_frames, n_patches, 4 + NUM_CLASSES + 2))
+    summaries = np.empty((n_frames, n_patches, SUMMARY_DIM))
     majority = np.empty((n_frames, n_patches), dtype=np.int64)
     cameras = []
     for k in range(n_frames):
@@ -405,14 +406,24 @@ def load_scene(directory: str | Path) -> SceneSample:
         geom = SceneGeometry(room=Box.from_json(meta["room"]),
                              objects=[Box.from_json(o) for o in meta["objects"]])
         seed, n_frames = int(meta["seed"]), int(meta["n_frames"])
-        resolution = tuple(int(v) for v in meta["resolution"])
+        h, w = resolution = tuple(int(v) for v in meta["resolution"])
         cameras = [CameraModel.from_json(c) for c in meta["cameras"]]
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise ParameterError(f"{path} is malformed: {exc!r}") from None
+    ps, dim = tokenizer.patch_size, tokenizer.dim
+    if not (ps > 0 and dim > 0 and h > 0 and w > 0 and h % ps == w % ps == 0):
+        raise ParameterError(f"{path} has no patch grid: resolution {h}x{w}, "
+                             f"patch size {ps}, token dim {dim}")
     if n_frames < 1 or len(cameras) != n_frames:
         raise ParameterError(f"{path} lists {n_frames} frames and {len(cameras)} cameras")
-    if wrong := [name for name, v in rec.items() if v.shape[:1] != (n_frames,)]:
-        raise ParameterError(f"{records_path} record {wrong[0]} is not [{n_frames}, ...]")
+    n_patches = (h // ps) * (w // ps)
+    shapes = dict(zip(FRAME_RECORDS, [(h, w), (h, w), (n_patches, SUMMARY_DIM), (n_patches,)]
+                      + [(n_patches, dim)] * 3))
+    for name, v in rec.items():
+        if v.shape != (n_frames, *shapes[name]):
+            raise ParameterError(f"{records_path} record {name} is not "
+                                 f"{[n_frames, *shapes[name]]}: it is {list(v.shape)}")
+        rec[name] = v.astype(np.float64, copy=False)
     for name, dtype in (("labels", np.int16), ("patch_labels", np.int64)):
         v = np.clip(rec[name], -0.5, NUM_CLASSES - 0.5, out=rec[name])   # bad ids turn fractional
         ids = rec[name] = v.astype(dtype)
@@ -421,10 +432,12 @@ def load_scene(directory: str | Path) -> SceneSample:
             raise ParameterError(f"{records_path} record {name} frame_{bad.argmax():03d}: a "
                                  f"class label outside the integers 0..{NUM_CLASSES - 1}")
 
-    def at(name: str, k: int, *args, make=TokenSet):   # an error names the record and the frame
-        return named(f"{records_path} record {name} frame_{k:03d}", make, rec[name][k], *args)
-    frames = [FrameData(k, cam, at("depth", k, GROUND_TRUTH, make=DepthMap), rec["labels"][k],
-                        rec["summary"][k], rec["patch_labels"][k], seed * 1000 + k,
-                        at("base", k, Role.BASE), at("teacher_geom", k, Role.GEOM),
-                        at("teacher_lang", k, Role.LANG)) for k, cam in enumerate(cameras)]
+    # the shapes are checked; a depth frame's values name the record and the frame
+    frames = [FrameData(k, cam, named(f"{records_path} record depth frame_{k:03d}", DepthMap,
+                                      rec["depth"][k], GROUND_TRUTH),
+                        rec["labels"][k], rec["summary"][k], rec["patch_labels"][k],
+                        seed * 1000 + k, TokenSet(rec["base"][k], Role.BASE),
+                        TokenSet(rec["teacher_geom"][k], Role.GEOM),
+                        TokenSet(rec["teacher_lang"][k], Role.LANG))
+              for k, cam in enumerate(cameras)]
     return SceneSample(geom, frames, seed, resolution, tokenizer)

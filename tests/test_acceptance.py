@@ -697,9 +697,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        _run_cli("gen-scenes", "--seed", "19", "--count", "2", "--frames", "3",
-                 "--out", str(out / "scenes"), "--resolution", "28",
-                 "--objects", "3", "--dim", "16")
+        _run_cli("gen-scenes", "--config", str(cfg_path), "--out", str(out / "scenes"))
         _run_cli("train", "--stage", "1", "--config", str(cfg_path),
                  "--scenes", str(out / "scenes"), "--out", str(out / "s1"))
         _run_cli("train", "--stage", "2", "--config", str(cfg_path),

@@ -34,9 +34,7 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CFG))
-    run_cli("gen-scenes", "--seed", "11", "--count", "2", "--frames", "3",
-            "--out", str(root / "scenes"), "--resolution", "28",
-            "--objects", "3", "--dim", "16")
+    run_cli("gen-scenes", "--config", str(cfg_path), "--out", str(root / "scenes"))
     return root, cfg_path
 
 
@@ -50,27 +48,28 @@ def test_gen_scenes_layout(workspace):
 
 @pytest.mark.parametrize("count", [0, -2])
 def test_gen_scenes_refuses_a_count_below_one(tmp_path, count):
-    proc = run_cli("gen-scenes", "--seed", "1", "--count", str(count),
+    (tmp_path / "cfg.json").write_text(json.dumps({"n_scenes": count}))
+    proc = run_cli("gen-scenes", "--config", str(tmp_path / "cfg.json"),
                    "--out", str(tmp_path / "out"), check=False)
     assert proc.returncode == 1
-    assert f"--count must be at least 1, got {count}" in proc.stderr
+    assert "n_scenes must be positive" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("frames", [1, 2])
 def test_gen_scenes_streamed_files_match_list_path(tmp_path, frames):
-    # gen-scenes saves each scene as it is generated; the files must equal
-    # those of saving generate_scenes' list, for one- and two-frame scenes
+    # gen-scenes saves each scene of its config as it is generated; the files
+    # must equal those of saving generate_scenes' list, for one- and two-frame
+    # scenes
     from geovid.config import RunConfig
     from geovid.synthscene import save_scene
     from geovid.train import generate_scenes
 
-    run_cli("gen-scenes", "--seed", "13", "--count", "5", "--frames", str(frames),
-            "--out", str(tmp_path / "cli"), "--resolution", "28",
-            "--objects", "3", "--dim", "16")
-    cfg = RunConfig(seed=13, dim=16, resolution=(28, 28), frames_per_scene=frames,
-                    n_objects=3, token_noise=0.01)
-    for i, scene in enumerate(generate_scenes(cfg, count=5)):
+    cfg = {"seed": 13, "dim": 16, "resolution": [28, 28], "n_scenes": 5,
+           "frames_per_scene": frames, "n_objects": 3}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    run_cli("gen-scenes", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "cli"))
+    for i, scene in enumerate(generate_scenes(RunConfig.from_json(cfg))):
         save_scene(tmp_path / "list" / f"scene_{i:04d}", scene)
 
     def files(root):
@@ -119,17 +118,47 @@ def test_train_infer_eval_chain(workspace):
 def test_train_init_rejects_checkpoint_from_other_model(workspace, tmp_path, changes, named):
     from geovid.config import RunConfig
     from geovid.model import init_model, save_checkpoint
-    root, cfg_path = workspace
+    _, cfg_path = workspace
     ckpt_cfg = RunConfig.load(cfg_path)
     save_checkpoint(tmp_path / "ckpt", init_model(ckpt_cfg), ckpt_cfg)
     other = tmp_path / "other.json"
     other.write_text(json.dumps({**TINY_CFG, **changes}))
+    run_cli("gen-scenes", "--config", str(other), "--out", str(tmp_path / "scenes"))   # they fit
     proc = run_cli("train", "--stage", "2", "--config", str(other),
-                   "--scenes", str(root / "scenes"), "--out", str(tmp_path / "out"),
+                   "--scenes", str(tmp_path / "scenes"), "--out", str(tmp_path / "out"),
                    "--init", str(tmp_path / "ckpt"), check=False)
     assert proc.returncode == 1
     assert named in proc.stderr and "Traceback" not in proc.stderr
-    assert not (tmp_path / "out" / "ckpt").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["stage-1", "stage-2", "infer"])
+@pytest.mark.parametrize("changes, named", [
+    ({"dim": 32}, "tokenizer.dim=16 but"),
+    ({"resolution": [56, 56]}, "resolution=(28, 28) but"),
+    ({"patch_size": 7}, "tokenizer.patch_size=14 but"),
+], ids=["dim", "resolution", "patch-size"])
+def test_scene_that_does_not_fit_the_config_exits_1(workspace, tmp_path, command, changes,
+                                                    named):
+    # every scene train reads must fit --config, and infer's scene the
+    # checkpoint's config; the message names the scene and the field
+    from geovid.config import RunConfig
+    from geovid.model import init_model, save_checkpoint
+    root, _ = workspace
+    other = RunConfig.from_json({**TINY_CFG, **changes})
+    if command == "infer":
+        save_checkpoint(tmp_path / "ckpt", init_model(other), other)
+        args = ("infer", "--ckpt", str(tmp_path / "ckpt"), "--scene",
+                str(root / "scenes" / "scene_0000"))
+    else:
+        other.save(tmp_path / "other.json")
+        args = ("train", "--stage", command[-1], "--config", str(tmp_path / "other.json"),
+                "--scenes", str(root / "scenes"))
+    proc = run_cli(*args, "--out", str(tmp_path / "out"), check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert f"scene {root / 'scenes' / 'scene_0000'} has {named}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_align_scale_cli(workspace, tmp_path):
@@ -211,6 +240,22 @@ def test_align_scale_rejects_camera_count_mismatch(tmp_path):
     assert not (tmp_path / "scaled").exists()
 
 
+def test_align_scale_refuses_a_metric_camera_before_writing(tmp_path):
+    from geovid.geometry import CameraModel
+    dirs = _align_inputs(tmp_path, 3, 3)
+    cam = CameraModel.load(dirs["cams"] / "c1.json")
+    CameraModel(fx=cam.fx, fy=cam.fy, cx=cam.cx, cy=cam.cy, rotation=cam.rotation,
+                translation=cam.translation, scale_kind="metric").save(dirs["cams"] / "c1.json")
+    proc = run_cli("align-scale", "--depth-rel", str(dirs["rel"]),
+                   "--depth-metric", str(dirs["met"]), "--cameras", str(dirs["cams"]),
+                   "--out", str(tmp_path / "scale.json"),
+                   "--scaled-out", str(tmp_path / "scaled"), check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert f"{dirs['cams'] / 'c1.json'} holds a 'metric' camera" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "scale.json").exists() and not (tmp_path / "scaled").exists()
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_align_scale_refuses_samples_below_one(tmp_path, samples):
     dirs = _align_inputs(tmp_path, 3, 0)
@@ -243,9 +288,7 @@ def test_cli_byte_determinism(workspace, tmp_path_factory):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path_factory.mktemp(f"det_{tag}")
-        run_cli("gen-scenes", "--seed", "11", "--count", "1", "--frames", "3",
-                "--out", str(out / "scenes"), "--resolution", "28",
-                "--objects", "3", "--dim", "16")
+        run_cli("gen-scenes", "--config", str(cfg_path), "--out", str(out / "scenes"))
         run_cli("train", "--stage", "1", "--config", str(cfg_path),
                 "--scenes", str(out / "scenes"), "--out", str(out / "s1"))
         run_cli("infer", "--ckpt", str(out / "s1" / "ckpt"),
@@ -263,15 +306,17 @@ def test_compare_cli(workspace, tmp_path):
     root, cfg_path = workspace
     run_cli("compare", "--config", str(cfg_path),
             "--strategies", "two_stage_dual,single_stage",
-            "--sizes", "2", "--seeds", "11", "--out", str(tmp_path / "cmp.csv"))
+            "--sizes", "2", "--out", str(tmp_path / "cmp.csv"))
     lines = (tmp_path / "cmp.csv").read_text().splitlines()
     assert len(lines) == 3  # header + 2 rows
     assert lines[0] == "strategy,data_size,seed,test_loss,recon,vl,md"
+    assert [line.split(",")[2] for line in lines[1:]] == ["11", "11"]   # the config's seed
 
 
 @pytest.mark.parametrize("text, named", [
     ('{"bogus": 1}', "bogus"),
     ('{"resolution": 56}', "resolution"),
+    ('{"resolution": [-28, 28]}', "resolution must be positive"),
     ('{"dim": "64"}', "dim"),
     ('{"ordinal_bins": false}', "ordinal_bins"),
     ('{"lambda_sc": 0.25}', "lambda_sc"),

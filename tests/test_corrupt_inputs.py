@@ -240,15 +240,18 @@ def _assert_exit_1_naming(proc, *names):
 @pytest.mark.parametrize("record, bad, frame", [
     ("depth", lambda a: np.concatenate([a[:1], -a[1:]]), "frame_001"),
     ("depth", lambda a: a.reshape(-1), None), ("base", lambda a: a.reshape(-1), None),
-    ("teacher_lang", lambda a: a[:, :0], "frame_000"),
+    ("teacher_lang", lambda a: a[:, :0], None),
     ("summary", lambda a: a[:1], None), ("labels", lambda a: np.concatenate([a, a[:1]]), None),
-    ("patch_labels", lambda a: np.array(a[0, 0]), None),
+    ("patch_labels", lambda a: np.array(a[0, 0]), None), ("base", lambda a: a[:, None], None),
+    ("summary", lambda a: a[..., :5], None), ("base", lambda a: a[..., :8], None),
 ], ids=["negative-depth", "1-D-depth", "1-D-base", "empty-teacher", "one-frame-summary",
-        "three-frame-labels", "0-D-patch-labels"])
+        "three-frame-labels", "0-D-patch-labels", "rank-4-base", "5-column-summary",
+        "8-wide-base"])
 def test_bad_scene_record_names_the_file_and_frame(saved, tmp_path, record, bad, frame):
-    # a record that reads as a VLT1 array but fails its own checks: its shape
-    # names the record, one frame's values the record and the frame; a leading
-    # axis other than the frame count is never a raw IndexError
+    # a record that reads as a VLT1 array but fails its own checks: a shape
+    # other than the one scene.json's frame count, resolution and tokenizer
+    # give names the record, one frame's values the record and the frame; a
+    # leading axis other than the frame count is never a raw IndexError
     scene_dir, ckpt_dir = saved
     shutil.copytree(scene_dir, tmp_path / "scene")
     path = tmp_path / "scene" / "scene.vlt"

@@ -16,7 +16,9 @@ from geovid.model import (
     adapt, encode, init_model, load_checkpoint, predict_window, save_checkpoint,
 )
 from geovid.numkit import Role, no_grad, vlt
-from geovid.synthscene import NUM_CLASSES, TokenizerConfig, gen_scene
+from geovid.synthscene import (
+    FRAME_RECORDS, NUM_CLASSES, TokenizerConfig, gen_scene, load_scene, save_scene,
+)
 
 CFG = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4,
                 resolution=(28, 28), n_bins=8, n_scenes=1, frames_per_scene=2,
@@ -201,6 +203,15 @@ def test_config_refuses_a_non_finite_float(key, value):
         RunConfig.from_json({key: value})
 
 
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                 if isinstance(f.default, float)])
+def test_config_refuses_a_float_past_the_float_range(key):
+    # a JSON integer too large for a float; a smaller one loads as a float
+    with pytest.raises(ParameterError, match=f"'{key}' must be finite"):
+        RunConfig.from_json({key: 10**400})
+    assert type(getattr(RunConfig.from_json({key: 1}), key)) is float
+
+
 @pytest.mark.parametrize("key", sorted(RETIRED))
 def test_config_accepts_retired_key_only_at_its_value(key):
     # older configs and checkpoints hold each retired key at its one value;
@@ -241,6 +252,24 @@ def test_load_checkpoint_widens_f32_records(tmp_path):
     for name, tensor in params.named_tensors().items():
         assert tensor.data.dtype == np.float64, name
         assert np.array_equal(tensor.data, narrow[name]), name
+
+
+def test_load_scene_widens_f32_records(tmp_path):
+    # a scene of f32 records loads as float64 too
+    save_scene(tmp_path / "s", gen_scene(5, n_frames=2, resolution=(28, 28), n_objects=2,
+                                         tokenizer=TokenizerConfig(dim=16, seed=5)))
+    path = tmp_path / "s" / "scene.vlt"
+    narrow = {name: a.astype(np.float32)
+              for name, a in zip(FRAME_RECORDS, vlt.read_file(path, len(FRAME_RECORDS)))}
+    with open(path, "wb") as fh:
+        for a in narrow.values():
+            vlt.write_record(fh, a)
+    frame = load_scene(tmp_path / "s").frames[1]
+    for name, a in (("depth", frame.depth.values), ("summary", frame.patch_summary),
+                    ("base", frame.base.tokens.data),
+                    ("teacher_geom", frame.teacher_geom.tokens.data),
+                    ("teacher_lang", frame.teacher_lang.tokens.data)):
+        assert a.dtype == np.float64 and np.array_equal(a, narrow[name][1]), name
 
 
 def test_load_checkpoint_checks_model_fields_against_config(tmp_path):

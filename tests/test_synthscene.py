@@ -280,6 +280,22 @@ def test_load_rejects_frame_count_that_disagrees_with_cameras(tmp_path, n_frames
         load_scene(directory)
 
 
+@pytest.mark.parametrize("tokenizer, resolution", [
+    ({"patch_size": 0}, None), ({"patch_size": -14}, None), ({"patch_size": 5}, None),
+    ({"dim": 0}, None), ({}, [0, 0]), ({}, [28, 21]),
+], ids=["patch-size-0", "negative-patch-size", "patch-size-5", "dim-0", "0x0", "28x21"])
+def test_load_rejects_a_scene_json_without_a_patch_grid(tmp_path, tokenizer, resolution):
+    # a tokenizer and resolution that give no [P, dim] token shape is never a
+    # raw ZeroDivisionError
+    directory = _saved(tmp_path)
+    meta = json.loads((directory / "scene.json").read_text())
+    _edit_meta(directory, tokenizer={**meta["tokenizer"], **tokenizer},
+               resolution=resolution or meta["resolution"])
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{directory / 'scene.json'} has no patch grid")):
+        load_scene(directory)
+
+
 def _frame_arrays(f) -> dict:
     """A frame's arrays by the name of their scene.vlt record."""
     return dict(zip(FRAME_RECORDS, (f.depth.values, f.labels, f.patch_summary, f.patch_labels,
