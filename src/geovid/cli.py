@@ -20,7 +20,7 @@ from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .model import init_model, load_checkpoint, save_checkpoint
 from .numkit import vlt
 from .patch3d import read_ply, write_ply
-from .scale_align import apply_scale, scene_scale
+from .scale_align import SAMPLE_COUNT, apply_scale, scene_scale
 from .synthscene import load_scene, save_scene
 from .train import (
     _iter_scenes, compare_strategies, run_pipeline, score_frames, strided_cloud,
@@ -55,9 +55,16 @@ def main():
 @click.option("--out", type=click.Path(), required=True)
 @_exit_codes
 def gen_scenes_cmd(config_path, out):
-    """Generate the config's n_scenes scenes into OUT/scene_XXXX directories."""
+    """Generate the config's n_scenes scenes into OUT/scene_XXXX directories.
+    An OUT holding another scene, which this run would not overwrite, is refused."""
     cfg = RunConfig.load(config_path)
     out = Path(out)
+    names = {f"scene_{i:04d}" for i in range(cfg.n_scenes)}
+    stale = (sorted(p for p in out.iterdir() if (p / "scene.json").exists() and p.name not in names)
+             if out.is_dir() else [])
+    if stale:
+        raise ParameterError(f"--out already holds scene {stale[0]}, which {cfg.n_scenes}"
+                             f" scene(s) would not overwrite; remove it or use another --out")
     for i, scene in enumerate(_iter_scenes(cfg)):
         save_scene(out / f"scene_{i:04d}", scene)
     click.echo(f"wrote {cfg.n_scenes} scene(s) to {out}")
@@ -126,7 +133,7 @@ def _load_depth_dir(path: Path, kind: str) -> list[tuple[str, DepthMap]]:
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--scaled-out", type=click.Path(), default=None,
               help="also write scaled depths/cameras here")
-@click.option("--samples", type=int, default=16, show_default=True)
+@click.option("--samples", type=int, default=SAMPLE_COUNT, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--uniform-weights", is_flag=True, default=False)
 @_exit_codes
@@ -230,6 +237,17 @@ def eval_cmd(pred, gt, out, tau):
     click.echo(f"report written to {out}")
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated list; empty entries are skipped."""
+    values = []
+    for entry in filter(None, (s.strip() for s in text.split(","))):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ParameterError(f"{flag} entry '{entry}' is not an integer") from None
+    return values
+
+
 @main.command("compare")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--strategies", type=str, required=True,
@@ -244,9 +262,8 @@ def compare_cmd(config_path, strategies, sizes, seeds, out):
     """Train every (strategy, data size, seed) cell; write the loss CSV."""
     cfg = RunConfig.load(config_path)
     strat = [s.strip() for s in strategies.split(",") if s.strip()]
-    size_list = [int(s) for s in sizes.split(",") if s.strip()]
-    seed_list = ([cfg.seed] if seeds is None
-                 else [int(s) for s in seeds.split(",") if s.strip()])
+    size_list = _int_list("--sizes", sizes)
+    seed_list = [cfg.seed] if seeds is None else _int_list("--seeds", seeds)
     rows = compare_strategies(cfg, strat, size_list, seed_list, out_csv=out)
     click.echo(f"{len(rows)} row(s) written to {out}")
 

@@ -97,14 +97,17 @@ class WindowPrediction:
     lang: TokenSet                   # [F, N, C] adapter language stream
     cameras: CameraPrediction        # [F] rows, relative scale
     depth_rel: Tensor                # [F, H, W] relative depth, in-graph
-    depth_metric: Tensor | None      # [F, HW] metric depth, in-graph; None when md_mode is off
+    depth_metric: Tensor | None      # [M, HW] metric depth, in-graph; None when md_mode is off
+    metric_frames: list[int] | None = None   # the frames of depth_metric's rows; None: all F
 
 
 def predict_window(frames: list[FrameData], params: VidModelParams,
-                   cfg: RunConfig) -> WindowPrediction:
+                   cfg: RunConfig, metric_frames: list[int] | None = None) -> WindowPrediction:
     """Joint forward over any number of frames. The backbone's global blocks
     attend within windows of `cfg.stage2_frames` frames, the training size;
-    every other layer runs once over all frames."""
+    every other layer runs once over all frames, except the metric-bin head,
+    which runs on the frames `metric_frames` (None: all of them). It works
+    frame by frame, so a frame's row has the same bits either way."""
     if not frames:
         raise ShapeError("empty frame window")
     adapted = adapt(TokenSet.stack([f.base for f in frames]), params)
@@ -116,11 +119,13 @@ def predict_window(frames: list[FrameData], params: VidModelParams,
                 for lo in range(0, len(frames), k)]
         patch, cams = (w[0].with_tokens(concat([t.tokens for t in w])) for w in zip(*wins))
     depth_in = patch.with_tokens(concat([patch.tokens, geom.tokens], axis=2))
+    metric_in = geom if metric_frames is None else geom.with_tokens(geom.tokens[metric_frames])
     return WindowPrediction(
         frames=list(frames), lang=adapted.lang,
         depth_rel=depth_head_tensor(depth_in, cfg.resolution, params.depth_head),
         depth_metric=(None if cfg.md_mode == "off"
-                      else predict_metric_depth(geom, cfg.resolution, params.metric)),
+                      else predict_metric_depth(metric_in, cfg.resolution, params.metric)),
+        metric_frames=metric_frames,
         cameras=camera_head(cams, params.camera_head, cfg.resolution))
 
 

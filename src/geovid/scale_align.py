@@ -2,9 +2,9 @@
 
 One scalar per scene converts relative depth and pose into metric units:
 closed-form weighted least squares per image (s = sum w*r*m / sum w*r^2
-minimizing sum w (s*r - m)^2), then the median over up to 16 randomly
-sampled frames. Default weights 1/d_metric down-weight far pixels; uniform
-weights are available for the ablation.
+minimizing sum w (s*r - m)^2), then the median over up to SAMPLE_COUNT
+randomly sampled frames. Default weights 1/d_metric down-weight far pixels;
+uniform weights are available for the ablation.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import DegenerateInputError, ParameterError, ShapeError, StateError
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 
 MIN_OVERLAP_PIXELS = 32
+SAMPLE_COUNT = 16   # frames a scene's median reads at most
 
 
 @dataclass
@@ -60,8 +61,14 @@ def per_image_scale(d_rel: DepthMap, d_metric: DepthMap,
     return float(np.sum(w * r * m) / denom)
 
 
+def sample_frames(n: int, sample_count: int, seed: int) -> list[int]:
+    """The seeded choice of min(sample_count, n) of n frames, sorted."""
+    rng = np.random.default_rng(seed)
+    return sorted(rng.choice(n, size=min(sample_count, n), replace=False).tolist())
+
+
 def scene_scale(frames: list[tuple[DepthMap, DepthMap]],
-                sample_count: int = 16, seed: int = 0,
+                sample_count: int = SAMPLE_COUNT, seed: int = 0,
                 weights: str = "inverse_metric") -> ScaleEstimate:
     """Median of per-image WLS factors over a seeded frame sample.
 
@@ -80,13 +87,8 @@ def scene_scale(frames: list[tuple[DepthMap, DepthMap]],
     if not usable:
         raise DegenerateInputError("no frame has enough valid overlap")
 
-    rng = np.random.default_rng(seed)
-    k = min(sample_count, len(usable))
-    chosen = sorted(rng.choice(len(usable), size=k, replace=False).tolist())
-    picked = [usable[i] for i in chosen]
-
     factors, used = [], []
-    for idx in picked:
+    for idx in (usable[i] for i in sample_frames(len(usable), sample_count, seed)):
         rel, met = frames[idx]
         w = None if weights == "inverse_metric" else np.ones(rel.shape)
         try:

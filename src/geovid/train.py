@@ -39,7 +39,9 @@ from .losses import (
 from .model import VidModelParams, WindowPrediction, adapt, init_model, predict_window
 from .numkit import AdamW, Tensor, TokenSet, no_grad
 from .patch3d import Patch3DTokens, PointCloud, backproject_grid, fuse_tokens
-from .scale_align import ScaleEstimate, apply_scale, scene_scale
+from .scale_align import (
+    MIN_OVERLAP_PIXELS, SAMPLE_COUNT, ScaleEstimate, apply_scale, sample_frames, scene_scale,
+)
 from .synthscene import FrameData, SceneSample, TokenizerConfig, gen_scene
 
 HELD_OUT_OFFSET = 900_000
@@ -204,7 +206,8 @@ def _aligned_depth_for_vl(pred: WindowPrediction, cfg: RunConfig, clamp: bool = 
     """Detached metric depths and metric cameras anchoring the 3D tokens, one
     per frame, plus the scene scale estimate (None unless md_mode is full).
 
-    full: WLS + median alignment of the window predictions.
+    full: WLS + median alignment of the window predictions, over the frames
+          the metric head ran on (`pred.metric_frames`).
     no_alignment: the metric-bin depth directly, cameras left as predicted.
     off: the relative depth reinterpreted as metric (the scale-ambiguous
          ablation; geometry is wrong by an unknown factor, by design).
@@ -219,12 +222,13 @@ def _aligned_depth_for_vl(pred: WindowPrediction, cfg: RunConfig, clamp: bool = 
     if cfg.md_mode != "full":
         values = rel if cfg.md_mode == "off" else pred.depth_metric.data.reshape(-1, h, w)
         return [DepthMap(v.copy(), scale_kind=METRIC) for v in values], cams, None
-    pairs = [(DepthMap(r.copy(), scale_kind=RELATIVE),
-              DepthMap(m.reshape(h, w).copy(), scale_kind=METRIC))
-             for r, m in zip(rel, pred.depth_metric.data)]
-    est = scene_scale(pairs, seed=cfg.seed)
+    rels = [DepthMap(r.copy(), scale_kind=RELATIVE) for r in rel]
+    picked = range(len(rels)) if pred.metric_frames is None else pred.metric_frames
+    est = scene_scale([(rels[i], DepthMap(m.reshape(h, w).copy(), scale_kind=METRIC))
+                       for i, m in zip(picked, pred.depth_metric.data)], seed=cfg.seed)
+    est.images_used = [picked[i] for i in est.images_used]
     factor = float(np.clip(est.scene_factor, 1e-2, 1e2)) if clamp else est.scene_factor
-    aligned = [apply_scale(factor, r, c) for (r, _), c in zip(pairs, cams)]
+    aligned = [apply_scale(factor, r, c) for r, c in zip(rels, cams)]
     return [d for d, _ in aligned], [c for _, c in aligned], est
 
 
@@ -360,10 +364,16 @@ def run_pipeline(cfg: RunConfig, scene: SceneSample,
 
     One forward runs over the whole scene (the backbone's global blocks
     attend within windows of the training size); the scene-level scale is
-    recovered once from all frames' depth pairs.
+    recovered once from the depth pairs of the frames `scene_scale` samples.
+    A predicted pair's valid mask is all true, so every frame is usable (or,
+    below MIN_OVERLAP_PIXELS pixels, none is and `scene_scale` raises): in
+    md_mode full, the metric head runs only on that sample.
     """
+    h, w = cfg.resolution
+    sampled = (sample_frames(len(scene.frames), SAMPLE_COUNT, cfg.seed)
+               if cfg.md_mode == "full" and h * w >= MIN_OVERLAP_PIXELS else None)
     with no_grad():
-        pred = predict_window(scene.frames, params, cfg)
+        pred = predict_window(scene.frames, params, cfg, metric_frames=sampled)
         depths, cameras, scale = _aligned_depth_for_vl(pred, cfg)
         t3d = fuse_tokens(pred.lang, depths, cameras, params.pos_embed,
                           patch_size=cfg.patch_size)
@@ -407,8 +417,8 @@ def compare_strategies(cfg_base: RunConfig, strategies: list[str],
     Strategies at the same (seed, size) share the training scenes; data
     sizes are nested prefixes of one scene list per seed.
     """
-    if len(strategies) < 1 or len(data_sizes) < 1:
-        raise DegenerateInputError("need at least one strategy and one size")
+    if not (strategies and data_sizes and seeds):
+        raise DegenerateInputError("need at least one strategy, one size and one seed")
     rows = []
     for seed in seeds:
         cfg_seed = replace(cfg_base, seed=seed)

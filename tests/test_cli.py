@@ -56,6 +56,28 @@ def test_gen_scenes_refuses_a_count_below_one(tmp_path, count):
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_scenes_refuses_an_out_with_stale_scenes(tmp_path):
+    # 3 scenes at seed 11, then 2 at seed 12 into the same OUT would leave
+    # scene_0002 of the first run for `train` to mix with the second's
+    def gen(seed, count):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"seed": seed, "dim": 16, "resolution": [28, 28], "n_scenes": count,
+             "frames_per_scene": 1, "n_objects": 3}))
+        return run_cli("gen-scenes", "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(tmp_path / "out"), check=False)
+
+    def files():
+        return {p: p.read_bytes() for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
+
+    assert gen(11, 3).returncode == 0
+    before = files()
+    proc = gen(12, 2)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert str(tmp_path / "out" / "scene_0002") in proc.stderr
+    assert files() == before
+    assert gen(11, 3).returncode == 0 and files() == before   # the same config again
+
+
 @pytest.mark.parametrize("frames", [1, 2])
 def test_gen_scenes_streamed_files_match_list_path(tmp_path, frames):
     # gen-scenes saves each scene of its config as it is generated; the files
@@ -311,6 +333,22 @@ def test_compare_cli(workspace, tmp_path):
     assert len(lines) == 3  # header + 2 rows
     assert lines[0] == "strategy,data_size,seed,test_loss,recon,vl,md"
     assert [line.split(",")[2] for line in lines[1:]] == ["11", "11"]   # the config's seed
+
+
+@pytest.mark.parametrize("flag, value, code, named", [
+    ("--sizes", "x", 1, "--sizes entry 'x' is not an integer"),
+    ("--seeds", "1.5", 1, "--seeds entry '1.5' is not an integer"),
+    ("--seeds", ",", 2, "need at least one strategy, one size and one seed"),
+])
+def test_compare_refuses_a_bad_list(workspace, tmp_path, flag, value, code, named):
+    _, cfg_path = workspace
+    lists = {"--sizes": "2", "--seeds": "11", flag: value}
+    proc = run_cli("compare", "--config", str(cfg_path), "--strategies", "single_stage",
+                   *(x for item in lists.items() for x in item),
+                   "--out", str(tmp_path / "cmp.csv"), check=False)
+    assert proc.returncode == code
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "cmp.csv").exists()
 
 
 @pytest.mark.parametrize("text, named", [

@@ -11,14 +11,16 @@ import pytest
 
 from geovid import metric_depth
 from geovid.config import RETIRED, RunConfig
-from geovid.errors import ParameterError, ShapeError
+from geovid.errors import DegenerateInputError, ParameterError, ShapeError
 from geovid.model import (
     adapt, encode, init_model, load_checkpoint, predict_window, save_checkpoint,
 )
 from geovid.numkit import Role, no_grad, vlt
+from geovid.scale_align import SAMPLE_COUNT, sample_frames
 from geovid.synthscene import (
     FRAME_RECORDS, NUM_CLASSES, TokenizerConfig, gen_scene, load_scene, save_scene,
 )
+from geovid.train import _aligned_depth_for_vl, generate_scenes, run_pipeline
 
 CFG = RunConfig(seed=5, dim=16, heads=2, blocks=2, bridge_tokens=4,
                 resolution=(28, 28), n_bins=8, n_scenes=1, frames_per_scene=2,
@@ -144,6 +146,70 @@ def test_predict_window_empty_rejected():
     params = init_model(CFG)
     with pytest.raises(ShapeError):
         predict_window([], params, CFG)
+
+
+@pytest.fixture(scope="module")
+def default_scene():
+    """A default 32-frame scene and untrained default weights."""
+    cfg = RunConfig(n_scenes=1)
+    return cfg, generate_scenes(cfg)[0], init_model(cfg)
+
+
+def test_metric_head_on_the_scale_sample_gives_the_same_rows(default_scene):
+    cfg, scene, params = default_scene
+    sampled = sample_frames(len(scene.frames), SAMPLE_COUNT, cfg.seed)
+    assert len(sampled) == SAMPLE_COUNT < len(scene.frames) == 32
+    with no_grad():
+        full = predict_window(scene.frames, params, cfg)
+        part = predict_window(scene.frames, params, cfg, metric_frames=sampled)
+    assert full.metric_frames is None and part.metric_frames == sampled
+    assert part.depth_metric.shape == (SAMPLE_COUNT, 56 * 56)
+    assert np.array_equal(part.depth_metric.data, full.depth_metric.data[sampled])
+    assert np.array_equal(part.depth_rel.data, full.depth_rel.data)
+    scales = [_aligned_depth_for_vl(p, cfg)[2].to_json() for p in (full, part)]
+    assert scales[0] == scales[1] and scales[0]["frames"] == sampled
+
+
+def _spy_metric_head(monkeypatch) -> list:
+    """Record the input tokens of every call through `geovid.model.predict_metric_depth`,
+    the attribute the benchmark's tracer wraps."""
+    import geovid.model
+
+    calls, original = [], geovid.model.predict_metric_depth
+
+    def spy(tokens, image_size, p):
+        calls.append(tokens.tokens.data)
+        return original(tokens, image_size, p)
+
+    monkeypatch.setattr(geovid.model, "predict_metric_depth", spy)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:.*zero-length relative translation")   # untrained poses
+@pytest.mark.parametrize("md_mode", ["full", "no_alignment"])
+def test_run_pipeline_runs_the_metric_head_on_the_frames_it_reads(default_scene, monkeypatch,
+                                                                  md_mode):
+    cfg, scene, params = default_scene
+    cfg = replace(cfg, md_mode=md_mode)
+    calls = _spy_metric_head(monkeypatch)
+    with no_grad():
+        predict_window(scene.frames, params, cfg)   # every frame's head input
+    result = run_pipeline(cfg, scene, params)
+    assert len(calls) == 2
+    every, got = calls
+    assert len(every) == len(scene.frames)
+    used = (range(len(scene.frames)) if md_mode == "no_alignment"
+            else result.scale.images_used)
+    assert len(used) == (SAMPLE_COUNT if md_mode == "full" else 32)
+    assert np.array_equal(got, every[list(used)])
+
+
+def test_run_pipeline_below_the_overlap_floor_is_degenerate():
+    # a 4x4 image has fewer than MIN_OVERLAP_PIXELS pixels, so no frame is usable
+    cfg = RunConfig(n_scenes=1, frames_per_scene=2, resolution=(4, 4), patch_size=2,
+                    dim=16, heads=2, blocks=2, bridge_tokens=4, n_bins=8, n_objects=3)
+    with pytest.raises(DegenerateInputError, match="no frame has enough valid overlap"):
+        run_pipeline(cfg, generate_scenes(cfg)[0], init_model(cfg))
 
 
 def test_md_off_skips_metric(scene, monkeypatch):
