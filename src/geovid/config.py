@@ -81,8 +81,9 @@ class RunConfig:
                      "stage2_frames", "n_scenes", "frames_per_scene", "n_objects"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
-        if self.bridge_tokens < 0:
-            raise ParameterError("bridge_tokens must be nonnegative")
+        for name in ("seed", "bridge_tokens"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be nonnegative")
         if self.dim % self.heads != 0:
             raise ParameterError(f"dim {self.dim} is not a multiple of heads {self.heads}")
         check_tau(self.tau_f, "tau_f")

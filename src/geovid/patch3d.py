@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError, StateError
+from .errors import DomainError, ParameterError, ShapeError, StateError, named
 from .geometry import GROUND_TRUTH, METRIC, CameraModel, DepthMap, bilinear_sample
 from .numkit import MlpParams, Tensor, TokenSet, as_tensor, mlp
 from .recon import _patch_grid
@@ -21,21 +21,13 @@ from .recon import _patch_grid
 
 @dataclass
 class PointCloud:
-    points: np.ndarray              # [M, 3] world-frame meters
-    colors: np.ndarray | None = None  # [M, 3] in [0, 1]
+    points: np.ndarray   # [M, 3] world-frame meters
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if not np.all(np.isfinite(p)):
             raise ParameterError("point coordinates must be finite")
         self.points = p
-        if self.colors is not None:
-            c = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
-            if c.shape[0] != p.shape[0]:
-                raise ShapeError("colors count differs from points count")
-            if not np.all(np.isfinite(c)):
-                raise ParameterError("point colors must be finite")
-            self.colors = np.clip(c, 0.0, 1.0)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -117,66 +109,44 @@ def fuse_tokens(lang: TokenSet, depths: list[DepthMap], cams: list[CameraModel],
     return Patch3DTokens(tokens=lang.tokens + emb, anchor_points=np.stack(anchors))
 
 
-_PLY_XYZ = ["property float x", "property float y", "property float z"]
-_PLY_RGB = ["property uchar red", "property uchar green", "property uchar blue"]
-PLY_CHUNK = 4096   # rows per %-format call of write_ply, so no one string holds the cloud
+def _ply_header(n: int) -> bytes:
+    """write_ply's header for n vertices, and the only one read_ply reads: a
+    binary PLY file (Turk, Stanford 1994) of little-endian double x, y, z."""
+    return (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\nproperty double x\n"
+            b"property double y\nproperty double z\nend_header\n" % n)
 
 
 def write_ply(path: str | Path, cloud: PointCloud) -> None:
-    """ASCII PLY, deterministic formatting; colors as uchar when present.
-    A coordinate whose 10-digit form would read back as inf (within about
-    5e-10 of the largest float) is a ParameterError, raised before writing."""
-    if len(cloud) and np.isinf(float("%.10g" % np.abs(cloud.points).max())):
-        raise ParameterError("a point coordinate this near the largest float "
-                             "would be written as inf")
-    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"] + _PLY_XYZ
-    row, table = "%.10g %.10g %.10g", cloud.points
-    if cloud.colors is not None:
-        lines += _PLY_RGB
-        rgb = np.clip(np.round(cloud.colors * 255), 0, 255)   # integral: %d prints it exactly
-        row, table = row + " %d %d %d", np.hstack([table, rgb])
-    lines.append("end_header")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for lo in range(0, len(table), PLY_CHUNK):
-            chunk = table[lo:lo + PLY_CHUNK]
-            fh.write((row + "\n") * len(chunk) % tuple(chunk.ravel().tolist()))
+    """The header, then the [M, 3] points as little-endian doubles: read_ply
+    gives back the same float64 bits."""
+    with open(path, "wb") as fh:
+        fh.write(_ply_header(len(cloud)))
+        fh.write(np.ascontiguousarray(cloud.points, dtype="<f8"))
 
 
 def read_ply(path: str | Path) -> PointCloud:
-    """ASCII PLY with the header write_ply writes and no other: format ascii
-    1.0, a vertex count, float x y z, then optionally uchar red green blue.
-    Anything else is a ParameterError. A non-ASCII byte reads as U+FFFD,
-    which no header line or number matches."""
-    with open(path, encoding="ascii", errors="replace") as fh:
-        header = []
-        for line in fh:   # at most ply, format, count, six properties, end
-            header.append(line.strip())
-            if header[-1] == "end_header" or len(header) == 10:
-                break
-        if header[:1] != ["ply"]:
-            raise ParameterError("not a PLY file")
-        if header[-1] != "end_header":
-            raise ParameterError("PLY header has no end_header where write_ply puts it")
-        if header[1] != "format ascii 1.0":
-            raise ParameterError(f"unsupported PLY format: {header[1]!r}")
-        count = header[2].split()
-        if count[:2] != ["element", "vertex"] or len(count) != 3 or not count[2].isdecimal():
-            raise ParameterError(f"bad PLY vertex element: {header[2]!r}")
-        n = int(count[2])
-        props = header[3:-1]
-        if props not in (_PLY_XYZ, _PLY_XYZ + _PLY_RGB):
-            raise ParameterError(f"unsupported PLY properties: {props}")
-        width = len(props)
-        rows = []
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) < width:
-                raise ParameterError(f"PLY body ends at vertex {i} of {n}")
-            try:
-                rows.append([float(v) for v in parts[:3]]
-                            + [int(v) / 255.0 for v in parts[3:width]])
-            except ValueError:
-                raise ParameterError(f"PLY vertex {i} is not numeric") from None
-    data = np.array(rows, dtype=np.float64).reshape(-1, width)
-    return PointCloud(points=data[:, :3], colors=data[:, 3:] if width == 6 else None)
+    """The cloud of a file with write_ply's header and exactly its 24 bytes
+    per vertex; any other file is a ParameterError naming it. The vertex
+    count is checked against the file size before anything is allocated."""
+    try:
+        with open(path, "rb") as fh:
+            head = b"".join(fh.readline(64) for _ in range(3))   # ply, format, vertex count
+            if head.startswith(b"ply\nformat ascii 1.0\n"):
+                raise ParameterError(f"{path} is an ASCII PLY file of an older layout: "
+                                     f"rerun `geovid infer` to write it as binary doubles")
+            count = head.partition(b"element vertex ")[2].rstrip(b"\n")
+            n = int(count) if count.isdigit() else 0
+            header = _ply_header(n)
+            fh.seek(0)
+            if fh.read(len(header)) != header:
+                raise ParameterError(f"{path} has a PLY header other than write_ply's "
+                                     f"binary little-endian double x, y, z")
+            left = fh.seek(0, 2) - len(header)
+            if left != 24 * n:
+                raise ParameterError(f"{path}: PLY body has {left} bytes for {n} vertices "
+                                     f"of 24 bytes")
+            fh.seek(len(header))
+            points = np.frombuffer(fh.read(left), dtype="<f8").reshape(n, 3)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}") from None
+    return named(path, PointCloud, points)

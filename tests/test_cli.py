@@ -56,6 +56,15 @@ def test_gen_scenes_refuses_a_count_below_one(tmp_path, count):
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_scenes_refuses_a_negative_seed(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+    proc = run_cli("gen-scenes", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out"), check=False)
+    assert proc.returncode == 1
+    assert "seed must be nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_scenes_refuses_an_out_with_stale_scenes(tmp_path):
     # 3 scenes at seed 11, then 2 at seed 12 into the same OUT would leave
     # scene_0002 of the first run for `train` to mix with the second's
@@ -339,6 +348,7 @@ def test_compare_cli(workspace, tmp_path):
     ("--sizes", "x", 1, "--sizes entry 'x' is not an integer"),
     ("--seeds", "1.5", 1, "--seeds entry '1.5' is not an integer"),
     ("--seeds", ",", 2, "need at least one strategy, one size and one seed"),
+    ("--seeds", "-1", 1, "seed must be nonnegative"),
 ])
 def test_compare_refuses_a_bad_list(workspace, tmp_path, flag, value, code, named):
     _, cfg_path = workspace
@@ -391,35 +401,38 @@ def test_checked_in_fixture_configs_load():
             RunConfig.from_json(json.loads(str(z["__config__"])))
 
 
+PLY_HEADER = (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\nproperty double x\n"
+              b"property double y\nproperty double z\nend_header\n")
+
+
 def test_eval_rejects_truncated_ply(tmp_path):
     pred = tmp_path / "pred"
     pred.mkdir()
-    (pred / "cloud.ply").write_text(
-        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
-        "property float y\nproperty float z\nend_header\n0 0 0\n")
+    (pred / "cloud.ply").write_bytes(PLY_HEADER % 3 + bytes(24))
     proc = run_cli("eval", "--pred", str(pred), "--gt", str(pred),
                    "--out", str(tmp_path / "report.json"), check=False)
     assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
+    assert str(pred / "cloud.ply") in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("old, new", [
-    ("property uchar red", "property uchar rXd"),
-    ("format ascii 1.0", "format binary_little_endian 1.0"),
-    ("property float z\n", ""),
-], ids=["corrupt-red", "binary-format", "no-z"])
-def test_eval_rejects_unsupported_ply_header(tmp_path, old, new):
+@pytest.mark.parametrize("old, new, said", [
+    (b"property double z\n", b"property double z\nproperty uchar rXd\n", "PLY header"),
+    (b"binary_little_endian", b"binary_big_endian", "PLY header"),
+    (b"property double z\n", b"", "PLY header"),
+    (b"format binary_little_endian", b"format ascii", "rerun `geovid infer`"),
+], ids=["corrupt-red", "binary-format", "no-z", "ascii-format"])
+def test_eval_rejects_unsupported_ply_header(tmp_path, old, new, said):
     from geovid.patch3d import PointCloud, write_ply
     pred = tmp_path / "pred"
     pred.mkdir()
-    write_ply(pred / "cloud.ply", PointCloud(points=np.zeros((2, 3)),
-                                             colors=np.full((2, 3), 0.5)))
-    text = (pred / "cloud.ply").read_text()
-    (pred / "cloud.ply").write_text(text.replace(old, new, 1))
+    write_ply(pred / "cloud.ply", PointCloud(points=np.zeros((2, 3))))
+    data = (pred / "cloud.ply").read_bytes()
+    (pred / "cloud.ply").write_bytes(data.replace(old, new, 1))
     proc = run_cli("eval", "--pred", str(pred), "--gt", str(pred),
                    "--out", str(tmp_path / "report.json"), check=False)
     assert proc.returncode == 1
-    assert "PLY" in proc.stderr and "Traceback" not in proc.stderr
+    assert str(pred / "cloud.ply") in proc.stderr and said in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])
@@ -502,17 +515,17 @@ def test_infer_artifact_bytes_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / "pred" / name).read_bytes()).hexdigest()
                for name in ("cloud.ply", "depth/frame_000.vlt")}
     assert digests == {
-        "cloud.ply": "b3af4d574bd0ce6d01b3b0195ff1e26d58b5ff9057f1685cb223f14504e17181",
+        "cloud.ply": "280984c12e97d7f91622c04acfe2b12989a62d7a068314536a20ce9d350f043e",
         "depth/frame_000.vlt": "3cecb4108369a9da95f1146aad6ea0a07e7017fbedda57672fb08bfc56ed34e1",
     }
 
 
-def test_infer_metrics_bytes_pinned(tmp_path):
-    # infer's metrics.json on 8 frames at 56x56: 56 camera pairs and
-    # 6,272-point clouds, pinned so a faster pose or point-cloud scoring that
-    # moves a single bit fails here. The camera head's output layer is
-    # randomized: zero-initialized, it gives every frame the same pose, and
-    # every pair would drop out of the translation errors.
+def _infer_with_a_randomized_camera_head(tmp_path):
+    """geovid infer on 8 frames at 56x56 into tmp_path/pred, from
+    tmp_path/scene and tmp_path/ckpt: 56 camera pairs and 6,272-point
+    clouds. The camera head's output layer is randomized: zero-initialized,
+    it gives every frame the same pose, and every pair would drop out of the
+    translation errors."""
     from geovid.config import RunConfig
     from geovid.model import init_model, save_checkpoint
     from geovid.synthscene import save_scene
@@ -526,12 +539,31 @@ def test_infer_metrics_bytes_pinned(tmp_path):
     w2.data = np.random.default_rng(5).normal(0.0, 0.5, w2.shape)
     save_scene(tmp_path / "scene", generate_scenes(cfg, count=1)[0])
     save_checkpoint(tmp_path / "ckpt", params, cfg)
-    proc = run_cli("infer", "--ckpt", str(tmp_path / "ckpt"), "--scene", str(tmp_path / "scene"),
+    return run_cli("infer", "--ckpt", str(tmp_path / "ckpt"), "--scene", str(tmp_path / "scene"),
                    "--out", str(tmp_path / "pred"))
+
+
+def test_infer_metrics_bytes_pinned(tmp_path):
+    # pinned so a faster pose or point-cloud scoring that moves a single bit
+    # fails here
+    proc = _infer_with_a_randomized_camera_head(tmp_path)
     assert "excluded" not in proc.stderr
     digests = {name: hashlib.sha256((tmp_path / "pred" / name).read_bytes()).hexdigest()
                for name in ("cloud.ply", "metrics.json")}
     assert digests == {
-        "cloud.ply": "c04ac092f31f0cec8e2ca206f267cdac7bd137963edd753a5fed4c13662fd51d",
+        "cloud.ply": "6815b33ccb7ddbbed16bb436d245748f80caca6269eeb3820a6d866ffc6b690f",
         "metrics.json": "cff2213314d834e2ae42d1d4250bc9faff27cf2af480612d49da55a6005e7688",
     }
+
+
+def test_eval_reproduces_infer_metrics(tmp_path):
+    # eval scores the files infer wrote, so it must read back infer's exact
+    # cloud, cameras and depths
+    _infer_with_a_randomized_camera_head(tmp_path)
+    run_cli("eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "scene"),
+            "--out", str(tmp_path / "report.json"))
+    report = json.loads((tmp_path / "report.json").read_text())
+    metrics = json.loads((tmp_path / "pred" / "metrics.json").read_text())
+    assert report["recon"] is not None
+    for part in ("recon", "pose", "depth"):
+        assert report[part] == metrics[part], part

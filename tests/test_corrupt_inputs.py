@@ -46,12 +46,12 @@ def saved(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ply_dir(tmp_path_factory):
-    """A directory with one PLY file with colors and one without; the points
-    span magnitudes from 1e-7 to 1e3, so some are written with exponents."""
+    """A directory with a 12-point PLY file and an empty one; the points span
+    magnitudes from 1e-7 to 1e3."""
     root = tmp_path_factory.mktemp("ply")
     rng = np.random.default_rng(0)
     points = rng.standard_normal((12, 3)) * 10.0 ** rng.integers(-7, 4, size=(12, 1))
-    write_ply(root / "colored.ply", PointCloud(points, colors=rng.uniform(size=(12, 3))))
+    write_ply(root / "empty.ply", PointCloud(np.zeros((0, 3))))
     write_ply(root / "plain.ply", PointCloud(points))
     return root
 

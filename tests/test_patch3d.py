@@ -1,3 +1,7 @@
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from geovid.geometry import METRIC, RELATIVE, CameraModel, DepthMap, look_at_rot
 from geovid.numkit import MlpParams, Role, Tensor, TokenSet, grad_check, tsum
 from geovid.patch3d import (
     Patch3DTokens, PointCloud, backproject, fuse_tokens, positional_embed,
-    PLY_CHUNK, project, read_ply, write_ply,
+    project, read_ply, write_ply,
 )
 
 from _oracles import frame_fuse_tokens
@@ -200,57 +204,42 @@ class TestFuseTokens:
             np.testing.assert_array_equal(got, want)
 
 
-PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
-              "property float y\nproperty float z\nend_header\n")
+# the PLY header of n little-endian double x, y, z vertices, as the format
+# (Turk, Stanford 1994) spells it: the byte reference for write_ply
+PLY_HEADER = (b"ply\nformat binary_little_endian 1.0\nelement vertex %d\nproperty double x\n"
+              b"property double y\nproperty double z\nend_header\n")
+
+
+def _refused(path, said=""):
+    """pytest.raises for a ParameterError that names `path`, then says `said`."""
+    return pytest.raises(ParameterError, match=re.escape(str(path)) + ".*" + re.escape(said))
 
 
 class TestPly:
     def test_roundtrip_plain(self, tmp_path):
         pts = np.random.default_rng(0).standard_normal((10, 3))
         write_ply(tmp_path / "c.ply", PointCloud(points=pts))
-        cloud = read_ply(tmp_path / "c.ply")
-        np.testing.assert_allclose(cloud.points, pts, atol=1e-9)
-        assert cloud.colors is None
-
-    def test_roundtrip_colors(self, tmp_path):
-        rng = np.random.default_rng(1)
-        pts = rng.standard_normal((5, 3))
-        cols = rng.uniform(0, 1, (5, 3))
-        write_ply(tmp_path / "c.ply", PointCloud(points=pts, colors=cols))
-        cloud = read_ply(tmp_path / "c.ply")
-        np.testing.assert_allclose(cloud.colors, cols, atol=1 / 255.0)
+        assert read_ply(tmp_path / "c.ply").points.tobytes() == pts.tobytes()
 
     def test_header_format(self, tmp_path):
         write_ply(tmp_path / "c.ply", PointCloud(points=np.zeros((1, 3))))
-        text = (tmp_path / "c.ply").read_text().splitlines()
-        assert text[0] == "ply"
-        assert "element vertex 1" in text
-        assert text[-1] == "0 0 0"
+        assert (tmp_path / "c.ply").read_bytes() == PLY_HEADER % 1 + bytes(24)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_colors_rejected(self, bad):
-        # write_ply cannot print a non-finite channel as a uchar
-        cols = np.zeros((2, 3))
-        cols[1, 2] = bad
-        with pytest.raises(ParameterError, match="colors must be finite"):
-            PointCloud(points=np.zeros((2, 3)), colors=cols)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("big", [np.finfo(float).max, 1.7976931345e308])
-    def test_coordinate_written_as_inf_rejected_before_writing(self, tmp_path, big, sign):
-        # both print as 1.797693135e+308, which parses as inf
-        pts = np.zeros((3, 3))
-        pts[1, 2] = sign * big
-        with pytest.raises(ParameterError, match="largest float"):
-            write_ply(tmp_path / "c.ply", PointCloud(points=pts))
-        assert not (tmp_path / "c.ply").exists()
+    def test_non_finite_body_rejected(self, tmp_path, bad):
+        body = np.zeros((2, 3))
+        body[1, 2] = bad
+        (tmp_path / "c.ply").write_bytes(PLY_HEADER % 2 + body.astype("<f8").tobytes())
+        with _refused(tmp_path / "c.ply", "must be finite"):
+            read_ply(tmp_path / "c.ply")
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_largest_coordinate_with_a_finite_form_round_trips(self, tmp_path, sign):
-        # the float just below 1.7976931345e308 prints as 1.797693134e+308
-        big = np.nextafter(1.7976931345e308, 0.0)
-        write_ply(tmp_path / "c.ply", PointCloud(points=[[0.0, sign * big, 1.0]]))
-        assert read_ply(tmp_path / "c.ply").points[0, 1] == sign * 1.797693134e308
+        # the largest floats keep every bit
+        pts = sign * np.array([[np.finfo(float).max, 1.7976931345e308,
+                                np.nextafter(1.7976931345e308, 0.0)]])
+        write_ply(tmp_path / "c.ply", PointCloud(points=pts))
+        assert read_ply(tmp_path / "c.ply").points.tobytes() == pts.tobytes()
 
     def test_deterministic_bytes(self, tmp_path):
         pts = np.random.default_rng(2).standard_normal((20, 3)) * 3.7
@@ -259,87 +248,84 @@ class TestPly:
         assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
 
     @pytest.mark.parametrize("body", [
-        "0 0 0\n",              # two vertices declared, one present
-        "0 0 0\n1 2\n",         # short row
-        "0 0 0\n1 nan? 2\n",    # non-numeric row
-    ], ids=["missing-row", "short-row", "non-numeric"])
+        bytes(24),                        # two vertices declared, one present
+        bytes(40),                        # short row
+        b"0 0 0\n1 nan? 2\n",             # text rows under the binary header
+        bytes(49),                        # one byte after the last vertex
+    ], ids=["missing-row", "short-row", "non-numeric", "trailing-byte"])
     def test_malformed_body_rejected(self, tmp_path, body):
-        (tmp_path / "c.ply").write_text(PLY_HEADER + body)
-        with pytest.raises(ParameterError):
+        (tmp_path / "c.ply").write_bytes(PLY_HEADER % 2 + body)
+        with _refused(tmp_path / "c.ply"):
             read_ply(tmp_path / "c.ply")
 
-    @pytest.mark.parametrize("colors, old, new", [
-        (True, "property uchar red", "property uchar rXd"),
-        (False, "format ascii 1.0", "format binary_little_endian 1.0"),
-        (False, "property float z\n", ""),
-        (False, "property float z", "property double z"),
-        (True, "property uchar blue\n", ""),
-        (False, "format ascii 1.0\n", "format ascii 1.0\ncomment other writer\n"),
-        (False, "element vertex 2", "element vertex -2"),
-        (False, "element vertex 2", "element face 2"),
-        (False, "end_header\n", ""),
+    def test_huge_vertex_count_rejected_before_allocating(self, tmp_path):
+        (tmp_path / "c.ply").write_bytes(PLY_HEADER % 10**15 + bytes(72))
+        tracemalloc.start()
+        try:
+            with _refused(tmp_path / "c.ply"):
+                read_ply(tmp_path / "c.ply")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_ascii_cloud_of_older_layout_asks_for_infer(self, tmp_path):
+        (tmp_path / "c.ply").write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                                        "property float x\nproperty float y\n"
+                                        "property float z\nend_header\n0 0 0\n")
+        with _refused(tmp_path / "c.ply", "rerun `geovid infer`"):
+            read_ply(tmp_path / "c.ply")
+
+    @pytest.mark.parametrize("old, new", [
+        (b"property double z\n", b"property double z\nproperty uchar rXd\n"),
+        (b"binary_little_endian", b"binary_big_endian"),
+        (b"property double z\n", b""),
+        (b"property double z", b"property float z"),
+        (b"property double z\n", b"property double z\nproperty uchar red\n"
+                                  b"property uchar green\n"),
+        (b"1.0\n", b"1.0\ncomment other writer\n"),
+        (b"element vertex 2", b"element vertex -2"),
+        (b"element vertex 2", b"element face 2"),
+        (b"end_header\n", b""),
+        (b"property double x", b"property float x"),
+        (b"element vertex 2", b"element vertex 02"),
     ], ids=["corrupt-red", "binary-format", "no-z", "double-z", "no-blue",
-            "comment", "negative-count", "face-element", "no-end-header"])
-    def test_header_other_than_write_ply_rejected(self, tmp_path, colors, old, new):
-        pts = np.arange(6, dtype=float).reshape(2, 3)
-        cols = np.full((2, 3), 0.5) if colors else None
-        write_ply(tmp_path / "c.ply", PointCloud(points=pts, colors=cols))
-        text = (tmp_path / "c.ply").read_text()
-        assert old in text
-        (tmp_path / "c.ply").write_text(text.replace(old, new, 1))
-        with pytest.raises(ParameterError):
+            "comment", "negative-count", "face-element", "no-end-header", "float-x",
+            "zero-padded-count"])
+    def test_header_other_than_write_ply_rejected(self, tmp_path, old, new):
+        write_ply(tmp_path / "c.ply", PointCloud(points=np.arange(6, dtype=float).reshape(2, 3)))
+        data = (tmp_path / "c.ply").read_bytes()
+        assert old in data
+        (tmp_path / "c.ply").write_bytes(data.replace(old, new, 1))
+        with _refused(tmp_path / "c.ply"):
             read_ply(tmp_path / "c.ply")
 
-
-
-def row_by_row_write_ply(path, cloud: PointCloud) -> None:
-    """The PLY writer as one f-string per row, kept as the byte reference."""
-    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
-             "property float x", "property float y", "property float z"]
-    if cloud.colors is not None:
-        lines += ["property uchar red", "property uchar green", "property uchar blue"]
-    lines.append("end_header")
-    rows = [f"{x:.10g} {y:.10g} {z:.10g}" for x, y, z in cloud.points]
-    if cloud.colors is not None:
-        rgb = np.clip(np.round(cloud.colors * 255), 0, 255).astype(int)
-        rows = [f"{row} {r} {g} {b}" for row, (r, g, b) in zip(rows, rgb)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines + rows))
-        fh.write("\n")
+    def test_directory_rejected(self, tmp_path):
+        (tmp_path / "c.ply").mkdir()
+        with _refused(tmp_path / "c.ply"):
+            read_ply(tmp_path / "c.ply")
 
 
 def _edge_points(n: int, seed: int) -> np.ndarray:
-    """n points led by signed zeros, subnormals, +-1e300 and values that
-    round at the 10th significant digit, then random magnitudes over
-    1e-12 .. 1e12."""
+    """n points led by signed zeros, subnormals, +-1e300 and +-the largest
+    float, then random magnitudes over 1e-12 .. 1e12."""
+    big = np.finfo(float).max
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
-             1.23456789049999, 1.2345678905, 9.9999999995, -9.99999999949,
-             0.12345678915, 99999999995.0, 1e-7 * 1.00000000005, -0.99999999995]
+             big, -big]
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal(n * 3) * 10.0 ** rng.integers(-12, 13, n * 3)
     pts[:len(edges)] = edges
     return pts.reshape(n, 3)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, PLY_CHUNK, PLY_CHUNK + 1, 2 * PLY_CHUNK + 29],
-                         ids=lambda n: f"rows{n}")
-@pytest.mark.parametrize("colors", [False, True], ids=["xyz", "rgb"])
-def test_ply_bytes_match_row_by_row_writer(tmp_path, n, colors):
-    pts = _edge_points(max(n, 5), seed=n)[:n]
-    cols = None
-    if colors:   # 0, 1, and either side of the k + 0.5 rounding edge of x * 255
-        edge = (np.arange(n * 3) % 255 + 0.5) / 255
-        cols = np.where(np.arange(n * 3) % 4 == 0, edge,
-                        np.nextafter(edge, np.where(np.arange(n * 3) % 4 == 1, 0.0, 1.0)))
-        cols[:6] = [0.0, 1.0, 0.5 / 255, 254.5 / 255, 1e-300, 1.0 - 1e-16][:len(cols[:6])]
-        cols = cols.reshape(n, 3)
-    cloud = PointCloud(points=pts, colors=cols)
-    write_ply(tmp_path / "new.ply", cloud)
-    row_by_row_write_ply(tmp_path / "old.ply", cloud)
-    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
-    back = read_ply(tmp_path / "new.ply")
-    assert len(back) == n
-    parsed = np.array([float(f"{v:.10g}") for v in pts.ravel()]).reshape(-1, 3)
-    assert back.points.tobytes() == parsed.tobytes()
-    if colors:
-        np.testing.assert_array_equal(back.colors * 255, np.round(cloud.colors * 255))
+@pytest.mark.parametrize("n", [0, 1, 7, 4096, 4097, 8221], ids=lambda n: f"xyz-rows{n}")
+def test_ply_bytes_match_row_by_row_writer(tmp_path, n):
+    # the reference writes each vertex as the format spells it: x, y, z as
+    # little-endian doubles, one row at a time
+    pts = _edge_points(max(n, 3), seed=n)[:n]
+    write_ply(tmp_path / "c.ply", PointCloud(points=pts))
+    rows = b"".join(struct.pack("<ddd", *row) for row in pts.tolist())
+    assert (tmp_path / "c.ply").read_bytes() == PLY_HEADER % n + rows
+    back = read_ply(tmp_path / "c.ply")
+    assert back.points.shape == (n, 3)
+    assert back.points.tobytes() == pts.tobytes()
