@@ -26,6 +26,16 @@ RETIRED = {"ordinal_bins": True, "max_shift": 0.3, "lambda_sc": 0.5, "alpha_md":
            "scale_samples": 16}
 STRATEGIES = ("two_stage_dual", "two_stage_single_teacher", "single_stage", "no_sc_loss")
 MD_MODES = ("off", "no_alignment", "full")
+# each RunConfig field's domain: a bound of _BOUNDS, or the tuple of its choices
+DOMAINS = {"seed": ">= 0", "dim": "> 0", "heads": "> 0", "blocks": ">= 2", "bridge_tokens": ">= 0",
+           "patch_size": "> 0", "resolution": "> 0", "n_bins": ">= 2", "d_min": "> 0",
+           "d_max": "> 0", "lr": ">= 0", "warmup_steps": ">= 0", "adapter_lr_scale": ">= 0",
+           "stage1_steps": "> 0", "stage1_batch": "> 0", "stage2_steps": "> 0",
+           "stage2_frames": "> 0", "n_scenes": "> 0", "frames_per_scene": "> 0",
+           "n_objects": "> 0", "token_noise": ">= 0", "strategy": STRATEGIES,
+           "md_mode": MD_MODES, "tau_f": "> 0"}
+_BOUNDS = {">= 0": (lambda v: v >= 0, "nonnegative"), "> 0": (lambda v: v > 0, "positive"),
+           ">= 2": (lambda v: v >= 2, "at least 2")}
 
 
 @dataclass
@@ -68,35 +78,29 @@ class RunConfig:
     tau_f: float = 0.05
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ParameterError(f"unknown strategy '{self.strategy}'")
-        if self.md_mode not in MD_MODES:
-            raise ParameterError(f"unknown md mode '{self.md_mode}'")
-        if isinstance(self.resolution, list):
-            self.resolution = tuple(self.resolution)
-        if min(self.resolution) <= 0:   # gen-scenes builds its images at this size
-            raise ParameterError(f"resolution must be positive, got {list(self.resolution)}")
-        for name in ("dim", "heads", "blocks", "patch_size", "n_bins",
-                     "stage1_steps", "stage1_batch", "stage2_steps",
-                     "stage2_frames", "n_scenes", "frames_per_scene", "n_objects"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
-        for name in ("seed", "bridge_tokens"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
+        """The `DOMAINS` walk, then the cross-field rules; a refusal names its key."""
+        for f in fields(self):
+            value, domain = getattr(self, f.name), DOMAINS[f.name]
+            if not _same_kind(value, f.default):
+                raise ParameterError(f"config key '{f.name}' has a bad value: {value!r}")
+            if isinstance(f.default, float):
+                value = _finite(f.name, value)
+            setattr(self, f.name, tuple(value) if isinstance(value, list) else value)
+            if isinstance(domain, tuple) and value not in domain:
+                raise ParameterError(f"unknown {f.name.replace('_', ' ')} '{value}': "
+                                     f"config key '{f.name}' is one of {', '.join(domain)}")
+            entries = value if isinstance(f.default, tuple) else [value]   # resolution: each side
+            if isinstance(domain, str) and not all(map(_BOUNDS[domain][0], entries)):
+                raise ParameterError(f"{f.name} must be {_BOUNDS[domain][1]}, got {value}")
         if self.dim % self.heads != 0:
             raise ParameterError(f"dim {self.dim} is not a multiple of heads {self.heads}")
-        check_tau(self.tau_f, "tau_f")
-        for f in fields(self):
-            if isinstance(f.default, float):
-                try:
-                    value = float(getattr(self, f.name))
-                except OverflowError:   # a JSON integer past the float range
-                    raise ParameterError(f"config key '{f.name}' must be finite, got an "
-                                         "integer too large for a float") from None
-                if not -float("inf") < value < float("inf"):
-                    raise ParameterError(f"config key '{f.name}' must be finite, got {value}")
-                setattr(self, f.name, value)
+        if self.blocks % 2 != 0:   # the backbone pairs a frame-local with a global block
+            raise ParameterError(f"blocks must be even, got {self.blocks}")
+        if not self.d_min < self.d_max:
+            raise ParameterError(f"d_min {self.d_min} must be below d_max {self.d_max}")
+        if any(side % self.patch_size for side in self.resolution):
+            raise ParameterError(f"resolution {list(self.resolution)} is not a multiple "
+                                 f"of patch_size {self.patch_size}")
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -105,21 +109,18 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
-        """Build a config from parsed JSON; an unknown key, a value of the
-        wrong type or a retired key at another value than its one is a
-        ParameterError naming the key."""
+        """Build a config from parsed JSON; an unknown key or a retired key
+        at another value than its one is a ParameterError naming the key,
+        as `__post_init__` makes every value outside its domain."""
         if not isinstance(obj, dict):
             raise ParameterError("a config must be a JSON object")
-        defaults = {f.name: f.default for f in fields(RunConfig)}
         for key, value in obj.items():
             if key in RETIRED:
                 if not (_same_kind(value, RETIRED[key]) and value == RETIRED[key]):
                     raise ParameterError(f"retired config key '{key}' must be "
                                          f"{RETIRED[key]!r} or absent, got {value!r}")
-            elif key not in defaults:
+            elif key not in DOMAINS:
                 raise ParameterError(f"unknown config key '{key}'")
-            elif not _same_kind(value, defaults[key]):
-                raise ParameterError(f"config key '{key}' has a bad value: {value!r}")
         return RunConfig(**{k: v for k, v in obj.items() if k not in RETIRED})
 
     def save(self, path: str | Path) -> None:
@@ -130,13 +131,25 @@ class RunConfig:
         return RunConfig.from_json(read_json(path))
 
 
-def check_tau(tau: float, name: str = "tau") -> None:
+def check_tau(tau: float) -> None:
     """A distance threshold must be positive and finite."""
     if not 0 < tau < float("inf"):   # NaN fails too
-        raise ParameterError(f"{name} must be positive and finite, got {tau}")
+        raise ParameterError(f"tau must be positive and finite, got {tau}")
 
 
 _KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _finite(name: str, value: numbers.Real) -> float:
+    """`value` as a float, which must be finite."""
+    try:
+        value = float(value)
+    except OverflowError:   # a JSON integer past the float range
+        raise ParameterError(f"config key '{name}' must be finite, got an "
+                             "integer too large for a float") from None
+    if not -float("inf") < value < float("inf"):
+        raise ParameterError(f"config key '{name}' must be finite, got {value}")
+    return value
 
 
 def _same_kind(value, default) -> bool:

@@ -419,23 +419,20 @@ def compare_strategies(cfg_base: RunConfig, strategies: list[str],
     """
     if not (strategies and data_sizes and seeds):
         raise DegenerateInputError("need at least one strategy, one size and one seed")
+    # every cell's config, so its seed, size and strategy, is checked before any trains
+    cells = [[replace(cfg_base, seed=seed, n_scenes=size, strategy=strategy)
+              for size in data_sizes for strategy in strategies] for seed in seeds]
     rows = []
-    for seed in seeds:
+    for seed, seed_cells in zip(seeds, cells):
         cfg_seed = replace(cfg_base, seed=seed)
         all_scenes = generate_scenes(cfg_seed, count=max(data_sizes))
         held_out = generate_scenes(cfg_seed, count=4, held_out=True)
-        for size in data_sizes:
-            scenes = all_scenes[:size]
-            for strategy in strategies:
-                cfg = replace(cfg_seed, strategy=strategy, n_scenes=size)
-                params, _ = train(cfg, scenes)
-                result = evaluate_test_loss(cfg, params, held_out)
-                rows.append({"strategy": strategy, "data_size": size,
-                             "seed": seed,
-                             "test_loss": result["joint"],
-                             "recon": result["recon"],
-                             "vl": result["vl"],
-                             "md": result["md"]})
+        for cfg in seed_cells:
+            params, _ = train(cfg, all_scenes[:cfg.n_scenes])
+            result = evaluate_test_loss(cfg, params, held_out)
+            rows.append({"strategy": cfg.strategy, "data_size": cfg.n_scenes,
+                         "seed": seed, "test_loss": result["joint"],
+                         "recon": result["recon"], "vl": result["vl"], "md": result["md"]})
     if out_csv is not None:
         with open(out_csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["strategy", "data_size",

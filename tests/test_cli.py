@@ -65,6 +65,20 @@ def test_gen_scenes_refuses_a_negative_seed(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("blocks", 3), ("n_bins", 1), ("d_min", 0.0), ("d_min", 20.0), ("lr", -1.0),
+    ("warmup_steps", -5), ("token_noise", -1.0), ("adapter_lr_scale", -2.0),
+])
+def test_gen_scenes_refuses_a_value_outside_its_domain(tmp_path, key, value):
+    # refused by RunConfig itself, before a scene is written or train runs
+    (tmp_path / "cfg.json").write_text(json.dumps({**TINY_CFG, key: value}))
+    proc = run_cli("gen-scenes", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out"), check=False)
+    assert proc.returncode == 1
+    assert key in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_scenes_refuses_an_out_with_stale_scenes(tmp_path):
     # 3 scenes at seed 11, then 2 at seed 12 into the same OUT would leave
     # scene_0002 of the first run for `train` to mix with the second's
@@ -295,6 +309,17 @@ def test_align_scale_refuses_samples_below_one(tmp_path, samples):
                    "--out", str(tmp_path / "scale.json"), check=False)
     assert proc.returncode == 1, proc.stderr
     assert f"sample count must be at least 1, got {samples}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "scale.json").exists()
+
+
+def test_align_scale_refuses_a_negative_seed(tmp_path):
+    dirs = _align_inputs(tmp_path, 3, 0)
+    proc = run_cli("align-scale", "--depth-rel", str(dirs["rel"]),
+                   "--depth-metric", str(dirs["met"]), "--seed", "-1",
+                   "--out", str(tmp_path / "scale.json"), check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert "seed must be nonnegative, got -1" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "scale.json").exists()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geovid.config import RunConfig
+from geovid.errors import ParameterError
 from geovid.geometry import METRIC, RELATIVE, DepthMap
 from geovid.losses import distill_loss
 from geovid.model import init_model, load_checkpoint, predict_window, save_checkpoint
@@ -189,6 +190,25 @@ def test_compare_strategies_single_cell(tmp_path, tiny_setup):
     text = (tmp_path / "out.csv").read_text().splitlines()
     assert text[0].startswith("strategy,data_size,seed,test_loss")
     assert len(text) == 2
+
+
+@pytest.mark.parametrize("strategies, sizes, seeds, named", [
+    (["two_stage_dual", "bogus"], [1], [3], "unknown strategy 'bogus'"),
+    (["two_stage_dual"], [1, 0], [3], "n_scenes must be positive"),
+    (["two_stage_dual"], [1], [3, -1], "seed must be nonnegative"),
+])
+def test_compare_strategies_checks_every_cell_before_training(tmp_path, tiny_setup, monkeypatch,
+                                                              strategies, sizes, seeds, named):
+    # a bad entry anywhere in the lists is refused before any cell trains
+    import geovid.train
+    calls = []
+    monkeypatch.setattr(geovid.train, "train", lambda *a, **k: calls.append("train"))
+    monkeypatch.setattr(geovid.train, "generate_scenes", lambda *a, **k: calls.append("gen"))
+    with pytest.raises(ParameterError, match=named):
+        compare_strategies(tiny_setup[0], strategies, sizes, seeds,
+                           out_csv=tmp_path / "out.csv")
+    assert calls == []
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_checkpoint_roundtrip(tmp_path, tiny_setup):
