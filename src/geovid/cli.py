@@ -194,9 +194,9 @@ def infer_cmd(ckpt, scene_path, out):
         cam.save(out / "cameras" / f"frame_{i:03d}.json")
         vlt.save_tensor(out / "depth" / f"frame_{i:03d}.vlt", depth.values)
     anchors = {f"frame_{i:03d}": a.tolist() for i, a in enumerate(result.t3d.anchor_points)}
+    text = json.dumps(anchors, sort_keys=True) + "\n"
     with open(out / "t3d_anchors.json", "w") as fh:
-        json.dump(anchors, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     click.echo(f"inference artifacts written to {out}")
 
 

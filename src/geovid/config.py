@@ -24,6 +24,7 @@ RETIRED = {"ordinal_bins": True, "max_shift": 0.3, "lambda_sc": 0.5, "alpha_md":
            "eps_md": 1e-6, "beta1": 0.9, "beta2": 0.999, "weight_decay": 0.05, "clip": 1.0,
            "encoder_lr_scale": 0.1, "pose_lr_scale": 3.0, "augment_jitter": 0.05,
            "scale_samples": 16}
+MIN_OVERLAP_PIXELS = 32   # pixels a frame needs for scale alignment (md_mode full)
 STRATEGIES = ("two_stage_dual", "two_stage_single_teacher", "single_stage", "no_sc_loss")
 MD_MODES = ("off", "no_alignment", "full")
 # each RunConfig field's domain: a bound of _BOUNDS, or the tuple of its choices
@@ -98,6 +99,10 @@ class RunConfig:
             raise ParameterError(f"blocks must be even, got {self.blocks}")
         if not self.d_min < self.d_max:
             raise ParameterError(f"d_min {self.d_min} must be below d_max {self.d_max}")
+        h, w = self.resolution
+        if self.md_mode == "full" and h * w < MIN_OVERLAP_PIXELS:
+            raise ParameterError(f"resolution {[h, w]} has {h * w} pixels, fewer than the "
+                                 f"{MIN_OVERLAP_PIXELS} scale alignment needs in md_mode 'full'")
         if any(side % self.patch_size for side in self.resolution):
             raise ParameterError(f"resolution {list(self.resolution)} is not a multiple "
                                  f"of patch_size {self.patch_size}")
@@ -179,6 +184,6 @@ def read_json(path: str | Path, *keys: str) -> dict:
 
 
 def write_json(path: str | Path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

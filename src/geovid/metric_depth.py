@@ -52,8 +52,8 @@ class BinConfig:
         return np.minimum(np.concatenate([gaps[:1], gaps]), np.concatenate([gaps, gaps[-1:]]))
 
     def shift_budget(self) -> np.ndarray:
-        """Per-bin bound on a center's shift: max_shift times its local width."""
-        return self.max_shift * self.local_widths()
+        """max_shift times each bin's local width, at most half its center (so > 0)."""
+        return np.minimum(self.max_shift * self.local_widths(), 0.5 * self.centers)
 
 
 def init_bins(n: int, d_min: float, d_max: float, max_shift: float = 0.3) -> BinConfig:

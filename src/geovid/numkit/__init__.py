@@ -1,5 +1,5 @@
 from .tensor import (
-    Tensor, as_tensor, no_grad,
+    Tensor, as_tensor, no_grad, boundary_checks,
     add, sub, mul, div, neg, power, matmul,
     tsum, tmean, broadcast_to, reshape, transpose, getitem, concat, stack,
     exp, log, tanh, sigmoid, softplus, gelu,

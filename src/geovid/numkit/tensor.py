@@ -7,7 +7,7 @@ products needed to push gradients back to them. `backward()` on a scalar
 walks the recorded graph in reverse topological order.
 
 Design constraints baked in here:
-  * float64 everywhere; results are checked finite (NaN/Inf raises).
+  * float64 everywhere; results are checked finite per op, or by FP flags (boundary_checks).
   * no in-place mutation of tensors that are part of a recorded graph
     (leaf `.data` may be updated between steps, e.g. by an optimizer).
   * matmul requires ndim >= 2; batch dims broadcast like numpy.
@@ -25,6 +25,7 @@ from scipy import special
 from ..errors import NumericError, ShapeError
 
 _GRAD_ENABLED = True
+_BOUNDARY_CHECKS = False   # inside boundary_checks(): ops skip their finite check
 
 
 @contextlib.contextmanager
@@ -39,16 +40,35 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _check_finite(data: np.ndarray, opname: str) -> None:
-    # single-pass reduction; any NaN/Inf propagates into the sum. A finite
-    # array whose sum overflows (a RuntimeWarning when warnings are errors)
-    # is re-checked elementwise, off the hot path. The method call and
-    # math.isfinite skip numpy's ufunc dispatch.
+@contextlib.contextmanager
+def boundary_checks():
+    """Ops skip their finite check in the block, and numpy raises a
+    FloatingPointError at the op that overflows, divides by zero or makes a NaN
+    (it tests those flags after every ufunc and matmul anyway). Leaves and
+    `boundary` checks still sum; callers rerun a failed block outside it, per op."""
+    global _BOUNDARY_CHECKS
+    prev, _BOUNDARY_CHECKS = _BOUNDARY_CHECKS, True
     try:
-        finite = math.isfinite(data.sum())
-    except RuntimeWarning:
-        finite = False
-    if not finite and not np.isfinite(data).all():
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    finally:
+        _BOUNDARY_CHECKS = prev
+
+
+def _finite(data: np.ndarray) -> bool:
+    # one sum, which any NaN/Inf reaches; a finite array whose sum overflows (a
+    # RuntimeWarning or FloatingPointError) is re-checked elementwise.
+    try:
+        if math.isfinite(data.sum()):
+            return True
+    except (RuntimeWarning, FloatingPointError):
+        pass
+    return bool(np.isfinite(data).all())
+
+
+def _check_finite(data: np.ndarray, opname: str, boundary: bool = False) -> None:
+    """Inside `boundary_checks()` only a `boundary` check (a leaf's, a block's result's) runs."""
+    if (boundary or not _BOUNDARY_CHECKS) and not _finite(data):
         raise NumericError(f"non-finite values produced by '{opname}'")
 
 
@@ -59,7 +79,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, "leaf")
+        _check_finite(arr, "leaf", boundary=True)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None

@@ -14,11 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import write_json
+from .config import MIN_OVERLAP_PIXELS, write_json
 from .errors import DegenerateInputError, ParameterError, ShapeError, StateError
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 
-MIN_OVERLAP_PIXELS = 32
 SAMPLE_COUNT = 16   # frames a scene's median reads at most
 
 

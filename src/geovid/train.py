@@ -30,17 +30,18 @@ from typing import Iterator
 import numpy as np
 
 from .config import RunConfig, write_json
-from .errors import DegenerateInputError, NumericError
+from .errors import DegenerateInputError, GeovidError, NumericError
 from .evalmetrics import MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .losses import (
     LAMBDA_SC, LossReport, distill_loss, metric_depth_loss, recon_task_loss, vl_proxy_loss,
 )
 from .model import VidModelParams, WindowPrediction, adapt, init_model, predict_window
-from .numkit import AdamW, Tensor, TokenSet, no_grad
+from .numkit import AdamW, Tensor, TokenSet, boundary_checks, no_grad
+from .numkit.tensor import _check_finite, _finite
 from .patch3d import Patch3DTokens, PointCloud, backproject_grid, fuse_tokens
 from .scale_align import (
-    MIN_OVERLAP_PIXELS, SAMPLE_COUNT, ScaleEstimate, apply_scale, sample_frames, scene_scale,
+    SAMPLE_COUNT, ScaleEstimate, apply_scale, sample_frames, scene_scale,
 )
 from .synthscene import FrameData, SceneSample, TokenizerConfig, gen_scene
 
@@ -161,25 +162,56 @@ def train_stage1(cfg: RunConfig, scenes: list[SceneSample],
                                  sc=sc.item(), distill_total=total.item(), lam=lam)
 
     return params, _optimize(cfg, params.stage1_tensors(), None, 1, cfg.stage1_steps,
-                             step_loss, dump_path)
+                             step_loss, rng, dump_path)
+
+
+def _boundary_checked(block, restore=lambda: None):
+    """`block()` inside `numkit.boundary_checks()`. On a FloatingPointError
+    or a GeovidError there, `restore()` and rerun it with per-op checks, whose
+    error names the op that made a NaN or inf. A passing rerun's result stands
+    after a FloatingPointError, which numpy may raise inside a finite op, but
+    a GeovidError, which only a one-off fault would lift, is raised again."""
+    try:
+        with boundary_checks():
+            return block()
+    except FloatingPointError:
+        restore()
+    except GeovidError:
+        restore()
+        block()
+        raise
+    return block()
 
 
 def _optimize(cfg: RunConfig, trainable: dict[str, Tensor],
               lr_scale: dict[str, float] | None, stage: int, steps: int,
-              step_loss, dump_path: str | Path | None) -> list[TrainLogEntry]:
-    """AdamW steps on the loss `step_loss()` returns with its report, logged
-    per step. A numeric or degenerate-input failure writes the abort dump
+              step_loss, rng: np.random.Generator,
+              dump_path: str | Path | None) -> list[TrainLogEntry]:
+    """AdamW steps on the loss `step_loss()` (drawing from `rng`) returns with
+    its report, logged per step; a non-finite leaf gradient stops a step before
+    `opt.step()`. A numeric or degenerate-input failure writes the abort dump
     (the last five log entries), then propagates."""
     opt = AdamW(trainable, lr=cfg.lr, lr_scale=lr_scale)
     log: list[TrainLogEntry] = []
+
+    def loss_and_grads() -> LossReport:
+        # the graph goes with `total` when this returns, before the next forward
+        total, report = step_loss()
+        _check_finite(total.data, "loss", boundary=True)
+        opt.zero_grad()
+        total.backward()
+        for name, t in trainable.items():
+            if t.grad is not None and not _finite(t.grad):
+                raise NumericError(f"non-finite gradient of '{name}' at step {step}")
+        return report
+
     t_start = time.monotonic()
     for step in range(1, steps + 1):
         opt.lr = _lr_at(cfg, step, steps)
+        state = rng.bit_generator.state
         try:
-            total, report = step_loss()
-            opt.zero_grad()
-            total.backward()
-            del total   # frees this step's graph before the next step's forward
+            report = _boundary_checked(
+                loss_and_grads, lambda: setattr(rng.bit_generator, "state", state))
             opt.step()
         except (NumericError, DegenerateInputError) as exc:
             if dump_path is not None:
@@ -297,7 +329,7 @@ def train_stage2(cfg: RunConfig, params: VidModelParams,
 
     return params, _optimize(cfg, trainable, lr_scale, 2,
                              cfg.stage2_steps if steps is None else steps,
-                             step_loss, dump_path)
+                             step_loss, rng, dump_path)
 
 
 def train(cfg: RunConfig, scenes: list[SceneSample],
@@ -365,18 +397,22 @@ def run_pipeline(cfg: RunConfig, scene: SceneSample,
     One forward runs over the whole scene (the backbone's global blocks
     attend within windows of the training size); the scene-level scale is
     recovered once from the depth pairs of the frames `scene_scale` samples.
-    A predicted pair's valid mask is all true, so every frame is usable (or,
-    below MIN_OVERLAP_PIXELS pixels, none is and `scene_scale` raises): in
-    md_mode full, the metric head runs only on that sample.
-    """
-    h, w = cfg.resolution
+    A predicted pair's valid mask is all true, so every frame is usable: in
+    md_mode full, the metric head runs only on that sample. In the forward,
+    `DepthMap` and `CameraModel` check depths and poses, and the 3D tokens
+    (their anchors a leaf) are checked at its end."""
     sampled = (sample_frames(len(scene.frames), SAMPLE_COUNT, cfg.seed)
-               if cfg.md_mode == "full" and h * w >= MIN_OVERLAP_PIXELS else None)
-    with no_grad():
+               if cfg.md_mode == "full" else None)
+
+    def forward():
         pred = predict_window(scene.frames, params, cfg, metric_frames=sampled)
         depths, cameras, scale = _aligned_depth_for_vl(pred, cfg)
-        t3d = fuse_tokens(pred.lang, depths, cameras, params.pos_embed,
-                          patch_size=cfg.patch_size)
+        t3d = fuse_tokens(pred.lang, depths, cameras, params.pos_embed, patch_size=cfg.patch_size)
+        _check_finite(t3d.tokens.data, "fuse_tokens", boundary=True)
+        return depths, cameras, scale, t3d
+
+    with no_grad():
+        depths, cameras, scale, t3d = _boundary_checked(forward)
 
     gt_cams = [f.camera for f in scene.frames]
     cloud = strided_cloud(depths, cameras)

@@ -68,6 +68,7 @@ def test_gen_scenes_refuses_a_negative_seed(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("blocks", 3), ("n_bins", 1), ("d_min", 0.0), ("d_min", 20.0), ("lr", -1.0),
     ("warmup_steps", -5), ("token_noise", -1.0), ("adapter_lr_scale", -2.0),
+    ("resolution", [4, 4]),   # fewer pixels than scale alignment needs in md_mode full
 ])
 def test_gen_scenes_refuses_a_value_outside_its_domain(tmp_path, key, value):
     # refused by RunConfig itself, before a scene is written or train runs
@@ -322,6 +323,44 @@ def test_align_scale_refuses_a_negative_seed(tmp_path):
     assert "seed must be nonnegative, got -1" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "scale.json").exists()
+
+
+def _checkpoint_with_a_huge_weight(root: Path, cfg_path: Path) -> Path:
+    """The workspace model with every entry of cta.phi_geom.w1 at 1e200: the
+    first matmul that reads it overflows, in training and in inference."""
+    from geovid.config import RunConfig
+    from geovid.model import init_model, save_checkpoint
+    cfg = RunConfig.load(cfg_path)
+    params = init_model(cfg)
+    params.named_tensors()["cta.phi_geom.w1"].data[...] = 1e200
+    save_checkpoint(root / "ckpt", params, cfg)
+    return root / "ckpt"
+
+
+def test_infer_numeric_failure_exits_3_and_writes_nothing(workspace, tmp_path):
+    root, cfg_path = workspace
+    ckpt = _checkpoint_with_a_huge_weight(tmp_path, cfg_path)
+    proc = run_cli("infer", "--ckpt", str(ckpt), "--scene", str(root / "scenes" / "scene_0000"),
+                   "--out", str(tmp_path / "pred"), check=False)
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure: non-finite values produced by 'matmul'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "pred").exists()
+
+
+def test_train_numeric_failure_exits_3_with_an_abort_dump(workspace, tmp_path):
+    root, cfg_path = workspace
+    ckpt = _checkpoint_with_a_huge_weight(tmp_path, cfg_path)
+    out = tmp_path / "s2"
+    proc = run_cli("train", "--stage", "2", "--config", str(cfg_path), "--scenes",
+                   str(root / "scenes"), "--out", str(out), "--init", str(ckpt), check=False)
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure: non-finite values produced by 'matmul'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    dump = json.loads((out / "abort_dump.json").read_text())
+    assert dump == {"stage": 2, "step": 1, "last_entries": [],
+                    "error": "non-finite values produced by 'matmul'"}
+    assert sorted(p.name for p in out.iterdir()) == ["abort_dump.json"]
 
 
 def test_exit_code_degenerate(tmp_path):

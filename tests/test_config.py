@@ -47,6 +47,7 @@ def test_direct_construction_checks_kinds():
     ("d_min", 0.0, "d_min must be positive"),
     ("d_min", 20.0, "d_min 20.0 must be below d_max 10.0"),
     ("resolution", (50, 56), "resolution [50, 56] is not a multiple of patch_size 14"),
+    ("resolution", (4, 4), "resolution [4, 4] has 16 pixels, fewer than the 32"),
     ("lr", -1.0, "lr must be nonnegative"),
     ("warmup_steps", -5, "warmup_steps must be nonnegative"),
     ("token_noise", -1.0, "token_noise must be nonnegative"),

@@ -283,3 +283,24 @@ def test_unique_row_head_matches_full_row_head_bit_for_bit(h, w, ps):
     with no_grad():
         no_grad_depth = ordinal_depth(grid, Tensor(logits), Tensor(raw), cfg)
     assert no_grad_depth.data.tobytes() == want[0].tobytes()
+
+
+def test_shift_budget_keeps_an_edge_center_positive():
+    # n_bins 2 on 0.1-10 m: centers 0.316 and 3.16, and max_shift times the
+    # one gap (0.85) exceeded the lower center, so a trained head could give a
+    # negative depth. The budget is capped at half the center.
+    bins = init_bins(2, 0.1, 10.0)
+    assert np.all(bins.shift_budget() <= 0.5 * bins.centers)
+    raw = Tensor(np.array([[-1e3, -1e3], [1e3, 1e3], [-1e3, 1e3], [1e3, -1e3]]))
+    centers = bounded_centers(bins, raw).data
+    assert np.all(centers > 0) and np.all(np.diff(centers, axis=1) > 0)
+    logits = Tensor(np.full((4, 2), -50.0))   # all mass on the lower bin
+    depth = ordinal_depth((2, 2, 28, 28), logits, raw, bins)
+    assert np.all(depth.data > 0)
+
+
+def test_shift_budget_cap_leaves_the_default_bins_alone():
+    from geovid.config import RunConfig
+    cfg = RunConfig()
+    bins = init_bins(cfg.n_bins, cfg.d_min, cfg.d_max)
+    assert np.array_equal(bins.shift_budget(), bins.max_shift * bins.local_widths())

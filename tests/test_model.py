@@ -11,7 +11,7 @@ import pytest
 
 from geovid import metric_depth
 from geovid.config import RETIRED, RunConfig
-from geovid.errors import DegenerateInputError, ParameterError, ShapeError
+from geovid.errors import ParameterError, ShapeError
 from geovid.model import (
     adapt, encode, init_model, load_checkpoint, predict_window, save_checkpoint,
 )
@@ -202,14 +202,6 @@ def test_run_pipeline_runs_the_metric_head_on_the_frames_it_reads(default_scene,
             else result.scale.images_used)
     assert len(used) == (SAMPLE_COUNT if md_mode == "full" else 32)
     assert np.array_equal(got, every[list(used)])
-
-
-def test_run_pipeline_below_the_overlap_floor_is_degenerate():
-    # a 4x4 image has fewer than MIN_OVERLAP_PIXELS pixels, so no frame is usable
-    cfg = RunConfig(n_scenes=1, frames_per_scene=2, resolution=(4, 4), patch_size=2,
-                    dim=16, heads=2, blocks=2, bridge_tokens=4, n_bins=8, n_objects=3)
-    with pytest.raises(DegenerateInputError, match="no frame has enough valid overlap"):
-        run_pipeline(cfg, generate_scenes(cfg)[0], init_model(cfg))
 
 
 def test_md_off_skips_metric(scene, monkeypatch):

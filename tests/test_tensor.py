@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from geovid.errors import NumericError, ShapeError
 from geovid.numkit import (
-    Tensor, arccos, concat, grad_check, matmul, maximum, no_grad, softmax,
+    Tensor, arccos, boundary_checks, concat, grad_check, matmul, maximum, no_grad, softmax,
     softplus, tabs, tmean, tsum,
 )
 from geovid.numkit.tensor import ARCCOS_SLOPE_FLOOR
@@ -56,6 +56,21 @@ def test_finite_values_whose_sum_overflows_pass():
         Tensor(np.array([1e308, np.inf, 1.0]))
     with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="overflow"):
         _ = big * 2.0  # every element overflows to inf
+
+
+def test_boundary_checks_trade_per_op_checks_for_fp_flags():
+    x, poisoned = Tensor([1e300]), Tensor([1.0])
+    poisoned.data[0] = np.nan   # after its leaf check, where no FP flag can see it
+    with boundary_checks():
+        with pytest.raises(FloatingPointError, match="overflow"):
+            _ = x * x * x       # raised by numpy at the op, not by a sum
+        assert np.isnan((poisoned * 2.0).data).all()   # the op's own check is off
+        with pytest.raises(NumericError):
+            Tensor([np.nan, 1.0])                      # a leaf keeps its check
+        big = Tensor(np.full(4, 1e308))   # the check's sum overflows: still legal
+        np.testing.assert_array_equal(big.data, np.full(4, 1e308))
+    with pytest.raises(NumericError):
+        _ = poisoned * 2.0      # outside the context, per op again
 
 
 def test_matmul_requires_2d():

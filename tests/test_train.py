@@ -1,13 +1,17 @@
+import contextlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import geovid.train
 from geovid.config import RunConfig
-from geovid.errors import ParameterError
+from geovid.errors import NumericError, ParameterError
 from geovid.geometry import METRIC, RELATIVE, DepthMap
 from geovid.losses import distill_loss
 from geovid.model import init_model, load_checkpoint, predict_window, save_checkpoint
+from geovid.numkit import Tensor
 from geovid.train import (
     _window_joint_loss, compare_strategies, evaluate_test_loss, generate_scenes,
     run_pipeline, scene_norm, train, train_stage1, train_stage2, write_jsonl,
@@ -295,6 +299,75 @@ def test_stage2_steps_hold_one_graph_at_a_time():
     scenes = generate_scenes(cfg)
     one, three = (_stage2_traced_peak(cfg, scenes, steps) for steps in (1, 3))
     assert three < 1.35 * one, (three, one)
+
+
+# ----------------------------------------------------------------------
+# boundary checks: FP flags inside training steps and run_pipeline
+# ----------------------------------------------------------------------
+
+def _three_steps_each_and_a_pipeline(scenes):
+    cfg = RunConfig(seed=11, **{**TINY, "stage1_steps": 3, "stage2_steps": 3})
+    params, log1 = train_stage1(cfg, scenes)
+    params, log2 = train_stage2(cfg, params, scenes)
+    result = run_pipeline(cfg, scenes[0], params)
+    arrays = [t.data for _, t in sorted(params.named_tensors().items())]
+    arrays += [d.values for d in result.depths] + [result.cloud.points, result.t3d.tokens.data,
+                                                   result.t3d.anchor_points]
+    arrays += [a for c in result.cameras for a in (c.rotation, c.translation)]
+    logs = [json.dumps(e.to_json(), sort_keys=True) for e in log1 + log2]
+    return arrays, logs, result.metrics.to_json()
+
+
+def test_boundary_checks_change_no_bits(tiny_setup, monkeypatch):
+    # with the context a no-op, every op checks itself: the parent's path
+    _, scenes = tiny_setup
+    rerun, checked = [], geovid.train.boundary_checks
+
+    @contextlib.contextmanager
+    def spied():
+        try:
+            with checked():
+                yield
+        except Exception as exc:
+            rerun.append(exc)
+            raise
+
+    monkeypatch.setattr(geovid.train, "boundary_checks", spied)
+    fast = _three_steps_each_and_a_pipeline(scenes)
+    assert rerun == []   # no step and no forward fell back to per-op checks
+    monkeypatch.setattr(geovid.train, "boundary_checks", contextlib.nullcontext)
+    per_op = _three_steps_each_and_a_pipeline(scenes)
+    assert len(fast[0]) == len(per_op[0])
+    assert all(np.array_equal(a, b) for a, b in zip(fast[0], per_op[0]))
+    assert fast[1:] == per_op[1:]
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_a_non_finite_gradient_is_refused_before_the_step(tiny_setup, monkeypatch, tmp_path,
+                                                          stage):
+    # the forward is finite; one VJP into a weight returns inf. Before, that
+    # gradient reached the weights and a later forward failed at another op.
+    cfg, scenes = tiny_setup
+    params = init_model(cfg)
+    before = {k: t.data.copy() for k, t in params.named_tensors().items()}
+    target, from_op = params.named_tensors()["cta.phi_geom.w1"], Tensor._from_op
+
+    def poisoned(data, opname, parents, vjps):
+        vjps = [(lambda g, p=p: np.full(p.shape, np.inf)) if p is target else v
+                for p, v in zip(parents, vjps)]
+        return from_op(data, opname, parents, vjps)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(poisoned))
+    said = "non-finite gradient of 'cta.phi_geom.w1' at step 1"
+    with pytest.raises(NumericError, match=said):
+        if stage == 1:
+            train_stage1(cfg, scenes, params=params, dump_path=tmp_path / "dump.json")
+        else:
+            train_stage2(cfg, params, scenes, dump_path=tmp_path / "dump.json")
+    dump = json.loads((tmp_path / "dump.json").read_text())
+    assert (dump["stage"], dump["step"], dump["error"]) == (stage, 1, said)
+    for k, t in params.named_tensors().items():
+        assert np.array_equal(t.data, before[k]), k
 
 
 # ----------------------------------------------------------------------
