@@ -42,6 +42,10 @@ def _exit_codes(fn):
         except GeovidError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
+        except OSError as exc:   # an --out the system cannot write, such as a directory
+            click.echo(f"error: {exc.filename}: {exc.strerror}" if exc.filename else
+                       f"error: {exc}", err=True)
+            sys.exit(1)
     return wrapper
 
 
@@ -179,11 +183,22 @@ def align_scale_cmd(depth_rel, depth_metric, cameras, out, scaled_out,
 @click.option("--out", type=click.Path(), required=True)
 @_exit_codes
 def infer_cmd(ckpt, scene_path, out):
-    """Run the trained pipeline on one scene; write PLY + JSON artifacts."""
+    """Run the trained pipeline on one scene; write PLY + JSON artifacts. An OUT
+    holding a camera, depth or scale file that this run would not overwrite is refused."""
     params, cfg = load_checkpoint(ckpt)
     scene = _fitting_scene(scene_path, cfg, "--ckpt's config")
-    result = run_pipeline(cfg, scene, params)
     out = Path(out)
+    if out.exists() and not out.is_dir():
+        raise ParameterError(f"--out {out} exists and is not a directory")
+    names = {f"frame_{i:03d}" for i in range(len(scene.frames))}
+    stale = sorted(p for p in [*out.glob("cameras/*.json"), *out.glob("depth/*.vlt")]
+                   if p.stem not in names)   # eval reads every one of them
+    if cfg.md_mode != "full" and (out / "scale.json").exists():   # only md_mode full writes it
+        stale.append(out / "scale.json")
+    if stale:
+        raise ParameterError(f"--out already holds {stale[0]}, which this run would not overwrite;"
+                             f" remove it or use another --out")
+    result = run_pipeline(cfg, scene, params)
     (out / "cameras").mkdir(parents=True, exist_ok=True)
     (out / "depth").mkdir(exist_ok=True)
     write_ply(out / "cloud.ply", result.cloud)

@@ -126,14 +126,23 @@ class DepthMap:
 # quaternions (w, x, y, z)
 # ----------------------------------------------------------------------
 
+# Rotation entries in row-major order as 2 * sum(sign * q_a * q_b) over
+# (sign, a, b) products of the quaternion (w, x, y, z), plus 1 on the diagonal.
+_ROTATION_PRODUCTS = (
+    ((-1.0, 2, 2), (-1.0, 3, 3)), ((1.0, 1, 2), (-1.0, 0, 3)), ((1.0, 1, 3), (1.0, 0, 2)),
+    ((1.0, 1, 2), (1.0, 0, 3)), ((-1.0, 1, 1), (-1.0, 3, 3)), ((1.0, 2, 3), (-1.0, 0, 1)),
+    ((1.0, 1, 3), (-1.0, 0, 2)), ((1.0, 2, 3), (1.0, 0, 1)), ((-1.0, 1, 1), (-1.0, 2, 2)),
+)
+_SIGN, _A, _B = (np.array([[p[n] for p in row] for row in _ROTATION_PRODUCTS]) for n in range(3))
+
+
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion [w, x, y, z] -> 3x3 rotation matrix."""
-    w, x, y, z = np.asarray(q, dtype=np.float64).reshape(4)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """Unit quaternions [..., 4] as [w, x, y, z] -> rotations [..., 3, 3]."""
+    q = np.asarray(q, dtype=np.float64)
+    terms = _SIGN * q[..., _A] * q[..., _B]
+    rot = 2.0 * (terms[..., 0] + terms[..., 1])
+    rot[..., ::4] += 1.0   # the diagonal; adding 0 elsewhere would turn -0 into +0
+    return rot.reshape(*q.shape[:-1], 3, 3)
 
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ Design constraints baked in here:
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -56,13 +55,6 @@ def boundary_checks():
 
 
 def _finite(data: np.ndarray) -> bool:
-    # one sum, which any NaN/Inf reaches; a finite array whose sum overflows (a
-    # RuntimeWarning or FloatingPointError) is re-checked elementwise.
-    try:
-        if math.isfinite(data.sum()):
-            return True
-    except (RuntimeWarning, FloatingPointError):
-        pass
     return bool(np.isfinite(data).all())
 
 

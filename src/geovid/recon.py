@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .geometry import RELATIVE, CameraModel, quaternion_to_rotation
+from .geometry import RELATIVE, CameraModel, bilinear_sample, quaternion_to_rotation
+from .geometry import _ROTATION_PRODUCTS
 from .numkit import (
     MhaParams, MlpParams, Role, Tensor, TokenSet,
     broadcast_to, concat, maximum, mha, mlp, param, require_role, rms_norm, sigmoid,
@@ -145,13 +146,6 @@ class CameraPrediction:
                                         self.fx.data, self.fy.data)]
 
 
-# Rotation entries in row-major order as 2 * sum(sign * q_a * q_b) over
-# (sign, a, b) products of the quaternion (w, x, y, z), plus 1 on the diagonal.
-_ROTATION_PRODUCTS = (
-    ((-1.0, 2, 2), (-1.0, 3, 3)), ((1.0, 1, 2), (-1.0, 0, 3)), ((1.0, 1, 3), (1.0, 0, 2)),
-    ((1.0, 1, 2), (1.0, 0, 3)), ((-1.0, 1, 1), (-1.0, 3, 3)), ((1.0, 2, 3), (-1.0, 0, 1)),
-    ((1.0, 1, 3), (-1.0, 0, 2)), ((1.0, 2, 3), (1.0, 0, 1)), ((-1.0, 1, 1), (-1.0, 2, 2)),
-)
 # Each component's VJP terms sign * 2 g[entry] * q[partner], entry by entry and
 # product by product: 6 for w, 10 each for x, y and z. Rows are padded to 10;
 # `_LAST` is each row's last real term.
@@ -178,8 +172,7 @@ def quat_to_rotation(quat: Tensor) -> Tensor:
         terms = _SIGN * (g.reshape(-1, 9) * 2.0)[:, _ENTRY] * quat.data[:, _PARTNER]
         return np.cumsum(terms, axis=-1)[:, np.arange(4), _LAST]
 
-    rot = np.stack([quaternion_to_rotation(q) for q in quat.data])
-    return Tensor._from_op(rot, "quat_to_rotation", (quat,), (vjp,))
+    return Tensor._from_op(quaternion_to_rotation(quat.data), "quat_to_rotation", (quat,), (vjp,))
 
 
 def camera_head(camera_tokens: TokenSet, p: CameraHeadParams,
@@ -223,27 +216,13 @@ class DepthHeadParams:
 def upsample_matrix(gh: int, gw: int, h: int, w: int) -> np.ndarray:
     """[h*w, gh*gw] bilinear interpolation from patch-grid cells to pixels.
 
-    Output pixel i maps to grid coordinate (i + 0.5) / patch - 0.5 (half-pixel
-    convention), clamped at the grid border.
+    Column c is `bilinear_sample` of cell c's indicator image at each output
+    pixel i's half-pixel grid coordinate (i + 0.5) / patch - 0.5.
     """
-    ph, pw = h / gh, w / gw
-    gy = np.clip((np.arange(h) + 0.5) / ph - 0.5, 0.0, gh - 1.0)
-    gx = np.clip((np.arange(w) + 0.5) / pw - 0.5, 0.0, gw - 1.0)
-    y0 = np.floor(gy).astype(int)
-    x0 = np.floor(gx).astype(int)
-    y1 = np.minimum(y0 + 1, gh - 1)
-    x1 = np.minimum(x0 + 1, gw - 1)
-    fy = gy - y0
-    fx = gx - x0
-    mat = np.zeros((h * w, gh * gw))
-    rows = np.arange(h * w)
-    yy0 = np.repeat(y0, w); yy1 = np.repeat(y1, w); ffy = np.repeat(fy, w)
-    xx0 = np.tile(x0, h); xx1 = np.tile(x1, h); ffx = np.tile(fx, h)
-    np.add.at(mat, (rows, yy0 * gw + xx0), (1 - ffy) * (1 - ffx))
-    np.add.at(mat, (rows, yy0 * gw + xx1), (1 - ffy) * ffx)
-    np.add.at(mat, (rows, yy1 * gw + xx0), ffy * (1 - ffx))
-    np.add.at(mat, (rows, yy1 * gw + xx1), ffy * ffx)
-    return mat
+    y = np.repeat((np.arange(h) + 0.5) / (h / gh) - 0.5, w)
+    x = np.tile((np.arange(w) + 0.5) / (w / gw) - 0.5, h)
+    cells = np.eye(gh * gw).reshape(-1, gh, gw)   # one indicator image per grid cell
+    return np.stack([bilinear_sample(cell, x, y) for cell in cells], axis=1)
 
 
 @functools.lru_cache(maxsize=32)

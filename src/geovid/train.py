@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import RunConfig, write_json
-from .errors import DegenerateInputError, GeovidError, NumericError
+from .errors import DegenerateInputError, GeovidError, NumericError, ParameterError
 from .evalmetrics import MetricsReport, depth_metrics, pointcloud_metrics, pose_metrics
 from .geometry import METRIC, RELATIVE, CameraModel, DepthMap
 from .losses import (
@@ -332,9 +332,7 @@ def train_stage2(cfg: RunConfig, params: VidModelParams,
                              step_loss, rng, dump_path)
 
 
-def train(cfg: RunConfig, scenes: list[SceneSample],
-          dump_path: str | Path | None = None
-          ) -> tuple[VidModelParams, list[TrainLogEntry]]:
+def train(cfg: RunConfig, scenes: list[SceneSample]) -> tuple[VidModelParams, list[TrainLogEntry]]:
     """Full strategy-aware run.
 
     single_stage runs the joint stage from random initialization on the
@@ -343,9 +341,9 @@ def train(cfg: RunConfig, scenes: list[SceneSample],
     """
     if cfg.strategy == "single_stage":
         params = init_model(cfg)
-        return train_stage2(cfg, params, scenes, dump_path=dump_path)
-    params, log1 = train_stage1(cfg, scenes, dump_path=dump_path)
-    params, log2 = train_stage2(cfg, params, scenes, dump_path=dump_path)
+        return train_stage2(cfg, params, scenes)
+    params, log1 = train_stage1(cfg, scenes)
+    params, log2 = train_stage2(cfg, params, scenes)
     return params, log1 + log2
 
 
@@ -458,6 +456,10 @@ def compare_strategies(cfg_base: RunConfig, strategies: list[str],
     # every cell's config, so its seed, size and strategy, is checked before any trains
     cells = [[replace(cfg_base, seed=seed, n_scenes=size, strategy=strategy)
               for size in data_sizes for strategy in strategies] for seed in seeds]
+    if out_csv is not None and Path(out_csv).is_dir():
+        raise ParameterError(f"{out_csv} is a directory; compare writes a CSV file there")
+    if out_csv is not None and not Path(out_csv).parent.is_dir():
+        raise ParameterError(f"{out_csv}: no directory {Path(out_csv).parent} to write it in")
     rows = []
     for seed, seed_cells in zip(seeds, cells):
         cfg_seed = replace(cfg_base, seed=seed)

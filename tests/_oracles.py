@@ -211,3 +211,36 @@ def row_jacobian_vjp(up, g, jac):
         s[k] += g[i]
     rows = [first[k] for k in range(len(ids))]
     return up[rows].T @ (s[:, None] * jac[rows])
+
+
+# ----------------------------------------------------------------------
+# the rotation and upsample conventions, each written out on its own, so the
+# shared table and sampler they now come from cannot drift with each other
+# ----------------------------------------------------------------------
+
+def quaternion_to_rotation_oracle(q):
+    """The 3x3 rotation of one quaternion [w, x, y, z], entry by entry."""
+    w, x, y, z = np.asarray(q, dtype=np.float64).reshape(4)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def upsample_matrix_oracle(gh, gw, h, w):
+    """[h*w, gh*gw] bilinear weights, scattered corner by corner into zeros: each
+    pixel's half-pixel grid coordinate, clamped to the grid, floored to its
+    top-left cell, with the weights of the four cells around it."""
+    gy = np.clip((np.arange(h) + 0.5) / (h / gh) - 0.5, 0.0, gh - 1.0)
+    gx = np.clip((np.arange(w) + 0.5) / (w / gw) - 0.5, 0.0, gw - 1.0)
+    y0, x0 = np.floor(gy).astype(int), np.floor(gx).astype(int)
+    y1, x1 = np.minimum(y0 + 1, gh - 1), np.minimum(x0 + 1, gw - 1)
+    fy, fx = np.repeat(gy - y0, w), np.tile(gx - x0, h)
+    y0, y1, x0, x1 = np.repeat(y0, w), np.repeat(y1, w), np.tile(x0, h), np.tile(x1, h)
+    mat, rows = np.zeros((h * w, gh * gw)), np.arange(h * w)
+    np.add.at(mat, (rows, y0 * gw + x0), (1 - fy) * (1 - fx))
+    np.add.at(mat, (rows, y0 * gw + x1), (1 - fy) * fx)
+    np.add.at(mat, (rows, y1 * gw + x0), fy * (1 - fx))
+    np.add.at(mat, (rows, y1 * gw + x1), fy * fx)
+    return mat

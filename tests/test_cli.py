@@ -363,6 +363,101 @@ def test_train_numeric_failure_exits_3_with_an_abort_dump(workspace, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["abort_dump.json"]
 
 
+def _init_checkpoint(path: Path, cfg_path: Path, **changes) -> Path:
+    """An untrained checkpoint of the config at `cfg_path`, with `changes`."""
+    from dataclasses import replace
+    from geovid.config import RunConfig
+    from geovid.model import init_model, save_checkpoint
+    cfg = replace(RunConfig.load(cfg_path), **changes)
+    save_checkpoint(path, init_model(cfg), cfg)
+    return path
+
+
+@pytest.mark.parametrize("command", ["gen-scenes", "train", "infer", "eval", "align-scale",
+                                     "compare", "compare-without-parent"])
+def test_an_unusable_out_exits_1_naming_it(workspace, tmp_path, command):
+    # gen-scenes, train and infer write a directory there, so a file is refused;
+    # eval, align-scale and compare write a file, so a directory is
+    root, cfg_path = workspace
+    scene, out = root / "scenes" / "scene_0000", tmp_path / "out"
+    if command in ("gen-scenes", "train", "infer"):
+        out.write_text("a file\n")
+    elif command == "compare-without-parent":
+        command, out = "compare", tmp_path / "missing" / "cmp.csv"
+    else:
+        out.mkdir()
+    if command == "gen-scenes":
+        args = ["--config", str(cfg_path)]
+    elif command == "train":
+        args = ["--stage", "1", "--config", str(cfg_path), "--scenes", str(root / "scenes")]
+    elif command == "infer":
+        ckpt = _init_checkpoint(tmp_path / "ckpt", cfg_path)
+        args = ["--ckpt", str(ckpt), "--scene", str(scene)]
+    elif command == "eval":
+        args = ["--pred", str(scene), "--gt", str(scene)]
+    elif command == "align-scale":
+        dirs = _align_inputs(tmp_path, 3, 0)
+        args = ["--depth-rel", str(dirs["rel"]), "--depth-metric", str(dirs["met"])]
+    else:
+        args = ["--config", str(cfg_path), "--strategies", "single_stage", "--sizes", "1"]
+    proc = run_cli(command, *args, "--out", str(out), check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert "error: " in proc.stderr and str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_infer_refuses_an_out_with_another_scenes_frames(workspace, tmp_path):
+    # a 5-frame scene, then a 3-frame one into the same OUT would leave frames
+    # 3 and 4 of the first for `eval` to count against the second's
+    root, cfg_path = workspace
+    (tmp_path / "cfg.json").write_text(json.dumps({**TINY_CFG, "n_scenes": 1,
+                                                   "frames_per_scene": 5}))
+    run_cli("gen-scenes", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "five"))
+    ckpt, out = _init_checkpoint(tmp_path / "ckpt", cfg_path), tmp_path / "pred"
+
+    def infer(scene):
+        return run_cli("infer", "--ckpt", str(ckpt), "--scene", str(scene), "--out", str(out),
+                       check=False)
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    assert infer(tmp_path / "five" / "scene_0000").returncode == 0
+    before = files()
+    proc = infer(root / "scenes" / "scene_0000")
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert f"--out already holds {out / 'cameras' / 'frame_003.json'}" in proc.stderr
+    assert files() == before
+
+
+def test_infer_refuses_a_scale_it_would_not_overwrite(workspace, tmp_path):
+    # md_mode full writes scale.json; a run in md_mode off or no_alignment
+    # writes none, so it would leave the first run's scale beside its own depths
+    root, cfg_path = workspace
+    scene, out = root / "scenes" / "scene_0000", tmp_path / "pred"
+    run_cli("infer", "--ckpt", str(_init_checkpoint(tmp_path / "full", cfg_path)),
+            "--scene", str(scene), "--out", str(out))
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    for mode in ("off", "no_alignment"):
+        ckpt = _init_checkpoint(tmp_path / mode, cfg_path, md_mode=mode)
+        proc = run_cli("infer", "--ckpt", str(ckpt), "--scene", str(scene), "--out", str(out),
+                       check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert f"--out already holds {out / 'scale.json'}" in proc.stderr
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
+
+def test_infer_reruns_into_an_out_of_the_same_size(workspace, tmp_path):
+    # the benchmark's infer workload writes every held-out scene into one OUT
+    root, cfg_path = workspace
+    ckpt, out = _init_checkpoint(tmp_path / "ckpt", cfg_path), tmp_path / "pred"
+    for name in ("scene_0000", "scene_0001", "scene_0000"):
+        run_cli("infer", "--ckpt", str(ckpt), "--scene", str(root / "scenes" / name),
+                "--out", str(out))
+    assert sorted(p.name for p in (out / "depth").iterdir()) == [
+        f"frame_{i:03d}.vlt" for i in range(TINY_CFG["frames_per_scene"])]
+
+
 def test_exit_code_degenerate(tmp_path):
     from geovid.numkit import vlt
     rel_dir = tmp_path / "rel"

@@ -9,6 +9,8 @@ from geovid.geometry import (
     quaternion_to_rotation, rotation_angle_deg, rotation_to_quaternion,
 )
 
+from _oracles import quaternion_to_rotation_oracle
+
 
 def test_camera_orthonormality_enforced():
     bad = np.eye(3)
@@ -111,6 +113,21 @@ def test_quaternion_roundtrip_many():
         r2 = quaternion_to_rotation(q2)
         worst = max(worst, np.abs(r - r2).max())
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quaternion_to_rotation_is_the_entrywise_oracle_bit_for_bit(seed):
+    # [F, 4] batches with zero, negative-zero and negative components, unit and not
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((40, 4))
+    q[rng.random(q.shape) < 0.25] = 0.0
+    q[rng.random(q.shape) < 0.15] = -0.0
+    q[:20] /= np.linalg.norm(q[:20], axis=1, keepdims=True) + 1e-300
+    got = quaternion_to_rotation(q)
+    want = np.stack([quaternion_to_rotation_oracle(row) for row in q])
+    assert got.shape == (40, 3, 3) and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert all(np.array_equal(quaternion_to_rotation(row), r) for row, r in zip(q, want))
 
 
 def test_rotation_angle():

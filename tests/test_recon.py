@@ -10,6 +10,8 @@ from geovid.recon import (
     camera_head, depth_head_tensor, gfa_backbone, upsample_matrix,
 )
 
+from _oracles import upsample_matrix_oracle
+
 
 def _frames(seed, n_frames=2, n=4, c=8):
     rng = np.random.default_rng(seed)
@@ -300,3 +302,14 @@ def test_upsample_matches_oracle_random_grids():
     got = (up @ grid.reshape(-1)).reshape(56, 56)
     np.testing.assert_allclose(got, bilinear_oracle(grid, 56, 56), atol=1e-12)
 
+
+@pytest.mark.parametrize("grid", [
+    (4, 4, 56, 56), (2, 2, 4, 4), (8, 8, 112, 112),   # square
+    (2, 3, 28, 42), (3, 5, 9, 25), (6, 4, 84, 56),     # non-square
+    (4, 4, 64, 64), (2, 2, 3, 5), (5, 3, 7, 11),       # clamped at the border, uneven patches
+    (1, 1, 14, 14), (1, 1, 1, 1), (1, 4, 2, 56),        # a single cell on one or both axes
+])
+def test_upsample_matrix_is_the_scatter_oracle_bit_for_bit(grid):
+    got, want = upsample_matrix.__wrapped__(*grid), upsample_matrix_oracle(*grid)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

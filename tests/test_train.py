@@ -215,6 +215,23 @@ def test_compare_strategies_checks_every_cell_before_training(tmp_path, tiny_set
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("out, named", [
+    ("a-directory", "is a directory"),
+    ("missing/out.csv", "no directory"),
+])
+def test_compare_strategies_checks_its_out_before_training(tmp_path, tiny_setup, monkeypatch,
+                                                           out, named):
+    import geovid.train
+    calls = []
+    monkeypatch.setattr(geovid.train, "train", lambda *a, **k: calls.append("train"))
+    monkeypatch.setattr(geovid.train, "generate_scenes", lambda *a, **k: calls.append("gen"))
+    (tmp_path / "a-directory").mkdir()
+    with pytest.raises(ParameterError, match=named):
+        compare_strategies(tiny_setup[0], ["two_stage_dual"], [1], [3],
+                           out_csv=tmp_path / out)
+    assert calls == []
+
+
 def test_checkpoint_roundtrip(tmp_path, tiny_setup):
     cfg, scenes = tiny_setup
     params, _ = train_stage1(cfg, scenes)
